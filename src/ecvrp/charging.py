@@ -1,8 +1,15 @@
 """Lower-level charging solvers for fixed routes.
 
 Two followers are provided.  solve_se() is the cheap one used during
-search: per route it picks gap subsets of the two admissible sizes and
-fills every chosen gap with the precomputed best detour station.
+search: per route it chooses a set of gaps of one of the two admissible
+sizes and fills every chosen gap with the precomputed best detour
+station.  Because a recharge is always full, the battery check splits
+into independent legs between consecutive stops, and a dynamic program
+over (stops used, last stop) finds the set in O(k * n^2) per route (n
+gaps, k = lb + 1).  It returns exactly what enumerating every subset in
+lexicographic order would: the same subset and the same detour bits.
+This is the single-station, full-recharge case of the fixed-route
+vehicle charging problem (Montoya et al. 2017; Froger et al. 2019).
 solve_exhaustive() additionally ranges over every station and every
 ordered station pair per gap; it is reserved for final refinement and
 validation because it costs far more arc reads.
@@ -17,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -109,10 +115,15 @@ def solve_se(plan, inst: InstanceSpec, oracle: DistanceOracle,
     """Simple-enumeration follower: at most one station per gap, station
     fixed to the gap's best detour station.
 
-    Per route all gap subsets of size lb and lb+1 are examined in
-    lexicographic order; the first battery-feasible subset of minimum
-    detour wins.  enumeration_count multiplies the per-route examined
-    counts, matching the size of the restricted configuration space.
+    Per route it returns the plan the enumeration of all gap subsets of
+    size lb and lb+1 in lexicographic order would return: the first
+    battery-feasible subset of minimum detour, size lb before lb+1, with
+    the detour summed bit for bit as that enumeration sums it.  The
+    subset is found by the dynamic program of _best_gap_subset in
+    O(k * n^2) per route (n gaps, k = lb + 1) instead of C(n, lb) +
+    C(n, lb+1) subset walks.  enumeration_count keeps its meaning: the
+    product over routes of C(n, lb) + C(n, lb+1), the size of the
+    restricted configuration space, cut off at the first infeasible route.
     """
     routes = plan.routes if isinstance(plan, RoutingPlan) else plan
     budget = oracle.budget
@@ -150,43 +161,11 @@ def solve_se(plan, inst: InstanceSpec, oracle: DistanceOracle,
         surrogate_total += route_cost
         lb = visits_lower_bound(route_cost, inst)
 
-        best_f = None
-        best_combo = None
-        examined = 0
-        for size in (lb, lb + 1):
-            if size < 0 or size > n_gaps:
-                continue
-            for combo in combinations(range(n_gaps), size):
-                examined += 1
-                charge = full
-                detour = 0.0
-                pos = 0
-                ok = True
-                for g in range(n_gaps):
-                    if pos < size and combo[pos] == g:
-                        pos += 1
-                        charge -= rate * legs_in[g]
-                        if charge < 0.0:
-                            ok = False
-                            break
-                        charge = full - rate * legs_out[g]
-                        if charge < 0.0:
-                            ok = False
-                            break
-                        # Same association as the exhaustive solver, so the
-                        # shared configurations cost bit-identical detours.
-                        detour = detour + legs_in[g] + legs_out[g] - directs[g]
-                    else:
-                        charge -= rate * directs[g]
-                        if charge < 0.0:
-                            ok = False
-                            break
-                if ok and (best_f is None or detour < best_f):
-                    best_f = detour
-                    best_combo = combo
-        examined_product *= examined
-        if best_f is None:
+        examined_product *= math.comb(n_gaps, lb) + math.comb(n_gaps, lb + 1)
+        best = _best_gap_subset(directs, legs_in, legs_out, lb, rate, full)
+        if best is None:
             return ChargingQueryResult(False, None, None, examined_product)
+        best_f, best_combo = best
         chosen = set(best_combo)
         slots_out.append(tuple(
             table.station_for[nodes[g]][nodes[g + 1]] if g in chosen else None
@@ -196,6 +175,97 @@ def solve_se(plan, inst: InstanceSpec, oracle: DistanceOracle,
     return ChargingQueryResult(
         True, ChargingPlan(tuple(slots_out)), detour_total, examined_product,
         surrogate_total)
+
+
+def _best_gap_subset(directs, legs_in, legs_out, lb: int, rate: float,
+                     full: float) -> tuple[float, tuple[int, ...]] | None:
+    """Minimum-detour battery-feasible set of recharge gaps of size lb or
+    lb + 1 for one route, as (detour, gaps), or None if there is none.
+
+    A recharge at gap g replaces the direct arc directs[g] with the legs
+    legs_in[g] and legs_out[g] through the gap's station and leaves with a
+    full battery, so feasibility splits into independent legs between
+    consecutive stops.  reach[q + 1] lists the stops p reachable from stop
+    q (q = -1 and p = n are the depot), computed with the same float
+    operations as a gap-by-gap battery simulation.
+
+    The detour of a subset is summed left to right over its gaps as
+    detour + legs_in[g] + legs_out[g] - directs[g].  A layered program
+    over (stops used, last stop) extends prefixes in that order.  Float
+    addition is monotone but not strictly so: a prefix whose value exceeds
+    a state's minimum by less than the rounding the remaining additions
+    can absorb may still tie it at the end and win on lexicographic order.
+    So each state keeps every distinct value within that window of its
+    minimum, each with its lexicographically first prefix.  The result is
+    the minimum final detour, lexicographically first among exact ties,
+    and size lb + 1 replaces size lb only with a strictly smaller detour.
+    """
+    n = len(directs)
+    top = lb + 1
+    if lb > n:
+        return None
+
+    reach = []
+    for q in range(-1, n):
+        charge = full if q < 0 else full - rate * legs_out[q]
+        nxt = []
+        if charge >= 0.0:
+            for p in range(q + 1, n):
+                if charge - rate * legs_in[p] >= 0.0:
+                    nxt.append(p)
+                charge -= rate * directs[p]
+                if charge < 0.0:
+                    break
+            else:
+                nxt.append(n)
+        reach.append(nxt)
+
+    # Every partial detour lies within +-scale, so each remaining addition
+    # moves two prefixes' values closer by at most one ulp of 2 * scale.
+    scale = 0.0
+    for g in range(n):
+        scale += legs_in[g] + legs_out[g] + directs[g]
+    ulp = math.ulp(2.0 * scale)
+
+    best = None
+    layer = {-1: [(0.0, ())]}
+    for k in range(top + 1):
+        if k >= lb:
+            finals = [cands[0] for q, cands in layer.items()
+                      if reach[q + 1] and reach[q + 1][-1] == n]
+            if finals:
+                size_best = min(finals)
+                if best is None or size_best[0] < best[0]:
+                    best = size_best
+        if k == top:
+            break
+        # three additions per remaining stop, plus slack for the rounding
+        # of the window test itself
+        window = (3 * (top - k - 1) + 2) * ulp
+        need = lb - k - 1            # stops still needed after the next one
+        grown: dict[int, list] = {}
+        for q, cands in layer.items():
+            for p in reach[q + 1]:
+                if p == n or n - 1 - p < need:
+                    continue
+                a, b, c = legs_in[p], legs_out[p], directs[p]
+                bucket = grown.setdefault(p, [])
+                for v, combo in cands:
+                    # same association as solve_exhaustive, so the plans
+                    # both can return cost bit-identical detours
+                    bucket.append((v + a + b - c, combo + (p,)))
+        layer = {}
+        for p, bucket in grown.items():
+            bucket.sort()
+            limit = bucket[0][0] + window
+            kept = [bucket[0]]
+            for item in bucket:
+                if item[0] > limit:
+                    break
+                if item[0] != kept[-1][0]:
+                    kept.append(item)
+            layer[p] = kept
+    return best
 
 
 def solve_exhaustive(plan, inst: InstanceSpec, oracle: DistanceOracle,

@@ -3,7 +3,8 @@
 Seeds expand from range syntax a..b or comma lists; every seed is an
 independent deterministic run writing its own solution and trace file.
 ECVRP_THREADS caps how many seeds run as parallel worker processes
-(default 1, sequential).
+(default 1, sequential); the pool never exceeds the number of seeds or
+of CPUs.
 """
 
 from __future__ import annotations
@@ -148,11 +149,26 @@ def _solve_one_seed_star(args):
     return _solve_one_seed(*args)
 
 
-def run_config(config: RunConfig) -> RunReport:
+def worker_count(raw: str | None, n_jobs: int) -> int:
+    """Worker processes for n_jobs seeds under ECVRP_THREADS=raw (unset
+    means 1): the requested count, clamped to the seeds and the CPUs.
+    Raises ValueError unless raw is unset or a positive integer."""
+    if raw is None:
+        return 1
+    try:
+        requested = int(raw)
+    except ValueError:
+        requested = 0
+    if requested <= 0:
+        raise ValueError(
+            f"ECVRP_THREADS must be a positive integer, not {raw!r}")
+    return min(requested, n_jobs, os.cpu_count() or 1)
+
+
+def run_config(config: RunConfig, workers: int = 1) -> RunReport:
     inst = load_instance(config.instance_path)
-    workers = int(os.environ.get("ECVRP_THREADS", "1"))
     jobs = [(inst, config, seed) for seed in config.seeds]
-    if workers > 1 and len(jobs) > 1:
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_solve_one_seed_star, jobs))
     else:
@@ -179,7 +195,17 @@ def write_report(report: RunReport, config: RunConfig) -> Path:
 def cmd_solve(args) -> int:
     try:
         config = _config_from_args(args)
-        report = run_config(config)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    try:
+        workers = worker_count(os.environ.get("ECVRP_THREADS"),
+                               len(config.seeds))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        report = run_config(config, workers)
     except (InstanceError, FileNotFoundError, SearchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -228,10 +254,11 @@ def cmd_validate(args) -> int:
                   f"short by {battery.deficit:.3f}")
             return 1
     full, _, _ = total_cost(plan, slot_lists, oracle)
-    note = ""
     if reported is not None and abs(round(full, 2) - reported) > 0.005:
-        note = f" (file claims {reported:.2f})"
-    print(f"OK {full:.2f}{note}")
+        print(f"INVALID CostMismatch: file claims {reported:.2f}, "
+              f"recomputed {full:.2f}")
+        return 1
+    print(f"OK {full:.2f}")
     return 0
 
 

@@ -245,6 +245,8 @@ class _Engine:
         self.arc_limit = budget.max_arc_accesses \
             if budget.max_arc_accesses is not None else math.inf
         self.wall_limited = budget.wall_clock_limit is not None
+        self.descent_scans = 0      # clock polls in descent, wall limit only
+        self.timed_out = False
         self.trace = SearchTrace()
         self.trace_full = trace_level == "full"
         self.hooks = hooks or {}
@@ -660,7 +662,7 @@ class _Engine:
             any_improved = False
             rng.shuffle(ops)
             for op in ops:
-                if budget.arc_access_count >= limit:
+                if budget.arc_access_count >= limit or self.timed_out:
                     return
                 improved = False
                 if op in (M1, M3, M5):
@@ -679,6 +681,7 @@ class _Engine:
         """Rescan one target until no pair (a, b) improves it."""
         budget = self.budget
         limit = self.arc_limit
+        wall = self.wall_limited
         improved = False
         while True:
             moved = False
@@ -686,7 +689,8 @@ class _Engine:
             if not r1 or (t2 >= 0 and not self.routes[t2]):
                 return improved
             for pa in range(len(r1)):
-                if budget.arc_access_count >= limit:
+                if budget.arc_access_count >= limit or (
+                        wall and self._out_of_time()):
                     return improved
                 if self._scan(op, t1, t2, pa, NEG_INF):
                     moved = True
@@ -694,6 +698,16 @@ class _Engine:
                     break
             if not moved:
                 return improved
+
+    def _out_of_time(self) -> bool:
+        """Wall-clock stop for descent: polls the clock on the first scan
+        and then every 1024 scans, like exploration polls per iteration,
+        and stays True once the limit has passed."""
+        if not self.timed_out:
+            if self.descent_scans & 1023 == 0 and self.budget.exceeded():
+                self.timed_out = True
+            self.descent_scans += 1
+        return self.timed_out
 
     # -- neighborhood exploration ------------------------------------------
 

@@ -1,13 +1,19 @@
 """Shared test utilities: random plan generators and full-recompute oracles."""
 
 import math
-from itertools import permutations
+from itertools import combinations, permutations
 
 from ecvrp.analysis import _partitions_upto, brute_force_optimum
-from ecvrp.charging import build_best_station_table, solve_se
+from ecvrp.charging import (
+    ChargingQueryResult,
+    build_best_station_table,
+    solve_se,
+    visits_lower_bound,
+)
 from ecvrp.instance import DistanceOracle
 from ecvrp.moves import ALL_OPERATORS, INTRA_ROUTE, Move, enumerate_positions
 from ecvrp.search import InstanceInfeasible
+from ecvrp.solution import ChargingPlan
 
 from conftest import make_instance
 
@@ -161,3 +167,84 @@ def random_move(rng, routes, ops=ALL_OPERATORS):
     if not candidates:
         return None
     return op, target, a, candidates[rng.randrange(len(candidates))]
+
+
+def solve_se_enumeration(routes, inst, oracle, table):
+    """Reference SE follower by plain enumeration: per route every gap
+    subset of size lb and lb+1 in lexicographic order, each simulated gap
+    by gap; the first battery-feasible subset of minimum detour wins.
+    Exponential in the visit bound, so only an oracle for solve_se."""
+    matrix = oracle.matrix
+    rate = inst.consumption_rate
+    full = inst.battery_capacity
+
+    slots_out = []
+    detour_total = 0.0
+    surrogate_total = 0.0
+    examined_product = 1
+    for route in routes:
+        if not route:
+            slots_out.append((None,))
+            continue
+        nodes = [0, *route, 0]
+        n_gaps = len(route) + 1
+        directs = []
+        legs_in = []
+        legs_out = []
+        for g in range(n_gaps):
+            u, w = nodes[g], nodes[g + 1]
+            station = table.station_for[u][w]
+            directs.append(matrix[u][w])
+            legs_in.append(matrix[u][station])
+            legs_out.append(matrix[station][w])
+
+        route_cost = 0.0
+        for d in directs:
+            route_cost += d
+        surrogate_total += route_cost
+        lb = visits_lower_bound(route_cost, inst)
+
+        best_f = None
+        best_combo = None
+        examined = 0
+        for size in (lb, lb + 1):
+            if size < 0 or size > n_gaps:
+                continue
+            for combo in combinations(range(n_gaps), size):
+                examined += 1
+                charge = full
+                detour = 0.0
+                pos = 0
+                ok = True
+                for g in range(n_gaps):
+                    if pos < size and combo[pos] == g:
+                        pos += 1
+                        charge -= rate * legs_in[g]
+                        if charge < 0.0:
+                            ok = False
+                            break
+                        charge = full - rate * legs_out[g]
+                        if charge < 0.0:
+                            ok = False
+                            break
+                        detour = detour + legs_in[g] + legs_out[g] - directs[g]
+                    else:
+                        charge -= rate * directs[g]
+                        if charge < 0.0:
+                            ok = False
+                            break
+                if ok and (best_f is None or detour < best_f):
+                    best_f = detour
+                    best_combo = combo
+        examined_product *= examined
+        if best_f is None:
+            return ChargingQueryResult(False, None, None, examined_product)
+        chosen = set(best_combo)
+        slots_out.append(tuple(
+            table.station_for[nodes[g]][nodes[g + 1]] if g in chosen else None
+            for g in range(n_gaps)))
+        detour_total += best_f
+
+    return ChargingQueryResult(
+        True, ChargingPlan(tuple(slots_out)), detour_total, examined_product,
+        surrogate_total)

@@ -14,7 +14,7 @@ from ecvrp.charging import (
 from ecvrp.instance import DistanceOracle
 from ecvrp.solution import battery_feasible, expand_route
 from conftest import make_instance
-from helpers import random_feasible_plan
+from helpers import disc_point, random_feasible_plan, solve_se_enumeration
 
 
 def sim_ok(expanded, inst):
@@ -307,3 +307,126 @@ class TestFollowerProperties:
         result = solve_se(plan, inst, oracle, table)
         if result.feasible:
             assert result.plan.slots[3] == (None,)
+
+
+def x143_like(rng):
+    """142 customers and 8 stations uniform in a 500 x 500 square with the
+    depot at its corner; battery 700: routes need 0 to 3 recharges."""
+    customers = [(rng.uniform(0, 500), rng.uniform(0, 500))
+                 for _ in range(142)]
+    stations = [(rng.uniform(0, 500), rng.uniform(0, 500)) for _ in range(8)]
+    return make_instance(customers=customers, stations=stations,
+                         battery=700, rate=1.0, fleet=7)
+
+
+def e22_like(rng):
+    """21 customers and 8 stations in discs around the depot; battery 94
+    at rate 1.2."""
+    customers = [disc_point(rng, 30) for _ in range(21)]
+    stations = [disc_point(rng, 26) for _ in range(8)]
+    return make_instance(customers=customers, stations=stations,
+                         battery=94, rate=1.2, fleet=4)
+
+
+def tie_grid(rng):
+    """Integer-grid points with duplicated stations, one of them on a
+    customer: many gaps share legs, so detours tie exactly or within an
+    ulp."""
+    side = rng.randrange(3, 7)
+
+    def point():
+        return (rng.randrange(-side, side + 1), rng.randrange(-side, side + 1))
+
+    customers = [point() for _ in range(12)]
+    distinct = [point() for _ in range(3)] + [customers[0]]
+    battery = rng.choice([2 * side, 2 * side + 1, 3 * side, 4 * side])
+    return make_instance(customers=customers,
+                         stations=distinct + distinct[:2],
+                         battery=battery, rate=rng.choice([0.5, 1.0, 1.5]),
+                         fleet=4)
+
+
+def se_fingerprint(result):
+    """Everything the follower returns, floats compared by their bits."""
+    return (result.feasible,
+            result.plan.slots if result.plan is not None else None,
+            None if result.detour_cost is None else result.detour_cost.hex(),
+            result.surrogate.hex(), result.enumeration_count)
+
+
+class TestSeMatchesEnumeration:
+    """solve_se must return exactly what the subset enumeration returns:
+    feasibility, slots, detour and surrogate bits and enumeration_count."""
+
+    @pytest.mark.parametrize("recipe,instances,plans,max_len", [
+        (x143_like, 3, 200, 10),
+        (e22_like, 10, 60, 10),
+        (tie_grid, 60, 15, 10),
+    ])
+    def test_random_plans(self, recipe, instances, plans, max_len):
+        rng = random.Random(recipe.__name__)
+        routes = 0
+        for _ in range(instances):
+            inst = recipe(rng)
+            oracle = DistanceOracle.for_instance(inst)
+            table = build_best_station_table(inst, oracle)
+            for _ in range(plans):
+                # mostly single routes; two-route plans check the product
+                # and its cut-off at the first infeasible route
+                customers = rng.sample(
+                    list(inst.customers),
+                    min(rng.randrange(2, 2 * max_len + 1), inst.num_customers))
+                cut = rng.randrange(1, len(customers)) \
+                    if len(customers) <= max_len else max_len
+                plan = [customers[:cut]] if rng.random() < 0.7 else \
+                    [customers[:cut], customers[cut:cut + max_len]]
+                routes += len(plan)
+                assert se_fingerprint(solve_se(plan, inst, oracle, table)) \
+                    == se_fingerprint(
+                        solve_se_enumeration(plan, inst, oracle, table)), plan
+        assert routes >= 600
+
+    def test_long_x143_routes(self):
+        rng = random.Random(143)
+        inst = x143_like(rng)
+        oracle = DistanceOracle.for_instance(inst)
+        table = build_best_station_table(inst, oracle)
+        by_angle = sorted(inst.customers, key=lambda c: math.atan2(
+            inst.coords[c][1], inst.coords[c][0]))
+        feasible = 0
+        for _ in range(20):
+            # a sweep sector in nearest-neighbour order, like a real route,
+            # lengthened by a few random swaps to need up to 3 recharges
+            start = rng.randrange(len(by_angle))
+            left = set((by_angle * 2)[start:start + rng.randrange(15, 21)])
+            route, here = [], 0
+            while left:
+                here = min(left, key=lambda c: (oracle.matrix[here][c], c))
+                route.append(here)
+                left.remove(here)
+            for _ in range(rng.randrange(3)):
+                i, j = rng.sample(range(len(route)), 2)
+                route[i], route[j] = route[j], route[i]
+            plan = [route]
+            se = solve_se(plan, inst, oracle, table)
+            feasible += se.feasible
+            assert se_fingerprint(se) == se_fingerprint(
+                solve_se_enumeration(plan, inst, oracle, table)), plan
+        assert feasible >= 5
+
+    def test_tie_within_rounding_window(self):
+        # Two subsets reach the same last stop with detours one ulp apart;
+        # the larger one is lexicographically first and ties the smaller
+        # after the remaining additions, so it must be kept and win.
+        coords = [(3, 4), (3, -5), (-5, 4), (-3, 1), (-3, -3), (-2, 2),
+                  (-2, -3), (-5, -3), (-5, 2), (-4, 2), (-5, 2), (3, 2)]
+        stations = [(-2, 5), (-2, -3), (-1, 3), (3, 4), (-2, 5), (-2, -3)]
+        inst = make_instance(customers=coords, stations=stations,
+                             battery=10, rate=0.5, fleet=4)
+        oracle = DistanceOracle.for_instance(inst)
+        table = build_best_station_table(inst, oracle)
+        plan = [[3, 5, 1, 10, 2, 11, 7]]
+        se = solve_se(plan, inst, oracle, table)
+        assert se.plan.slots == ((None, 14, 16, None, 14, 14, None, None),)
+        assert se_fingerprint(se) == se_fingerprint(
+            solve_se_enumeration(plan, inst, oracle, table))

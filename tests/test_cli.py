@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from ecvrp.cli import main, parse_seeds
+from ecvrp import cli
+from ecvrp.cli import main, parse_seeds, worker_count
 from ecvrp.instance import serialize_instance
 from conftest import make_instance
 
@@ -90,6 +91,17 @@ class TestSolve:
             assert (out1 / f"tiny3_seed{seed}.sol").read_text() == \
                 (out2 / f"tiny3_seed{seed}.sol").read_text()
 
+    def test_invalid_thread_count_rejected(self, tiny_file, tmp_path,
+                                           monkeypatch, capsys):
+        for raw in ("0", "two"):
+            monkeypatch.setenv("ECVRP_THREADS", raw)
+            assert run_cli("solve", tiny_file, "--seeds", "1..2",
+                           "--out", tmp_path / "runs") == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ECVRP_THREADS")
+            assert err.count("\n") == 1
+        assert not (tmp_path / "runs").exists()
+
     def test_missing_instance_fails(self, tmp_path, capsys):
         assert run_cli("solve", tmp_path / "absent.evrp") == 1
         assert "error" in capsys.readouterr().err
@@ -111,6 +123,25 @@ class TestSolve:
         assert (out / "tiny3_seed1.sol").exists()
 
 
+class TestWorkerCount:
+    def test_unset_means_sequential(self):
+        assert worker_count(None, 8) == 1
+
+    def test_clamped_to_seeds_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        assert worker_count("5000", 2) == 2
+        assert worker_count("5000", 10) == 4
+        assert worker_count("3", 10) == 3
+        assert worker_count("1", 10) == 1
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert worker_count("8", 4) == 1
+
+    @pytest.mark.parametrize("raw", ["0", "-1", "abc", "2.5", ""])
+    def test_rejects_non_positive_or_non_integer(self, raw):
+        with pytest.raises(ValueError, match="ECVRP_THREADS"):
+            worker_count(raw, 4)
+
+
 class TestValidate:
     def test_detects_missing_customer(self, tiny_file, tmp_path, capsys):
         bad = tmp_path / "bad.sol"
@@ -123,6 +154,18 @@ class TestValidate:
         bad.write_text("0,1,0\nCOST 200.0\n")
         assert run_cli("validate", detour_file, bad) == 1
         assert "BatteryDepleted" in capsys.readouterr().out
+
+    def test_cost_mismatch_is_invalid(self, detour_file, tmp_path, capsys):
+        # depot -> station -> customer -> station -> depot, four legs of
+        # sqrt(2600): F = 203.96
+        sol = tmp_path / "sol.sol"
+        sol.write_text("0,2,1,2,0\nCOST 203.96\n")
+        assert run_cli("validate", detour_file, sol) == 0
+        assert capsys.readouterr().out == "OK 203.96\n"
+        sol.write_text("0,2,1,2,0\nCOST 1.00\n")
+        assert run_cli("validate", detour_file, sol) == 1
+        assert capsys.readouterr().out == (
+            "INVALID CostMismatch: file claims 1.00, recomputed 203.96\n")
 
     def test_rejects_garbage(self, tiny_file, tmp_path, capsys):
         bad = tmp_path / "bad.sol"

@@ -162,6 +162,24 @@ class TestGreedyDescent:
         assert full_surrogate(again.routes, inst) == pytest.approx(
             full_surrogate(once.routes, inst))
 
+    def test_wall_clock_limit_stops_descent(self, mid_instance):
+        inst = mid_instance
+        plan = random_feasible_plan(random.Random(1), inst)
+        spent = {}
+        for limit in (3600.0, 0.0):
+            budget = EvaluationBudget(wall_clock_limit=limit)
+            engine = _Engine(inst, SearchParams(), budget)
+            engine.load_plan(plan)
+            loaded = budget.arc_access_count
+            engine.descend()
+            spent[limit] = budget.arc_access_count - loaded
+            if limit == 0.0:
+                assert engine.routes == plan
+        # with time left descent runs on an infinite arc limit; an expired
+        # clock stops it at its first poll, before any scan
+        assert spent[3600.0] > 0
+        assert spent[0.0] == 0
+
 
 class TestNeighborhoodExplore:
     @pytest.fixture
