@@ -1,4 +1,4 @@
-"""The eight route-editing operators and their constant-arc delta evaluation.
+"""The eight route-editing operators: their names, arguments and checks.
 
 Operators are pure partition transformers: they never touch demands or
 feasibility, the caller filters capacity.  All of them take a target (a
@@ -19,15 +19,21 @@ b is a customer id for m2..m7, a (customer, "before"|"after") pair for
 m1, and an empty-route index for m8.  Only m8 can raise the number of
 non-empty routes.
 
-Delta formulas read exactly the arcs broken and created; every read is
-charged to the oracle budget.
+Each delta formula and each edit exists once, as a kernel of
+search.PlanState that the search engine scans over whole candidate ranges.
+delta_phi and apply_move check their arguments here and run that same
+kernel over the single candidate they name, so what tests certify about
+them holds for the search.  Delta evaluation reads exactly the arcs
+broken and created; every read is charged to the oracle budget.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
-from .instance import DistanceOracle
+from .instance import DistanceOracle, EvaluationBudget
+from .search import PlanState
 from .solution import RoutingPlan
 
 
@@ -67,129 +73,6 @@ DESCENT_OPERATORS = (Move.RELOCATE_WITHIN, Move.RELOCATE_ACROSS,
 ALL_OPERATORS = DESCENT_OPERATORS + (Move.SEED_EMPTY_ROUTE,)
 
 
-def _neighbors(route, pos):
-    prev = route[pos - 1] if pos > 0 else 0
-    nxt = route[pos + 1] if pos + 1 < len(route) else 0
-    return prev, nxt
-
-
-# --- delta primitives (shared by the public API and the search engine) ----
-# Each returns (signed phi change, number of arc reads performed).
-
-def removal_delta(matrix, route, pa):
-    a = route[pa]
-    prev, nxt = _neighbors(route, pa)
-    return matrix[prev][nxt] - matrix[prev][a] - matrix[a][nxt], 3
-
-
-def insertion_delta(matrix, a, left, right):
-    return matrix[left][a] + matrix[a][right] - matrix[left][right], 3
-
-
-def delta_relocate_within(matrix, route, pa, pb, after):
-    a = route[pa]
-    rem, r1 = removal_delta(matrix, route, pa)
-    prev_a, next_a = _neighbors(route, pa)
-    if after:
-        left = route[pb]
-        right = route[pb + 1] if pb + 1 < len(route) else 0
-        if right == a:
-            right = next_a
-    else:
-        right = route[pb]
-        left = route[pb - 1] if pb > 0 else 0
-        if left == a:
-            left = prev_a
-    ins, r2 = insertion_delta(matrix, a, left, right)
-    return rem + ins, r1 + r2
-
-
-def delta_swap_within(matrix, route, pa, pb):
-    if pa > pb:
-        pa, pb = pb, pa
-    a, b = route[pa], route[pb]
-    prev_a, _ = _neighbors(route, pa)
-    _, next_b = _neighbors(route, pb)
-    if pb == pa + 1:
-        return (matrix[prev_a][b] + matrix[a][next_b]
-                - matrix[prev_a][a] - matrix[b][next_b]), 4
-    next_a = route[pa + 1]
-    prev_b = route[pb - 1]
-    return (matrix[prev_a][b] + matrix[b][next_a]
-            + matrix[prev_b][a] + matrix[a][next_b]
-            - matrix[prev_a][a] - matrix[a][next_a]
-            - matrix[prev_b][b] - matrix[b][next_b]), 8
-
-
-def delta_swap_across_parts(matrix, r1, pa, r2, pb):
-    a, b = r1[pa], r2[pb]
-    prev_a, next_a = _neighbors(r1, pa)
-    prev_b, next_b = _neighbors(r2, pb)
-    d1 = (matrix[prev_a][b] + matrix[b][next_a]
-          - matrix[prev_a][a] - matrix[a][next_a])
-    d2 = (matrix[prev_b][a] + matrix[a][next_b]
-          - matrix[prev_b][b] - matrix[b][next_b])
-    return d1, d2, 8
-
-
-def delta_reverse_segment(matrix, route, pa, pb):
-    a, b = route[pa], route[pb]
-    next_a = route[pa + 1]
-    next_b = route[pb + 1] if pb + 1 < len(route) else 0
-    return (matrix[a][b] + matrix[next_a][next_b]
-            - matrix[a][next_a] - matrix[b][next_b]), 4
-
-
-def delta_cross_reversed(matrix, r1, pa, r2, pb):
-    a, b = r1[pa], r2[pb]
-    next_a = r1[pa + 1] if pa + 1 < len(r1) else 0
-    next_b = r2[pb + 1] if pb + 1 < len(r2) else 0
-    return (matrix[a][b] + matrix[next_a][next_b]
-            - matrix[a][next_a] - matrix[b][next_b]), 4
-
-
-def delta_cross_straight(matrix, r1, pa, r2, pb):
-    a, b = r1[pa], r2[pb]
-    next_a = r1[pa + 1] if pa + 1 < len(r1) else 0
-    next_b = r2[pb + 1] if pb + 1 < len(r2) else 0
-    return (matrix[a][next_b] + matrix[b][next_a]
-            - matrix[a][next_a] - matrix[b][next_b]), 4
-
-
-def delta_seed_empty(matrix, route, pa):
-    a = route[pa]
-    rem, reads = removal_delta(matrix, route, pa)
-    return rem + 2.0 * matrix[0][a], reads + 1
-
-
-# --- pure structural application ------------------------------------------
-
-def relocate_within(route, pa, pb, after):
-    out = list(route)
-    a = out.pop(pa)
-    pb_adj = pb - 1 if pa < pb else pb
-    out.insert(pb_adj + 1 if after else pb_adj, a)
-    return out
-
-
-def reverse_segment(route, pa, pb):
-    return list(route[:pa + 1]) + list(route[pa + 1:pb + 1])[::-1] \
-        + list(route[pb + 1:])
-
-
-def cross_reversed(r1, pa, r2, pb):
-    new1 = list(r1[:pa + 1]) + list(r2[:pb + 1])[::-1]
-    new2 = list(r1[pa + 1:])[::-1] + list(r2[pb + 1:])
-    return new1, new2
-
-
-def cross_straight(r1, pa, r2, pb):
-    return list(r1[:pa + 1]) + list(r2[pb + 1:]), \
-        list(r2[:pb + 1]) + list(r1[pa + 1:])
-
-
-# --- public operator API ----------------------------------------------------
-
 def _as_lists(plan):
     routes = plan.routes if isinstance(plan, RoutingPlan) else plan
     return [list(r) for r in routes]
@@ -216,153 +99,76 @@ def _target_single(target):
     return target
 
 
-def apply_move(op: Move, plan, target, a, b):
-    """Return the neighbouring plan op(plan, target, a, b); plan is unchanged.
-
-    The customer partition is preserved for every operator; capacity may be
-    violated and is the caller's concern.  Raises InvalidTarget when the
-    arguments do not fit the operator's classification and NoEmptyRoute for
-    m8 on a plan whose vehicles are all in use.
-    """
-    routes = _as_lists(plan)
-
-    if op is Move.RELOCATE_WITHIN:
-        t = _target_single(target)
-        route = routes[t]
-        b_node, side = b
-        if side not in ("before", "after"):
-            raise InvalidTarget(f"m1 needs (customer, 'before'|'after'), got {b!r}")
-        pa, pb = _locate(route, a, "customer"), _locate(route, b_node, "customer")
-        if pa == pb:
-            raise InvalidTarget("a and b must differ")
-        routes[t] = relocate_within(route, pa, pb, side == "after")
-
-    elif op is Move.SWAP_WITHIN:
-        t = _target_single(target)
-        route = routes[t]
-        pa, pb = _locate(route, a, "customer"), _locate(route, b, "customer")
-        if pa == pb:
-            raise InvalidTarget("a and b must differ")
-        route[pa], route[pb] = route[pb], route[pa]
-
-    elif op is Move.REVERSE_SEGMENT:
-        t = _target_single(target)
-        route = routes[t]
-        pa, pb = _locate(route, a, "customer"), _locate(route, b, "customer")
-        if pb <= pa:
-            raise InvalidTarget("segment end b must come after a")
-        routes[t] = reverse_segment(route, pa, pb)
-
-    elif op is Move.RELOCATE_ACROSS:
+def _candidate(op: Move, routes, target, a, b) -> tuple[int, int, int, int]:
+    """Check (op, target, a, b) against routes and name it as the kernel
+    arguments (t1, t2, pa, k): candidate k of anchor a at position pa."""
+    if op in INTER_ROUTE:
         t1, t2 = _target_pair(target)
         pa = _locate(routes[t1], a, "customer")
-        pb = _locate(routes[t2], b, "customer")
-        node = routes[t1].pop(pa)
-        routes[t2].insert(pb + 1, node)
-
-    elif op is Move.SWAP_ACROSS:
-        t1, t2 = _target_pair(target)
-        pa = _locate(routes[t1], a, "customer")
-        pb = _locate(routes[t2], b, "customer")
-        routes[t1][pa], routes[t2][pb] = routes[t2][pb], routes[t1][pa]
-
-    elif op is Move.CROSS_REVERSED:
-        t1, t2 = _target_pair(target)
-        pa = _locate(routes[t1], a, "customer")
-        pb = _locate(routes[t2], b, "customer")
-        routes[t1], routes[t2] = cross_reversed(routes[t1], pa, routes[t2], pb)
-
-    elif op is Move.CROSS_STRAIGHT:
-        t1, t2 = _target_pair(target)
-        pa = _locate(routes[t1], a, "customer")
-        pb = _locate(routes[t2], b, "customer")
-        routes[t1], routes[t2] = cross_straight(routes[t1], pa, routes[t2], pb)
-
-    elif op is Move.SEED_EMPTY_ROUTE:
-        t = _target_single(target)
-        if not any(not r for r in routes):
+        return t1, t2, pa, _locate(routes[t2], b, "customer")
+    t1 = _target_single(target)
+    route = routes[t1]
+    if op is Move.SEED_EMPTY_ROUTE:
+        if all(routes):
             raise NoEmptyRoute("every vehicle already serves customers")
         if not isinstance(b, int) or not 0 <= b < len(routes):
             raise InvalidTarget(f"m8 destination must be a route index, got {b!r}")
         if routes[b]:
             raise InvalidTarget(f"destination route {b} is not empty")
-        pa = _locate(routes[t], a, "customer")
-        node = routes[t].pop(pa)
-        routes[b] = [node]
+        return t1, b, _locate(route, a, "customer"), 0
+    b_node, side = b if op is Move.RELOCATE_WITHIN else (b, None)
+    if op is Move.RELOCATE_WITHIN and side not in ("before", "after"):
+        raise InvalidTarget(f"m1 needs (customer, 'before'|'after'), got {b!r}")
+    pa, pb = _locate(route, a, "customer"), _locate(route, b_node, "customer")
+    if op is Move.REVERSE_SEGMENT:
+        if pb <= pa:
+            raise InvalidTarget("segment end b must come after a")
+    elif pa == pb:
+        raise InvalidTarget("a and b must differ")
+    if op is Move.RELOCATE_WITHIN:
+        return t1, -1, pa, 2 * pb + (side == "after")
+    return t1, -1, pa, pb
 
-    else:  # pragma: no cover
-        raise InvalidTarget(f"unknown operator {op!r}")
 
+def _run_kernel(op: Move, plan, target, a, b, matrix, budget) -> PlanState:
+    """Run op's search kernel over the one candidate (target, a, b) on a
+    copy of plan: no threshold, no capacity filter, phi starting at 0.
+
+    matrix None runs on zero distances, where every candidate is accepted.
+    """
+    routes = _as_lists(plan)
+    t1, t2, pa, k = _candidate(op, routes, target, a, b)
+    zeros = [0.0] * (1 + max((c for r in routes for c in r), default=0))
+    if matrix is None:
+        matrix = [zeros] * len(zeros)
+    state = PlanState(routes, matrix, zeros, math.inf, budget, math.inf)
+    state.kernels[ALL_OPERATORS.index(op)](t1, t2, pa, math.inf, k, k + 1)
+    return state
+
+
+def apply_move(op: Move, plan, target, a, b):
+    """Return the neighbouring plan op(plan, target, a, b); plan is unchanged.
+
+    The customer partition is preserved for every operator; capacity may be
+    violated and is the caller's concern.  Structural no-ops the search
+    skips (m1 beside itself, m5 over one customer, m7 joining two final
+    arcs) return the plan as it is.  Raises InvalidTarget when the
+    arguments do not fit the operator's classification and NoEmptyRoute for
+    m8 on a plan whose vehicles are all in use.
+    """
+    routes = _run_kernel(op, plan, target, a, b, None,
+                         EvaluationBudget()).routes
     if isinstance(plan, RoutingPlan):
         return RoutingPlan.from_lists(routes)
     return routes
 
 
 def delta_phi(op: Move, plan, target, a, b, oracle: DistanceOracle) -> float:
-    """Surrogate-cost change of apply_move, from the broken and created arcs
-    only.  Charges the budget for exactly the arcs it reads."""
-    routes = plan.routes if isinstance(plan, RoutingPlan) else plan
-    matrix = oracle.matrix
-
-    if op is Move.RELOCATE_WITHIN:
-        t = _target_single(target)
-        route = routes[t]
-        b_node, side = b
-        delta, reads = delta_relocate_within(
-            matrix, route, _locate(list(route), a, "customer"),
-            _locate(list(route), b_node, "customer"), side == "after")
-    elif op is Move.SWAP_WITHIN:
-        route = routes[_target_single(target)]
-        delta, reads = delta_swap_within(
-            matrix, route, _locate(list(route), a, "customer"),
-            _locate(list(route), b, "customer"))
-    elif op is Move.REVERSE_SEGMENT:
-        route = routes[_target_single(target)]
-        pa = _locate(list(route), a, "customer")
-        pb = _locate(list(route), b, "customer")
-        if pb <= pa:
-            raise InvalidTarget("segment end b must come after a")
-        delta, reads = delta_reverse_segment(matrix, route, pa, pb)
-    elif op is Move.RELOCATE_ACROSS:
-        t1, t2 = _target_pair(target)
-        r1, r2 = routes[t1], routes[t2]
-        pa = _locate(list(r1), a, "customer")
-        pb = _locate(list(r2), b, "customer")
-        rem, n1 = removal_delta(matrix, r1, pa)
-        nxt = r2[pb + 1] if pb + 1 < len(r2) else 0
-        ins, n2 = insertion_delta(matrix, a, r2[pb], nxt)
-        delta, reads = rem + ins, n1 + n2
-    elif op is Move.SWAP_ACROSS:
-        t1, t2 = _target_pair(target)
-        d1, d2, reads = delta_swap_across_parts(
-            matrix, routes[t1], _locate(list(routes[t1]), a, "customer"),
-            routes[t2], _locate(list(routes[t2]), b, "customer"))
-        delta = d1 + d2
-    elif op is Move.CROSS_REVERSED:
-        t1, t2 = _target_pair(target)
-        delta, reads = delta_cross_reversed(
-            matrix, routes[t1], _locate(list(routes[t1]), a, "customer"),
-            routes[t2], _locate(list(routes[t2]), b, "customer"))
-    elif op is Move.CROSS_STRAIGHT:
-        t1, t2 = _target_pair(target)
-        delta, reads = delta_cross_straight(
-            matrix, routes[t1], _locate(list(routes[t1]), a, "customer"),
-            routes[t2], _locate(list(routes[t2]), b, "customer"))
-    elif op is Move.SEED_EMPTY_ROUTE:
-        t = _target_single(target)
-        route = routes[t]
-        if not isinstance(b, int) or not 0 <= b < len(routes) or routes[b]:
-            if not any(not r for r in routes):
-                raise NoEmptyRoute("every vehicle already serves customers")
-            raise InvalidTarget(f"m8 destination must be an empty route, got {b!r}")
-        delta, reads = delta_seed_empty(
-            matrix, route, _locate(list(route), a, "customer"))
-    else:  # pragma: no cover
-        raise InvalidTarget(f"unknown operator {op!r}")
-
-    if oracle.budget is not None:
-        oracle.budget.arc_access_count += reads
-    return delta
+    """Surrogate-cost change of apply_move, computed by the search kernel
+    from the broken and created arcs only; 0.0 for structural no-ops.
+    Charges the budget for exactly the arcs it reads."""
+    budget = oracle.budget if oracle.budget is not None else EvaluationBudget()
+    return _run_kernel(op, plan, target, a, b, oracle.matrix, budget).phi
 
 
 def enumerate_positions(op: Move, plan, target, a) -> list:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from bisect import insort
 from dataclasses import dataclass, field
 
@@ -213,371 +214,375 @@ def split_initial(perm, inst: InstanceSpec, oracle: DistanceOracle) -> RoutingPl
 
 
 # ---------------------------------------------------------------------------
-# Search engine
+# Operator kernels
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Incumbent:
-    routes: tuple
-    slots: tuple
-    total: float
-    detour: float
-    surrogate: float
+# upper end of a kernel's candidate range that covers every candidate
+ALL = sys.maxsize
 
 
-class _Engine:
-    """Mutable run state: routes, loads, tracked surrogate, counters."""
+class PlanState:
+    """One plan under edit: routes, loads, the sorted indices of the
+    non-empty and the empty routes, and the tracked surrogate phi.
 
-    def __init__(self, inst: InstanceSpec, params: SearchParams,
-                 budget: EvaluationBudget, toggles: AblationToggles = NO_TOGGLES,
-                 trace_level: str = "phase", hooks=None,
-                 oracle: DistanceOracle | None = None):
-        self.inst = inst
-        self.params = params
+    It holds the eight operator kernels, the only implementation of each
+    move's delta and edit; the search engine runs them over whole candidate
+    ranges and moves.delta_phi / moves.apply_move over a single candidate.
+    Kernel kernels[k](t1, t2, pa, phi_vi, lo, hi) anchors customer
+    a = routes[t1][pa] and tries candidates lo..hi-1 in order.  It applies
+    the first whose new surrogate phi_new beats phi_vi, or beats phi by more
+    than IMPROVE_EPS, and returns True; it returns False when none does.
+    A candidate is a position pb of the partner route t2 (m2, m4, m6, m7) or
+    of route t1 itself (m3, m5); m1 numbers the two sides of each customer,
+    2*pb for before routes[t1][pb] and 2*pb + 1 for after it; m8 has one
+    candidate, moving a into the empty route t2 (t2 < 0: none left).  Every
+    arc read is charged to the budget, and a scan stops once the count
+    reaches arc_limit.
+    """
+
+    def __init__(self, routes: list[list[int]], matrix, demands, cap: float,
+                 budget: EvaluationBudget, arc_limit: float):
+        self.matrix = matrix
+        self.demands = demands
+        self.cap = cap
         self.budget = budget
-        self.toggles = toggles
-        self.rng = random.Random(params.seed)
-        self.oracle = oracle if oracle is not None \
-            else DistanceOracle.for_instance(inst, budget)
-        self.matrix = self.oracle.matrix
-        self.demands = list(inst.demands)
-        self.cap = inst.cargo_capacity
-        self.arc_limit = budget.max_arc_accesses \
-            if budget.max_arc_accesses is not None else math.inf
-        self.wall_limited = budget.wall_clock_limit is not None
-        self.descent_scans = 0      # clock polls in descent, wall limit only
-        self.timed_out = False
-        self.trace = SearchTrace()
-        self.trace_full = trace_level == "full"
-        self.hooks = hooks or {}
-        self.table = None           # built lazily, unmetered shared data
-        self.gamma = 0.0 if toggles.gamma_zero else params.follower_threshold
-        self.explore_ops = list(range(7)) if toggles.no_m8 else list(range(8))
-
-        self.routes: list[list[int]] = [[] for _ in range(inst.fleet_size)]
-        self.loads: list[float] = [0.0] * inst.fleet_size
-        self.nonempty: list[int] = []
-        self.empties: list[int] = list(range(inst.fleet_size))
+        self.arc_limit = arc_limit
+        self.set_routes(routes)
         self.phi = 0.0
-        self.iteration = 0
-        self.restarts = 0
-        self.incumbent: _Incumbent | None = None
+        self.kernels = (self._m1, self._m2, self._m3, self._m4,
+                        self._m5, self._m6, self._m7, self._m8)
 
-    # -- state loading -------------------------------------------------
+    def set_routes(self, routes: list[list[int]]) -> None:
+        """Take routes as the plan; loads and route lists follow, phi not."""
+        self.routes = routes
+        self.loads = [math.fsum(self.demands[c] for c in r) for r in routes]
+        self.nonempty = [t for t, r in enumerate(routes) if r]
+        self.empties = [t for t, r in enumerate(routes) if not r]
 
-    def load_plan(self, routes) -> None:
-        budget = self.budget
-        matrix = self.matrix
-        self.routes = [list(r) for r in routes]
-        while len(self.routes) < self.inst.fleet_size:
-            self.routes.append([])
-        self.loads = [math.fsum(self.demands[c] for c in r) for r in self.routes]
-        self.nonempty = [t for t, r in enumerate(self.routes) if r]
-        self.empties = [t for t, r in enumerate(self.routes) if not r]
-        phi = 0.0
-        for r in self.routes:
-            if not r:
-                continue
-            if budget is not None:
-                budget.arc_access_count += len(r) + 1
-            prev = 0
-            for node in r:
-                phi += matrix[prev][node]
-                prev = node
-            phi += matrix[prev][0]
-        self.phi = phi
+    # -- kernels -----------------------------------------------------------
 
-    def snapshot(self) -> list:
-        return [list(r) for r in self.routes]
-
-    # -- tracing ---------------------------------------------------------
-
-    def _emit(self, event: str, phi_best: float = math.nan) -> None:
-        inc = self.incumbent
-        self.trace.records.append(TraceRecord(
-            self.budget.arc_access_count, self.iteration, self.phi,
-            phi_best, None if inc is None else inc.total, event))
-
-    # -- candidate scans (shared by descent and exploration) -------------
-
-    def _scan(self, op: int, t1: int, t2: int, pa: int, phi_vi: float) -> bool:
-        """Try every candidate b for anchor (op, target, a) in deterministic
-        order; apply and return True at the first acceptable one.
-
-        Acceptance is phi_new < phi_vi or phi_new < phi; descent passes
-        phi_vi = -inf so only strict improvements pass.  Every arc read is
-        charged and the scan aborts when the meter runs out.
-        """
+    def _m1(self, t1, t2, pa, phi_vi, lo=0, hi=ALL) -> bool:
+        """m1: relocate a before or after another customer of its route."""
+        route = self.routes[t1]
+        length = len(route)
+        if length < 2:
+            return False
         matrix = self.matrix
         budget = self.budget
         limit = self.arc_limit
         phi = self.phi
         phi_improve = phi - IMPROVE_EPS
-        routes = self.routes
-        demands = self.demands
-
-        if op == M1:
-            route = routes[t1]
-            length = len(route)
-            if length < 2:
-                return False
-            a = route[pa]
-            prev_a = route[pa - 1] if pa else 0
-            next_a = route[pa + 1] if pa + 1 < length else 0
-            if budget.arc_access_count >= limit:
-                return False
-            budget.arc_access_count += 3
-            row_a = matrix[a]
-            removal = matrix[prev_a][next_a] - matrix[prev_a][a] - row_a[next_a]
-            for pb in range(length):
-                if pb == pa:
-                    continue
-                b = route[pb]
-                # structural no-ops (reinserting a beside itself) are skipped:
-                # their float-noise deltas could masquerade as improvements
-                if pb != pa + 1:
-                    left = route[pb - 1] if pb else 0
-                    if left == a:
-                        left = prev_a
-                    if budget.arc_access_count >= limit:
-                        return False
-                    budget.arc_access_count += 3
-                    delta = removal + matrix[left][a] + row_a[b] \
-                        - matrix[left][b]
-                    phi_new = phi + delta
-                    if phi_new < phi_vi or phi_new < phi_improve:
-                        self._apply_m1(t1, pa, pb, False, phi_new)
-                        return True
-                if pb != pa - 1:
-                    right = route[pb + 1] if pb + 1 < length else 0
-                    if right == a:
-                        right = next_a
-                    if budget.arc_access_count >= limit:
-                        return False
-                    budget.arc_access_count += 3
-                    delta = removal + matrix[b][a] + row_a[right] \
-                        - matrix[b][right]
-                    phi_new = phi + delta
-                    if phi_new < phi_vi or phi_new < phi_improve:
-                        self._apply_m1(t1, pa, pb, True, phi_new)
-                        return True
-            return False
-
-        if op == M2:
-            r1 = routes[t1]
-            r2 = routes[t2]
-            a = r1[pa]
-            if self.loads[t2] + demands[a] > self.cap:
-                return False
-            length1 = len(r1)
-            length2 = len(r2)
-            prev_a = r1[pa - 1] if pa else 0
-            next_a = r1[pa + 1] if pa + 1 < length1 else 0
-            if budget.arc_access_count >= limit:
-                return False
-            budget.arc_access_count += 3
-            row_a = matrix[a]
-            removal = matrix[prev_a][next_a] - matrix[prev_a][a] - row_a[next_a]
-            for pb in range(length2):
-                b = r2[pb]
-                right = r2[pb + 1] if pb + 1 < length2 else 0
-                if budget.arc_access_count >= limit:
-                    return False
-                budget.arc_access_count += 3
-                delta = removal + matrix[b][a] + row_a[right] - matrix[b][right]
-                phi_new = phi + delta
-                if phi_new < phi_vi or phi_new < phi_improve:
-                    self._apply_m2(t1, t2, pa, pb, phi_new)
-                    return True
-            return False
-
-        if op == M3:
-            route = routes[t1]
-            length = len(route)
-            if length < 2:
-                return False
-            a = route[pa]
-            prev_a = route[pa - 1] if pa else 0
-            next_a = route[pa + 1] if pa + 1 < length else 0
-            row_a = matrix[a]
-            for pb in range(length):
-                if pb == pa:
-                    continue
-                b = route[pb]
-                row_b = matrix[b]
-                if budget.arc_access_count >= limit:
-                    return False
-                lo, hi = (pa, pb) if pa < pb else (pb, pa)
-                if hi == lo + 1:
-                    u, w = route[lo], route[hi]
-                    prev_u = route[lo - 1] if lo else 0
-                    next_w = route[hi + 1] if hi + 1 < length else 0
-                    budget.arc_access_count += 4
-                    delta = (matrix[prev_u][w] + matrix[u][next_w]
-                             - matrix[prev_u][u] - matrix[w][next_w])
-                else:
-                    prev_b = route[pb - 1] if pb else 0
-                    next_b = route[pb + 1] if pb + 1 < length else 0
-                    budget.arc_access_count += 8
-                    delta = (matrix[prev_a][b] + row_b[next_a]
-                             + matrix[prev_b][a] + row_a[next_b]
-                             - matrix[prev_a][a] - row_a[next_a]
-                             - matrix[prev_b][b] - row_b[next_b])
-                phi_new = phi + delta
-                if phi_new < phi_vi or phi_new < phi_improve:
-                    route[pa], route[pb] = route[pb], route[pa]
-                    self.phi = phi_new
-                    return True
-            return False
-
-        if op == M4:
-            r1 = routes[t1]
-            r2 = routes[t2]
-            a = r1[pa]
-            demand_a = demands[a]
-            load1 = self.loads[t1]
-            load2 = self.loads[t2]
-            length1 = len(r1)
-            length2 = len(r2)
-            prev_a = r1[pa - 1] if pa else 0
-            next_a = r1[pa + 1] if pa + 1 < length1 else 0
-            row_a = matrix[a]
-            for pb in range(length2):
-                b = r2[pb]
-                demand_b = demands[b]
-                if load1 - demand_a + demand_b > self.cap or \
-                        load2 - demand_b + demand_a > self.cap:
-                    continue
-                if budget.arc_access_count >= limit:
-                    return False
-                budget.arc_access_count += 8
-                row_b = matrix[b]
-                prev_b = r2[pb - 1] if pb else 0
-                next_b = r2[pb + 1] if pb + 1 < length2 else 0
-                delta = (matrix[prev_a][b] + row_b[next_a]
-                         - matrix[prev_a][a] - row_a[next_a]
-                         + matrix[prev_b][a] + row_a[next_b]
-                         - matrix[prev_b][b] - row_b[next_b])
-                phi_new = phi + delta
-                if phi_new < phi_vi or phi_new < phi_improve:
-                    r1[pa], r2[pb] = b, a
-                    self.loads[t1] = load1 - demand_a + demand_b
-                    self.loads[t2] = load2 - demand_b + demand_a
-                    self.phi = phi_new
-                    return True
-            return False
-
-        if op == M5:
-            route = routes[t1]
-            length = len(route)
-            a = route[pa]
-            if pa + 2 >= length:
-                return False
-            next_a = route[pa + 1]
-            if budget.arc_access_count >= limit:
-                return False
-            budget.arc_access_count += 2
-            row_a = matrix[a]
-            row_an = matrix[next_a]
-            d_a_an = row_a[next_a]
-            for pb in range(pa + 2, length):
-                b = route[pb]
-                next_b = route[pb + 1] if pb + 1 < length else 0
-                if budget.arc_access_count >= limit:
-                    return False
-                budget.arc_access_count += 3
-                delta = (row_a[b] + row_an[next_b] - d_a_an
-                         - matrix[b][next_b])
-                phi_new = phi + delta
-                if phi_new < phi_vi or phi_new < phi_improve:
-                    routes[t1] = route[:pa + 1] + route[pa + 1:pb + 1][::-1] \
-                        + route[pb + 1:]
-                    self.phi = phi_new
-                    return True
-            return False
-
-        if op == M6:
-            r1 = routes[t1]
-            r2 = routes[t2]
-            a = r1[pa]
-            length1 = len(r1)
-            length2 = len(r2)
-            next_a = r1[pa + 1] if pa + 1 < length1 else 0
-            head1 = 0.0
-            for k in range(pa + 1):
-                head1 += demands[r1[k]]
-            tail1 = self.loads[t1] - head1
-            load2 = self.loads[t2]
-            if budget.arc_access_count >= limit:
-                return False
-            budget.arc_access_count += 1
-            row_a = matrix[a]
-            row_an = matrix[next_a]
-            d_a_an = row_a[next_a]
-            head2 = 0.0
-            for pb in range(length2):
-                b = r2[pb]
-                head2 += demands[b]
-                if head1 + head2 > self.cap or tail1 + load2 - head2 > self.cap:
-                    continue
-                next_b = r2[pb + 1] if pb + 1 < length2 else 0
-                if budget.arc_access_count >= limit:
-                    return False
-                budget.arc_access_count += 3
-                delta = (row_a[b] + row_an[next_b] - d_a_an
-                         - matrix[b][next_b])
-                phi_new = phi + delta
-                if phi_new < phi_vi or phi_new < phi_improve:
-                    self._apply_m6(t1, t2, pa, pb, head1 + head2, phi_new)
-                    return True
-            return False
-
-        if op == M7:
-            r1 = routes[t1]
-            r2 = routes[t2]
-            a = r1[pa]
-            length1 = len(r1)
-            length2 = len(r2)
-            next_a = r1[pa + 1] if pa + 1 < length1 else 0
-            head1 = 0.0
-            for k in range(pa + 1):
-                head1 += demands[r1[k]]
-            tail1 = self.loads[t1] - head1
-            load2 = self.loads[t2]
-            a_last = pa + 1 == length1
-            if budget.arc_access_count >= limit:
-                return False
-            budget.arc_access_count += 1
-            row_a = matrix[a]
-            row_an = matrix[next_a]
-            d_a_an = row_a[next_a]
-            head2 = 0.0
-            for pb in range(length2):
-                b = r2[pb]
-                head2 += demands[b]
-                if a_last and pb + 1 == length2:
-                    continue  # reconnecting two final arcs changes nothing
-                if head1 + load2 - head2 > self.cap or head2 + tail1 > self.cap:
-                    continue
-                next_b = r2[pb + 1] if pb + 1 < length2 else 0
-                if budget.arc_access_count >= limit:
-                    return False
-                budget.arc_access_count += 3
-                delta = (row_a[next_b] + matrix[b][next_a] - d_a_an
-                         - matrix[b][next_b])
-                phi_new = phi + delta
-                if phi_new < phi_vi or phi_new < phi_improve:
-                    self._apply_m7(t1, t2, pa, pb, head1 + load2 - head2,
-                                   phi_new)
-                    return True
-            return False
-
-        # M8: move a to the first empty route slot
-        if not self.empties:
-            return False
-        route = routes[t1]
         a = route[pa]
+        prev_a = route[pa - 1] if pa else 0
+        next_a = route[pa + 1] if pa + 1 < length else 0
         if budget.arc_access_count >= limit:
+            return False
+        budget.arc_access_count += 3
+        row_a = matrix[a]
+        removal = matrix[prev_a][next_a] - matrix[prev_a][a] - row_a[next_a]
+        for pb in range(lo >> 1, min((hi + 1) >> 1, length)):
+            if pb == pa:
+                continue
+            b = route[pb]
+            # structural no-ops (reinserting a beside itself) are skipped:
+            # their float-noise deltas could masquerade as improvements
+            if pb != pa + 1 and 2 * pb >= lo:
+                left = route[pb - 1] if pb else 0
+                if left == a:
+                    left = prev_a
+                if budget.arc_access_count >= limit:
+                    return False
+                budget.arc_access_count += 3
+                delta = removal + matrix[left][a] + row_a[b] \
+                    - matrix[left][b]
+                phi_new = phi + delta
+                if phi_new < phi_vi or phi_new < phi_improve:
+                    self._apply_m1(t1, pa, pb, False, phi_new)
+                    return True
+            if pb != pa - 1 and 2 * pb + 1 < hi:
+                right = route[pb + 1] if pb + 1 < length else 0
+                if right == a:
+                    right = next_a
+                if budget.arc_access_count >= limit:
+                    return False
+                budget.arc_access_count += 3
+                delta = removal + matrix[b][a] + row_a[right] \
+                    - matrix[b][right]
+                phi_new = phi + delta
+                if phi_new < phi_vi or phi_new < phi_improve:
+                    self._apply_m1(t1, pa, pb, True, phi_new)
+                    return True
+        return False
+
+    def _m2(self, t1, t2, pa, phi_vi, lo=0, hi=ALL) -> bool:
+        """m2: move a into route t2, right after customer r2[pb]."""
+        r1 = self.routes[t1]
+        r2 = self.routes[t2]
+        a = r1[pa]
+        if self.loads[t2] + self.demands[a] > self.cap:
+            return False
+        matrix = self.matrix
+        budget = self.budget
+        limit = self.arc_limit
+        phi = self.phi
+        phi_improve = phi - IMPROVE_EPS
+        length1 = len(r1)
+        length2 = len(r2)
+        prev_a = r1[pa - 1] if pa else 0
+        next_a = r1[pa + 1] if pa + 1 < length1 else 0
+        if budget.arc_access_count >= limit:
+            return False
+        budget.arc_access_count += 3
+        row_a = matrix[a]
+        removal = matrix[prev_a][next_a] - matrix[prev_a][a] - row_a[next_a]
+        for pb in range(lo, min(hi, length2)):
+            b = r2[pb]
+            right = r2[pb + 1] if pb + 1 < length2 else 0
+            if budget.arc_access_count >= limit:
+                return False
+            budget.arc_access_count += 3
+            delta = removal + matrix[b][a] + row_a[right] - matrix[b][right]
+            phi_new = phi + delta
+            if phi_new < phi_vi or phi_new < phi_improve:
+                self._apply_m2(t1, t2, pa, pb, phi_new)
+                return True
+        return False
+
+    def _m3(self, t1, t2, pa, phi_vi, lo=0, hi=ALL) -> bool:
+        """m3: swap a with another customer of its route."""
+        route = self.routes[t1]
+        length = len(route)
+        if length < 2:
+            return False
+        matrix = self.matrix
+        budget = self.budget
+        limit = self.arc_limit
+        phi = self.phi
+        phi_improve = phi - IMPROVE_EPS
+        a = route[pa]
+        prev_a = route[pa - 1] if pa else 0
+        next_a = route[pa + 1] if pa + 1 < length else 0
+        row_a = matrix[a]
+        for pb in range(lo, min(hi, length)):
+            if pb == pa:
+                continue
+            b = route[pb]
+            row_b = matrix[b]
+            if budget.arc_access_count >= limit:
+                return False
+            lo_pos, hi_pos = (pa, pb) if pa < pb else (pb, pa)
+            if hi_pos == lo_pos + 1:
+                u, w = route[lo_pos], route[hi_pos]
+                prev_u = route[lo_pos - 1] if lo_pos else 0
+                next_w = route[hi_pos + 1] if hi_pos + 1 < length else 0
+                budget.arc_access_count += 4
+                delta = (matrix[prev_u][w] + matrix[u][next_w]
+                         - matrix[prev_u][u] - matrix[w][next_w])
+            else:
+                prev_b = route[pb - 1] if pb else 0
+                next_b = route[pb + 1] if pb + 1 < length else 0
+                budget.arc_access_count += 8
+                delta = (matrix[prev_a][b] + row_b[next_a]
+                         + matrix[prev_b][a] + row_a[next_b]
+                         - matrix[prev_a][a] - row_a[next_a]
+                         - matrix[prev_b][b] - row_b[next_b])
+            phi_new = phi + delta
+            if phi_new < phi_vi or phi_new < phi_improve:
+                route[pa], route[pb] = route[pb], route[pa]
+                self.phi = phi_new
+                return True
+        return False
+
+    def _m4(self, t1, t2, pa, phi_vi, lo=0, hi=ALL) -> bool:
+        """m4: swap a with customer r2[pb] of route t2."""
+        r1 = self.routes[t1]
+        r2 = self.routes[t2]
+        matrix = self.matrix
+        budget = self.budget
+        limit = self.arc_limit
+        demands = self.demands
+        cap = self.cap
+        phi = self.phi
+        phi_improve = phi - IMPROVE_EPS
+        a = r1[pa]
+        demand_a = demands[a]
+        load1 = self.loads[t1]
+        load2 = self.loads[t2]
+        length1 = len(r1)
+        length2 = len(r2)
+        prev_a = r1[pa - 1] if pa else 0
+        next_a = r1[pa + 1] if pa + 1 < length1 else 0
+        row_a = matrix[a]
+        for pb in range(lo, min(hi, length2)):
+            b = r2[pb]
+            demand_b = demands[b]
+            if load1 - demand_a + demand_b > cap or \
+                    load2 - demand_b + demand_a > cap:
+                continue
+            if budget.arc_access_count >= limit:
+                return False
+            budget.arc_access_count += 8
+            row_b = matrix[b]
+            prev_b = r2[pb - 1] if pb else 0
+            next_b = r2[pb + 1] if pb + 1 < length2 else 0
+            delta = (matrix[prev_a][b] + row_b[next_a]
+                     - matrix[prev_a][a] - row_a[next_a]
+                     + matrix[prev_b][a] + row_a[next_b]
+                     - matrix[prev_b][b] - row_b[next_b])
+            phi_new = phi + delta
+            if phi_new < phi_vi or phi_new < phi_improve:
+                r1[pa], r2[pb] = b, a
+                self.loads[t1] = load1 - demand_a + demand_b
+                self.loads[t2] = load2 - demand_b + demand_a
+                self.phi = phi_new
+                return True
+        return False
+
+    def _m5(self, t1, t2, pa, phi_vi, lo=0, hi=ALL) -> bool:
+        """m5: reverse the segment after a up to customer route[pb]; the
+        one-customer segments pb <= pa + 1 are not candidates."""
+        route = self.routes[t1]
+        start = max(lo, pa + 2)
+        stop = min(hi, len(route))
+        if start >= stop:
+            return False
+        matrix = self.matrix
+        budget = self.budget
+        limit = self.arc_limit
+        phi = self.phi
+        phi_improve = phi - IMPROVE_EPS
+        length = len(route)
+        a = route[pa]
+        next_a = route[pa + 1]
+        if budget.arc_access_count >= limit:
+            return False
+        budget.arc_access_count += 2
+        row_a = matrix[a]
+        row_an = matrix[next_a]
+        d_a_an = row_a[next_a]
+        for pb in range(start, stop):
+            b = route[pb]
+            next_b = route[pb + 1] if pb + 1 < length else 0
+            if budget.arc_access_count >= limit:
+                return False
+            budget.arc_access_count += 3
+            delta = (row_a[b] + row_an[next_b] - d_a_an
+                     - matrix[b][next_b])
+            phi_new = phi + delta
+            if phi_new < phi_vi or phi_new < phi_improve:
+                self.routes[t1] = route[:pa + 1] + route[pa + 1:pb + 1][::-1] \
+                    + route[pb + 1:]
+                self.phi = phi_new
+                return True
+        return False
+
+    def _m6(self, t1, t2, pa, phi_vi, lo=0, hi=ALL) -> bool:
+        """m6: cut after a and after r2[pb], join a-b and the two tails,
+        each head reversed into the other route."""
+        r1 = self.routes[t1]
+        r2 = self.routes[t2]
+        matrix = self.matrix
+        budget = self.budget
+        limit = self.arc_limit
+        demands = self.demands
+        cap = self.cap
+        phi = self.phi
+        phi_improve = phi - IMPROVE_EPS
+        a = r1[pa]
+        length1 = len(r1)
+        length2 = len(r2)
+        next_a = r1[pa + 1] if pa + 1 < length1 else 0
+        head1 = 0.0
+        for k in range(pa + 1):
+            head1 += demands[r1[k]]
+        tail1 = self.loads[t1] - head1
+        load2 = self.loads[t2]
+        if budget.arc_access_count >= limit:
+            return False
+        budget.arc_access_count += 1
+        row_a = matrix[a]
+        row_an = matrix[next_a]
+        d_a_an = row_a[next_a]
+        head2 = 0.0
+        for b in r2[:lo]:
+            head2 += demands[b]
+        for pb in range(lo, min(hi, length2)):
+            b = r2[pb]
+            head2 += demands[b]
+            if head1 + head2 > cap or tail1 + load2 - head2 > cap:
+                continue
+            next_b = r2[pb + 1] if pb + 1 < length2 else 0
+            if budget.arc_access_count >= limit:
+                return False
+            budget.arc_access_count += 3
+            delta = (row_a[b] + row_an[next_b] - d_a_an
+                     - matrix[b][next_b])
+            phi_new = phi + delta
+            if phi_new < phi_vi or phi_new < phi_improve:
+                self._apply_m6(t1, t2, pa, pb, head1 + head2, phi_new)
+                return True
+        return False
+
+    def _m7(self, t1, t2, pa, phi_vi, lo=0, hi=ALL) -> bool:
+        """m7: cut after a and after r2[pb] and exchange the tails."""
+        r1 = self.routes[t1]
+        r2 = self.routes[t2]
+        matrix = self.matrix
+        budget = self.budget
+        limit = self.arc_limit
+        demands = self.demands
+        cap = self.cap
+        phi = self.phi
+        phi_improve = phi - IMPROVE_EPS
+        a = r1[pa]
+        length1 = len(r1)
+        length2 = len(r2)
+        next_a = r1[pa + 1] if pa + 1 < length1 else 0
+        head1 = 0.0
+        for k in range(pa + 1):
+            head1 += demands[r1[k]]
+        tail1 = self.loads[t1] - head1
+        load2 = self.loads[t2]
+        a_last = pa + 1 == length1
+        if budget.arc_access_count >= limit:
+            return False
+        budget.arc_access_count += 1
+        row_a = matrix[a]
+        row_an = matrix[next_a]
+        d_a_an = row_a[next_a]
+        head2 = 0.0
+        for b in r2[:lo]:
+            head2 += demands[b]
+        for pb in range(lo, min(hi, length2)):
+            b = r2[pb]
+            head2 += demands[b]
+            if a_last and pb + 1 == length2:
+                continue  # reconnecting two final arcs changes nothing
+            if head1 + load2 - head2 > cap or head2 + tail1 > cap:
+                continue
+            next_b = r2[pb + 1] if pb + 1 < length2 else 0
+            if budget.arc_access_count >= limit:
+                return False
+            budget.arc_access_count += 3
+            delta = (row_a[next_b] + matrix[b][next_a] - d_a_an
+                     - matrix[b][next_b])
+            phi_new = phi + delta
+            if phi_new < phi_vi or phi_new < phi_improve:
+                self._apply_m7(t1, t2, pa, pb, head1 + load2 - head2,
+                               phi_new)
+                return True
+        return False
+
+    def _m8(self, t1, t2, pa, phi_vi, lo=0, hi=ALL) -> bool:
+        """m8: move a into the empty route t2 as its only customer."""
+        if t2 < 0:
+            return False
+        route = self.routes[t1]
+        matrix = self.matrix
+        budget = self.budget
+        phi = self.phi
+        a = route[pa]
+        if budget.arc_access_count >= self.arc_limit:
             return False
         budget.arc_access_count += 4
         prev_a = route[pa - 1] if pa else 0
@@ -586,8 +591,8 @@ class _Engine:
         delta = matrix[prev_a][next_a] - matrix[prev_a][a] \
             - matrix[a][next_a] + out_back
         phi_new = phi + delta
-        if phi_new < phi_vi or phi_new < phi_improve:
-            self._apply_m8(t1, pa, out_back, phi_new)
+        if phi_new < phi_vi or phi_new < phi - IMPROVE_EPS:
+            self._apply_m8(t1, t2, pa, phi_new)
             return True
         return False
 
@@ -637,8 +642,7 @@ class _Engine:
         self.loads[t2] = total - new_load1
         self.phi = phi_new
 
-    def _apply_m8(self, t1, pa, out_back, phi_new):
-        dest = self.empties[0]
+    def _apply_m8(self, t1, dest, pa, phi_new):
         a = self.routes[t1].pop(pa)
         self.routes[dest] = [a]
         self.loads[t1] -= self.demands[a]
@@ -647,6 +651,84 @@ class _Engine:
         self._mark_used(dest)
         if not self.routes[t1]:
             self._mark_empty(t1)
+
+
+# ---------------------------------------------------------------------------
+# Search engine
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Incumbent:
+    routes: tuple
+    slots: tuple
+    total: float
+    detour: float
+    surrogate: float
+
+
+class _Engine(PlanState):
+    """Mutable run state: the plan under search, trace, incumbent, counters."""
+
+    def __init__(self, inst: InstanceSpec, params: SearchParams,
+                 budget: EvaluationBudget, toggles: AblationToggles = NO_TOGGLES,
+                 trace_level: str = "phase", hooks=None,
+                 oracle: DistanceOracle | None = None):
+        self.oracle = oracle if oracle is not None \
+            else DistanceOracle.for_instance(inst, budget)
+        super().__init__(
+            [[] for _ in range(inst.fleet_size)], self.oracle.matrix,
+            list(inst.demands), inst.cargo_capacity, budget,
+            budget.max_arc_accesses if budget.max_arc_accesses is not None
+            else math.inf)
+        self.inst = inst
+        self.params = params
+        self.toggles = toggles
+        self.rng = random.Random(params.seed)
+        self.wall_limited = budget.wall_clock_limit is not None
+        self.descent_scans = 0      # clock polls in descent, wall limit only
+        self.timed_out = False
+        self.trace = SearchTrace()
+        self.trace_full = trace_level == "full"
+        self.hooks = hooks or {}
+        self.table = None           # built lazily, unmetered shared data
+        self.gamma = 0.0 if toggles.gamma_zero else params.follower_threshold
+        self.explore_ops = list(range(7)) if toggles.no_m8 else list(range(8))
+        self.iteration = 0
+        self.restarts = 0
+        self.incumbent: _Incumbent | None = None
+
+    # -- state loading -------------------------------------------------
+
+    def load_plan(self, routes) -> None:
+        budget = self.budget
+        matrix = self.matrix
+        routes = [list(r) for r in routes]
+        while len(routes) < self.inst.fleet_size:
+            routes.append([])
+        self.set_routes(routes)
+        phi = 0.0
+        for r in routes:
+            if not r:
+                continue
+            if budget is not None:
+                budget.arc_access_count += len(r) + 1
+            prev = 0
+            for node in r:
+                phi += matrix[prev][node]
+                prev = node
+            phi += matrix[prev][0]
+        self.phi = phi
+
+    def snapshot(self) -> list:
+        return [list(r) for r in self.routes]
+
+    # -- tracing ---------------------------------------------------------
+
+    def _emit(self, event: str, phi_best: float = math.nan) -> None:
+        inc = self.incumbent
+        self.trace.records.append(TraceRecord(
+            self.budget.arc_access_count, self.iteration, self.phi,
+            phi_best, None if inc is None else inc.total, event))
 
     # -- greedy descent ----------------------------------------------------
 
@@ -682,6 +764,7 @@ class _Engine:
         budget = self.budget
         limit = self.arc_limit
         wall = self.wall_limited
+        scan = self.kernels[op]
         improved = False
         while True:
             moved = False
@@ -692,7 +775,7 @@ class _Engine:
                 if budget.arc_access_count >= limit or (
                         wall and self._out_of_time()):
                     return improved
-                if self._scan(op, t1, t2, pa, NEG_INF):
+                if scan(t1, t2, pa, NEG_INF):
                     moved = True
                     improved = True
                     break
@@ -722,10 +805,13 @@ class _Engine:
         draw = self.rng.random
         ops = self.explore_ops
         op = ops[int(draw() * len(ops))]
+        scan = self.kernels[op]
         budget = self.budget
         limit = self.arc_limit
         nonempty = self.nonempty
         inter = op == M2 or op == M4 or op == M6 or op == M7
+        # single-route operators take no partner; m8 seeds the first empty
+        dest = self.empties[0] if op == M8 and self.empties else -1
         on_accept = self.hooks.get("on_accept")
         for _ in range(self.params.max_attempts):
             if budget.arc_access_count >= limit:
@@ -742,11 +828,11 @@ class _Engine:
                 t2 = nonempty[j]
             else:
                 t1 = nonempty[int(draw() * count)]
-                t2 = -1
+                t2 = dest
             route = self.routes[t1]
             pa = int(draw() * len(route))
             phi_before = self.phi
-            if self._scan(op, t1, t2, pa, phi_vi):
+            if scan(t1, t2, pa, phi_vi):
                 if on_accept is not None:
                     on_accept(self.phi, phi_before, phi_vi)
                 if self.trace_full:
