@@ -456,7 +456,7 @@ class PlanState:
         next_a = route[pa + 1]
         if budget.arc_access_count >= limit:
             return False
-        budget.arc_access_count += 2
+        budget.arc_access_count += 1
         row_a = matrix[a]
         row_an = matrix[next_a]
         d_a_an = row_a[next_a]

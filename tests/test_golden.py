@@ -19,11 +19,11 @@ from conftest import make_instance
 # SHA-256 of (solution file, full trace) per seed
 GOLDEN = {
     1: ("9b6b0825b4d1c55687c66a388c32a13658eae45588aeecbf5b531624b94dbbf3",
-        "88b4142e7cf5226d8fe2cf4a75ff0fb2c0ec55f050057149019c35c5c2e9cd93"),
+        "aa64f49d2bc7f617f853be3a85b9f65da8f6b9adfa4b28c7b95c57a2d51e86ae"),
     2: ("a67f213af599be73323ce6412fc232b2a89b592d9d454c02e68f65f1c3a32c4d",
-        "14c9a0ff9bcd2026715a90df42f9ef9362bbf9fd79e5b6c2644e003d500ab9cb"),
+        "5224dd9a6cd8215e2c0fd9c3c60a1d79794e25adeb770a47c6dde835d4b6696d"),
     3: ("780049a87ea90900bbd5db76099891e3676f8c769ca113994a4445e8273943d8",
-        "e16c4bce9ef7b9b1a7b2db2bcd5fe9b49f591bad81dd2c06c1d4a35946679a77"),
+        "36e4cb2a4c05ea58929504a1ae3b149dcd9e111cd3dae2debd62180e00ffae96"),
 }
 
 
