@@ -14,6 +14,7 @@ so checks return verdict values instead of raising.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .instance import DistanceOracle, InstanceSpec
@@ -268,7 +269,14 @@ def parse_solution_file(text: str) -> tuple[list[list[int]], float | None]:
         if not line or line.startswith("#"):
             continue
         if line.upper().startswith("COST"):
-            reported = float(line.split()[1])
+            fields = line.split()
+            try:
+                reported = float(fields[1]) if len(fields) == 2 else math.nan
+            except ValueError:
+                reported = math.nan
+            if not math.isfinite(reported):
+                raise ValueError(f"line {lineno}: COST needs one finite "
+                                 f"number, got {line!r}")
             continue
         try:
             nodes = [int(tok) for tok in line.split(",")]
@@ -276,6 +284,9 @@ def parse_solution_file(text: str) -> tuple[list[list[int]], float | None]:
             raise ValueError(f"line {lineno}: bad route line {line!r}") from exc
         if len(nodes) < 2 or nodes[0] != 0 or nodes[-1] != 0:
             raise ValueError(f"line {lineno}: route must start and end at depot 0")
+        if 0 in nodes[1:-1]:
+            raise ValueError(f"line {lineno}: depot 0 inside a route; "
+                             "give each route its own line")
         expanded_routes.append(nodes)
     return expanded_routes, reported
 

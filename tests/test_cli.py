@@ -178,6 +178,20 @@ class TestValidate:
         assert run_cli("validate", tiny_file, bad) == 2
         assert "999" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "refine"])
+    @pytest.mark.parametrize("text", [
+        "0,1,0,2,0\n0,3,0\nCOST 1.0\n",    # depot inside a route
+        "0,1,2,0\n0,3,0\nCOST\n",          # COST without a value
+        "0,1,2,0\n0,3,0\nCOST nan\n",
+    ])
+    def test_malformed_file_is_one_line_error(self, tiny_file, tmp_path,
+                                              capsys, command, text):
+        bad = tmp_path / "bad.sol"
+        bad.write_text(text)
+        assert run_cli(command, tiny_file, bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ") and err.count("\n") == 1
+
     def test_empty_seed_spec_is_clean_error(self, tiny_file, capsys):
         assert run_cli("solve", tiny_file, "--seeds", "") == 1
         assert "error" in capsys.readouterr().err
