@@ -25,7 +25,6 @@ from .charging import (
     BestStationTable,
     ChargingQueryResult,
     build_best_station_table,
-    min_visits,
     solve_exhaustive,
     solve_se,
 )
@@ -36,7 +35,6 @@ from .search import (
     SearchTrace,
     greedy_descent,
     neighborhood_explore,
-    run_ablation,
     run_blahc,
     split_initial,
 )

@@ -70,25 +70,10 @@ def build_best_station_table(inst: InstanceSpec,
     )
 
 
-def min_visits(route, oracle: DistanceOracle, inst: InstanceSpec) -> int:
-    """Minimum station visits needed by a route: its length divided by the
-    full-charge driving range, rounded down."""
-    if not route:
-        return 0
-    budget = oracle.budget
-    matrix = oracle.matrix
-    if budget is not None:
-        budget.arc_access_count += len(route) + 1
-    cost = 0.0
-    prev = 0
-    for node in route:
-        cost += matrix[prev][node]
-        prev = node
-    cost += matrix[prev][0]
-    return visits_lower_bound(cost, inst)
-
-
 def visits_lower_bound(route_cost: float, inst: InstanceSpec) -> int:
+    """Minimum station visits needed by a route of surrogate cost
+    route_cost: its length divided by the full-charge driving range,
+    rounded down."""
     return math.floor(route_cost * inst.consumption_rate / inst.battery_capacity)
 
 

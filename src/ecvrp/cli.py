@@ -36,7 +36,7 @@ from .instance import (
     max_evals_budget,
     time_budget,
 )
-from .search import AblationToggles, SearchError, SearchParams, run_ablation
+from .search import AblationToggles, SearchError, SearchParams, run_blahc
 from .solution import (
     battery_feasible,
     check_upper_feasible,
@@ -123,8 +123,8 @@ def _solve_one_seed(inst: InstanceSpec, config: RunConfig, seed: int) -> SeedRes
     params = replace(config.params, seed=seed)
     budget = _make_budget(inst, config)
     start = time.perf_counter()
-    solution, trace = run_ablation(inst, params, budget, config.toggles,
-                                   trace_level=config.trace_level)
+    solution, trace = run_blahc(inst, params, budget, toggles=config.toggles,
+                                trace_level=config.trace_level)
     runtime = time.perf_counter() - start
     header = [
         f"ecvrp {__version__} instance={inst.name} seed={seed}",

@@ -8,7 +8,6 @@ charging stations, with pz = 1 + n + |stations|.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -126,9 +125,6 @@ class EvaluationBudget:
     def restart_clock(self) -> None:
         self._t0 = time.monotonic()
 
-    def charge(self, n: int = 1) -> None:
-        self.arc_access_count += n
-
     def elapsed(self) -> float:
         return time.monotonic() - self._t0
 
@@ -146,8 +142,8 @@ class DistanceOracle:
     """Symmetric Euclidean distances with optional budget metering.
 
     The full pz x pz matrix is precomputed (precomputation is not charged;
-    metering starts with search).  Every read through distance() charges
-    the attached budget one access.
+    metering starts with search).  Code that reads matrix[i][j] charges
+    the attached budget one access per arc read.
     """
 
     __slots__ = ("matrix", "budget")
@@ -162,11 +158,6 @@ class DistanceOracle:
     def for_instance(cls, inst: InstanceSpec,
                      budget: EvaluationBudget | None = None) -> "DistanceOracle":
         return cls(inst.coords, budget)
-
-    def distance(self, i: int, j: int) -> float:
-        if self.budget is not None:
-            self.budget.arc_access_count += 1
-        return self.matrix[i][j]
 
     def unmetered(self) -> "DistanceOracle":
         """A view on the same matrix that never charges a budget."""
@@ -380,7 +371,3 @@ def serialize_instance(inst: InstanceSpec) -> str:
         lines.append(f"{ids[node]}")
     lines += ["DEPOT_SECTION", f"{ids[0]}", "-1", "EOF", ""]
     return "\n".join(lines)
-
-
-def euclidean(p: tuple[float, float], q: tuple[float, float]) -> float:
-    return math.dist(p, q)

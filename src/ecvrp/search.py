@@ -760,7 +760,8 @@ class _Engine(PlanState):
                 return
 
     def _descend_target(self, op, t1, t2) -> bool:
-        """Rescan one target until no pair (a, b) improves it."""
+        """Rescan one target until no pair (a, b) improves it, running the
+        operator's kernel over its full candidate range for each a."""
         budget = self.budget
         limit = self.arc_limit
         wall = self.wall_limited
@@ -796,7 +797,9 @@ class _Engine(PlanState):
 
     def explore(self, phi_vi: float) -> bool:
         """One exploration call: draw an operator once, then up to
-        max_attempts random targets; True when a candidate was accepted.
+        max_attempts random targets (t1, t2, a), each scanned by the
+        operator's kernel over its full candidate range; True when a
+        candidate was accepted.
 
         Index draws use int(random() * n): one float per draw instead of
         the rejection sampling of randrange, still from the single seeded
@@ -904,24 +907,19 @@ class _Engine(PlanState):
             # initialization: random tour, split, descent, first follower call.
             # A single unlucky permutation can be unsplittable even on a
             # feasible instance, so resample before giving up.
-            routes = None
             for _ in range(64):
                 perm = customers[:]
                 rng.shuffle(perm)
                 try:
-                    routes = split_giant_tour(perm, inst, self.oracle)
+                    plan = split_initial(perm, inst, self.oracle)
                     break
-                except SplitInfeasible:
-                    try:
-                        routes = first_fit_split(perm, inst)
-                        break
-                    except InstanceInfeasible:
-                        continue
-            if routes is None:
+                except InstanceInfeasible:
+                    continue
+            else:
                 raise InstanceInfeasible(
                     "no sampled permutation admits a capacity-feasible split "
                     f"into {inst.fleet_size} routes")
-            self.load_plan(routes)
+            self.load_plan(plan.routes)
             self.iteration = 0
             self._emit("init", self.phi)
             if not self.toggles.no_greedy_descent:
@@ -1009,20 +1007,13 @@ class _Engine(PlanState):
 # ---------------------------------------------------------------------------
 
 def run_blahc(inst: InstanceSpec, params: SearchParams,
-              budget: EvaluationBudget, *, trace_level: str = "phase",
+              budget: EvaluationBudget, *,
+              toggles: AblationToggles = NO_TOGGLES,
+              trace_level: str = "phase",
               hooks=None) -> tuple[CompleteSolution, SearchTrace]:
     """Run the full search under the given budget and return the incumbent
-    plus the run trace.  Deterministic in (inst, params, budget limits)."""
-    engine = _Engine(inst, params, budget, NO_TOGGLES, trace_level, hooks)
-    return engine.run()
-
-
-def run_ablation(inst: InstanceSpec, params: SearchParams,
-                 budget: EvaluationBudget, toggles: AblationToggles, *,
-                 trace_level: str = "phase", hooks=None
-                 ) -> tuple[CompleteSolution, SearchTrace]:
-    """run_blahc with components disabled; all-off toggles reproduce
-    run_blahc exactly, including the trace."""
+    plus the run trace.  Deterministic in (inst, params, budget limits).
+    toggles disables components for ablation studies."""
     engine = _Engine(inst, params, budget, toggles, trace_level, hooks)
     return engine.run()
 

@@ -33,7 +33,7 @@ from ecvrp.instance import (
     serialize_instance,
 )
 from ecvrp.moves import ALL_OPERATORS, apply_move, delta_phi
-from ecvrp.search import AblationToggles, SearchParams, run_ablation, run_blahc
+from ecvrp.search import AblationToggles, SearchParams, run_blahc
 from ecvrp.solution import surrogate_cost
 from conftest import make_instance
 from helpers import (
@@ -68,7 +68,7 @@ BUDGET_AUDIT: list[tuple[int, int, int]] = []
 
 def metered_run(inst, params, toggles=AblationToggles()):
     budget = max_evals_budget(inst)
-    solution, trace = run_ablation(inst, params, budget, toggles)
+    solution, trace = run_blahc(inst, params, budget, toggles=toggles)
     BUDGET_AUDIT.append(
         (budget.arc_access_count, budget.max_arc_accesses, inst.pz))
     assert budget.arc_access_count <= budget.max_arc_accesses + inst.pz

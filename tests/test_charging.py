@@ -6,13 +6,12 @@ import pytest
 
 from ecvrp.charging import (
     build_best_station_table,
-    min_visits,
     solve_exhaustive,
     solve_se,
     visits_lower_bound,
 )
 from ecvrp.instance import DistanceOracle
-from ecvrp.solution import battery_feasible, expand_route
+from ecvrp.solution import battery_feasible, expand_route, surrogate_cost
 from conftest import make_instance
 from helpers import disc_point, random_feasible_plan, solve_se_enumeration
 
@@ -61,7 +60,8 @@ class TestMinVisits:
         inst = make_instance(customers=[(x, 0)], stations=[(999, 999)],
                              battery=120, rate=1.0)
         oracle = DistanceOracle.for_instance(inst)
-        assert min_visits([1], oracle, inst) == expected
+        assert visits_lower_bound(surrogate_cost([[1]], oracle), inst) \
+            == expected
 
     def test_exact_multiple(self):
         inst = make_instance(customers=[(1, 0)], stations=[(9, 9)],
@@ -281,7 +281,8 @@ class TestFollowerProperties:
                     slots.append(tuple(rng.sample(stations, 2)))
             expanded = expand_route(route, slots)
             if sim_ok(expanded, inst):
-                lb = min_visits(route, oracle.unmetered(), inst)
+                lb = visits_lower_bound(
+                    surrogate_cost([route], oracle.unmetered()), inst)
                 assert station_visits(slots) >= lb
                 checked += 1
         assert checked > 50

@@ -15,7 +15,6 @@ from ecvrp.search import (
     first_fit_split,
     greedy_descent,
     neighborhood_explore,
-    run_ablation,
     run_blahc,
     split_giant_tour,
     split_initial,
@@ -341,8 +340,8 @@ class TestAblation:
         sol1, trace1 = run_blahc(inst, small_params(11), b1,
                                  trace_level="full")
         b2 = EvaluationBudget(max_arc_accesses=250_000)
-        sol2, trace2 = run_ablation(inst, small_params(11), b2,
-                                    AblationToggles(), trace_level="full")
+        sol2, trace2 = run_blahc(inst, small_params(11), b2,
+                                 toggles=AblationToggles(), trace_level="full")
         assert sol1 == sol2
         assert trace1.to_csv() == trace2.to_csv()
         assert b1.arc_access_count == b2.arc_access_count
@@ -359,23 +358,67 @@ class TestAblation:
             self, searchable_instance):
         calls = []
         budget = EvaluationBudget(max_arc_accesses=300_000)
-        _, trace = run_ablation(
+        _, trace = run_blahc(
             searchable_instance, small_params(13), budget,
-            AblationToggles(gamma_zero=True),
+            toggles=AblationToggles(gamma_zero=True),
             hooks={"on_follower": lambda *a: calls.append(a)})
         restarts = len(trace.events("restart"))
         assert len(calls) == restarts + 1
 
     def test_no_greedy_descent_skips_phase(self, searchable_instance):
         budget = EvaluationBudget(max_arc_accesses=200_000)
-        _, trace = run_ablation(searchable_instance, small_params(14), budget,
-                                AblationToggles(no_greedy_descent=True))
+        _, trace = run_blahc(searchable_instance, small_params(14), budget,
+                             toggles=AblationToggles(no_greedy_descent=True))
         assert not trace.events("descent_done")
 
     def test_no_final_refinement_skips_event(self, searchable_instance):
         budget = EvaluationBudget(max_arc_accesses=200_000)
-        sol, trace = run_ablation(searchable_instance, small_params(15),
-                                  budget,
-                                  AblationToggles(no_final_refinement=True))
+        sol, trace = run_blahc(searchable_instance, small_params(15), budget,
+                               toggles=AblationToggles(no_final_refinement=True))
         assert not trace.events("refined")
         assert sol.total_cost > 0
+
+
+class TestEngineInvariants:
+    def test_state_stays_consistent_after_every_move(self,
+                                                     searchable_instance):
+        # every kernel call goes through a wrapper that, after each applied
+        # move of descent or exploration, checks the engine's incremental
+        # state against a recomputation from the routes
+        inst = searchable_instance
+        free = DistanceOracle.for_instance(inst)
+        engine = _Engine(inst, small_params(3), EvaluationBudget())
+        applied = [0] * 8
+
+        def check():
+            routes = engine.routes
+            assert abs(engine.phi - surrogate_cost(routes, free)) < 1e-9
+            # integer demands: incremental loads must match exactly
+            assert engine.loads == [
+                math.fsum(inst.demands[c] for c in r) for r in routes]
+            assert max(engine.loads) <= inst.cargo_capacity
+            assert sorted(c for r in routes for c in r) == \
+                list(inst.customers)
+            assert engine.nonempty == [t for t, r in enumerate(routes) if r]
+            assert engine.empties == [
+                t for t, r in enumerate(routes) if not r]
+
+        def checked(op, kernel):
+            def run(*args):
+                moved = kernel(*args)
+                if moved:
+                    applied[op] += 1
+                    check()
+                return moved
+            return run
+
+        engine.kernels = tuple(checked(op, kernel)
+                               for op, kernel in enumerate(engine.kernels))
+        rng = random.Random(5)
+        for _ in range(6):
+            engine.load_plan(random_feasible_plan(rng, inst))
+            check()
+            engine.descend()
+            for _ in range(400):
+                engine.explore(engine.phi * 1.03)
+        assert all(applied), applied
