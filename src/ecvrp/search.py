@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from bisect import insort
 from dataclasses import dataclass, field
 
@@ -217,8 +216,9 @@ def split_initial(perm, inst: InstanceSpec, oracle: DistanceOracle) -> RoutingPl
 # Operator kernels
 # ---------------------------------------------------------------------------
 
-# upper end of a kernel's candidate range that covers every candidate
-ALL = sys.maxsize
+# upper end of a kernel's candidate range that covers every candidate; a
+# small int keeps the range checks on the interpreter's fast integer path
+ALL = 1 << 29
 
 
 class PlanState:
@@ -280,13 +280,19 @@ class PlanState:
         budget.arc_access_count += 3
         row_a = matrix[a]
         removal = matrix[prev_a][next_a] - matrix[prev_a][a] - row_a[next_a]
-        for pb in range(lo >> 1, min((hi + 1) >> 1, length)):
+        # a range may open on an after side (lo odd) and close on a before
+        # side (hi odd); the other side of that customer lies outside it
+        first = lo >> 1
+        skip_before = first if lo & 1 else -1
+        skip_after = hi >> 1 if hi & 1 else -1
+        stop = (hi + 1) >> 1
+        for pb in range(first, stop if stop < length else length):
             if pb == pa:
                 continue
             b = route[pb]
             # structural no-ops (reinserting a beside itself) are skipped:
             # their float-noise deltas could masquerade as improvements
-            if pb != pa + 1 and 2 * pb >= lo:
+            if pb != pa + 1 and pb != skip_before:
                 left = route[pb - 1] if pb else 0
                 if left == a:
                     left = prev_a
@@ -299,7 +305,7 @@ class PlanState:
                 if phi_new < phi_vi or phi_new < phi_improve:
                     self._apply_m1(t1, pa, pb, False, phi_new)
                     return True
-            if pb != pa - 1 and 2 * pb + 1 < hi:
+            if pb != pa - 1 and pb != skip_after:
                 right = route[pb + 1] if pb + 1 < length else 0
                 if right == a:
                     right = next_a
@@ -335,7 +341,7 @@ class PlanState:
         budget.arc_access_count += 3
         row_a = matrix[a]
         removal = matrix[prev_a][next_a] - matrix[prev_a][a] - row_a[next_a]
-        for pb in range(lo, min(hi, length2)):
+        for pb in range(lo, hi if hi < length2 else length2):
             b = r2[pb]
             right = r2[pb + 1] if pb + 1 < length2 else 0
             if budget.arc_access_count >= limit:
@@ -363,7 +369,7 @@ class PlanState:
         prev_a = route[pa - 1] if pa else 0
         next_a = route[pa + 1] if pa + 1 < length else 0
         row_a = matrix[a]
-        for pb in range(lo, min(hi, length)):
+        for pb in range(lo, hi if hi < length else length):
             if pb == pa:
                 continue
             b = route[pb]
@@ -413,7 +419,7 @@ class PlanState:
         prev_a = r1[pa - 1] if pa else 0
         next_a = r1[pa + 1] if pa + 1 < length1 else 0
         row_a = matrix[a]
-        for pb in range(lo, min(hi, length2)):
+        for pb in range(lo, hi if hi < length2 else length2):
             b = r2[pb]
             demand_b = demands[b]
             if load1 - demand_a + demand_b > cap or \
@@ -442,8 +448,9 @@ class PlanState:
         """m5: reverse the segment after a up to customer route[pb]; the
         one-customer segments pb <= pa + 1 are not candidates."""
         route = self.routes[t1]
-        start = max(lo, pa + 2)
-        stop = min(hi, len(route))
+        length = len(route)
+        start = lo if lo > pa + 2 else pa + 2
+        stop = hi if hi < length else length
         if start >= stop:
             return False
         matrix = self.matrix
@@ -451,7 +458,6 @@ class PlanState:
         limit = self.arc_limit
         phi = self.phi
         phi_improve = phi - IMPROVE_EPS
-        length = len(route)
         a = route[pa]
         next_a = route[pa + 1]
         if budget.arc_access_count >= limit:
@@ -504,9 +510,10 @@ class PlanState:
         row_an = matrix[next_a]
         d_a_an = row_a[next_a]
         head2 = 0.0
-        for b in r2[:lo]:
-            head2 += demands[b]
-        for pb in range(lo, min(hi, length2)):
+        if lo:  # demand of the customers ahead of the range
+            for b in r2[:lo]:
+                head2 += demands[b]
+        for pb in range(lo, hi if hi < length2 else length2):
             b = r2[pb]
             head2 += demands[b]
             if head1 + head2 > cap or tail1 + load2 - head2 > cap:
@@ -551,9 +558,10 @@ class PlanState:
         row_an = matrix[next_a]
         d_a_an = row_a[next_a]
         head2 = 0.0
-        for b in r2[:lo]:
-            head2 += demands[b]
-        for pb in range(lo, min(hi, length2)):
+        if lo:  # demand of the customers ahead of the range
+            for b in r2[:lo]:
+                head2 += demands[b]
+        for pb in range(lo, hi if hi < length2 else length2):
             b = r2[pb]
             head2 += demands[b]
             if a_last and pb + 1 == length2:
@@ -718,9 +726,6 @@ class _Engine(PlanState):
                 prev = node
             phi += matrix[prev][0]
         self.phi = phi
-
-    def snapshot(self) -> list:
-        return [list(r) for r in self.routes]
 
     # -- tracing ---------------------------------------------------------
 
