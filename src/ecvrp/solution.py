@@ -269,9 +269,9 @@ def parse_solution_file(text: str) -> tuple[list[list[int]], float | None]:
         if not line or line.startswith("#"):
             continue
         if line.upper().startswith("COST"):
-            fields = line.split()
             try:
-                reported = float(fields[1]) if len(fields) == 2 else math.nan
+                _, value = line.split()
+                reported = float(value)
             except ValueError:
                 reported = math.nan
             if not math.isfinite(reported):
