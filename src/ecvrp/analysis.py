@@ -83,7 +83,7 @@ def brute_force_optimum(inst: InstanceSpec,
 
     Guarded to 8 customers and 3 stations; raises InstanceTooLarge beyond
     that and InstanceInfeasible when no battery-feasible solution exists.
-    Runs unmetered: oracle budgets are never charged.
+    Charges no budget: solve_exhaustive never charges the oracle's.
     """
     if inst.num_customers > BRUTE_FORCE_MAX_CUSTOMERS:
         raise InstanceTooLarge(
@@ -91,14 +91,14 @@ def brute_force_optimum(inst: InstanceSpec,
     if inst.num_stations > BRUTE_FORCE_MAX_STATIONS:
         raise InstanceTooLarge(
             f"{inst.num_stations} stations > {BRUTE_FORCE_MAX_STATIONS}")
-    free = (oracle or DistanceOracle.for_instance(inst)).unmetered()
+    oracle = oracle or DistanceOracle.for_instance(inst)
 
     cache: dict[frozenset, tuple | None] = {}
 
     def block_best(block):
         key = frozenset(block)
         if key not in cache:
-            cache[key] = _best_route_over_orderings(block, inst, free)
+            cache[key] = _best_route_over_orderings(block, inst, oracle)
         return cache[key]
 
     best_total = math.inf

@@ -14,6 +14,10 @@ solve_exhaustive() additionally ranges over every station and every
 ordered station pair per gap; it is reserved for final refinement and
 validation because it costs far more arc reads.
 
+Only solve_se is metered: it runs during search, where the paper's budget
+counts every arc read.  solve_exhaustive runs after search, outside that
+budget, and never charges one.
+
 Both bound the number of station visits on route v to [lb_v, lb_v + 1]
 where lb_v = floor(route_length / full_charge_range).  Plans needing more
 visits than that are reported infeasible, mirroring the model assumption
@@ -27,18 +31,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import DistanceOracle, EvaluationBudget, InstanceSpec
+from .instance import DistanceOracle, InstanceSpec
 from .solution import ChargingPlan, RoutingPlan, Slot
 
 
 class BudgetExhausted(RuntimeError):
-    """Raised by budget-enforcing solvers when the meter runs out mid-call."""
+    """Raised by solve_se when its oracle's budget runs out mid-call."""
 
 
 @dataclass(frozen=True)
 class BestStationTable:
     """For every ordered pair of non-charging nodes, the station whose
-    detour path is shortest, plus that path length.
+    detour path d(i,s) + d(s,j) is shortest.
 
     Ties break toward the lowest station id, so results are reproducible.
     Construction is not metered: the table is immutable instance data
@@ -46,7 +50,6 @@ class BestStationTable:
     """
 
     station_for: tuple  # (n+1) x (n+1) nested tuples of station ids
-    detour_len: tuple   # matching detour path lengths d(i,s) + d(s,j)
 
 
 def build_best_station_table(inst: InstanceSpec,
@@ -65,9 +68,7 @@ def build_best_station_table(inst: InstanceSpec,
         best_len[better] = cand[better]
         best_sta[better] = nc + s_idx
     return BestStationTable(
-        station_for=tuple(tuple(row) for row in best_sta.tolist()),
-        detour_len=tuple(tuple(row) for row in best_len.tolist()),
-    )
+        station_for=tuple(tuple(row) for row in best_sta.tolist()))
 
 
 def visits_lower_bound(route_cost: float, inst: InstanceSpec) -> int:
@@ -89,14 +90,8 @@ class ChargingQueryResult:
         return self.feasible
 
 
-def _check_budget(budget: EvaluationBudget | None, enforce: bool) -> None:
-    if enforce and budget is not None and budget.exceeded():
-        raise BudgetExhausted
-
-
 def solve_se(plan, inst: InstanceSpec, oracle: DistanceOracle,
-             table: BestStationTable, enforce_budget: bool = False
-             ) -> ChargingQueryResult:
+             table: BestStationTable) -> ChargingQueryResult:
     """Simple-enumeration follower: at most one station per gap, station
     fixed to the gap's best detour station.
 
@@ -109,6 +104,10 @@ def solve_se(plan, inst: InstanceSpec, oracle: DistanceOracle,
     C(n, lb+1) subset walks.  enumeration_count keeps its meaning: the
     product over routes of C(n, lb) + C(n, lb+1), the size of the
     restricted configuration space, cut off at the first infeasible route.
+
+    It charges the oracle's budget, when there is one, 3 arcs per gap
+    (direct arc and both station legs) and raises BudgetExhausted before a
+    gap once that budget is exceeded.
     """
     routes = plan.routes if isinstance(plan, RoutingPlan) else plan
     budget = oracle.budget
@@ -131,10 +130,11 @@ def solve_se(plan, inst: InstanceSpec, oracle: DistanceOracle,
         legs_in = []
         legs_out = []
         for g in range(n_gaps):
-            _check_budget(budget, enforce_budget)
             u, w = nodes[g], nodes[g + 1]
             station = table.station_for[u][w]
             if budget is not None:
+                if budget.exceeded():
+                    raise BudgetExhausted
                 budget.arc_access_count += 3
             directs.append(matrix[u][w])
             legs_in.append(matrix[u][station])
@@ -253,8 +253,8 @@ def _best_gap_subset(directs, legs_in, legs_out, lb: int, rate: float,
     return best
 
 
-def solve_exhaustive(plan, inst: InstanceSpec, oracle: DistanceOracle,
-                     enforce_budget: bool = False) -> ChargingQueryResult:
+def solve_exhaustive(plan, inst: InstanceSpec,
+                     oracle: DistanceOracle) -> ChargingQueryResult:
     """Exhaustive follower: every gap may hold nothing, any single station,
     or any ordered pair of distinct stations, with per-route visits bounded
     to [lb, lb + 1].  Returns the global minimum-detour feasible plan.
@@ -264,77 +264,37 @@ def solve_exhaustive(plan, inst: InstanceSpec, oracle: DistanceOracle,
     detours the first configuration found is kept deterministically.
     Branches are cut when the battery dies, when the visit bound cannot be
     met, or when the partial detour already matches the best found.
+    It reads the matrix without charging the oracle's budget.
     """
     routes = plan.routes if isinstance(plan, RoutingPlan) else plan
-    budget = oracle.budget
     matrix = oracle.matrix
     rate = inst.consumption_rate
     full = inst.battery_capacity
     stations = list(inst.stations)
     n_sta = len(stations)
-
-    # Per-route preparation: direct arcs and the visit bound.
-    prepared = []
-    for route in routes:
-        if not route:
-            prepared.append(None)
-            continue
-        nodes = [0, *route, 0]
-        directs = []
-        for g in range(len(nodes) - 1):
-            _check_budget(budget, enforce_budget)
-            if budget is not None:
-                budget.arc_access_count += 1
-            directs.append(matrix[nodes[g]][nodes[g + 1]])
-        route_cost = 0.0
-        for d in directs:
-            route_cost += d
-        prepared.append((nodes, directs, visits_lower_bound(route_cost, inst),
-                         route_cost))
-
-    # Station-to-station arcs are shared by all pair options; read them once
-    # if any route can use a pair at all.
-    pair_possible = any(p is not None and p[2] >= 1 for p in prepared)
-    sta_sta = None
-    if pair_possible and n_sta >= 2:
-        sta_sta = [[0.0] * n_sta for _ in range(n_sta)]
-        for a in range(n_sta):
-            for b in range(a + 1, n_sta):
-                _check_budget(budget, enforce_budget)
-                if budget is not None:
-                    budget.arc_access_count += 1
-                d = matrix[stations[a]][stations[b]]
-                sta_sta[a][b] = d
-                sta_sta[b][a] = d
+    sta_sta = [[matrix[a][b] for b in stations] for a in stations]
 
     slots_out: list[tuple[Slot, ...]] = []
     detour_total = 0.0
     surrogate_total = 0.0
     examined_total = 0
-    for route, prep in zip(routes, prepared):
-        if prep is None:
+    for route in routes:
+        if not route:
             slots_out.append((None,))
             continue
-        nodes, directs, lb, route_cost = prep
+        nodes = [0, *route, 0]
+        n_gaps = len(nodes) - 1
+        directs = [matrix[nodes[g]][nodes[g + 1]] for g in range(n_gaps)]
+        route_cost = 0.0
+        for d in directs:
+            route_cost += d
         surrogate_total += route_cost
-        n_gaps = len(directs)
+        lb = visits_lower_bound(route_cost, inst)
         ub = lb + 1
         if lb > 2 * n_gaps:
             return ChargingQueryResult(False, None, None, examined_total)
-
-        legs_in: list[list[float] | None] = [None] * n_gaps
-        legs_out: list[list[float] | None] = [None] * n_gaps
-
-        def gap_legs(g: int) -> tuple[list[float], list[float]]:
-            if legs_in[g] is None:
-                _check_budget(budget, enforce_budget)
-                if budget is not None:
-                    budget.arc_access_count += 2 * n_sta
-                u, w = nodes[g], nodes[g + 1]
-                row_u = matrix[u]
-                legs_in[g] = [row_u[s] for s in stations]
-                legs_out[g] = [matrix[s][w] for s in stations]
-            return legs_in[g], legs_out[g]
+        legs_in = [[matrix[u][s] for s in stations] for u in nodes[:-1]]
+        legs_out = [[matrix[s][w] for s in stations] for w in nodes[1:]]
 
         best: list = [None, None]   # [detour, slot assignment]
         assign: list[Slot] = [None] * n_gaps
@@ -357,7 +317,8 @@ def solve_exhaustive(plan, inst: InstanceSpec, oracle: DistanceOracle,
                 assign[g] = None
                 descend(g + 1, visits, after_nil, detour)
             if visits < ub:
-                f_in, f_out = gap_legs(g)
+                f_in = legs_in[g]
+                f_out = legs_out[g]
                 direct = directs[g]
                 for si in range(n_sta):
                     arrive = charge - rate * f_in[si]
@@ -369,7 +330,7 @@ def solve_exhaustive(plan, inst: InstanceSpec, oracle: DistanceOracle,
                     assign[g] = stations[si]
                     descend(g + 1, visits + 1, onward,
                             detour + f_in[si] + f_out[si] - direct)
-                if visits + 1 < ub and sta_sta is not None:
+                if visits + 1 < ub:
                     for ui in range(n_sta):
                         arrive = charge - rate * f_in[ui]
                         if arrive < 0.0:

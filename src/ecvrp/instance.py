@@ -1,5 +1,10 @@
 """Problem instances, the metered distance oracle, and evaluation budgets.
 
+The budget counts arc reads made during search, as the paper's budget
+counts evaluations: the giant-tour split, plan loading, the move kernels
+and the SE follower charge it.  Final refinement, validation and cost
+evaluation read the same matrix without charging it.
+
 Instances follow the keyword-section text format of the IEEE WCCI-2020
 benchmark distribution.  Internally every instance is renumbered so that
 node 0 is the depot, 1..n are the customers and n+1..pz-1 are the
@@ -8,6 +13,7 @@ charging stations, with pz = 1 + n + |stations|.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -61,12 +67,20 @@ class InstanceSpec:
 
     def __post_init__(self):
         n, s = self.num_customers, self.num_stations
+        if n < 1:
+            raise InstanceError("instance has no customers")
         if len(self.coords) != 1 + n + s:
             raise InstanceError(
                 f"expected {1 + n + s} coordinates, got {len(self.coords)}"
             )
         if len(self.demands) != len(self.coords):
             raise InstanceError("demand table size does not match node count")
+        values = [v for xy in self.coords for v in xy]
+        values += [*self.demands, self.cargo_capacity, self.battery_capacity,
+                   self.consumption_rate]
+        if not all(map(math.isfinite, values)):
+            raise InstanceError("coordinates, demands, capacities and the "
+                                "consumption rate must be finite")
         if self.cargo_capacity <= 0 or self.battery_capacity <= 0:
             raise InstanceError("capacities must be positive")
         if self.consumption_rate <= 0:
@@ -139,11 +153,12 @@ class EvaluationBudget:
 
 
 class DistanceOracle:
-    """Symmetric Euclidean distances with optional budget metering.
+    """Symmetric Euclidean distances with an optional attached budget.
 
     The full pz x pz matrix is precomputed (precomputation is not charged;
-    metering starts with search).  Code that reads matrix[i][j] charges
-    the attached budget one access per arc read.
+    metering starts with search) and exactly symmetric.  The search code
+    that reads matrix[i][j] charges the attached budget one access per arc
+    read; code outside search reads it without charging.
     """
 
     __slots__ = ("matrix", "budget")
@@ -158,13 +173,6 @@ class DistanceOracle:
     def for_instance(cls, inst: InstanceSpec,
                      budget: EvaluationBudget | None = None) -> "DistanceOracle":
         return cls(inst.coords, budget)
-
-    def unmetered(self) -> "DistanceOracle":
-        """A view on the same matrix that never charges a budget."""
-        view = object.__new__(DistanceOracle)
-        view.matrix = self.matrix
-        view.budget = None
-        return view
 
 
 def max_evals_budget(inst: InstanceSpec) -> EvaluationBudget:
@@ -234,12 +242,18 @@ def parse_instance(text: str) -> InstanceSpec:
         try:
             if section == "NODE_COORD_SECTION":
                 nid, x, y = int(parts[0]), float(parts[1]), float(parts[2])
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise InstanceError(
+                        f"line {lineno}: non-finite coordinate in {line!r}")
                 if nid in coords:
                     raise DuplicateNodeId(f"line {lineno}: node id {nid} repeated")
                 coords[nid] = (x, y)
                 coord_order.append(nid)
             elif section == "DEMAND_SECTION":
                 nid, dem = int(parts[0]), float(parts[1])
+                if not math.isfinite(dem):
+                    raise InstanceError(
+                        f"line {lineno}: non-finite demand in {line!r}")
                 if nid in demands:
                     raise DuplicateNodeId(f"line {lineno}: demand for {nid} repeated")
                 demands[nid] = dem
@@ -302,7 +316,8 @@ def parse_instance(text: str) -> InstanceSpec:
             f"= {dimension - 1}"
         )
 
-    cargo = float(headers["CAPACITY"])
+    cargo, battery, rate = (_finite_header(headers, key) for key in (
+        "CAPACITY", "ENERGY_CAPACITY", "ENERGY_CONSUMPTION"))
     for cid in customer_ids:
         if cid not in demands:
             raise MissingSection(f"customer {cid} missing from DEMAND_SECTION")
@@ -325,13 +340,24 @@ def parse_instance(text: str) -> InstanceSpec:
         num_customers=len(customer_ids),
         num_stations=n_stations,
         cargo_capacity=cargo,
-        battery_capacity=float(headers["ENERGY_CAPACITY"]),
-        consumption_rate=float(headers["ENERGY_CONSUMPTION"]),
+        battery_capacity=battery,
+        consumption_rate=rate,
         fleet_size=int(headers["VEHICLES"]),
         upper_bound=float(headers["OPTIMAL_VALUE"])
         if "OPTIMAL_VALUE" in headers else None,
         original_ids=tuple(ordered),
     )
+
+
+def _finite_header(headers: dict[str, str], key: str) -> float:
+    try:
+        value = float(headers[key])
+    except ValueError as exc:
+        raise InstanceError(f"header {key}: cannot parse "
+                            f"{headers[key]!r}") from exc
+    if not math.isfinite(value):
+        raise InstanceError(f"header {key}: non-finite value {headers[key]!r}")
+    return value
 
 
 def load_instance(path) -> InstanceSpec:

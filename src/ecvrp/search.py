@@ -37,14 +37,9 @@ IMPROVE_EPS = 1e-9
 
 # operator ids; m1..m7 drive descent, m8 additionally explores route counts
 M1, M2, M3, M4, M5, M6, M7, M8 = range(8)
-OPERATOR_CODES = ("m1", "m2", "m3", "m4", "m5", "m6", "m7", "m8")
 
 
 class SearchError(RuntimeError):
-    pass
-
-
-class SplitInfeasible(SearchError):
     pass
 
 
@@ -121,7 +116,7 @@ def split_giant_tour(perm, inst: InstanceSpec, oracle: DistanceOracle):
     """Cut a customer permutation into at most fleet_size contiguous routes
     of minimum total surrogate cost (shortest path over segment ends).
 
-    Raises SplitInfeasible when no capacity-feasible cut into fleet_size
+    Raises InstanceInfeasible when no capacity-feasible cut into fleet_size
     segments exists.  Charges the budget for the depot legs and the
     consecutive arcs of the tour, read once each.
     """
@@ -172,7 +167,7 @@ def split_giant_tour(perm, inst: InstanceSpec, oracle: DistanceOracle):
             best_cost = cur_row[n]
             best_k = k
     if best_k < 0:
-        raise SplitInfeasible(
+        raise InstanceInfeasible(
             f"no capacity-feasible split into <= {fleet} routes")
 
     cuts = [n]
@@ -186,30 +181,9 @@ def split_giant_tour(perm, inst: InstanceSpec, oracle: DistanceOracle):
     return routes
 
 
-def first_fit_split(perm, inst: InstanceSpec):
-    """Greedy fallback segmentation; raises InstanceInfeasible beyond fleet."""
-    routes = [[]]
-    load = 0.0
-    for c in perm:
-        if load + inst.demands[c] > inst.cargo_capacity:
-            routes.append([])
-            load = 0.0
-        routes[-1].append(c)
-        load += inst.demands[c]
-    if len(routes) > inst.fleet_size:
-        raise InstanceInfeasible(
-            f"even first-fit needs {len(routes)} > {inst.fleet_size} vehicles")
-    routes.extend([] for _ in range(inst.fleet_size - len(routes)))
-    return routes
-
-
 def split_initial(perm, inst: InstanceSpec, oracle: DistanceOracle) -> RoutingPlan:
-    """Public split entry point; falls back to first-fit segmentation."""
-    try:
-        routes = split_giant_tour(perm, inst, oracle)
-    except SplitInfeasible:
-        routes = first_fit_split(perm, inst)
-    return RoutingPlan.from_lists(routes)
+    """Public split entry point: split_giant_tour as a RoutingPlan."""
+    return RoutingPlan.from_lists(split_giant_tour(perm, inst, oracle))
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +672,7 @@ class _Engine(PlanState):
         self.trace = SearchTrace()
         self.trace_full = trace_level == "full"
         self.hooks = hooks or {}
-        self.table = None           # built lazily, unmetered shared data
+        self.table = None           # built lazily, never charged: shared data
         self.gamma = 0.0 if toggles.gamma_zero else params.follower_threshold
         self.explore_ops = list(range(7)) if toggles.no_m8 else list(range(8))
         self.iteration = 0
@@ -718,8 +692,7 @@ class _Engine(PlanState):
         for r in routes:
             if not r:
                 continue
-            if budget is not None:
-                budget.arc_access_count += len(r) + 1
+            budget.arc_access_count += len(r) + 1
             prev = 0
             for node in r:
                 phi += matrix[prev][node]
@@ -860,7 +833,7 @@ class _Engine(PlanState):
         full cost improves on the incumbent.  False when the meter died."""
         try:
             result = solve_se(self.routes, self.inst, self.oracle,
-                              self._ensure_table(), enforce_budget=True)
+                              self._ensure_table())
         except BudgetExhausted:
             return False
         hook = self.hooks.get("on_follower")
@@ -988,7 +961,7 @@ class _Engine(PlanState):
                 "no battery-feasible solution found within the budget")
         inc = self.incumbent
         if not self.toggles.no_final_refinement:
-            refined = solve_exhaustive(inc.routes, inst, self.oracle.unmetered())
+            refined = solve_exhaustive(inc.routes, inst, self.oracle)
             if refined.feasible:
                 total = refined.surrogate + refined.detour_cost
                 if total < inc.total:

@@ -6,6 +6,9 @@ moves have an insertion slot.  A charging plan assigns one slot to every
 gap of every route: None (no stop), a station id, or an ordered pair of
 distinct station ids.
 
+None of these functions charges the oracle's budget: they price and check
+plans outside search, where the budget does not count.
+
 Feasibility checking and cost evaluation are deliberately decoupled:
 search evaluates plenty of capacity-feasible plans whose battery
 feasibility is never established.  Infeasibility is an expected outcome,
@@ -112,14 +115,11 @@ def check_upper_feasible(plan: RoutingPlan | list, inst: InstanceSpec) -> UpperV
 def surrogate_cost(plan: RoutingPlan | list, oracle: DistanceOracle) -> float:
     """Total routing distance ignoring charging; empty routes contribute 0."""
     routes = plan.routes if isinstance(plan, RoutingPlan) else plan
-    budget = oracle.budget
     matrix = oracle.matrix
     total = 0.0
     for route in routes:
         if not route:
             continue
-        if budget is not None:
-            budget.arc_access_count += len(route) + 1
         prev = 0
         cost = 0.0
         for node in route:
@@ -163,7 +163,6 @@ def battery_feasible(expanded, inst: InstanceSpec,
     negative charge.  The trace records the charge on arrival at each node
     (full at the starting depot) and is returned for diagnostics either way.
     """
-    budget = oracle.budget
     matrix = oracle.matrix
     rate = inst.consumption_rate
     full = inst.battery_capacity
@@ -171,8 +170,6 @@ def battery_feasible(expanded, inst: InstanceSpec,
     trace = [(expanded[0], charge)]
     prev = expanded[0]
     for node in expanded[1:]:
-        if budget is not None:
-            budget.arc_access_count += 1
         charge -= rate * matrix[prev][node]
         trace.append((node, charge))
         if charge < 0.0:
@@ -196,7 +193,6 @@ def total_cost(plan: RoutingPlan | list, charging: ChargingPlan | list,
     if len(slot_lists) != len(routes):
         raise SlotLengthMismatch(
             f"{len(routes)} routes but {len(slot_lists)} slot lists")
-    budget = oracle.budget
     matrix = oracle.matrix
     phi = 0.0
     detour = 0.0
@@ -211,20 +207,14 @@ def total_cost(plan: RoutingPlan | list, charging: ChargingPlan | list,
                 f"got {len(slots)}")
         prev = 0
         for gap, nxt in enumerate(list(route) + [0]):
-            if budget is not None:
-                budget.arc_access_count += 1
             direct = matrix[prev][nxt]
             phi += direct
             slot = slots[gap]
             if slot is not None:
                 if isinstance(slot, tuple):
                     u, w = slot
-                    if budget is not None:
-                        budget.arc_access_count += 3
                     path = matrix[prev][u] + matrix[u][w] + matrix[w][nxt]
                 else:
-                    if budget is not None:
-                        budget.arc_access_count += 2
                     path = matrix[prev][slot] + matrix[slot][nxt]
                 detour += path - direct
             prev = nxt

@@ -197,6 +197,59 @@ class TestValidate:
         assert "error" in capsys.readouterr().err
 
 
+EMPTY_INSTANCE = """NAME: empty
+TYPE: EVRP
+VEHICLES: 1
+DIMENSION: 1
+STATIONS: 1
+CAPACITY: 10
+ENERGY_CAPACITY: 100
+ENERGY_CONSUMPTION: 1
+NODE_COORD_SECTION
+1 0 0
+2 5 5
+DEMAND_SECTION
+1 0
+STATIONS_COORD_SECTION
+2
+DEPOT_SECTION
+1
+-1
+EOF
+"""
+
+
+class TestMalformedInstance:
+    def test_no_customers_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.evrp"
+        path.write_text(EMPTY_INSTANCE)
+        assert run_cli("solve", path, "--out", tmp_path / "runs") == 1
+        assert capsys.readouterr().err == "error: instance has no customers\n"
+
+    @pytest.mark.parametrize("command", ["solve", "validate"])
+    @pytest.mark.parametrize("old, new", [
+        ("\n2 30.0 0.0\n", "\n2 nan 0.0\n"),
+        ("\n3 1.0\n", "\n3 inf\n"),
+        ("CAPACITY: 4.0", "CAPACITY: nan"),
+        ("ENERGY_CAPACITY: 120.0", "ENERGY_CAPACITY: inf"),
+        ("ENERGY_CONSUMPTION: 1.0", "ENERGY_CONSUMPTION: nan"),
+    ])
+    def test_non_finite_value_is_one_line_error(self, tiny_file, tmp_path,
+                                                capsys, command, old, new):
+        text = tiny_file.read_text()
+        assert old in text
+        tiny_file.write_text(text.replace(old, new, 1))
+        sol = tmp_path / "plan.sol"
+        sol.write_text("0,1,2,0\n0,3,0\n")
+        args = [sol] if command == "validate" else ["--out", tmp_path / "runs"]
+        assert run_cli(command, tiny_file, *args) != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "finite" in captured.err
+
+
 class TestRefine:
     def test_restores_optimal_charging(self, detour_file, tmp_path, capsys):
         # hand-worsened plan: charge twice through the only station but in a

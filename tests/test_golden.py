@@ -1,6 +1,7 @@
 """Golden fixed-seed outputs: `ecvrp solve` must keep writing the same
 solution and trace files, byte for byte, at a fixed (instance, params,
-seed, arc budget).
+seed, arc budget), and `ecvrp refine` the same refined solution file for
+a fixed (instance, plan).
 
 The digests pin the whole trajectory, arc meter included.  A change that
 moves them on purpose re-records them here and says which ones moved and
@@ -24,6 +25,21 @@ GOLDEN = {
         "5224dd9a6cd8215e2c0fd9c3c60a1d79794e25adeb770a47c6dde835d4b6696d"),
     3: ("780049a87ea90900bbd5db76099891e3676f8c769ca113994a4445e8273943d8",
         "36e4cb2a4c05ea58929504a1ae3b149dcd9e111cd3dae2debd62180e00ffae96"),
+}
+
+# SHA-256 of the refined solution file per plan, None where refine
+# finds no charging plan
+REFINE_GOLDEN = {
+    0: "5b4b4dfad2c0888de6a48d12eee0cd46d41ba0860f936d2e8857c8b7620df0cc",
+    1: None,
+    2: "50920d1182fcac880a91e5957dbaabf41ea981efbdd757f579e3d68c3e260be0",
+    3: "24656112b1bf918f391cb6489bbcf2fef13253673ff7b9536dcc513ecb22a470",
+    4: "602a9fb53e98a0220c654b1c9747665f167615ac2c892aa38f62b6968127f595",
+    5: "965256921e79ee82844bee0999b4851b6465f7d079e29f98dabadb5cb162f273",
+    6: "54e0140f4bba6baa4423722a06d53da11f019cb46e7a6b4c9c5f5677e8686e51",
+    7: "b5d38aa5d7417c2061b9a0abd2459057f4adbd6ff9e9d9ad80fe3fa0c0654ce9",
+    8: "5ebb5728c8377f3849ac89ece3d49a2b66bd7d4489f00d7baac14bbe56c7475e",
+    9: None,
 }
 
 
@@ -59,3 +75,64 @@ def test_solve_outputs_match_golden_digests(golden_runs, seed):
     solution = digest(golden_runs / f"golden6_seed{seed}.sol")
     trace = digest(golden_runs / f"golden6_seed{seed}.trace.csv")
     assert (solution, trace) == GOLDEN[seed]
+
+
+@pytest.fixture(scope="module")
+def refine_runs(tmp_path_factory):
+    # eight customers, four stations and a battery tight enough that some
+    # refined gaps need an ordered station pair and some plans have no
+    # charging plan at all; plans are random tours cut first-fit by cargo,
+    # written without any charging stop
+    rng = random.Random(3)
+    inst = make_instance(
+        customers=[(rng.randrange(-90, 91), rng.randrange(-90, 91))
+                   for _ in range(8)],
+        stations=[(rng.randrange(-90, 91), rng.randrange(-90, 91))
+                  for _ in range(4)],
+        demands=[rng.randrange(1, 6) for _ in range(8)],
+        capacity=10, battery=140, rate=1.0, fleet=4, name="golden8")
+    root = tmp_path_factory.mktemp("refine")
+    (root / "golden8.evrp").write_text(serialize_instance(inst))
+    codes = {}
+    with pytest.MonkeyPatch.context() as mp:
+        # relative paths keep the tmp directory out of the file header
+        mp.chdir(root)
+        for k in range(10):
+            perm = list(inst.customers)
+            rng.shuffle(perm)
+            routes = [[]]
+            load = 0.0
+            for c in perm:
+                if load + inst.demands[c] > inst.cargo_capacity:
+                    routes.append([])
+                    load = 0.0
+                routes[-1].append(c)
+                load += inst.demands[c]
+            (root / f"plan{k}.sol").write_text("".join(
+                ",".join(map(str, [0, *r, 0])) + "\n" for r in routes))
+            codes[k] = main(["refine", "golden8.evrp", f"plan{k}.sol",
+                             "--out", f"plan{k}.refined.sol"])
+    return root, inst, codes
+
+
+@pytest.mark.parametrize("plan", sorted(REFINE_GOLDEN))
+def test_refine_outputs_match_golden_digests(refine_runs, plan):
+    root, _, codes = refine_runs
+    refined = root / f"plan{plan}.refined.sol"
+    if REFINE_GOLDEN[plan] is None:
+        assert codes[plan] == 1 and not refined.exists()
+    else:
+        assert codes[plan] == 0 and digest(refined) == REFINE_GOLDEN[plan]
+
+
+def test_refine_golden_uses_station_pairs(refine_runs):
+    root, inst, _ = refine_runs
+    pairs = 0
+    for refined in root.glob("plan*.refined.sol"):
+        for line in refined.read_text().splitlines():
+            if line.startswith(("#", "COST")):
+                continue
+            nodes = [int(tok) for tok in line.split(",")]
+            pairs += sum(inst.is_station(a) and inst.is_station(b)
+                         for a, b in zip(nodes, nodes[1:]) if a and b)
+    assert pairs > 0

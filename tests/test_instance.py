@@ -11,6 +11,7 @@ from ecvrp.instance import (
     DuplicateNodeId,
     EvaluationBudget,
     InstanceError,
+    InstanceSpec,
     MissingSection,
     NonPositiveDemand,
     load_instance,
@@ -112,6 +113,26 @@ class TestParsing:
         with pytest.raises(InstanceError):
             parse_instance(text)
 
+    def test_no_customers_rejected(self):
+        with pytest.raises(InstanceError, match="no customers"):
+            parse_instance(file_text(n_customers=0, n_stations=1))
+
+    @pytest.mark.parametrize("old, new, where", [
+        ("\n2 3 2\n", "\n2 nan 2\n", "line 11"),
+        ("\n3 6 4\n", "\n3 6 -inf\n", "line 12"),
+        ("\n3 1\n", "\n3 inf\n", "line 19"),
+        ("CAPACITY: 10\n", "CAPACITY: nan\n", "header CAPACITY"),
+        ("ENERGY_CAPACITY: 50.0", "ENERGY_CAPACITY: inf",
+         "header ENERGY_CAPACITY"),
+        ("ENERGY_CONSUMPTION: 1.0", "ENERGY_CONSUMPTION: nan",
+         "header ENERGY_CONSUMPTION"),
+    ])
+    def test_non_finite_value_rejected(self, old, new, where):
+        text = file_text(mutate=lambda t: t.replace(old, new, 1))
+        assert new in text
+        with pytest.raises(InstanceError, match=where):
+            parse_instance(text)
+
     def test_round_trip(self):
         inst = parse_instance(file_text(n_customers=4, n_stations=2,
                                         demands=[3, 1, 4, 1]))
@@ -132,14 +153,6 @@ class TestDistanceOracle:
     def test_self_distance_zero(self):
         oracle = DistanceOracle([(2.0, 7.0), (3.0, 4.0)])
         assert oracle.matrix[1][1] == 0.0
-
-    def test_unmetered_view_shares_matrix(self):
-        budget = EvaluationBudget()
-        oracle = DistanceOracle([(0.0, 0.0), (3.0, 4.0)], budget)
-        free = oracle.unmetered()
-        assert free.budget is None
-        assert oracle.budget is budget
-        assert free.matrix is oracle.matrix
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.floats(-500, 500), st.floats(-500, 500)),
@@ -191,3 +204,34 @@ def test_distances_match_math_dist():
         for j in range(4):
             assert oracle.matrix[i][j] == pytest.approx(
                 math.dist(pts[i], pts[j]), abs=1e-12)
+
+
+class TestInstanceSpec:
+    def base(self, **changes):
+        fields = dict(name="spec", coords=((0.0, 0.0), (3.0, 4.0), (6.0, 0.0)),
+                      demands=(0.0, 1.0, 0.0), num_customers=1,
+                      num_stations=1, cargo_capacity=5.0,
+                      battery_capacity=50.0, consumption_rate=1.0,
+                      fleet_size=1)
+        fields.update(changes)
+        return InstanceSpec(**fields)
+
+    def test_valid(self):
+        assert self.base().pz == 3
+
+    def test_no_customers_rejected(self):
+        with pytest.raises(InstanceError, match="no customers"):
+            self.base(coords=((0.0, 0.0), (6.0, 0.0)), demands=(0.0, 0.0),
+                      num_customers=0)
+
+    @pytest.mark.parametrize("changes", [
+        {"coords": ((0.0, 0.0), (math.nan, 4.0), (6.0, 0.0))},
+        {"coords": ((0.0, 0.0), (3.0, 4.0), (6.0, math.inf))},
+        {"demands": (0.0, 1.0, math.nan)},
+        {"cargo_capacity": math.inf},
+        {"battery_capacity": math.inf},
+        {"consumption_rate": math.nan},
+    ])
+    def test_non_finite_value_rejected(self, changes):
+        with pytest.raises(InstanceError, match="finite"):
+            self.base(**changes)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ecvrp.charging import solve_exhaustive
 from ecvrp.instance import DistanceOracle
 from ecvrp.solution import (
     ChargingPlan,
@@ -39,10 +40,21 @@ class TestSurrogate:
         oracle = DistanceOracle.for_instance(quad_instance)
         assert surrogate_cost([[1, 2], [3, 4]], oracle) == pytest.approx(expected)
 
-    def test_budget_charged_per_arc(self, metered):
+    # pricing and checking sit outside search, so they read arcs for free
+    @pytest.mark.parametrize("call", [
+        lambda inst, oracle: surrogate_cost([[1, 2], [3, 4], []], oracle),
+        lambda inst, oracle: battery_feasible([0, 1, 5, 2, 0], inst, oracle),
+        lambda inst, oracle: total_cost(
+            [[1, 2], [3, 4], []], [[None, 5, None], [None] * 3, [None]],
+            oracle),
+        lambda inst, oracle: solve_exhaustive([[1, 2], [3, 4], []], inst,
+                                              oracle),
+    ], ids=["surrogate_cost", "battery_feasible", "total_cost",
+            "solve_exhaustive"])
+    def test_budget_left_uncharged(self, quad_instance, metered, call):
         oracle, budget = metered
-        surrogate_cost([[1, 2], [3, 4], []], oracle)
-        assert budget.arc_access_count == 6
+        call(quad_instance, oracle)
+        assert budget.arc_access_count == 0
 
 
 class TestUpperFeasible:
