@@ -11,8 +11,13 @@ lexicographic order would: the same subset and the same detour bits.
 This is the single-station, full-recharge case of the fixed-route
 vehicle charging problem (Montoya et al. 2017; Froger et al. 2019).
 solve_exhaustive() additionally ranges over every station and every
-ordered station pair per gap; it is reserved for final refinement and
-validation because it costs far more arc reads.
+ordered station pair per gap.  It is a depth-first branch-and-bound over
+the options of each gap: a battery relaxation, in which every stop leaves
+with a full battery, gives a lower bound on what the rest of a route can
+add to the detour, built once per route in O((lb + 2) * n^2) (_route_bounds),
+and a node is cut when its partial detour plus that bound cannot beat the
+best plan found.  The bound only cuts subtrees without a better leaf, so
+the result is that of the unpruned search, bit for bit.
 
 Only solve_se is metered: it runs during search, where the paper's budget
 counts every arc read.  solve_exhaustive runs after search, outside that
@@ -27,7 +32,9 @@ that at most two consecutive stops ever suffice.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -259,20 +266,69 @@ def solve_exhaustive(plan, inst: InstanceSpec,
     or any ordered pair of distinct stations, with per-route visits bounded
     to [lb, lb + 1].  Returns the global minimum-detour feasible plan.
 
-    Depth-first enumeration goes gap by gap in option order NIL, then
-    stations ascending, then pairs in lexicographic order, so among equal
-    detours the first configuration found is kept deterministically.
-    Branches are cut when the battery dies, when the visit bound cannot be
-    met, or when the partial detour already matches the best found.
+    Per route a depth-first search goes gap by gap in option order NIL,
+    then stations ascending, then pairs in lexicographic order, and a leaf
+    replaces the best plan only with a strictly smaller detour, so among
+    equal detours the first configuration found is kept.  Each option's
+    detour is summed as detour + leg in (+ hop) + leg out - direct, the
+    association solve_se uses.  enumeration_count is the number of times
+    the best plan was replaced, summed over routes.
+
+    It is a branch-and-bound: a node is cut when its partial detour plus a
+    lower bound on what the rest of the route adds is >= the best detour
+    found.  The bound is _route_bounds' battery relaxation, which treats
+    every stop as a full recharge.  Cutting a subtree that holds no leaf
+    < best cannot change the result: best only decreases, so none of its
+    leaves would ever have replaced the best plan, and the other leaves
+    are visited in the same order with the same floats.  So the slots,
+    the detour and surrogate bits and enumeration_count are those of the
+    plain depth-first search (tests/helpers.solve_exhaustive_dfs).
+
+    The bound is compared in floats, so it carries two allowances for
+    rounding, both multiples of an ulp (n gaps, R the route length):
+
+    Reach slack.  A node at gap g with charge c looks for its next stop
+    among the gaps k whose prefix sum satisfies prefix[k] <= prefix[g] +
+    c / rate + slack.  The search reaches node k only if each of its
+    m = k - g <= n steps c -= rate * d leaves c >= 0.  Each step rounds
+    twice, by at most ulp(full) / 2 each, since the charge stays in
+    [0, full].  So sum(d) <= c / rate + m ulp(full) / rate, and
+    ulp(full) / rate < 2 ulp(span), span = full / rate.  Each prefix is
+    off its exact value by at most n ulp(2 R) / 2, so prefix[k] -
+    prefix[g] overstates sum(d) by at most n ulp(2 R).  The test rounds
+    c / rate by ulp(span) / 2 and its two additions by ulp(2 (R + span))
+    / 2 each.  A slack of (3 n + 2) ulp(2 (R + span)) covers all of it.
+
+    Detour margin.  Let S be R plus ub times the longest hop plus twice
+    the longest leg between the route and a station, and u = ulp(2 S).  Every partial detour lies
+    within +-S, so every float operation on a detour rounds by at most
+    u / 2.  Below a node at most ub visits remain, each adding at most 3
+    operations to the search's sum, so a leaf's float detour is at least
+    the node's plus the exact increments, less 1.5 ub u.  The table's
+    value overstates the exact least increments by at most 2 u per stop
+    (3 operations for an increment and 1 to add it), 2 ub u in all.
+    Subtracting the margin and adding the node's detour round by u / 2
+    each.  With a margin of (4 ub + 2) u >= 3.5 ub u + u, detour + bound
+    >= best therefore implies that no leaf below the node has a detour
+    < best.
+
     It reads the matrix without charging the oracle's budget.
     """
     routes = plan.routes if isinstance(plan, RoutingPlan) else plan
     matrix = oracle.matrix
     rate = inst.consumption_rate
     full = inst.battery_capacity
+    span = full / rate
     stations = list(inst.stations)
-    n_sta = len(stations)
-    sta_sta = [[matrix[a][b] for b in stations] for a in stations]
+    first = 1 + inst.num_customers       # stations are the last node ids
+    sta_sta = [matrix[s][first:] for s in stations]
+    # per first station, the second stations a full battery reaches
+    hops = [[(wi, (stations[ui], stations[wi]), hop)
+             for wi, hop in enumerate(row)
+             if wi != ui and full - rate * hop >= 0.0]
+            for ui, row in enumerate(sta_sta)]
+    hop_min = min((h for row in hops for _, _, h in row), default=math.inf)
+    hop_max = max(map(max, sta_sta), default=0.0)
 
     slots_out: list[tuple[Slot, ...]] = []
     detour_total = 0.0
@@ -285,78 +341,159 @@ def solve_exhaustive(plan, inst: InstanceSpec,
         nodes = [0, *route, 0]
         n_gaps = len(nodes) - 1
         directs = [matrix[nodes[g]][nodes[g + 1]] for g in range(n_gaps)]
-        route_cost = 0.0
+        prefix = [0.0]
         for d in directs:
-            route_cost += d
+            prefix.append(prefix[-1] + d)
+        route_cost = prefix[-1]
         surrogate_total += route_cost
         lb = visits_lower_bound(route_cost, inst)
         ub = lb + 1
         if lb > 2 * n_gaps:
             return ChargingQueryResult(False, None, None, examined_total)
-        legs_in = [[matrix[u][s] for s in stations] for u in nodes[:-1]]
-        legs_out = [[matrix[s][w] for s in stations] for w in nodes[1:]]
+        # the matrix is exactly symmetric: row w holds the legs into w
+        legs_in = [matrix[u][first:] for u in nodes[:-1]]
+        legs_out = [matrix[w][first:] for w in nodes[1:]]
 
-        best: list = [None, None]   # [detour, slot assignment]
+        # The charge-independent half of every option.  singles[g] holds
+        # (station, leg in, rate * leg in, leg out, charge on leaving) in
+        # station order, for the stations whose onward leg a full battery
+        # covers: the others fail at every charge.  Pairs are listed the
+        # same way by _gap_pairs, the first time the search tries them at
+        # a gap.
+        rate_directs = [rate * d for d in directs]
+        onwards = []
+        singles = []
+        inc1 = []
+        inc2 = []
+        for f_in, f_out, direct in zip(legs_in, legs_out, directs):
+            onward = [full - rate * b for b in f_out]
+            onwards.append(onward)
+            singles.append([(s, a, rate * a, b, c) for s, a, b, c
+                            in zip(stations, f_in, f_out, onward) if c >= 0.0])
+            # the bounds may range over every station: that only weakens them
+            inc1.append(min(map(add, f_in, f_out), default=math.inf) - direct)
+            if ub >= 2:
+                inc2.append(min(f_in, default=math.inf) + hop_min
+                            + min(f_out, default=math.inf) - direct)
+        pairs: list = [None] * n_gaps
+
+        leg_max = max(map(max, legs_in + legs_out)) if stations else 0.0
+        scale = route_cost + ub * (2.0 * leg_max + hop_max)
+        reach_from, bound_rows, single_rows, pair_rows = _route_bounds(
+            prefix, inc1, inc2 or [math.inf] * n_gaps, lb, ub, span, scale)
+
+        best = math.inf
+        best_assign: list[Slot] = []
         assign: list[Slot] = [None] * n_gaps
         examined = 0
 
         def descend(g: int, visits: int, charge: float, detour: float) -> None:
-            nonlocal examined
-            if best[0] is not None and detour >= best[0]:
-                return
+            nonlocal best, best_assign, examined
             if g == n_gaps:
                 if visits >= lb:
                     examined += 1
-                    best[0] = detour
-                    best[1] = assign.copy()
+                    best = detour
+                    best_assign = assign.copy()
                 return
-            if visits + 2 * (n_gaps - g) < lb:
+            # the next stop lies before top, which is n_gaps + 1 when the
+            # charge may reach the end of the route
+            top = bisect_right(prefix, reach_from[g] + charge / rate, g)
+            if detour + min(bound_rows[visits][g:top]) >= best:
                 return
-            after_nil = charge - rate * directs[g]
-            if after_nil >= 0.0:
-                assign[g] = None
+            after_nil = charge - rate_directs[g]
+            if after_nil >= 0.0 and detour < best:
                 descend(g + 1, visits, after_nil, detour)
-            if visits < ub:
-                f_in = legs_in[g]
-                f_out = legs_out[g]
-                direct = directs[g]
-                for si in range(n_sta):
-                    arrive = charge - rate * f_in[si]
-                    if arrive < 0.0:
-                        continue
-                    onward = full - rate * f_out[si]
-                    if onward < 0.0:
-                        continue
-                    assign[g] = stations[si]
-                    descend(g + 1, visits + 1, onward,
-                            detour + f_in[si] + f_out[si] - direct)
-                if visits + 1 < ub:
-                    for ui in range(n_sta):
-                        arrive = charge - rate * f_in[ui]
-                        if arrive < 0.0:
-                            continue
-                        hop_row = sta_sta[ui]
-                        for wi in range(n_sta):
-                            if wi == ui:
-                                continue
-                            if full - rate * hop_row[wi] < 0.0:
-                                continue
-                            onward = full - rate * f_out[wi]
-                            if onward < 0.0:
-                                continue
-                            assign[g] = (stations[ui], stations[wi])
-                            descend(g + 1, visits + 2, onward,
-                                    detour + f_in[ui] + hop_row[wi]
-                                    + f_out[wi] - direct)
+            direct = directs[g]
+            if detour + single_rows[visits][g] < best:
+                for station, a, ra, b, onward in singles[g]:
+                    if charge - ra >= 0.0:
+                        value = detour + a + b - direct
+                        if value < best:
+                            assign[g] = station
+                            descend(g + 1, visits + 1, onward, value)
+            if detour + pair_rows[visits][g] < best:
+                gap_pairs = pairs[g]
+                if gap_pairs is None:
+                    gap_pairs = pairs[g] = _gap_pairs(
+                        legs_in[g], legs_out[g], onwards[g], hops, rate)
+                for ra, a, seconds in gap_pairs:
+                    if charge - ra >= 0.0:
+                        for slot, hop, b, onward in seconds:
+                            value = detour + a + hop + b - direct
+                            if value < best:
+                                assign[g] = slot
+                                descend(g + 1, visits + 2, onward, value)
             assign[g] = None
 
         descend(0, 0, full, 0.0)
         examined_total += examined
-        if best[0] is None:
+        if best == math.inf:
             return ChargingQueryResult(False, None, None, examined_total)
-        slots_out.append(tuple(best[1]))
-        detour_total += best[0]
+        slots_out.append(tuple(best_assign))
+        detour_total += best
 
     return ChargingQueryResult(
         True, ChargingPlan(tuple(slots_out)), detour_total, examined_total,
         surrogate_total)
+
+
+def _gap_pairs(f_in, f_out, onward, hops, rate: float) -> list:
+    """The station pairs of one gap in lexicographic order, grouped by
+    first station as (rate * leg in, leg in, [(slot, hop, leg out, charge
+    on leaving)]), keeping those whose hop and onward leg a full battery
+    covers."""
+    out = []
+    for ui, seconds in enumerate(hops):
+        kept = [(slot, hop, f_out[wi], onward[wi])
+                for wi, slot, hop in seconds if onward[wi] >= 0.0]
+        if kept:
+            out.append((rate * f_in[ui], f_in[ui], kept))
+    return out
+
+
+def _route_bounds(prefix, inc1, inc2, lb: int, ub: int, span: float,
+                  scale: float):
+    """Lower bounds for solve_exhaustive's search on one route.
+
+    prefix[k] is the float sum of the first k direct arcs, inc1[g] and
+    inc2[g] lower bounds on the detour a single station or a station pair
+    adds at gap g, span the driving range of a full battery and scale a
+    bound on every partial detour.
+
+    Returns (reach_from, bound_rows, single_rows, pair_rows).  A search
+    node at gap g with charge c can make its next stop only at gaps
+    g .. top - 1, top = bisect_right(prefix, reach_from[g] + c / rate, g),
+    where index n_gaps stands for the end of the route.  With v visits
+    made, single_rows[v][k] and pair_rows[v][k] bound from below what the
+    rest of the route adds to the detour when the next stop is a single
+    station or a pair at gap k, and bound_rows[v][k] is the smaller of the
+    two, or for k = n_gaps the bound for ending the route there.  The relaxation
+    behind them lets every stop leave with a full battery and ignores the
+    legs to and from the station when checking the charge.  The reach
+    slack and the detour margin are derived in solve_exhaustive.
+    """
+    n = len(inc1)
+    slack = (3 * n + 2) * math.ulp(2.0 * (prefix[-1] + span))
+    reach_from = [p + slack for p in prefix]
+    margin = (4 * ub + 2) * math.ulp(2.0 * scale)
+    full_top = [bisect_right(prefix, reach_from[g] + span, g)
+                for g in range(n + 1)]
+
+    # after1[k] and after2[k]: the least detour the rest of the route adds
+    # after a stop that leaves node k with v + 1 or v + 2 visits made
+    inf_row = [math.inf] * (n + 1)
+    after1 = after2 = inf_row
+    bound_rows = [inf_row] * (ub + 1)
+    single_rows = [inf_row] * (ub + 1)
+    pair_rows = [inf_row] * (ub + 1)
+    for v in range(ub, -1, -1):
+        singles = list(map(add, inc1, after1[1:]))
+        pairs = list(map(add, inc2, after2[1:]))
+        nxt = list(map(min, singles, pairs))
+        nxt.append(0.0 if v >= lb else math.inf)
+        single_rows[v] = [x - margin for x in singles]
+        pair_rows[v] = [x - margin for x in pairs]
+        bound_rows[v] = [x - margin for x in nxt]
+        after = [min(nxt[g:full_top[g]]) for g in range(n + 1)]
+        after1, after2 = after, after1
+    return reach_from, bound_rows, single_rows, pair_rows

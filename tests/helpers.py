@@ -13,7 +13,7 @@ from ecvrp.charging import (
 from ecvrp.instance import DistanceOracle
 from ecvrp.moves import ALL_OPERATORS, INTRA_ROUTE, Move, enumerate_positions
 from ecvrp.search import InstanceInfeasible
-from ecvrp.solution import ChargingPlan
+from ecvrp.solution import ChargingPlan, RoutingPlan
 
 from conftest import make_instance
 
@@ -247,4 +247,107 @@ def solve_se_enumeration(routes, inst, oracle, table):
 
     return ChargingQueryResult(
         True, ChargingPlan(tuple(slots_out)), detour_total, examined_product,
+        surrogate_total)
+
+
+def solve_exhaustive_dfs(plan, inst, oracle):
+    """Reference exhaustive follower by plain depth-first search: gap by
+    gap in option order NIL, then stations ascending, then pairs in
+    lexicographic order, cutting a branch only when the battery dies, the
+    visit bound cannot be met, or the partial detour already matches the
+    best found.  The oracle for solve_exhaustive, which must return the
+    same slots, detour and surrogate bits and enumeration_count."""
+    routes = plan.routes if isinstance(plan, RoutingPlan) else plan
+    matrix = oracle.matrix
+    rate = inst.consumption_rate
+    full = inst.battery_capacity
+    stations = list(inst.stations)
+    n_sta = len(stations)
+    sta_sta = [[matrix[a][b] for b in stations] for a in stations]
+
+    slots_out = []
+    detour_total = 0.0
+    surrogate_total = 0.0
+    examined_total = 0
+    for route in routes:
+        if not route:
+            slots_out.append((None,))
+            continue
+        nodes = [0, *route, 0]
+        n_gaps = len(nodes) - 1
+        directs = [matrix[nodes[g]][nodes[g + 1]] for g in range(n_gaps)]
+        route_cost = 0.0
+        for d in directs:
+            route_cost += d
+        surrogate_total += route_cost
+        lb = visits_lower_bound(route_cost, inst)
+        ub = lb + 1
+        if lb > 2 * n_gaps:
+            return ChargingQueryResult(False, None, None, examined_total)
+        legs_in = [[matrix[u][s] for s in stations] for u in nodes[:-1]]
+        legs_out = [[matrix[s][w] for s in stations] for w in nodes[1:]]
+
+        best = [None, None]   # [detour, slot assignment]
+        assign = [None] * n_gaps
+        examined = 0
+
+        def descend(g: int, visits: int, charge: float, detour: float) -> None:
+            nonlocal examined
+            if best[0] is not None and detour >= best[0]:
+                return
+            if g == n_gaps:
+                if visits >= lb:
+                    examined += 1
+                    best[0] = detour
+                    best[1] = assign.copy()
+                return
+            if visits + 2 * (n_gaps - g) < lb:
+                return
+            after_nil = charge - rate * directs[g]
+            if after_nil >= 0.0:
+                assign[g] = None
+                descend(g + 1, visits, after_nil, detour)
+            if visits < ub:
+                f_in = legs_in[g]
+                f_out = legs_out[g]
+                direct = directs[g]
+                for si in range(n_sta):
+                    arrive = charge - rate * f_in[si]
+                    if arrive < 0.0:
+                        continue
+                    onward = full - rate * f_out[si]
+                    if onward < 0.0:
+                        continue
+                    assign[g] = stations[si]
+                    descend(g + 1, visits + 1, onward,
+                            detour + f_in[si] + f_out[si] - direct)
+                if visits + 1 < ub:
+                    for ui in range(n_sta):
+                        arrive = charge - rate * f_in[ui]
+                        if arrive < 0.0:
+                            continue
+                        hop_row = sta_sta[ui]
+                        for wi in range(n_sta):
+                            if wi == ui:
+                                continue
+                            if full - rate * hop_row[wi] < 0.0:
+                                continue
+                            onward = full - rate * f_out[wi]
+                            if onward < 0.0:
+                                continue
+                            assign[g] = (stations[ui], stations[wi])
+                            descend(g + 1, visits + 2, onward,
+                                    detour + f_in[ui] + hop_row[wi]
+                                    + f_out[wi] - direct)
+            assign[g] = None
+
+        descend(0, 0, full, 0.0)
+        examined_total += examined
+        if best[0] is None:
+            return ChargingQueryResult(False, None, None, examined_total)
+        slots_out.append(tuple(best[1]))
+        detour_total += best[0]
+
+    return ChargingQueryResult(
+        True, ChargingPlan(tuple(slots_out)), detour_total, examined_total,
         surrogate_total)

@@ -1,11 +1,13 @@
 import math
 import random
+from bisect import bisect_right
 from itertools import combinations
 
 import pytest
 
 from ecvrp.charging import (
     BudgetExhausted,
+    _route_bounds,
     build_best_station_table,
     solve_exhaustive,
     solve_se,
@@ -14,7 +16,12 @@ from ecvrp.charging import (
 from ecvrp.instance import DistanceOracle, EvaluationBudget
 from ecvrp.solution import battery_feasible, expand_route, surrogate_cost
 from conftest import make_instance
-from helpers import disc_point, random_feasible_plan, solve_se_enumeration
+from helpers import (
+    disc_point,
+    random_feasible_plan,
+    solve_exhaustive_dfs,
+    solve_se_enumeration,
+)
 
 
 def sim_ok(expanded, inst):
@@ -356,6 +363,24 @@ def tie_grid(rng):
                          fleet=4)
 
 
+def sweep_route(rng, inst, oracle, sizes):
+    """A sweep sector in nearest-neighbour order, like a real route,
+    lengthened by a few random swaps."""
+    by_angle = sorted(inst.customers, key=lambda c: math.atan2(
+        inst.coords[c][1], inst.coords[c][0]))
+    start = rng.randrange(len(by_angle))
+    left = set((by_angle * 2)[start:start + rng.randrange(*sizes)])
+    route, here = [], 0
+    while left:
+        here = min(left, key=lambda c: (oracle.matrix[here][c], c))
+        route.append(here)
+        left.remove(here)
+    for _ in range(rng.randrange(3)):
+        i, j = rng.sample(range(len(route)), 2)
+        route[i], route[j] = route[j], route[i]
+    return route
+
+
 def se_fingerprint(result):
     """Everything the follower returns, floats compared by their bits."""
     return (result.feasible,
@@ -401,23 +426,10 @@ class TestSeMatchesEnumeration:
         inst = x143_like(rng)
         oracle = DistanceOracle.for_instance(inst)
         table = build_best_station_table(inst, oracle)
-        by_angle = sorted(inst.customers, key=lambda c: math.atan2(
-            inst.coords[c][1], inst.coords[c][0]))
         feasible = 0
         for _ in range(20):
-            # a sweep sector in nearest-neighbour order, like a real route,
-            # lengthened by a few random swaps to need up to 3 recharges
-            start = rng.randrange(len(by_angle))
-            left = set((by_angle * 2)[start:start + rng.randrange(15, 21)])
-            route, here = [], 0
-            while left:
-                here = min(left, key=lambda c: (oracle.matrix[here][c], c))
-                route.append(here)
-                left.remove(here)
-            for _ in range(rng.randrange(3)):
-                i, j = rng.sample(range(len(route)), 2)
-                route[i], route[j] = route[j], route[i]
-            plan = [route]
+            # the swaps make routes need up to 3 recharges
+            plan = [sweep_route(rng, inst, oracle, (15, 21))]
             se = solve_se(plan, inst, oracle, table)
             feasible += se.feasible
             assert se_fingerprint(se) == se_fingerprint(
@@ -440,3 +452,111 @@ class TestSeMatchesEnumeration:
         assert se.plan.slots == ((None, 14, 16, None, 14, 14, None, None),)
         assert se_fingerprint(se) == se_fingerprint(
             solve_se_enumeration(plan, inst, oracle, table))
+
+
+class TestExhaustiveMatchesDfs:
+    """solve_exhaustive's branch-and-bound must return exactly what the
+    plain depth-first search returns: feasibility, slots, detour and
+    surrogate bits and enumeration_count."""
+
+    @pytest.mark.parametrize("recipe,instances,plans,max_len", [
+        (x143_like, 3, 100, 8),
+        (e22_like, 10, 60, 8),
+        (tie_grid, 80, 20, 7),
+    ])
+    def test_random_plans(self, recipe, instances, plans, max_len):
+        # short routes: the depth-first oracle is exponential in their length
+        rng = random.Random(recipe.__name__ + "/exhaustive")
+        for _ in range(instances):
+            inst = recipe(rng)
+            oracle = DistanceOracle.for_instance(inst)
+            for _ in range(plans):
+                customers = rng.sample(
+                    list(inst.customers),
+                    min(rng.randrange(2, 2 * max_len + 1), inst.num_customers))
+                cut = rng.randrange(1, min(max_len, len(customers)) + 1)
+                plan = [customers[:cut]] if rng.random() < 0.6 else \
+                    [customers[:cut], customers[cut:cut + max_len]]
+                assert se_fingerprint(solve_exhaustive(plan, inst, oracle)) \
+                    == se_fingerprint(
+                        solve_exhaustive_dfs(plan, inst, oracle)), plan
+
+    def test_long_x143_routes(self):
+        # 20 routes that need 2 or 3 recharges, where the pair branch is
+        # open and the bound cuts most of the tree
+        rng = random.Random("exhaustive/x143")
+        inst = x143_like(rng)
+        oracle = DistanceOracle.for_instance(inst)
+        lbs, feasible = [], 0
+        while len(lbs) < 20:
+            route = sweep_route(rng, inst, oracle, (14, 20))
+            lb = visits_lower_bound(surrogate_cost([route], oracle), inst)
+            if lb not in (2, 3):
+                continue
+            lbs.append(lb)
+            plan = [route]
+            result = solve_exhaustive(plan, inst, oracle)
+            feasible += result.feasible
+            assert se_fingerprint(result) == se_fingerprint(
+                solve_exhaustive_dfs(plan, inst, oracle)), plan
+        assert lbs.count(3) >= 5 and 10 <= feasible < 20, (lbs, feasible)
+
+    def test_pair_below_twice_the_best_single(self):
+        # The best plan stops at a station pair in gap 2 whose detour (about
+        # 6.41) is below twice the gap's cheapest single stop (about 7.06):
+        # a pair bound of twice the single one would cut it off.
+        customers = [(0, -4), (1, 0), (2, 1), (-1, 2), (0, -2), (2, 1),
+                     (-2, 1), (-4, -2), (1, -1), (3, 2), (1, 3), (3, -1)]
+        stations = [(3, 0), (0, 4), (-4, -1), (0, -4), (3, 0), (0, 4)]
+        inst = make_instance(customers=customers, stations=stations,
+                             battery=8, rate=1.0, fleet=4)
+        oracle = DistanceOracle.for_instance(inst)
+        plan = [[8, 4, 2, 5, 9]]
+        result = solve_exhaustive(plan, inst, oracle)
+        assert result.plan.slots == ((None, 15, (14, 13), None, None, None),)
+        assert se_fingerprint(result) == se_fingerprint(
+            solve_exhaustive_dfs(plan, inst, oracle))
+
+    @pytest.mark.parametrize("battery", [1000, 30])
+    def test_without_stations(self, battery):
+        inst = make_instance(customers=[(10, 0), (0, 10)], stations=[],
+                             battery=battery, rate=1.0, fleet=2)
+        oracle = DistanceOracle.for_instance(inst)
+        plan = [[1, 2], [1]]
+        result = solve_exhaustive(plan, inst, oracle)
+        assert result.feasible == (battery == 1000)
+        assert se_fingerprint(result) == se_fingerprint(
+            solve_exhaustive_dfs(plan, inst, oracle))
+
+
+class TestReachWindow:
+    def test_window_covers_every_node_the_charge_reaches(self):
+        # A battery equal to the route's own consumption, give or take an
+        # ulp, sits where the gap-by-gap charge and the prefix sums round
+        # apart: the slack must keep every node the search reaches inside
+        # the window of stops the bound looks at.
+        rng = random.Random("reach")
+        on_edge = 0
+        for _ in range(2000):
+            points = [(0, 0)] + [(rng.randrange(-9, 10), rng.randrange(-9, 10))
+                                 for _ in range(3)]
+            directs = [math.dist(p, q) for p, q in zip(points, points[1:])]
+            rate = rng.choice([0.5, 0.7, 1.0, 1.2, 1.5])
+            prefix = [0.0]
+            for d in directs:
+                prefix.append(prefix[-1] + d)
+            need = prefix[-1] * rate
+            full = rng.choice([need, math.nextafter(need, 0.0),
+                               math.nextafter(need, math.inf)])
+            no_stops = [math.inf] * len(directs)
+            reach_from = _route_bounds(prefix, no_stops, no_stops, 0, 1,
+                                       full / rate, 1.0)[0]
+            # the search's own battery walk from the depot, no stops
+            charge, reached = full, 0
+            while reached < len(directs) and \
+                    charge - rate * directs[reached] >= 0.0:
+                charge -= rate * directs[reached]
+                reached += 1
+            assert reached < bisect_right(prefix, reach_from[0] + full / rate)
+            on_edge += reached >= bisect_right(prefix, full / rate)
+        assert on_edge >= 20
