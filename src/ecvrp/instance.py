@@ -283,8 +283,8 @@ def parse_instance(text: str) -> InstanceSpec:
     if depot_id is None:
         raise MissingSection("DEPOT_SECTION is missing")
 
-    dimension = int(headers["DIMENSION"])
-    n_stations = int(headers["STATIONS"])
+    dimension = _int_header(headers, "DIMENSION")
+    n_stations = _int_header(headers, "STATIONS")
     if n_stations > 0 and not station_ids:
         raise MissingSection("STATIONS_COORD_SECTION is missing")
     if len(station_ids) != n_stations:
@@ -318,6 +318,7 @@ def parse_instance(text: str) -> InstanceSpec:
 
     cargo, battery, rate = (_finite_header(headers, key) for key in (
         "CAPACITY", "ENERGY_CAPACITY", "ENERGY_CONSUMPTION"))
+    fleet = _int_header(headers, "VEHICLES")
     for cid in customer_ids:
         if cid not in demands:
             raise MissingSection(f"customer {cid} missing from DEMAND_SECTION")
@@ -342,11 +343,19 @@ def parse_instance(text: str) -> InstanceSpec:
         cargo_capacity=cargo,
         battery_capacity=battery,
         consumption_rate=rate,
-        fleet_size=int(headers["VEHICLES"]),
-        upper_bound=float(headers["OPTIMAL_VALUE"])
+        fleet_size=fleet,
+        upper_bound=_finite_header(headers, "OPTIMAL_VALUE")
         if "OPTIMAL_VALUE" in headers else None,
         original_ids=tuple(ordered),
     )
+
+
+def _int_header(headers: dict[str, str], key: str) -> int:
+    try:
+        return int(headers[key])
+    except ValueError as exc:
+        raise InstanceError(f"header {key}: cannot parse "
+                            f"{headers[key]!r} as an integer") from exc
 
 
 def _finite_header(headers: dict[str, str], key: str) -> float:

@@ -10,8 +10,9 @@ cycles ago (the history list).  The cheap charging solver is invoked
 only when the current surrogate comes within the follower threshold of
 the best surrogate seen, and the incumbent keeps the best full cost
 found anywhere.  When progress stalls the run restarts from a fresh
-tour, keeping the incumbent.  On termination the exhaustive charging
-solver polishes the incumbent.
+tour, keeping the incumbent, unless the stalled cycle's exploration read
+no arc at all: then the plan has no neighbour and the run stops.  On
+termination the exhaustive charging solver polishes the incumbent.
 
 Everything stochastic draws from one seeded generator in program order,
 so a (instance, params, budget) triple fully determines the outcome.
@@ -915,6 +916,7 @@ class _Engine(PlanState):
                        for _ in range(history_len)]
             slot = history_len - 1
             iteration = 0
+            explore_start = budget.arc_access_count
 
             while True:
                 phi_before = self.phi
@@ -953,6 +955,11 @@ class _Engine(PlanState):
                     break
 
             if budget.arc_access_count >= self.arc_limit or budget.exceeded():
+                break
+            if budget.arc_access_count == explore_start:
+                # a whole cycle read no arc: every scan found an empty
+                # candidate range, so the plan has no neighbour and each
+                # restart would rebuild it for a handful of arcs
                 break
 
         # final refinement of the incumbent with the exhaustive follower

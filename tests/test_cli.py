@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -248,6 +249,43 @@ class TestMalformedInstance:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert "finite" in captured.err
+
+
+    @pytest.mark.parametrize("old, new", [
+        ("DIMENSION: 4", "DIMENSION: two"),
+        ("VEHICLES: 2", "VEHICLES: 1.5"),
+    ])
+    def test_unparsable_integer_header_is_one_line_error(
+            self, tiny_file, tmp_path, capsys, old, new):
+        text = tiny_file.read_text()
+        assert old in text
+        tiny_file.write_text(text.replace(old, new, 1))
+        assert run_cli("solve", tiny_file, "--out", tmp_path / "runs") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        header = old.split(":")[0]
+        assert captured.err == (f"error: header {header}: cannot parse "
+                                f"{new.split(': ')[1]!r} as an integer\n")
+
+
+class TestOneRoute:
+    def test_single_customer_solve_stops(self, tmp_path, capsys):
+        # one customer, one vehicle: no operator has a candidate, so the
+        # run must stop after one converged cycle instead of restarting
+        # until the default budget of 25,000 * pz^2 arcs is spent
+        inst = make_instance(customers=[(10, 0)], stations=[(5, 5)],
+                             battery=100, rate=1.0, fleet=1, name="one")
+        path = tmp_path / "one.evrp"
+        path.write_text(serialize_instance(inst))
+        out = tmp_path / "runs"
+        start = time.perf_counter()
+        assert run_cli("solve", path, "--out", out) == 0
+        assert time.perf_counter() - start < 10.0
+        assert "F=20.00" in capsys.readouterr().out
+        events = [line.rsplit(",", 1)[1] for line in
+                  (out / "one_seed1.trace.csv").read_text().splitlines()[1:]]
+        assert events.count("converged") == 1
+        assert "restart" not in events
 
 
 class TestRefine:

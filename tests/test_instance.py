@@ -133,6 +133,18 @@ class TestParsing:
         with pytest.raises(InstanceError, match=where):
             parse_instance(text)
 
+    @pytest.mark.parametrize("old, new, where", [
+        ("DIMENSION: 4", "DIMENSION: two", "header DIMENSION"),
+        ("STATIONS: 2", "STATIONS: 2.0", "header STATIONS"),
+        ("VEHICLES: 2", "VEHICLES: 1.5", "header VEHICLES"),
+        ("TYPE: EVRP", "OPTIMAL_VALUE: n/a", "header OPTIMAL_VALUE"),
+    ])
+    def test_unparsable_header_named(self, old, new, where):
+        text = file_text(mutate=lambda t: t.replace(old, new, 1))
+        assert new in text
+        with pytest.raises(InstanceError, match=where):
+            parse_instance(text)
+
     def test_round_trip(self):
         inst = parse_instance(file_text(n_customers=4, n_stations=2,
                                         demands=[3, 1, 4, 1]))
