@@ -250,7 +250,6 @@ class TestMalformedInstance:
         assert captured.err.count("\n") == 1
         assert "finite" in captured.err
 
-
     @pytest.mark.parametrize("old, new", [
         ("DIMENSION: 4", "DIMENSION: two"),
         ("VEHICLES: 2", "VEHICLES: 1.5"),

@@ -4,15 +4,14 @@
 Examples are derandomized, so every run draws the same inputs.
 """
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecvrp.instance import InstanceError, parse_instance, serialize_instance
 from ecvrp.solution import parse_solution_file, split_expanded_route
 from conftest import make_instance
 
-FUZZ = settings(max_examples=250, derandomize=True, deadline=None,
-                suppress_health_check=[HealthCheck.too_slow])
+FUZZ = settings(max_examples=250, derandomize=True, deadline=None)
 
 BASE_INSTANCE = """NAME: fuzz
 TYPE: EVRP
