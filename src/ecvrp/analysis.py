@@ -126,7 +126,7 @@ def brute_force_optimum(inst: InstanceSpec,
 
     routes = [list(entry[1]) for entry in best_blocks]
     slots = [entry[2] for entry in best_blocks]
-    while len(routes) < inst.fleet_size:
+    while len(routes) < inst.route_slots:
         routes.append([])
         slots.append((None,))
     detour = sum(entry[3] for entry in best_blocks)

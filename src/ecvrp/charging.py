@@ -81,8 +81,10 @@ def build_best_station_table(inst: InstanceSpec,
 def visits_lower_bound(route_cost: float, inst: InstanceSpec) -> int:
     """Minimum station visits needed by a route of surrogate cost
     route_cost: its length divided by the full-charge driving range,
-    rounded down."""
-    return math.floor(route_cost * inst.consumption_rate / inst.battery_capacity)
+    rounded down.  A ratio that overflows is capped at 2**53, far beyond
+    any route's gaps, so such a route stays infeasible."""
+    visits = route_cost * inst.consumption_rate / inst.battery_capacity
+    return math.floor(min(visits, 2.0 ** 53))
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,8 @@ class ChargingQueryResult:
 
 
 def solve_se(plan, inst: InstanceSpec, oracle: DistanceOracle,
-             table: BestStationTable) -> ChargingQueryResult:
+             table: BestStationTable, memo: dict | None = None
+             ) -> ChargingQueryResult:
     """Simple-enumeration follower: at most one station per gap, station
     fixed to the gap's best detour station.
 
@@ -112,61 +115,93 @@ def solve_se(plan, inst: InstanceSpec, oracle: DistanceOracle,
     product over routes of C(n, lb) + C(n, lb+1), the size of the
     restricted configuration space, cut off at the first infeasible route.
 
+    For a fixed instance and table a route's result depends only on its
+    customer sequence.  memo maps the routes of the previous call, as
+    tuples, to their results (_price_route); a route found there is not
+    priced again, and the call leaves in memo the routes it priced or
+    reused, and nothing else.  Totals are still summed route by route in
+    plan order, so a reused result changes no bit of the return value.
+    Pass the same dict to successive calls on one instance and table;
+    without one, every route is priced.
+
     It charges the oracle's budget, when there is one, 3 arcs per gap
-    (direct arc and both station legs) and raises BudgetExhausted before a
-    gap once that budget is exceeded.
+    (direct arc and both station legs), for reused routes too, and raises
+    BudgetExhausted before a gap once that budget is exceeded.
     """
     routes = plan.routes if isinstance(plan, RoutingPlan) else plan
     budget = oracle.budget
-    matrix = oracle.matrix
-    rate = inst.consumption_rate
-    full = inst.battery_capacity
+    if memo is None:
+        memo = {}
+    priced = {}
 
     slots_out: list[tuple[Slot, ...]] = []
     detour_total = 0.0
     surrogate_total = 0.0
     examined_product = 1
+    feasible = True
     for route in routes:
         if not route:
             slots_out.append((None,))
             continue
-        nodes = [0, *route, 0]
-        n_gaps = len(route) + 1
-
-        directs = []
-        legs_in = []
-        legs_out = []
-        for g in range(n_gaps):
-            u, w = nodes[g], nodes[g + 1]
-            station = table.station_for[u][w]
-            if budget is not None:
+        if budget is not None:
+            for _ in range(len(route) + 1):
                 if budget.exceeded():
                     raise BudgetExhausted
                 budget.arc_access_count += 3
-            directs.append(matrix[u][w])
-            legs_in.append(matrix[u][station])
-            legs_out.append(matrix[station][w])
-
-        route_cost = 0.0
-        for d in directs:
-            route_cost += d
+        key = tuple(route)
+        entry = memo.get(key)
+        if entry is None:
+            entry = _price_route(key, inst, oracle.matrix, table)
+        priced[key] = entry
+        route_cost, size, detour, slots = entry
         surrogate_total += route_cost
-        lb = visits_lower_bound(route_cost, inst)
+        examined_product *= size
+        if slots is None:
+            feasible = False
+            break
+        slots_out.append(slots)
+        detour_total += detour
 
-        examined_product *= math.comb(n_gaps, lb) + math.comb(n_gaps, lb + 1)
-        best = _best_gap_subset(directs, legs_in, legs_out, lb, rate, full)
-        if best is None:
-            return ChargingQueryResult(False, None, None, examined_product)
-        best_f, best_combo = best
-        chosen = set(best_combo)
-        slots_out.append(tuple(
-            table.station_for[nodes[g]][nodes[g + 1]] if g in chosen else None
-            for g in range(n_gaps)))
-        detour_total += best_f
-
+    memo.clear()
+    memo.update(priced)
+    if not feasible:
+        return ChargingQueryResult(False, None, None, examined_product)
     return ChargingQueryResult(
         True, ChargingPlan(tuple(slots_out)), detour_total, examined_product,
         surrogate_total)
+
+
+def _price_route(route: tuple, inst: InstanceSpec, matrix,
+                 table: BestStationTable) -> tuple:
+    """solve_se's result for one non-empty route: (route cost, C(n, lb) +
+    C(n, lb + 1), detour, slots), with detour and slots None when no
+    subset is feasible."""
+    nodes = [0, *route, 0]
+    n_gaps = len(nodes) - 1
+    directs = []
+    legs_in = []
+    legs_out = []
+    for g in range(n_gaps):
+        u, w = nodes[g], nodes[g + 1]
+        station = table.station_for[u][w]
+        directs.append(matrix[u][w])
+        legs_in.append(matrix[u][station])
+        legs_out.append(matrix[station][w])
+
+    route_cost = 0.0
+    for d in directs:
+        route_cost += d
+    lb = visits_lower_bound(route_cost, inst)
+    size = math.comb(n_gaps, lb) + math.comb(n_gaps, lb + 1)
+    best = _best_gap_subset(directs, legs_in, legs_out, lb,
+                            inst.consumption_rate, inst.battery_capacity)
+    if best is None:
+        return route_cost, size, None, None
+    best_f, best_combo = best
+    chosen = set(best_combo)
+    return route_cost, size, best_f, tuple(
+        table.station_for[nodes[g]][nodes[g + 1]] if g in chosen else None
+        for g in range(n_gaps))
 
 
 def _best_gap_subset(directs, legs_in, legs_out, lb: int, rate: float,

@@ -107,10 +107,14 @@ class RunReport:
 
 
 def parse_seeds(spec: str) -> tuple[int, ...]:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(tok) for tok in spec.split(",") if tok)
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..", 1)
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(tok) for tok in spec.split(",") if tok)
+    except ValueError:
+        raise ValueError(f"--seeds {spec!r}: expected a..b or a comma list "
+                         "of integers") from None
 
 
 def _make_budget(inst: InstanceSpec, config: RunConfig) -> EvaluationBudget:
@@ -165,8 +169,8 @@ def worker_count(raw: str | None, n_jobs: int) -> int:
     return min(requested, n_jobs, os.cpu_count() or 1)
 
 
-def run_config(config: RunConfig, workers: int = 1) -> RunReport:
-    inst = load_instance(config.instance_path)
+def run_config(inst: InstanceSpec, config: RunConfig,
+               workers: int = 1) -> RunReport:
     jobs = [(inst, config, seed) for seed in config.seeds]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -177,8 +181,9 @@ def run_config(config: RunConfig, workers: int = 1) -> RunReport:
 
 
 def write_report(report: RunReport, config: RunConfig) -> Path:
+    """Write the per-seed files and the report into config.out_dir, which
+    must exist."""
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     stem = Path(config.instance_path).stem
     for r in report.results:
         (out / f"{stem}_seed{r.seed}.sol").write_text(r.solution_text)
@@ -205,11 +210,14 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        report = run_config(config, workers)
-    except (InstanceError, FileNotFoundError, SearchError, ValueError) as exc:
+        inst = load_instance(config.instance_path)
+        # a bad --out fails here, not after the search
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+        report = run_config(inst, config, workers)
+        path = write_report(report, config)
+    except (InstanceError, OSError, SearchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    path = write_report(report, config)
     for r in report.results:
         print(f"seed {r.seed}: F={r.best_cost:.2f} arcs={r.arc_accesses} "
               f"restarts={r.restarts} time={r.runtime:.1f}s")
@@ -227,7 +235,7 @@ def _load_solution(inst, path):
         route, slots = split_expanded_route(expanded, inst)
         plan.append(route)
         slot_lists.append(slots)
-    while len(plan) < inst.fleet_size:
+    while len(plan) < inst.route_slots:
         plan.append([])
         slot_lists.append([None])
     return plan, slot_lists, reported
@@ -237,7 +245,7 @@ def cmd_validate(args) -> int:
     try:
         inst = load_instance(args.instance)
         plan, slot_lists, reported = _load_solution(inst, args.solution)
-    except (InstanceError, ValueError, FileNotFoundError) as exc:
+    except (InstanceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     oracle = DistanceOracle.for_instance(inst)
@@ -266,7 +274,7 @@ def cmd_refine(args) -> int:
     try:
         inst = load_instance(args.instance)
         plan, slot_lists, _ = _load_solution(inst, args.solution)
-    except (InstanceError, ValueError, FileNotFoundError) as exc:
+    except (InstanceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     oracle = DistanceOracle.for_instance(inst)
@@ -282,8 +290,12 @@ def cmd_refine(args) -> int:
         return 1
     solution = evaluate_solution(plan, result.plan, oracle)
     out_path = Path(args.out) if args.out else Path(args.solution)
-    out_path.write_text(format_solution(
-        solution, [f"ecvrp {__version__} refined from {args.solution}"]))
+    try:
+        out_path.write_text(format_solution(
+            solution, [f"ecvrp {__version__} refined from {args.solution}"]))
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"f {old_detour:.2f} -> {solution.detour_cost:.2f} "
           f"(F {old_total:.2f} -> {solution.total_cost:.2f})")
     print(f"wrote {out_path}")
@@ -291,27 +303,23 @@ def cmd_refine(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    header = "instance,n_samples,tau_b,recall_1,recall_5,recall_10,recall_20"
     try:
         config = _config_from_args(args)
         inst = load_instance(config.instance_path)
-    except (InstanceError, FileNotFoundError, ValueError) as exc:
+        budget = _make_budget(inst, config)
+        out = Path(config.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        pairs, _ = collect_pairs(
+            inst, replace(config.params, seed=config.seeds[0]), budget)
+        stem = Path(config.instance_path).stem
+        (out / f"{stem}_pairs.csv").write_text(pairs_to_csv(pairs))
+        row = correlation_report_row(inst.name, pairs)
+        line = ",".join(str(row[k]) for k in header.split(","))
+        (out / f"{stem}_analysis.csv").write_text(header + "\n" + line + "\n")
+    except (InstanceError, OSError, SearchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    params = replace(config.params, seed=config.seeds[0])
-    budget = _make_budget(inst, config)
-    try:
-        pairs, _ = collect_pairs(inst, params, budget)
-    except SearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    stem = Path(config.instance_path).stem
-    (out / f"{stem}_pairs.csv").write_text(pairs_to_csv(pairs))
-    row = correlation_report_row(inst.name, pairs)
-    header = "instance,n_samples,tau_b,recall_1,recall_5,recall_10,recall_20"
-    line = ",".join(str(row[k]) for k in header.split(","))
-    (out / f"{stem}_analysis.csv").write_text(header + "\n" + line + "\n")
     print(header)
     print(line)
     return 0
@@ -321,8 +329,7 @@ def cmd_oracle(args) -> int:
     try:
         inst = load_instance(args.instance)
         solution = brute_force_optimum(inst)
-    except (InstanceError, InstanceTooLarge, SearchError,
-            FileNotFoundError) as exc:
+    except (InstanceError, InstanceTooLarge, SearchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(format_solution(solution, [f"ecvrp {__version__} exact oracle"]),

@@ -81,6 +81,13 @@ class InstanceSpec:
         if not all(map(math.isfinite, values)):
             raise InstanceError("coordinates, demands, capacities and the "
                                 "consumption rate must be finite")
+        # no pair lies farther apart than the bounding box's corners, so
+        # every distance is finite when its diagonal is
+        xs, ys = zip(*self.coords)
+        dx, dy = max(xs) - min(xs), max(ys) - min(ys)
+        if not math.isfinite(dx * dx + dy * dy):
+            raise InstanceError("coordinates lie too far apart: distances "
+                                "overflow")
         if self.cargo_capacity <= 0 or self.battery_capacity <= 0:
             raise InstanceError("capacities must be positive")
         if self.consumption_rate <= 0:
@@ -99,6 +106,14 @@ class InstanceSpec:
     @property
     def pz(self) -> int:
         return 1 + self.num_customers + self.num_stations
+
+    @property
+    def route_slots(self) -> int:
+        """Route slots a plan needs: the fleet, but at most one more than
+        the customers.  No plan fills more than n routes, so n + 1 slots
+        always leave an empty one for a new route, and a huge VEHICLES
+        header costs nothing."""
+        return min(self.fleet_size, self.num_customers + 1)
 
     @property
     def customers(self) -> range:
@@ -181,8 +196,8 @@ def max_evals_budget(inst: InstanceSpec) -> EvaluationBudget:
 
 def max_time_budget(inst: InstanceSpec, omega: float) -> float:
     """Wall-clock allowance in hours: omega * (customers + stations) / 100."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be positive and finite, not {omega!r}")
     return omega * (inst.num_customers + inst.num_stations) / 100.0
 
 

@@ -115,14 +115,15 @@ class SearchTrace:
 
 def split_giant_tour(perm, inst: InstanceSpec, oracle: DistanceOracle):
     """Cut a customer permutation into at most fleet_size contiguous routes
-    of minimum total surrogate cost (shortest path over segment ends).
+    of minimum total surrogate cost (shortest path over segment ends),
+    padded with empty routes to inst.route_slots.
 
     Raises InstanceInfeasible when no capacity-feasible cut into fleet_size
     segments exists.  Charges the budget for the depot legs and the
     consecutive arcs of the tour, read once each.
     """
     n = len(perm)
-    fleet = inst.fleet_size
+    fleet = inst.route_slots     # a segment holds a customer: no row above n
     matrix = oracle.matrix
     budget = oracle.budget
     if budget is not None:
@@ -659,7 +660,7 @@ class _Engine(PlanState):
         self.oracle = oracle if oracle is not None \
             else DistanceOracle.for_instance(inst, budget)
         super().__init__(
-            [[] for _ in range(inst.fleet_size)], self.oracle.matrix,
+            [[] for _ in range(inst.route_slots)], self.oracle.matrix,
             list(inst.demands), inst.cargo_capacity, budget,
             budget.max_arc_accesses if budget.max_arc_accesses is not None
             else math.inf)
@@ -674,6 +675,7 @@ class _Engine(PlanState):
         self.trace_full = trace_level == "full"
         self.hooks = hooks or {}
         self.table = None           # built lazily, never charged: shared data
+        self.se_memo = {}           # solve_se's routes of its previous call
         self.gamma = 0.0 if toggles.gamma_zero else params.follower_threshold
         self.explore_ops = list(range(7)) if toggles.no_m8 else list(range(8))
         self.iteration = 0
@@ -686,7 +688,7 @@ class _Engine(PlanState):
         budget = self.budget
         matrix = self.matrix
         routes = [list(r) for r in routes]
-        while len(routes) < self.inst.fleet_size:
+        while len(routes) < self.inst.route_slots:
             routes.append([])
         self.set_routes(routes)
         phi = 0.0
@@ -716,7 +718,7 @@ class _Engine(PlanState):
         operators, shuffled each outer pass, until no operator improves."""
         rng = self.rng
         ops = [M1, M2, M3, M4, M5, M6, M7]
-        fleet = self.inst.fleet_size
+        fleet = len(self.routes)
         budget = self.budget
         limit = self.arc_limit
         while True:
@@ -834,7 +836,7 @@ class _Engine(PlanState):
         full cost improves on the incumbent.  False when the meter died."""
         try:
             result = solve_se(self.routes, self.inst, self.oracle,
-                              self._ensure_table())
+                              self._ensure_table(), self.se_memo)
         except BudgetExhausted:
             return False
         hook = self.hooks.get("on_follower")

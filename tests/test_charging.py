@@ -78,6 +78,12 @@ class TestMinVisits:
         assert visits_lower_bound(100.0, inst) == 0
         assert visits_lower_bound(200.0, inst) == 1
 
+    def test_overflowing_ratio_is_capped(self):
+        # 1e300 / 1e-300 overflows to inf, which has no floor
+        inst = make_instance(customers=[(1, 0)], stations=[(9, 9)],
+                             battery=1e-300, rate=1.0)
+        assert visits_lower_bound(1e300, inst) == 2 ** 53
+
 
 class TestBestStationTable:
     def test_picks_smaller_detour(self):
@@ -452,6 +458,79 @@ class TestSeMatchesEnumeration:
         assert se.plan.slots == ((None, 14, 16, None, 14, 14, None, None),)
         assert se_fingerprint(se) == se_fingerprint(
             solve_se_enumeration(plan, inst, oracle, table))
+
+
+def edit_plan(rng, plan):
+    """plan with 0, 1 or 2 of its routes edited, the way accepted moves
+    edit them: a swap or a segment reversal inside a route, or one
+    customer moved between two routes."""
+    plan = [list(r) for r in plan]
+    edits = rng.choice([0, 1, 2])
+    picked = rng.sample(range(len(plan)), edits)
+    if edits == 2 and len(plan[picked[0]]) > 1 and rng.random() < 0.5:
+        source, dest = picked
+        plan[dest].insert(rng.randrange(len(plan[dest]) + 1),
+                          plan[source].pop(rng.randrange(len(plan[source]))))
+        return plan
+    for t in picked:
+        route = plan[t]
+        if len(route) < 2:
+            continue
+        i, j = sorted(rng.sample(range(len(route)), 2))
+        if rng.random() < 0.5:
+            route[i], route[j] = route[j], route[i]
+        else:
+            route[i:j + 1] = route[i:j + 1][::-1]
+    return plan
+
+
+class TestSeMemo:
+    """A call that reuses the previous call's routes must return what a
+    call without a memo returns, and leave the meter at the same count,
+    also when the budget runs out partway through it."""
+
+    @pytest.mark.parametrize("recipe,sizes,steps", [
+        (x143_like, (5, 16), 150),
+        (e22_like, (4, 13), 400),
+    ])
+    def test_random_plan_sequences(self, recipe, sizes, steps):
+        rng = random.Random(recipe.__name__ + "/memo")
+        inst = recipe(rng)
+        oracle = DistanceOracle.for_instance(inst)
+        table = build_best_station_table(inst, oracle)
+
+        def call(plan, memo, start, limit):
+            oracle.budget = EvaluationBudget(max_arc_accesses=limit)
+            oracle.budget.arc_access_count = start
+            try:
+                result = se_fingerprint(
+                    solve_se(plan, inst, oracle, table, memo))
+            except BudgetExhausted:
+                result = "exhausted"
+            return result, oracle.budget.arc_access_count
+
+        memo = {}
+        plan = [sweep_route(rng, inst, oracle, sizes) for _ in range(4)]
+        hits = misses = infeasible = cut_after_hit = 0
+        for step in range(steps):
+            plan = edit_plan(rng, plan)
+            gaps = [len(r) + 1 for r in plan]
+            start = rng.randrange(1000)
+            limit = 10**9
+            if step % 4 == 3:
+                # run out before a gap of the second or a later route
+                limit = start + 3 * rng.randrange(gaps[0] + 1, sum(gaps))
+            reused = [tuple(r) in memo for r in plan]
+            fresh = call(plan, None, start, limit)
+            assert call(plan, memo, start, limit) == fresh, (step, plan)
+            if fresh[0] == "exhausted":
+                cut_after_hit += reused[0]
+            else:
+                infeasible += not fresh[0][0]
+                hits += sum(reused)
+                misses += reused.count(False)
+        assert hits >= 100 and misses >= 100
+        assert infeasible >= 10 and cut_after_hit >= 10
 
 
 class TestExhaustiveMatchesDfs:

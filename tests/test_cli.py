@@ -198,6 +198,91 @@ class TestValidate:
         assert "error" in capsys.readouterr().err
 
 
+def one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+class TestCliErrors:
+    @pytest.mark.parametrize("command", ["solve", "analyze"])
+    @pytest.mark.parametrize("omega", ["0", "-1", "nan", "inf"])
+    def test_bad_time_budget(self, tiny_file, tmp_path, capsys, command,
+                             omega):
+        # a non-finite omega used to run forever: no arc limit and a wall
+        # clock that never passes
+        assert run_cli(command, tiny_file, "--stop", "time", "--omega", omega,
+                       "--out", tmp_path / "runs") == 1
+        assert "omega" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["solve", "analyze", "refine"])
+    def test_out_below_a_file(self, tiny_file, tmp_path, capsys, monkeypatch,
+                              command):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        sol = tmp_path / "plan.sol"
+        sol.write_text("0,1,2,0\n0,3,0\n")
+        # solve must fail before it searches
+        monkeypatch.setattr(cli, "run_config",
+                            lambda *a: pytest.fail("searched"))
+        args = [sol] if command == "refine" else ["--lh", "50"]
+        assert run_cli(command, tiny_file, *args,
+                       "--out", blocker / "x") == 1
+        assert str(blocker / "x") in one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["solve", "validate", "oracle"])
+    def test_instance_path_is_a_directory(self, tmp_path, capsys, command):
+        args = {"solve": ["--out", tmp_path / "runs"], "oracle": [],
+                "validate": [tmp_path / "plan.sol"]}[command]
+        assert run_cli(command, tmp_path, *args) in (1, 2)
+        one_error_line(capsys)
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("spec", ["1..3..5", "a", "1,,x", "1..b"])
+    def test_malformed_seeds_are_named(self, tiny_file, tmp_path, capsys,
+                                       spec):
+        assert run_cli("solve", tiny_file, "--seeds", spec,
+                       "--out", tmp_path / "runs") == 1
+        assert one_error_line(capsys) == (
+            f"error: --seeds {spec!r}: expected a..b or a comma list of "
+            "integers\n")
+
+
+class TestFleetBound:
+    def test_huge_fleet_gives_the_same_bytes_fast(self, tmp_path, capsys):
+        # the search keeps min(VEHICLES, n + 1) route slots: no plan uses
+        # more than n routes, and the lowest empty slot is always below n + 1
+        customers = [(30, 0), (0, 40), (-25, -25), (10, 12)]
+        outputs = []
+        for fleet in (len(customers) + 1, 10**6):
+            inst = make_instance(customers=customers, stations=[(20, 20)],
+                                 demands=[2, 1, 2, 1], capacity=4,
+                                 battery=120, rate=1.0, fleet=fleet,
+                                 name="fleet")
+            home = tmp_path / str(fleet)
+            home.mkdir()
+            path = home / "fleet.evrp"
+            path.write_text(serialize_instance(inst))
+            start = time.perf_counter()
+            assert run_cli("solve", path, "--lh", "50", "--eta-max", "10",
+                           "--out", home) == 0
+            sol = home / "fleet_seed1.sol"
+            assert run_cli("validate", path, sol) == 0
+            assert run_cli("refine", path, sol, "--out", home / "r.sol") == 0
+            elapsed = time.perf_counter() - start
+            # comment lines name the input file
+            outputs.append([[line for line in (home / name).read_text()
+                             .splitlines() if not line.startswith("#")]
+                            for name in ("fleet_seed1.sol",
+                                         "fleet_seed1.trace.csv", "r.sol")])
+        assert outputs[0] == outputs[1]
+        # the parent's descent looped over 10**12 slot pairs
+        assert elapsed < 10.0
+        capsys.readouterr()
+
+
 EMPTY_INSTANCE = """NAME: empty
 TYPE: EVRP
 VEHICLES: 1

@@ -1,12 +1,20 @@
-"""Fuzzing of the input parsers: malformed text may only raise ValueError
-(InstanceError is one), never another exception.
+"""Fuzzing of the input parsers and the command line.  Malformed text may
+only raise ValueError (InstanceError is one), never another exception, and
+every subcommand exits 0, or 1 or 2 with one error line.
 
 Examples are derandomized, so every run draws the same inputs.
 """
 
+import io
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecvrp import cli
 from ecvrp.instance import InstanceError, parse_instance, serialize_instance
 from ecvrp.solution import parse_solution_file, split_expanded_route
 from conftest import make_instance
@@ -125,3 +133,138 @@ class TestSplitExpandedRoute:
         except ValueError:
             return
         assert all(1 <= c <= self.INST.num_customers for c in route)
+
+
+def cli_instance(coords=1.0, battery=1.0, rate=1.0, load=1.0) -> str:
+    """A two-customer, one-station instance file, its coordinates, battery,
+    consumption rate and demands scaled by the given factors."""
+    return f"""NAME: cli
+TYPE: EVRP
+VEHICLES: 2
+DIMENSION: 3
+STATIONS: 1
+CAPACITY: {4 * load!r}
+ENERGY_CAPACITY: {120 * battery!r}
+ENERGY_CONSUMPTION: {rate!r}
+NODE_COORD_SECTION
+1 0.0 0.0
+2 {30 * coords!r} 0.0
+3 0.0 {40 * coords!r}
+4 {20 * coords!r} {20 * coords!r}
+DEMAND_SECTION
+1 0.0
+2 {2 * load!r}
+3 {load!r}
+STATIONS_COORD_SECTION
+4
+DEPOT_SECTION
+1
+-1
+EOF"""
+
+
+# solve and analyze always run under a wall-clock budget of about 10 ms
+# (--stop time --omega 1e-4, and the drawn --stop never asks for the arc
+# budget, which takes about 0.3 s here), so every example stays short; the
+# arc-budget path is covered by test_cli.
+CLI_INSTANCE = cli_instance()
+CLI_SOLUTION = "0,1,3,0\n0,2,0\nCOST 101.23"
+# factors across the float range: each value is finite, their products
+# and distances may not be
+SCALES = st.sampled_from([1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300])
+
+# the first value of each list is valid, and drawn more often
+CLI_VALUES = {
+    "--stop": ["time", "x"],
+    "--omega": ["1e-4", "0", "-1", "nan", "inf", "x"],
+    "--lh": ["5", "1", "0", "-1", "x", "1.5"],
+    "--eta-max": ["10", "1", "0", "x"],
+    "--gamma": ["1.01", "1.5", "0.5", "nan", "inf", "x"],
+    "--alpha-lb": ["0.98", "1.5", "0", "nan", "x"],
+    "--alpha-ub": ["1.02", "0.5", "inf", "nan", "x"],
+    "--seeds": ["1..2", "1", "2,1", "", "3..1", "1..3..5", "x", "-1"],
+    "--out": ["out", "blocker/x", "blocker", "inst.evrp", ""],
+    "--trace-level": ["full", "phase", "x"],
+}
+RUN_FLAGS = ["--no-g", "--no-f", "--gamma-zero", "--no-m8"]
+STRAY = ["--bogus", "-h", "--version", "--", "x"]
+# each subcommand's positionals, valid ones first, and its options
+COMMANDS = {
+    "solve": (["inst.evrp"], sorted(CLI_VALUES)),
+    "analyze": (["inst.evrp"], sorted(CLI_VALUES)),
+    "validate": (["inst.evrp", "plan.sol"], []),
+    "refine": (["inst.evrp", "plan.sol"], ["--out"]),
+    "oracle": (["inst.evrp"], []),
+}
+PATHS = ["plan.sol", "inst.evrp", "missing.evrp", ".", "blocker", ""]
+
+
+def mostly_first(values):
+    return st.sampled_from([values[0]] * 3 + list(values))
+
+
+@st.composite
+def cli_call(draw):
+    """argv for one subcommand, an ECVRP_THREADS value and the two files."""
+    command = draw(st.sampled_from(["solve", "analyze"] * 3
+                                   + [*COMMANDS, "bogus"]))
+    positionals, options = COMMANDS.get(command, (["inst.evrp"], []))
+    argv = [command]
+    if command in ("solve", "analyze"):
+        argv += ["--stop", "time", "--omega", "1e-4"]
+    argv += [draw(mostly_first([path, *PATHS])) for path in positionals]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["value"] * 6 + ["flag", "stray"]))
+        if kind == "value" and options:
+            flag = draw(st.sampled_from(options))
+            argv += [flag, draw(mostly_first(CLI_VALUES[flag]))]
+        elif kind == "flag" and command in ("solve", "analyze"):
+            argv.append(draw(st.sampled_from(RUN_FLAGS)))
+        elif kind == "stray":
+            argv.insert(draw(st.integers(1, len(argv))),
+                        draw(st.sampled_from(STRAY)))
+    threads = draw(st.sampled_from([None, "1", "2", "0", "-3", "x", ""]))
+    instance = draw(st.one_of(
+        st.just(CLI_INSTANCE), edited_lines(CLI_INSTANCE),
+        st.builds(cli_instance, SCALES, SCALES, SCALES, SCALES)))
+    solution = draw(st.one_of(st.just(CLI_SOLUTION),
+                              edited_lines(CLI_SOLUTION)))
+    return argv, threads, instance, solution
+
+
+class TestCli:
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @given(cli_call())
+    def test_error_is_one_line(self, call):
+        argv, threads, instance, solution = call
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as home, \
+                pytest.MonkeyPatch.context() as mp:
+            mp.chdir(home)
+            Path("inst.evrp").write_text(instance)
+            Path("plan.sol").write_text(solution)
+            Path("blocker").write_text("")
+            # clamp to one worker: no process pool starts
+            mp.setattr(cli.os, "cpu_count", lambda: 1)
+            if threads is None:
+                mp.delenv("ECVRP_THREADS", raising=False)
+            else:
+                mp.setenv("ECVRP_THREADS", threads)
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:   # argparse: usage, help, version
+                    code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            return
+        assert code in (1, 2), (argv, code)
+        if err.startswith("usage:"):
+            assert code == 2 and err.splitlines()[-1].startswith("ecvrp")
+            assert err.count(" error: ") == 1, err
+        elif err:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            # a verdict on the plan, not an error
+            assert code == 1 and argv[0] in ("validate", "refine"), argv
+            assert out.startswith(("INVALID ", "INFEASIBLE:")), out

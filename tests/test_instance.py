@@ -247,3 +247,20 @@ class TestInstanceSpec:
     def test_non_finite_value_rejected(self, changes):
         with pytest.raises(InstanceError, match="finite"):
             self.base(**changes)
+
+    @pytest.mark.parametrize("coords", [
+        ((0.0, 0.0), (1e200, 0.0), (6.0, 0.0)),
+        ((0.0, -1e154), (3.0, 4.0), (0.0, 1e154)),
+    ])
+    def test_overflowing_distance_rejected(self, coords):
+        with pytest.raises(InstanceError, match="overflow"):
+            self.base(coords=coords)
+
+    def test_largest_finite_spread_accepted(self):
+        inst = self.base(coords=((0.0, 0.0), (1.3e154, 0.0), (6.0, 0.0)))
+        assert all(map(math.isfinite, DistanceOracle.for_instance(inst)
+                       .matrix[1]))
+
+    def test_route_slots_capped_by_customers(self):
+        assert self.base().route_slots == 1
+        assert self.base(fleet_size=10**6).route_slots == 2
