@@ -33,10 +33,7 @@ from .search import (
     AblationToggles,
     SearchParams,
     SearchTrace,
-    greedy_descent,
-    neighborhood_explore,
     run_blahc,
-    split_initial,
 )
 from .analysis import (
     SamplePair,

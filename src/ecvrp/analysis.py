@@ -16,8 +16,8 @@ overlap of the top-k percent sets under either cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations
+from typing import NamedTuple
 
 from .charging import solve_exhaustive
 from .instance import DistanceOracle, EvaluationBudget, InstanceSpec
@@ -36,8 +36,7 @@ class DegenerateInput(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SamplePair:
+class SamplePair(NamedTuple):
     surrogate: float    # phi(x)
     full_cost: float    # F(x, y*(x)) from the follower
 
@@ -185,14 +184,15 @@ def _tie_count(sorted_values) -> int:
 
 
 def kendall_tau_b(pairs) -> float:
-    """Kendall rank correlation with the standard tie correction on both
-    coordinates.  Raises DegenerateInput when either coordinate is
-    constant (the coefficient is undefined)."""
+    """Kendall rank correlation of (phi, F) pairs, SamplePairs or plain
+    tuples, with the standard tie correction on both coordinates.  Raises
+    DegenerateInput when either coordinate is constant (the coefficient is
+    undefined)."""
     n = len(pairs)
     if n < 2:
         raise DegenerateInput("need at least two pairs")
-    xs = [p.surrogate if isinstance(p, SamplePair) else p[0] for p in pairs]
-    ys = [p.full_cost if isinstance(p, SamplePair) else p[1] for p in pairs]
+    xs = [p[0] for p in pairs]
+    ys = [p[1] for p in pairs]
 
     order = sorted(range(n), key=lambda i: (xs[i], ys[i]))
     x_sorted = [xs[i] for i in order]
@@ -219,8 +219,8 @@ def recall_at_k(pairs, k: float) -> float:
     n = len(pairs)
     if n == 0:
         raise ValueError("need at least one pair")
-    xs = [p.surrogate if isinstance(p, SamplePair) else p[0] for p in pairs]
-    ys = [p.full_cost if isinstance(p, SamplePair) else p[1] for p in pairs]
+    xs = [p[0] for p in pairs]
+    ys = [p[1] for p in pairs]
     top = math.ceil(k * n / 100.0)
     by_x = sorted(range(n), key=lambda i: xs[i])[:top]
     by_y = sorted(range(n), key=lambda i: ys[i])[:top]

@@ -56,13 +56,12 @@ class BestStationTable:
     shared across runs, like the distance matrix itself.
     """
 
-    station_for: tuple  # (n+1) x (n+1) nested tuples of station ids
+    station_for: tuple  # (n+1) x (n+1) nested tuples of station ids, -1: none
 
 
 def build_best_station_table(inst: InstanceSpec,
                              oracle: DistanceOracle) -> BestStationTable:
-    if inst.num_stations < 1:
-        raise ValueError("instance has no charging stations")
+    """The table of inst; every entry is -1 when it has no station."""
     matrix = np.asarray(oracle.matrix)
     nc = 1 + inst.num_customers
     node_to_station = matrix[:nc, nc:]
@@ -185,8 +184,13 @@ def _price_route(route: tuple, inst: InstanceSpec, matrix,
         u, w = nodes[g], nodes[g + 1]
         station = table.station_for[u][w]
         directs.append(matrix[u][w])
-        legs_in.append(matrix[u][station])
-        legs_out.append(matrix[station][w])
+        if station < 0:
+            # no station: infinite legs make the gap no stop option
+            legs_in.append(math.inf)
+            legs_out.append(math.inf)
+        else:
+            legs_in.append(matrix[u][station])
+            legs_out.append(matrix[station][w])
 
     route_cost = 0.0
     for d in directs:

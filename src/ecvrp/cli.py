@@ -199,7 +199,15 @@ def write_report(report: RunReport, config: RunConfig) -> Path:
 
 def cmd_solve(args) -> int:
     try:
-        config = _config_from_args(args)
+        config = replace(
+            _config_from_args(args),
+            toggles=AblationToggles(
+                no_greedy_descent=args.no_g,
+                no_final_refinement=args.no_f,
+                gamma_zero=args.gamma_zero,
+                no_m8=args.no_m8,
+            ),
+            trace_level=args.trace_level)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -306,6 +314,9 @@ def cmd_analyze(args) -> int:
     header = "instance,n_samples,tau_b,recall_1,recall_5,recall_10,recall_20"
     try:
         config = _config_from_args(args)
+        if len(config.seeds) > 1:
+            raise ValueError(f"analyze runs one seed, --seeds {args.seeds!r} "
+                             f"names {len(config.seeds)}")
         inst = load_instance(config.instance_path)
         budget = _make_budget(inst, config)
         out = Path(config.out_dir)
@@ -342,6 +353,7 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_run_options(sub):
+    """Options shared by solve and analyze."""
     sub.add_argument("instance")
     sub.add_argument("--stop", choices=("evals", "time"), default="evals")
     sub.add_argument("--omega", type=float, default=1.0)
@@ -353,6 +365,9 @@ def _add_run_options(sub):
     sub.add_argument("--alpha-ub", type=float, default=SearchParams.alpha_ub)
     sub.add_argument("--seeds", default="1")
     sub.add_argument("--out", default="runs")
+
+
+def _add_solve_options(sub):
     sub.add_argument("--trace-level", choices=("phase", "full"),
                      default="phase")
     sub.add_argument("--no-g", action="store_true",
@@ -366,6 +381,8 @@ def _add_run_options(sub):
 
 
 def _config_from_args(args) -> RunConfig:
+    """The run options of _add_run_options; toggles and trace level keep
+    their defaults."""
     params = SearchParams(
         history_length=args.lh,
         max_attempts=args.eta_max,
@@ -373,21 +390,13 @@ def _config_from_args(args) -> RunConfig:
         alpha_lb=args.alpha_lb,
         alpha_ub=args.alpha_ub,
     )
-    toggles = AblationToggles(
-        no_greedy_descent=args.no_g,
-        no_final_refinement=args.no_f,
-        gamma_zero=args.gamma_zero,
-        no_m8=args.no_m8,
-    )
     return RunConfig(
         instance_path=args.instance,
         stop=args.stop,
         omega=args.omega,
         seeds=parse_seeds(args.seeds),
         params=params,
-        toggles=toggles,
         out_dir=args.out,
-        trace_level=args.trace_level,
     )
 
 
@@ -401,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = subs.add_parser("solve", help="run the search on an instance")
     _add_run_options(solve)
+    _add_solve_options(solve)
     solve.set_defaults(func=cmd_solve)
 
     validate = subs.add_parser("validate", help="check a solution file")

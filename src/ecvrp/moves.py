@@ -55,14 +55,6 @@ class Move(Enum):
     CROSS_STRAIGHT = "m7"
     SEED_EMPTY_ROUTE = "m8"
 
-    @property
-    def classification(self) -> str:
-        if self in INTRA_ROUTE:
-            return "intra-route"
-        if self is Move.SEED_EMPTY_ROUTE:
-            return "inter-route-empty"
-        return "inter-route"
-
 
 INTRA_ROUTE = (Move.RELOCATE_WITHIN, Move.SWAP_WITHIN, Move.REVERSE_SEGMENT)
 INTER_ROUTE = (Move.RELOCATE_ACROSS, Move.SWAP_ACROSS,
@@ -153,8 +145,9 @@ def apply_move(op: Move, plan, target, a, b):
     violated and is the caller's concern.  Structural no-ops the search
     skips (m1 beside itself, m5 over one customer, m7 joining two final
     arcs) return the plan as it is.  Raises InvalidTarget when the
-    arguments do not fit the operator's classification and NoEmptyRoute for
-    m8 on a plan whose vehicles are all in use.
+    arguments do not fit the operator (a route pair for INTER_ROUTE, one
+    route index otherwise) and NoEmptyRoute for m8 on a plan whose
+    vehicles are all in use.
     """
     routes = _run_kernel(op, plan, target, a, b, None,
                          EvaluationBudget()).routes
@@ -173,10 +166,11 @@ def delta_phi(op: Move, plan, target, a, b, oracle: DistanceOracle) -> float:
 
 def enumerate_positions(op: Move, plan, target, a) -> list:
     """Deterministically ordered candidate b values for op at (target, a):
-    route-index/position ascending, preconditions filtered.  May be empty."""
+    position ascending, preconditions filtered.  May be empty.  Raises
+    InvalidTarget for a target that does not fit op, as apply_move does."""
     routes = plan.routes if isinstance(plan, RoutingPlan) else plan
 
-    if op in (Move.RELOCATE_WITHIN, Move.SWAP_WITHIN, Move.REVERSE_SEGMENT):
+    if op in INTRA_ROUTE:
         route = list(routes[_target_single(target)])
         pa = _locate(route, a, "customer")
         if op is Move.RELOCATE_WITHIN:
@@ -190,28 +184,15 @@ def enumerate_positions(op: Move, plan, target, a) -> list:
             return [node for pb, node in enumerate(route) if pb != pa]
         return list(route[pa + 2:])
 
-    if op in (Move.RELOCATE_ACROSS, Move.SWAP_ACROSS,
-              Move.CROSS_REVERSED, Move.CROSS_STRAIGHT):
-        if isinstance(target, tuple):
-            t1, t2 = _target_pair(target)
-            partners = [t2]
-        else:
-            # single-route target: candidates span every other route,
-            # route index ascending
-            t1 = target
-            partners = [t for t in range(len(routes))
-                        if t != t1 and routes[t]]
+    if op in INTER_ROUTE:
+        t1, t2 = _target_pair(target)
         r1 = list(routes[t1])
         pa = _locate(r1, a, "customer")
-        out = []
-        for t2 in partners:
-            r2 = list(routes[t2])
-            if op is Move.CROSS_STRAIGHT and pa == len(r1) - 1 and r2:
-                # reconnecting two final arcs reproduces the same plan
-                out.extend(r2[:-1])
-            else:
-                out.extend(r2)
-        return out
+        r2 = list(routes[t2])
+        if op is Move.CROSS_STRAIGHT and pa == len(r1) - 1 and r2:
+            # reconnecting two final arcs reproduces the same plan
+            return r2[:-1]
+        return r2
 
     if op is Move.SEED_EMPTY_ROUTE:
         _locate(list(routes[_target_single(target)]), a, "customer")

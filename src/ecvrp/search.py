@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .charging import BudgetExhausted, build_best_station_table, solve_exhaustive, solve_se
 from .instance import DistanceOracle, EvaluationBudget, InstanceSpec
-from .solution import ChargingPlan, CompleteSolution, RoutingPlan
+from .solution import CompleteSolution, RoutingPlan
 
 NEG_INF = float("-inf")
 
@@ -38,6 +38,11 @@ IMPROVE_EPS = 1e-9
 
 # operator ids; m1..m7 drive descent, m8 additionally explores route counts
 M1, M2, M3, M4, M5, M6, M7, M8 = range(8)
+
+# cap on history_length and max_attempts, far above the paper's 5723 and
+# 60: each restart allocates the whole history list (about 38 MB at the
+# cap) and an exploration call may loop over every attempt
+PARAM_MAX = 10**6
 
 
 class SearchError(RuntimeError):
@@ -64,6 +69,9 @@ class SearchParams:
     def __post_init__(self):
         if self.history_length < 1 or self.max_attempts < 1:
             raise ValueError("history length and attempt cap must be >= 1")
+        if self.history_length > PARAM_MAX or self.max_attempts > PARAM_MAX:
+            raise ValueError(
+                f"history length and attempt cap must be <= {PARAM_MAX}")
         if self.follower_threshold < 1.0:
             raise ValueError("follower threshold must be >= 1")
         if not (0.0 < self.alpha_lb <= 1.0 <= self.alpha_ub):
@@ -181,11 +189,6 @@ def split_giant_tour(perm, inst: InstanceSpec, oracle: DistanceOracle):
     routes = [list(perm[cuts[t]:cuts[t + 1]]) for t in range(best_k)]
     routes.extend([] for _ in range(fleet - best_k))
     return routes
-
-
-def split_initial(perm, inst: InstanceSpec, oracle: DistanceOracle) -> RoutingPlan:
-    """Public split entry point: split_giant_tour as a RoutingPlan."""
-    return RoutingPlan.from_lists(split_giant_tour(perm, inst, oracle))
 
 
 # ---------------------------------------------------------------------------
@@ -641,24 +644,13 @@ class PlanState:
 # Search engine
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Incumbent:
-    routes: tuple
-    slots: tuple
-    total: float
-    detour: float
-    surrogate: float
-
-
 class _Engine(PlanState):
     """Mutable run state: the plan under search, trace, incumbent, counters."""
 
     def __init__(self, inst: InstanceSpec, params: SearchParams,
                  budget: EvaluationBudget, toggles: AblationToggles = NO_TOGGLES,
-                 trace_level: str = "phase", hooks=None,
-                 oracle: DistanceOracle | None = None):
-        self.oracle = oracle if oracle is not None \
-            else DistanceOracle.for_instance(inst, budget)
+                 trace_level: str = "phase", hooks=None):
+        self.oracle = DistanceOracle.for_instance(inst, budget)
         super().__init__(
             [[] for _ in range(inst.route_slots)], self.oracle.matrix,
             list(inst.demands), inst.cargo_capacity, budget,
@@ -679,8 +671,7 @@ class _Engine(PlanState):
         self.gamma = 0.0 if toggles.gamma_zero else params.follower_threshold
         self.explore_ops = list(range(7)) if toggles.no_m8 else list(range(8))
         self.iteration = 0
-        self.restarts = 0
-        self.incumbent: _Incumbent | None = None
+        self.incumbent: CompleteSolution | None = None
 
     # -- state loading -------------------------------------------------
 
@@ -709,7 +700,7 @@ class _Engine(PlanState):
         inc = self.incumbent
         self.trace.records.append(TraceRecord(
             self.budget.arc_access_count, self.iteration, self.phi,
-            phi_best, None if inc is None else inc.total, event))
+            phi_best, None if inc is None else inc.total_cost, event))
 
     # -- greedy descent ----------------------------------------------------
 
@@ -803,7 +794,7 @@ class _Engine(PlanState):
             count = len(nonempty)
             if inter:
                 if count < 2:
-                    continue
+                    return False    # no partner route: no attempt can draw
                 i = int(draw() * count)
                 j = int(draw() * (count - 1))
                 if j >= i:
@@ -848,14 +839,10 @@ class _Engine(PlanState):
                 # fresh surrogate, not the delta-tracked one: recorded pairs
                 # must satisfy F >= phi exactly
                 pair_hook(self.routes, result.surrogate, total)
-            if self.incumbent is None or total < self.incumbent.total:
-                self.incumbent = _Incumbent(
-                    routes=tuple(tuple(r) for r in self.routes),
-                    slots=result.plan.slots,
-                    total=total,
-                    detour=result.detour_cost,
-                    surrogate=result.surrogate,
-                )
+            if self.incumbent is None or total < self.incumbent.total_cost:
+                self.incumbent = CompleteSolution(
+                    RoutingPlan.from_lists(self.routes), result.plan, total,
+                    result.detour_cost, result.surrogate)
                 self._emit("incumbent", phi_best)
         if hook is not None:
             hook(self.phi, phi_best, result.feasible, total)
@@ -881,7 +868,6 @@ class _Engine(PlanState):
                     or budget.exceeded():
                 break
             if not first_cycle:
-                self.restarts += 1
                 self._emit("restart")
             first_cycle = False
 
@@ -892,7 +878,7 @@ class _Engine(PlanState):
                 perm = customers[:]
                 rng.shuffle(perm)
                 try:
-                    plan = split_initial(perm, inst, self.oracle)
+                    routes = split_giant_tour(perm, inst, self.oracle)
                     break
                 except InstanceInfeasible:
                     continue
@@ -900,7 +886,7 @@ class _Engine(PlanState):
                 raise InstanceInfeasible(
                     "no sampled permutation admits a capacity-feasible split "
                     f"into {inst.fleet_size} routes")
-            self.load_plan(plan.routes)
+            self.load_plan(routes)
             self.iteration = 0
             self._emit("init", self.phi)
             if not self.toggles.no_greedy_descent:
@@ -970,27 +956,20 @@ class _Engine(PlanState):
                 "no battery-feasible solution found within the budget")
         inc = self.incumbent
         if not self.toggles.no_final_refinement:
-            refined = solve_exhaustive(inc.routes, inst, self.oracle)
+            refined = solve_exhaustive(inc.routing, inst, self.oracle)
             if refined.feasible:
                 total = refined.surrogate + refined.detour_cost
-                if total < inc.total:
-                    inc = _Incumbent(inc.routes, refined.plan.slots, total,
-                                     refined.detour_cost, refined.surrogate)
+                if total < inc.total_cost:
+                    inc = CompleteSolution(inc.routing, refined.plan, total,
+                                           refined.detour_cost,
+                                           refined.surrogate)
                     self.incumbent = inc
             self._emit("refined", inc.surrogate)
-
-        solution = CompleteSolution(
-            routing=RoutingPlan(inc.routes),
-            charging=ChargingPlan(inc.slots),
-            total_cost=inc.total,
-            detour_cost=inc.detour,
-            surrogate=inc.surrogate,
-        )
-        return solution, self.trace
+        return inc, self.trace
 
 
 # ---------------------------------------------------------------------------
-# Public entry points
+# Public entry point
 # ---------------------------------------------------------------------------
 
 def run_blahc(inst: InstanceSpec, params: SearchParams,
@@ -1003,28 +982,3 @@ def run_blahc(inst: InstanceSpec, params: SearchParams,
     toggles disables components for ablation studies."""
     engine = _Engine(inst, params, budget, toggles, trace_level, hooks)
     return engine.run()
-
-
-def greedy_descent(plan, inst: InstanceSpec, oracle: DistanceOracle,
-                   rng: random.Random) -> RoutingPlan:
-    """Drive a capacity-feasible plan to a local optimum of the seven
-    partition-preserving operators under the surrogate cost."""
-    budget = oracle.budget if oracle.budget is not None else EvaluationBudget()
-    engine = _Engine(inst, SearchParams(), budget, oracle=oracle)
-    engine.rng = rng
-    engine.load_plan(plan.routes if isinstance(plan, RoutingPlan) else plan)
-    engine.descend()
-    return RoutingPlan.from_lists(engine.routes)
-
-
-def neighborhood_explore(plan, phi_vi: float, max_attempts: int,
-                         inst: InstanceSpec, oracle: DistanceOracle,
-                         rng: random.Random):
-    """One exploration step from plan; returns (new plan, accepted flag)."""
-    budget = oracle.budget if oracle.budget is not None else EvaluationBudget()
-    engine = _Engine(inst, SearchParams(max_attempts=max_attempts), budget,
-                     oracle=oracle)
-    engine.rng = rng
-    engine.load_plan(plan.routes if isinstance(plan, RoutingPlan) else plan)
-    moved = engine.explore(phi_vi)
-    return RoutingPlan.from_lists(engine.routes), moved

@@ -135,6 +135,21 @@ class TestSimpleEnumeration:
         # sizes 0 and 1 over three gaps
         assert result.enumeration_count == math.comb(3, 0) + math.comb(3, 1)
 
+    @pytest.mark.parametrize("battery", [1000, 30])
+    def test_without_stations(self, battery):
+        # no gap has a stop option: a route is feasible exactly when it
+        # needs no visit, as in solve_exhaustive
+        inst = make_instance(customers=[(10, 0), (0, 10)], stations=[],
+                             battery=battery, rate=1.0, fleet=2)
+        oracle = DistanceOracle.for_instance(inst)
+        table = build_best_station_table(inst, oracle)
+        assert {s for row in table.station_for for s in row} == {-1}
+        plan = [[1, 2], []]
+        se = solve_se(plan, inst, oracle, table)
+        assert se.feasible == (battery == 1000)
+        assert se_fingerprint(se)[:4] == se_fingerprint(
+            solve_exhaustive(plan, inst, oracle))[:4]
+
     def test_forced_double_visit(self, detour_instance):
         inst = detour_instance
         oracle = DistanceOracle.for_instance(inst)

@@ -232,6 +232,19 @@ class TestCliErrors:
                        "--out", blocker / "x") == 1
         assert str(blocker / "x") in one_error_line(capsys)
 
+    @pytest.mark.parametrize("flag", ["--lh", "--eta-max"])
+    @pytest.mark.parametrize("command", ["solve", "analyze"])
+    def test_huge_history_or_attempt_cap(self, tiny_file, tmp_path, capsys,
+                                         monkeypatch, command, flag):
+        # rejected before the history list is allocated
+        monkeypatch.setattr(cli, "run_config",
+                            lambda *a: pytest.fail("searched"))
+        monkeypatch.setattr(cli, "collect_pairs",
+                            lambda *a: pytest.fail("searched"))
+        assert run_cli(command, tiny_file, flag, "1000000000",
+                       "--out", tmp_path / "runs") == 1
+        assert "1000000" in one_error_line(capsys)
+
     @pytest.mark.parametrize("command", ["solve", "validate", "oracle"])
     def test_instance_path_is_a_directory(self, tmp_path, capsys, command):
         args = {"solve": ["--out", tmp_path / "runs"], "oracle": [],
@@ -439,6 +452,23 @@ class TestAnalyzeAndOracle:
         assert float(fields[2]) == pytest.approx(1.0)
         assert (out / "flat_pairs.csv").exists()
 
+    @pytest.mark.parametrize("flag", [
+        "--no-g", "--no-f", "--gamma-zero", "--no-m8", "--trace-level=full"])
+    def test_solve_only_options_rejected(self, tiny_file, capsys, flag):
+        # analyze never passed them to the search: they were ignored
+        with pytest.raises(SystemExit) as exc:
+            run_cli("analyze", tiny_file, flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_analyze_rejects_several_seeds(self, tiny_file, tmp_path,
+                                           capsys, monkeypatch):
+        monkeypatch.setattr(cli, "collect_pairs",
+                            lambda *a: pytest.fail("searched"))
+        assert run_cli("analyze", tiny_file, "--seeds", "1..5",
+                       "--out", tmp_path / "out") == 1
+        assert "one seed" in one_error_line(capsys)
+
     def test_oracle_matches_brute_force(self, tiny_file, capsys):
         from ecvrp.analysis import brute_force_optimum
         from ecvrp.instance import load_instance
@@ -458,3 +488,30 @@ class TestAnalyzeAndOracle:
         path.write_text(serialize_instance(inst))
         assert run_cli("oracle", path) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestNoStations:
+    @staticmethod
+    def write(tmp_path, battery):
+        inst = make_instance(
+            customers=[(10, 0), (0, 12), (-8, -6), (15, 9)], stations=[],
+            demands=[1, 1, 1, 1], capacity=2, battery=battery, rate=1.0,
+            fleet=3, name="bare")
+        path = tmp_path / "bare.evrp"
+        path.write_text(serialize_instance(inst))
+        return path
+
+    def test_solve_matches_oracle(self, tmp_path, capsys):
+        path = self.write(tmp_path, 1e9)
+        assert run_cli("oracle", path) == 0
+        cost = [l for l in capsys.readouterr().out.splitlines()
+                if l.startswith("COST")][0].split()[1]
+        assert run_cli("solve", path, "--lh", "50", "--eta-max", "10",
+                       "--out", tmp_path / "runs") == 0
+        assert f"F={cost} " in capsys.readouterr().out
+
+    def test_battery_too_small_is_one_line_error(self, tmp_path, capsys):
+        path = self.write(tmp_path, 5)
+        assert run_cli("solve", path, "--lh", "50", "--eta-max", "10",
+                       "--out", tmp_path / "runs") == 1
+        assert "no battery-feasible solution" in one_error_line(capsys)

@@ -186,12 +186,13 @@ CLI_VALUES = {
     "--out": ["out", "blocker/x", "blocker", "inst.evrp", ""],
     "--trace-level": ["full", "phase", "x"],
 }
+# solve's ablation toggles; analyze takes none of them, nor --trace-level
 RUN_FLAGS = ["--no-g", "--no-f", "--gamma-zero", "--no-m8"]
 STRAY = ["--bogus", "-h", "--version", "--", "x"]
 # each subcommand's positionals, valid ones first, and its options
 COMMANDS = {
     "solve": (["inst.evrp"], sorted(CLI_VALUES)),
-    "analyze": (["inst.evrp"], sorted(CLI_VALUES)),
+    "analyze": (["inst.evrp"], sorted(set(CLI_VALUES) - {"--trace-level"})),
     "validate": (["inst.evrp", "plan.sol"], []),
     "refine": (["inst.evrp", "plan.sol"], ["--out"]),
     "oracle": (["inst.evrp"], []),
@@ -218,7 +219,7 @@ def cli_call(draw):
         if kind == "value" and options:
             flag = draw(st.sampled_from(options))
             argv += [flag, draw(mostly_first(CLI_VALUES[flag]))]
-        elif kind == "flag" and command in ("solve", "analyze"):
+        elif kind == "flag" and command == "solve":
             argv.append(draw(st.sampled_from(RUN_FLAGS)))
         elif kind == "stray":
             argv.insert(draw(st.integers(1, len(argv))),

@@ -7,6 +7,8 @@ from ecvrp.instance import DistanceOracle, EvaluationBudget
 from ecvrp.moves import (
     ALL_OPERATORS,
     DESCENT_OPERATORS,
+    INTER_ROUTE,
+    INTRA_ROUTE,
     InvalidTarget,
     Move,
     NoEmptyRoute,
@@ -106,10 +108,15 @@ class TestEnumerate:
         assert enumerate_positions(Move.SEED_EMPTY_ROUTE,
                                    [[1, 2], [], [3], []], 0, 1) == [1, 3]
 
-    def test_swap_across_single_route_target_spans_others(self):
+    def test_inter_route_single_route_target_rejected(self):
+        # as in apply_move and delta_phi: an inter-route operator needs a
+        # route pair, never a single route index
         plan = [[1, 2], [3, 4], [5]]
-        got = enumerate_positions(Move.SWAP_ACROSS, plan, 0, 1)
-        assert got == [3, 4, 5]
+        for op in INTER_ROUTE:
+            with pytest.raises(InvalidTarget):
+                enumerate_positions(op, plan, 0, 1)
+            with pytest.raises(InvalidTarget):
+                apply_move(op, plan, 0, 1, 3)
 
     def test_swap_across_pair_target_stays_in_pair(self):
         plan = [[1, 2], [3, 4], [5]]
@@ -209,15 +216,12 @@ class TestDelta:
 
 
 def test_operator_classification():
-    kinds = {op: op.classification for op in ALL_OPERATORS}
-    assert kinds[Move.RELOCATE_WITHIN] == "intra-route"
-    assert kinds[Move.SWAP_WITHIN] == "intra-route"
-    assert kinds[Move.REVERSE_SEGMENT] == "intra-route"
-    assert kinds[Move.RELOCATE_ACROSS] == "inter-route"
-    assert kinds[Move.SWAP_ACROSS] == "inter-route"
-    assert kinds[Move.CROSS_REVERSED] == "inter-route"
-    assert kinds[Move.CROSS_STRAIGHT] == "inter-route"
-    assert kinds[Move.SEED_EMPTY_ROUTE] == "inter-route-empty"
+    assert INTRA_ROUTE == (Move.RELOCATE_WITHIN, Move.SWAP_WITHIN,
+                           Move.REVERSE_SEGMENT)
+    assert INTER_ROUTE == (Move.RELOCATE_ACROSS, Move.SWAP_ACROSS,
+                           Move.CROSS_REVERSED, Move.CROSS_STRAIGHT)
+    assert set(ALL_OPERATORS) == set(INTRA_ROUTE + INTER_ROUTE) | {
+        Move.SEED_EMPTY_ROUTE}
     assert DESCENT_OPERATORS == ALL_OPERATORS[:-1]
     assert [op.value for op in ALL_OPERATORS] == [
         "m1", "m2", "m3", "m4", "m5", "m6", "m7", "m8"]

@@ -1,23 +1,34 @@
 import math
 import random
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from ecvrp.instance import DistanceOracle, EvaluationBudget
-from ecvrp.moves import DESCENT_OPERATORS, delta_phi, enumerate_positions
+from ecvrp.moves import (
+    DESCENT_OPERATORS,
+    INTRA_ROUTE,
+    apply_move,
+    delta_phi,
+    enumerate_positions,
+)
 from ecvrp.search import (
+    M2,
+    M4,
+    M6,
+    M7,
+    PARAM_MAX,
     AblationToggles,
     IncumbentInfeasible,
     InstanceInfeasible,
     SearchParams,
     _Engine,
-    greedy_descent,
-    neighborhood_explore,
     run_blahc,
     split_giant_tour,
-    split_initial,
 )
-from ecvrp.solution import RoutingPlan, check_upper_feasible, surrogate_cost
+from ecvrp.solution import check_upper_feasible, surrogate_cost
 from conftest import make_instance
 from helpers import certified_tiny_fixture, full_surrogate, random_feasible_plan
 
@@ -49,7 +60,7 @@ class TestSplit:
         inst = make_instance(customers=[(10, 0), (12, 0)], stations=[(5, 5)],
                              demands=[1, 1], capacity=5, fleet=2)
         oracle = DistanceOracle.for_instance(inst)
-        plan = split_initial([1, 2], inst, oracle)
+        plan = split_giant_tour([1, 2], inst, oracle)
         joint = full_surrogate([[1, 2]], inst)
         separate = full_surrogate([[1], [2]], inst)
         assert surrogate_cost(plan, oracle) == pytest.approx(
@@ -60,8 +71,8 @@ class TestSplit:
                              stations=[(5, 5)], demands=[4, 4, 4], capacity=4,
                              fleet=3)
         oracle = DistanceOracle.for_instance(inst)
-        plan = split_initial([2, 1, 3], inst, oracle)
-        assert sorted(len(r) for r in plan.routes) == [1, 1, 1]
+        plan = split_giant_tour([2, 1, 3], inst, oracle)
+        assert sorted(len(r) for r in plan) == [1, 1, 1]
 
     def test_matches_exhaustive_segmentation_oracle(self):
         rng = random.Random(31)
@@ -95,12 +106,27 @@ class TestSplit:
         with pytest.raises(InstanceInfeasible):
             split_giant_tour([1, 2, 3], inst, oracle)
 
-    def test_split_initial_returns_plan(self):
-        inst = make_instance(customers=[(10, 0), (0, 10)], stations=[(5, 5)],
-                             fleet=2)
-        plan = split_initial([2, 1], inst, DistanceOracle.for_instance(inst))
-        assert isinstance(plan, RoutingPlan)
-        assert check_upper_feasible(plan, inst).ok
+
+def engine_on(plan, inst, seed, max_attempts=60):
+    """An engine holding plan, its generator seeded with seed."""
+    engine = _Engine(inst, SearchParams(max_attempts=max_attempts, seed=seed),
+                     EvaluationBudget())
+    engine.load_plan(plan)
+    return engine
+
+
+def descended(plan, inst, seed):
+    engine = engine_on(plan, inst, seed)
+    engine.descend()
+    return engine.routes
+
+
+class TestSearchParams:
+    def test_history_and_attempts_capped(self):
+        SearchParams(history_length=PARAM_MAX, max_attempts=PARAM_MAX)
+        for name in ("history_length", "max_attempts"):
+            with pytest.raises(ValueError, match=str(PARAM_MAX)):
+                SearchParams(**{name: PARAM_MAX + 1})
 
 
 class TestGreedyDescent:
@@ -115,32 +141,29 @@ class TestGreedyDescent:
 
     def test_never_worsens(self, mid_instance):
         inst = mid_instance
-        oracle = DistanceOracle.for_instance(inst)
         rng = random.Random(8)
         for trial in range(10):
             plan = random_feasible_plan(rng, inst)
             before = full_surrogate(plan, inst)
-            out = greedy_descent(plan, inst, oracle, random.Random(trial))
-            assert full_surrogate(out.routes, inst) <= before + 1e-9
+            out = descended(plan, inst, trial)
+            assert full_surrogate(out, inst) <= before + 1e-9
 
     def test_output_is_local_optimum(self, mid_instance):
         inst = mid_instance
         oracle = DistanceOracle.for_instance(inst)
         plan = random_feasible_plan(random.Random(1), inst)
-        out = greedy_descent(plan, inst, oracle, random.Random(2))
-        routes = [list(r) for r in out.routes]
+        routes = descended(plan, inst, 2)
         for op in DESCENT_OPERATORS:
             for t1 in range(len(routes)):
                 if not routes[t1]:
                     continue
-                targets = [t1] if op.classification == "intra-route" else [
+                targets = [t1] if op in INTRA_ROUTE else [
                     (t1, t2) for t2 in range(len(routes))
                     if t2 != t1 and routes[t2]]
                 for target in targets:
                     for a in routes[t1]:
                         for b in enumerate_positions(op, routes, target, a):
                             candidate = [list(r) for r in routes]
-                            from ecvrp.moves import apply_move
                             moved = apply_move(op, candidate, target, a, b)
                             if not check_upper_feasible(moved, inst).ok:
                                 continue
@@ -149,12 +172,11 @@ class TestGreedyDescent:
 
     def test_fixpoint_when_already_optimal(self, mid_instance):
         inst = mid_instance
-        oracle = DistanceOracle.for_instance(inst)
         plan = random_feasible_plan(random.Random(3), inst)
-        once = greedy_descent(plan, inst, oracle, random.Random(5))
-        again = greedy_descent(once, inst, oracle, random.Random(6))
-        assert full_surrogate(again.routes, inst) == pytest.approx(
-            full_surrogate(once.routes, inst))
+        once = descended(plan, inst, 5)
+        again = descended(once, inst, 6)
+        assert full_surrogate(again, inst) == pytest.approx(
+            full_surrogate(once, inst))
 
     def test_wall_clock_limit_stops_descent(self, mid_instance):
         inst = mid_instance
@@ -187,23 +209,17 @@ class TestNeighborhoodExplore:
     def test_vacuous_threshold_accepts_first_candidate(self, frozen_instance):
         # the operator is drawn once per call; draws with no candidates on
         # singleton routes return unmoved, so sample a few seeds
-        inst = frozen_instance
-        oracle = DistanceOracle.for_instance(inst)
         plan = [[1], [2]]
-        outcomes = [neighborhood_explore(plan, math.inf, 60, inst, oracle,
-                                         random.Random(s))[1]
+        outcomes = [engine_on(plan, frozen_instance, s).explore(math.inf)
                     for s in range(8)]
         assert any(outcomes)
 
     def test_zero_threshold_accepts_nothing(self, frozen_instance):
-        inst = frozen_instance
-        oracle = DistanceOracle.for_instance(inst)
         plan = [[1], [2]]
         for seed in range(5):
-            out, moved = neighborhood_explore(plan, 0.0, 60, inst, oracle,
-                                              random.Random(seed))
-            assert not moved
-            assert out.routes == ((1,), (2,))
+            engine = engine_on(plan, frozen_instance, seed)
+            assert not engine.explore(0.0)
+            assert engine.routes == [[1], [2]]
 
     def test_deterministic_replay(self):
         rng_inst = random.Random(12)
@@ -211,15 +227,27 @@ class TestNeighborhoodExplore:
             customers=[(rng_inst.uniform(-30, 30), rng_inst.uniform(-30, 30))
                        for _ in range(7)],
             stations=[(25, 25)], demands=[1] * 7, capacity=4, fleet=3)
-        oracle = DistanceOracle.for_instance(inst)
         plan = random_feasible_plan(random.Random(9), inst)
         phi = full_surrogate(plan, inst)
-        first = neighborhood_explore(plan, phi * 1.01, 60, inst, oracle,
-                                     random.Random(77))
-        second = neighborhood_explore(plan, phi * 1.01, 60, inst, oracle,
-                                      random.Random(77))
-        assert first[0] == second[0]
-        assert first[1] == second[1]
+        outcomes = []
+        for _ in range(2):
+            engine = engine_on(plan, inst, 77)
+            outcomes.append((engine.explore(phi * 1.01), engine.routes))
+        assert outcomes[0] == outcomes[1]
+
+    def test_inter_route_operator_without_partner_returns_at_once(self):
+        # with one non-empty route no inter-route attempt draws or reads an
+        # arc, so a call must end at once, not loop over max_attempts (ten
+        # calls of 10**6 attempts took about 1 s when it looped)
+        inst = make_instance(customers=[(10, 0), (0, 10)], stations=[(5, 5)],
+                             fleet=2)
+        engine = engine_on([[1, 2], []], inst, 1, max_attempts=PARAM_MAX)
+        engine.explore_ops = [M2, M4, M6, M7]
+        start = time.perf_counter()
+        for _ in range(10):
+            assert not engine.explore(math.inf)
+        assert time.perf_counter() - start < 0.25
+        assert engine.budget.arc_access_count == 3
 
 
 @pytest.fixture(scope="module")
@@ -417,3 +445,20 @@ class TestEngineInvariants:
             for _ in range(400):
                 engine.explore(engine.phi * 1.03)
         assert all(applied), applied
+
+
+class TestBenchmarkTracer:
+    def test_every_traced_name_exists(self, monkeypatch):
+        # bench/tracing.py patches program names by string; one that is
+        # gone drops its per-layer metrics without an error
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        monkeypatch.syspath_prepend(str(bench))
+        monkeypatch.delitem(sys.modules, "tracing", raising=False)
+        import tracing
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            assert tracer.missing == set()
+        finally:
+            tracer.uninstall()
+            del sys.modules["tracing"]
