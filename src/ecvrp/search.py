@@ -6,7 +6,11 @@ optimum with greedy descent.  Exploration then walks the routing space:
 each iteration draws one operator, tries up to max_attempts random
 targets, and accepts the first candidate that beats either the current
 surrogate cost or the cost recorded a fixed number of accepted-move
-cycles ago (the history list).  The cheap charging solver is invoked
+cycles ago (the history list).  Until it accepts, an iteration's plan
+and threshold are fixed, so a target drawn again after a failed scan
+would fail again over the same arcs: it is charged those arcs without
+being rescanned, and the meter and every output stay those of
+rescanning.  The cheap charging solver is invoked
 only when the current surrogate comes within the follower threshold of
 the best surrogate seen, and the incumbent keeps the best full cost
 found anywhere.  When progress stalls the run restarts from a fresh
@@ -72,10 +76,11 @@ class SearchParams:
         if self.history_length > PARAM_MAX or self.max_attempts > PARAM_MAX:
             raise ValueError(
                 f"history length and attempt cap must be <= {PARAM_MAX}")
-        if self.follower_threshold < 1.0:
-            raise ValueError("follower threshold must be >= 1")
-        if not (0.0 < self.alpha_lb <= 1.0 <= self.alpha_ub):
-            raise ValueError("noise bounds must straddle 1.0")
+        # written so that nan fails every comparison
+        if not 1.0 <= self.follower_threshold < math.inf:
+            raise ValueError("follower threshold must be finite and >= 1")
+        if not 0.0 < self.alpha_lb <= 1.0 <= self.alpha_ub < math.inf:
+            raise ValueError("noise bounds must be finite and straddle 1.0")
 
 
 @dataclass(frozen=True)
@@ -776,6 +781,18 @@ class _Engine(PlanState):
         Index draws use int(random() * n): one float per draw instead of
         the rejection sampling of randrange, still from the single seeded
         stream in program order.
+
+        Until the call accepts, the plan, phi and phi_vi stay fixed, so a
+        scan's outcome depends only on its target.  A repeat of a target
+        that already failed therefore fails again over the same arcs: it
+        still draws its floats and is charged the arcs the first scan read,
+        but its kernel does not run.  The meter thus counts what the
+        algorithm evaluates, and budgets, stop points and outputs are those
+        of rescanning.  Only when that charge would pass arc_limit does the
+        kernel run again, since a scan cut short there reads fewer arcs.
+        A call whose attempts can read no arc at all (m8 with no empty
+        route; m1, m3 and m5 when every route holds one customer) draws
+        its floats and returns at once.
         """
         draw = self.rng.random
         ops = self.explore_ops
@@ -783,18 +800,31 @@ class _Engine(PlanState):
         scan = self.kernels[op]
         budget = self.budget
         limit = self.arc_limit
+        routes = self.routes
         nonempty = self.nonempty
+        count = len(nonempty)       # no move is applied before returning
+        attempts = self.params.max_attempts
         inter = op == M2 or op == M4 or op == M6 or op == M7
         # single-route operators take no partner; m8 seeds the first empty
         dest = self.empties[0] if op == M8 and self.empties else -1
+        if inter:
+            if count < 2:
+                return False        # no partner route: no attempt can draw
+        elif (dest < 0 if op == M8 else count == self.inst.num_customers):
+            # no attempt can read an arc: m8 has no empty route to fill, and
+            # m1, m3 and m5 cannot edit a route of one customer
+            if budget.arc_access_count < limit:
+                # the t1 and pa draws of every attempt: random() takes two
+                # 32-bit words of the Mersenne Twister and getrandbits(k)
+                # takes ceil(k / 32), so the stream ends where they leave it
+                self.rng.getrandbits(128 * attempts)
+            return False
         on_accept = self.hooks.get("on_accept")
-        for _ in range(self.params.max_attempts):
+        failed = {}                 # target -> arcs its failed scan read
+        for _ in range(attempts):
             if budget.arc_access_count >= limit:
                 return False
-            count = len(nonempty)
             if inter:
-                if count < 2:
-                    return False    # no partner route: no attempt can draw
                 i = int(draw() * count)
                 j = int(draw() * (count - 1))
                 if j >= i:
@@ -804,8 +834,13 @@ class _Engine(PlanState):
             else:
                 t1 = nonempty[int(draw() * count)]
                 t2 = dest
-            route = self.routes[t1]
-            pa = int(draw() * len(route))
+            pa = int(draw() * len(routes[t1]))
+            target = (t1, t2, pa)
+            arcs = failed.get(target)
+            if arcs is not None and budget.arc_access_count + arcs <= limit:
+                budget.arc_access_count += arcs
+                continue
+            start = budget.arc_access_count
             phi_before = self.phi
             if scan(t1, t2, pa, phi_vi):
                 if on_accept is not None:
@@ -813,6 +848,7 @@ class _Engine(PlanState):
                 if self.trace_full:
                     self._emit("accept")
                 return True
+            failed[target] = budget.arc_access_count - start
         return False
 
     # -- follower calls ------------------------------------------------------

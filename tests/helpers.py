@@ -12,7 +12,7 @@ from ecvrp.charging import (
 )
 from ecvrp.instance import DistanceOracle
 from ecvrp.moves import ALL_OPERATORS, INTRA_ROUTE, Move, enumerate_positions
-from ecvrp.search import InstanceInfeasible
+from ecvrp.search import M2, M4, M6, M7, M8, InstanceInfeasible
 from ecvrp.solution import ChargingPlan, RoutingPlan
 
 from conftest import make_instance
@@ -72,6 +72,25 @@ def disc_point(rng, radius):
         x, y = rng.uniform(-radius, radius), rng.uniform(-radius, radius)
         if x * x + y * y <= radius * radius:
             return (x, y)
+
+
+def x143_like(rng):
+    """142 customers and 8 stations uniform in a 500 x 500 square with the
+    depot at its corner; battery 700: routes need 0 to 3 recharges."""
+    customers = [(rng.uniform(0, 500), rng.uniform(0, 500))
+                 for _ in range(142)]
+    stations = [(rng.uniform(0, 500), rng.uniform(0, 500)) for _ in range(8)]
+    return make_instance(customers=customers, stations=stations,
+                         battery=700, rate=1.0, fleet=7)
+
+
+def e22_like(rng):
+    """21 customers and 8 stations in discs around the depot; battery 94
+    at rate 1.2."""
+    customers = [disc_point(rng, 30) for _ in range(21)]
+    stations = [disc_point(rng, 26) for _ in range(8)]
+    return make_instance(customers=customers, stations=stations,
+                         battery=94, rate=1.2, fleet=4)
 
 
 def random_tiny_instance(rng):
@@ -351,3 +370,47 @@ def solve_exhaustive_dfs(plan, inst, oracle):
     return ChargingQueryResult(
         True, ChargingPlan(tuple(slots_out)), detour_total, examined_total,
         surrogate_total)
+
+
+def explore_reference(self, phi_vi):
+    """Reference exploration call: every attempt runs the operator's kernel,
+    repeats included.  The oracle for _Engine.explore, which must leave the
+    same plan, phi bits, arc count and generator state; call it as
+    explore_reference(engine, phi_vi) or patch it in as _Engine.explore."""
+    draw = self.rng.random
+    ops = self.explore_ops
+    op = ops[int(draw() * len(ops))]
+    scan = self.kernels[op]
+    budget = self.budget
+    limit = self.arc_limit
+    nonempty = self.nonempty
+    inter = op == M2 or op == M4 or op == M6 or op == M7
+    # single-route operators take no partner; m8 seeds the first empty
+    dest = self.empties[0] if op == M8 and self.empties else -1
+    on_accept = self.hooks.get("on_accept")
+    for _ in range(self.params.max_attempts):
+        if budget.arc_access_count >= limit:
+            return False
+        count = len(nonempty)
+        if inter:
+            if count < 2:
+                return False    # no partner route: no attempt can draw
+            i = int(draw() * count)
+            j = int(draw() * (count - 1))
+            if j >= i:
+                j += 1
+            t1 = nonempty[i]
+            t2 = nonempty[j]
+        else:
+            t1 = nonempty[int(draw() * count)]
+            t2 = dest
+        route = self.routes[t1]
+        pa = int(draw() * len(route))
+        phi_before = self.phi
+        if scan(t1, t2, pa, phi_vi):
+            if on_accept is not None:
+                on_accept(self.phi, phi_before, phi_vi)
+            if self.trace_full:
+                self._emit("accept")
+            return True
+    return False

@@ -17,10 +17,11 @@ from ecvrp.instance import DistanceOracle, EvaluationBudget
 from ecvrp.solution import battery_feasible, expand_route, surrogate_cost
 from conftest import make_instance
 from helpers import (
-    disc_point,
+    e22_like,
     random_feasible_plan,
     solve_exhaustive_dfs,
     solve_se_enumeration,
+    x143_like,
 )
 
 
@@ -345,25 +346,6 @@ class TestFollowerProperties:
         result = solve_se(plan, inst, oracle, table)
         if result.feasible:
             assert result.plan.slots[3] == (None,)
-
-
-def x143_like(rng):
-    """142 customers and 8 stations uniform in a 500 x 500 square with the
-    depot at its corner; battery 700: routes need 0 to 3 recharges."""
-    customers = [(rng.uniform(0, 500), rng.uniform(0, 500))
-                 for _ in range(142)]
-    stations = [(rng.uniform(0, 500), rng.uniform(0, 500)) for _ in range(8)]
-    return make_instance(customers=customers, stations=stations,
-                         battery=700, rate=1.0, fleet=7)
-
-
-def e22_like(rng):
-    """21 customers and 8 stations in discs around the depot; battery 94
-    at rate 1.2."""
-    customers = [disc_point(rng, 30) for _ in range(21)]
-    stations = [disc_point(rng, 26) for _ in range(8)]
-    return make_instance(customers=customers, stations=stations,
-                         battery=94, rate=1.2, fleet=4)
 
 
 def tie_grid(rng):

@@ -245,6 +245,22 @@ class TestCliErrors:
                        "--out", tmp_path / "runs") == 1
         assert "1000000" in one_error_line(capsys)
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--gamma", "nan"), ("--gamma", "inf"), ("--alpha-ub", "inf"),
+        ("--alpha-ub", "nan"), ("--alpha-lb", "nan")])
+    @pytest.mark.parametrize("command", ["solve", "analyze"])
+    def test_non_finite_search_parameter(self, tiny_file, tmp_path, capsys,
+                                         monkeypatch, command, flag, value):
+        # --gamma nan ran silently and never called the follower after
+        # descent; rejected before any search
+        monkeypatch.setattr(cli, "run_config",
+                            lambda *a: pytest.fail("searched"))
+        monkeypatch.setattr(cli, "collect_pairs",
+                            lambda *a: pytest.fail("searched"))
+        assert run_cli(command, tiny_file, flag, value,
+                       "--out", tmp_path / "runs") == 1
+        assert "must be finite" in one_error_line(capsys)
+
     @pytest.mark.parametrize("command", ["solve", "validate", "oracle"])
     def test_instance_path_is_a_directory(self, tmp_path, capsys, command):
         args = {"solve": ["--out", tmp_path / "runs"], "oracle": [],

@@ -27,6 +27,18 @@ GOLDEN = {
         "36e4cb2a4c05ea58929504a1ae3b149dcd9e111cd3dae2debd62180e00ffae96"),
 }
 
+# the same at --eta-max 60, the paper's attempt cap: there an exploration
+# call most often draws a target it already scanned in vain, which it must
+# charge but need not rescan
+GOLDEN_ETA60 = {
+    1: ("d723fca2b209d5c8beeabca271111ed30cd15b00f4f75f35a85446dbc7b99127",
+        "37212a0298ca4eb16311cfa7de4a85260e4a5fd545adf8852f0255e1e5c1235e"),
+    2: ("4425af44fdd047f3f89d16e5ed2d7069bf8f0c453bff20928c40f19762740145",
+        "2c32626e717a138ecac7b128ebd5d1dcf26333511b9c9cb436c2862c3868c45a"),
+    3: ("ff07b67e554c200d29ab547abbfa9e6ece29ab020feb0ca4f72b0d1b82bf1da2",
+        "ec4ccb56570a8e81d10493b6c20ffd29902f6726bcfe71df8ee9de245b36b04d"),
+}
+
 # SHA-256 of the refined solution file per plan, None where refine
 # finds no charging plan
 REFINE_GOLDEN = {
@@ -56,25 +68,34 @@ def golden_runs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     path = root / "golden6.evrp"
     path.write_text(serialize_instance(inst))
-    out = root / "runs"
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv("ECVRP_THREADS", raising=False)
-        code = main(["solve", str(path), "--seeds", "1..3", "--lh", "50",
-                     "--eta-max", "10", "--trace-level", "full",
-                     "--out", str(out)])
-    assert code == 0
-    return out
+        for eta in (10, 60):
+            code = main(["solve", str(path), "--seeds", "1..3", "--lh", "50",
+                         "--eta-max", str(eta), "--trace-level", "full",
+                         "--out", str(root / f"eta{eta}")])
+            assert code == 0
+    return root
 
 
 def digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def solve_digests(out, seed):
+    return (digest(out / f"golden6_seed{seed}.sol"),
+            digest(out / f"golden6_seed{seed}.trace.csv"))
+
+
 @pytest.mark.parametrize("seed", sorted(GOLDEN))
 def test_solve_outputs_match_golden_digests(golden_runs, seed):
-    solution = digest(golden_runs / f"golden6_seed{seed}.sol")
-    trace = digest(golden_runs / f"golden6_seed{seed}.trace.csv")
-    assert (solution, trace) == GOLDEN[seed]
+    assert solve_digests(golden_runs / "eta10", seed) == GOLDEN[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_ETA60))
+def test_solve_at_paper_attempt_cap_matches_golden_digests(golden_runs,
+                                                           seed):
+    assert solve_digests(golden_runs / "eta60", seed) == GOLDEN_ETA60[seed]
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,15 @@ from ecvrp.search import (
 )
 from ecvrp.solution import check_upper_feasible, surrogate_cost
 from conftest import make_instance
-from helpers import certified_tiny_fixture, full_surrogate, random_feasible_plan
+from helpers import (
+    certified_tiny_fixture,
+    e22_like,
+    explore_reference,
+    full_surrogate,
+    random_feasible_plan,
+    random_partition_plan,
+    x143_like,
+)
 
 
 def all_segmentations(perm, max_parts):
@@ -128,6 +137,17 @@ class TestSearchParams:
             with pytest.raises(ValueError, match=str(PARAM_MAX)):
                 SearchParams(**{name: PARAM_MAX + 1})
 
+    @pytest.mark.parametrize("name, value", [
+        ("follower_threshold", math.nan), ("follower_threshold", math.inf),
+        ("follower_threshold", 0.5), ("alpha_lb", math.nan),
+        ("alpha_lb", -math.inf), ("alpha_ub", math.nan),
+        ("alpha_ub", math.inf), ("alpha_ub", 0.99)])
+    def test_non_finite_or_out_of_range_rejected(self, name, value):
+        # nan passed the old `follower_threshold < 1.0` test, and an infinite
+        # alpha_ub made every history threshold infinite
+        with pytest.raises(ValueError, match="must be finite"):
+            SearchParams(**{name: value})
+
 
 class TestGreedyDescent:
     @pytest.fixture
@@ -200,11 +220,7 @@ class TestGreedyDescent:
 class TestNeighborhoodExplore:
     @pytest.fixture
     def frozen_instance(self):
-        # two collinear opposite customers: every inter-route candidate is an
-        # exact zero-delta move, so thresholds decide acceptance alone
-        return make_instance(customers=[(-50, 0), (50, 0)],
-                             stations=[(999, 999)], demands=[1, 1],
-                             capacity=9, fleet=2)
+        return frozen_like(None)
 
     def test_vacuous_threshold_accepts_first_candidate(self, frozen_instance):
         # the operator is drawn once per call; draws with no candidates on
@@ -248,6 +264,142 @@ class TestNeighborhoodExplore:
             assert not engine.explore(math.inf)
         assert time.perf_counter() - start < 0.25
         assert engine.budget.arc_access_count == 3
+
+    def test_calls_without_arcs_draw_and_return(self, monkeypatch):
+        # one customer on one vehicle: m8 has no empty route and m1, m3 and
+        # m5 no second customer, so no attempt reads an arc.  Each call
+        # still draws its floats but must not loop over them one attempt at
+        # a time (the run took 3.4 s when it did)
+        inst = make_instance(customers=[(10, 0)], stations=[(5, 5)], fleet=1)
+
+        def solve(attempts):
+            return run_blahc(
+                inst, SearchParams(history_length=5, max_attempts=attempts),
+                EvaluationBudget(max_arc_accesses=20_000))
+
+        start = time.perf_counter()
+        solve(PARAM_MAX)
+        assert time.perf_counter() - start < 0.5
+
+        def recorded(explore, states):
+            def call(engine, phi_vi):
+                moved = explore(engine, phi_vi)
+                states.append((moved, engine.rng.getstate()))
+                return moved
+            return call
+
+        outputs = []
+        for explore in (_Engine.explore, explore_reference):
+            states = []
+            monkeypatch.setattr(_Engine, "explore", recorded(explore, states))
+            sol, trace = solve(10**4)
+            outputs.append((sol, trace.to_csv(), states))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][2]) > 1
+
+
+def frozen_like(rng):
+    """Two collinear opposite customers: every inter-route candidate is an
+    exact zero-delta move, so thresholds decide acceptance alone."""
+    return make_instance(customers=[(-50, 0), (50, 0)],
+                         stations=[(999, 999)], demands=[1, 1],
+                         capacity=9, fleet=2)
+
+
+def e22_tight(rng):
+    """e22_like with cargo for about five customers a route: many m2 and
+    m4 targets fail their capacity test without reading an arc."""
+    return replace(e22_like(rng), cargo_capacity=5.0)
+
+
+class TestExploreMatchesReference:
+    """_Engine.explore against explore_reference, which rescans every
+    repeated target: twin engines on the same plan, generator state, arc
+    limit and threshold must end in the same state, bit for bit."""
+
+    @staticmethod
+    def run(explore, inst, plan, seed, attempts, op, phi_vi, headroom):
+        """The end state of one call, and per kernel call (target, arcs
+        read before it, arcs it read, moved)."""
+        calls = []
+        engine = _Engine(
+            inst, SearchParams(max_attempts=attempts, seed=seed),
+            EvaluationBudget(), trace_level="full",
+            hooks={"on_accept": lambda *phis: calls.append(
+                tuple(p.hex() for p in phis))})
+        engine.load_plan(plan)
+        engine.explore_ops = [op]
+        budget = engine.budget
+        loaded = budget.arc_access_count
+        engine.arc_limit = loaded + headroom
+        log = []
+
+        def logged(kernel):
+            def scan(t1, t2, pa, threshold):
+                start = budget.arc_access_count
+                moved = kernel(t1, t2, pa, threshold)
+                log.append(((t1, t2, pa), start - loaded,
+                            budget.arc_access_count - start, moved))
+                return moved
+            return scan
+
+        engine.kernels = tuple(logged(k) for k in engine.kernels)
+        moved = explore(engine, phi_vi)
+        return (moved, engine.routes, engine.loads, engine.nonempty,
+                engine.empties, engine.phi.hex(), budget.arc_access_count,
+                engine.rng.getstate(), calls, engine.trace.to_csv()), log
+
+    @staticmethod
+    def crossing_headrooms(log):
+        """Arc limits at which the first repeat of a failed target that
+        read arcs cannot be skipped: its recorded arcs would pass the
+        limit, so the reference's rescan stops short or just finishes."""
+        failed = set()
+        for target, start, arcs, moved in log:
+            if target in failed and arcs > 0:
+                return [start + 1, start + arcs // 2, start + arcs - 1,
+                        start + arcs]
+            if not moved:
+                failed.add(target)
+        return []
+
+    @pytest.mark.parametrize("make, plans", [
+        (e22_like, 2), (e22_tight, 2), (x143_like, 1), (frozen_like, 2)])
+    def test_same_state_as_rescanning(self, make, plans):
+        rng = random.Random(17)
+        inst = make(rng)
+        repeats = crossings = 0
+        for p in range(plans):
+            if make is frozen_like:
+                plan = [[1], [2]] if p == 0 else [[1, 2], []]
+            else:
+                # a random plan accepts at once; on a descended one most
+                # attempts fail, so targets repeat
+                plan = random_partition_plan(
+                    rng, inst, rng.randint(1, inst.route_slots))
+                if p % 2 == 0:
+                    plan = descended(plan, inst, p)
+            phi = engine_on(plan, inst, 0).phi
+            for op in range(8):
+                for phi_vi in (math.inf, 1.01 * phi, phi, 0.0):
+                    for attempts in (1, 60, 500):
+                        args = (inst, plan, rng.randrange(1 << 30), attempts,
+                                op, phi_vi)
+                        expected, log = self.run(explore_reference, *args,
+                                                 math.inf)
+                        targets = [entry[0] for entry in log]
+                        repeats += len(targets) - len(set(targets))
+                        limits = self.crossing_headrooms(log)
+                        crossings += bool(limits)
+                        for headroom in [math.inf, 0, *limits]:
+                            if headroom != math.inf:
+                                expected, _ = self.run(explore_reference,
+                                                       *args, headroom)
+                            got, _ = self.run(_Engine.explore, *args,
+                                              headroom)
+                            assert got == expected, (op, phi_vi, attempts,
+                                                     headroom)
+        assert repeats > 0 and crossings > 0
 
 
 @pytest.fixture(scope="module")
