@@ -134,7 +134,8 @@ def _run_kernel(op: Move, plan, target, a, b, matrix, budget) -> PlanState:
     if matrix is None:
         matrix = [zeros] * len(zeros)
     state = PlanState(routes, matrix, zeros, math.inf, budget, math.inf)
-    state.kernels[ALL_OPERATORS.index(op)](t1, t2, pa, math.inf, k, k + 1)
+    state.kernels[ALL_OPERATORS.index(op)](state, t1, t2, pa, math.inf, k,
+                                           k + 1)
     return state
 
 

@@ -6,17 +6,19 @@ optimum with greedy descent.  Exploration then walks the routing space:
 each iteration draws one operator, tries up to max_attempts random
 targets, and accepts the first candidate that beats either the current
 surrogate cost or the cost recorded a fixed number of accepted-move
-cycles ago (the history list).  Until it accepts, an iteration's plan
-and threshold are fixed, so a target drawn again after a failed scan
-would fail again over the same arcs: it is charged those arcs without
-being rescanned, and the meter and every output stay those of
-rescanning.  The cheap charging solver is invoked
-only when the current surrogate comes within the follower threshold of
-the best surrogate seen, and the incumbent keeps the best full cost
-found anywhere.  When progress stalls the run restarts from a fresh
-tour, keeping the incumbent, unless the stalled cycle's exploration read
-no arc at all: then the plan has no neighbour and the run stops.  On
-termination the exhaustive charging solver polishes the incumbent.
+cycles ago (the history list).  The engine keeps one memo of failed
+scans for descent and exploration alike: a target whose two routes are
+unchanged since its scan failed reads the same arcs and computes the
+same deltas again, so while the scan's least delta cannot pass the
+threshold now in force it is charged those arcs without being rescanned,
+and the meter and every output stay those of rescanning.  The cheap
+charging solver is invoked only when the current surrogate comes within
+the follower threshold of the best surrogate seen, and the incumbent
+keeps the best full cost found anywhere.  When progress stalls the run
+restarts from a fresh tour, keeping the incumbent, unless the stalled
+cycle's exploration read no arc at all: then the plan has no neighbour
+and the run stops.  On termination the exhaustive charging solver
+polishes the incumbent.
 
 Everything stochastic draws from one seeded generator in program order,
 so a (instance, params, budget) triple fully determines the outcome.
@@ -212,7 +214,7 @@ class PlanState:
     It holds the eight operator kernels, the only implementation of each
     move's delta and edit; the search engine runs them over whole candidate
     ranges and moves.delta_phi / moves.apply_move over a single candidate.
-    Kernel kernels[k](t1, t2, pa, phi_vi, lo, hi) anchors customer
+    Kernel kernels[k](state, t1, t2, pa, phi_vi, lo, hi) anchors customer
     a = routes[t1][pa] and tries candidates lo..hi-1 in order.  It applies
     the first whose new surrogate phi_new beats phi_vi, or beats phi by more
     than IMPROVE_EPS, and returns True; it returns False when none does.
@@ -222,6 +224,13 @@ class PlanState:
     candidate, moving a into the empty route t2 (t2 < 0: none left).  Every
     arc read is charged to the budget, and a scan stops once the count
     reaches arc_limit.
+
+    A scan that fails without reaching arc_limit leaves in dmin the least
+    delta of the candidates it evaluated (inf: none).  fl(phi + d) is
+    monotone in d, so a candidate whose delta is not below a delta that
+    already failed cannot pass: each kernel tests only candidates with
+    delta < dmin, and while the routes the scan read stay unchanged, a
+    caller that knows dmin knows its outcome under any phi and threshold.
     """
 
     def __init__(self, routes: list[list[int]], matrix, demands, cap: float,
@@ -233,8 +242,7 @@ class PlanState:
         self.arc_limit = arc_limit
         self.set_routes(routes)
         self.phi = 0.0
-        self.kernels = (self._m1, self._m2, self._m3, self._m4,
-                        self._m5, self._m6, self._m7, self._m8)
+        self.dmin = math.inf
 
     def set_routes(self, routes: list[list[int]]) -> None:
         """Take routes as the plan; loads and route lists follow, phi not."""
@@ -250,6 +258,7 @@ class PlanState:
         route = self.routes[t1]
         length = len(route)
         if length < 2:
+            self.dmin = math.inf
             return False
         matrix = self.matrix
         budget = self.budget
@@ -262,6 +271,7 @@ class PlanState:
         if budget.arc_access_count >= limit:
             return False
         budget.arc_access_count += 3
+        dmin = math.inf
         row_a = matrix[a]
         removal = matrix[prev_a][next_a] - matrix[prev_a][a] - row_a[next_a]
         # a range may open on an after side (lo odd) and close on a before
@@ -285,10 +295,12 @@ class PlanState:
                 budget.arc_access_count += 3
                 delta = removal + matrix[left][a] + row_a[b] \
                     - matrix[left][b]
-                phi_new = phi + delta
-                if phi_new < phi_vi or phi_new < phi_improve:
-                    self._apply_m1(t1, pa, pb, False, phi_new)
-                    return True
+                if delta < dmin:
+                    phi_new = phi + delta
+                    if phi_new < phi_vi or phi_new < phi_improve:
+                        self._apply_m1(t1, pa, pb, False, phi_new)
+                        return True
+                    dmin = delta
             if pb != pa - 1 and pb != skip_after:
                 right = route[pb + 1] if pb + 1 < length else 0
                 if right == a:
@@ -298,10 +310,13 @@ class PlanState:
                 budget.arc_access_count += 3
                 delta = removal + matrix[b][a] + row_a[right] \
                     - matrix[b][right]
-                phi_new = phi + delta
-                if phi_new < phi_vi or phi_new < phi_improve:
-                    self._apply_m1(t1, pa, pb, True, phi_new)
-                    return True
+                if delta < dmin:
+                    phi_new = phi + delta
+                    if phi_new < phi_vi or phi_new < phi_improve:
+                        self._apply_m1(t1, pa, pb, True, phi_new)
+                        return True
+                    dmin = delta
+        self.dmin = dmin
         return False
 
     def _m2(self, t1, t2, pa, phi_vi, lo=0, hi=ALL) -> bool:
@@ -310,6 +325,7 @@ class PlanState:
         r2 = self.routes[t2]
         a = r1[pa]
         if self.loads[t2] + self.demands[a] > self.cap:
+            self.dmin = math.inf
             return False
         matrix = self.matrix
         budget = self.budget
@@ -325,6 +341,7 @@ class PlanState:
         budget.arc_access_count += 3
         row_a = matrix[a]
         removal = matrix[prev_a][next_a] - matrix[prev_a][a] - row_a[next_a]
+        dmin = math.inf
         for pb in range(lo, hi if hi < length2 else length2):
             b = r2[pb]
             right = r2[pb + 1] if pb + 1 < length2 else 0
@@ -332,10 +349,13 @@ class PlanState:
                 return False
             budget.arc_access_count += 3
             delta = removal + matrix[b][a] + row_a[right] - matrix[b][right]
-            phi_new = phi + delta
-            if phi_new < phi_vi or phi_new < phi_improve:
-                self._apply_m2(t1, t2, pa, pb, phi_new)
-                return True
+            if delta < dmin:
+                phi_new = phi + delta
+                if phi_new < phi_vi or phi_new < phi_improve:
+                    self._apply_m2(t1, t2, pa, pb, phi_new)
+                    return True
+                dmin = delta
+        self.dmin = dmin
         return False
 
     def _m3(self, t1, t2, pa, phi_vi, lo=0, hi=ALL) -> bool:
@@ -343,6 +363,7 @@ class PlanState:
         route = self.routes[t1]
         length = len(route)
         if length < 2:
+            self.dmin = math.inf
             return False
         matrix = self.matrix
         budget = self.budget
@@ -353,6 +374,7 @@ class PlanState:
         prev_a = route[pa - 1] if pa else 0
         next_a = route[pa + 1] if pa + 1 < length else 0
         row_a = matrix[a]
+        dmin = math.inf
         for pb in range(lo, hi if hi < length else length):
             if pb == pa:
                 continue
@@ -376,11 +398,14 @@ class PlanState:
                          + matrix[prev_b][a] + row_a[next_b]
                          - matrix[prev_a][a] - row_a[next_a]
                          - matrix[prev_b][b] - row_b[next_b])
-            phi_new = phi + delta
-            if phi_new < phi_vi or phi_new < phi_improve:
-                route[pa], route[pb] = route[pb], route[pa]
-                self.phi = phi_new
-                return True
+            if delta < dmin:
+                phi_new = phi + delta
+                if phi_new < phi_vi or phi_new < phi_improve:
+                    route[pa], route[pb] = route[pb], route[pa]
+                    self.phi = phi_new
+                    return True
+                dmin = delta
+        self.dmin = dmin
         return False
 
     def _m4(self, t1, t2, pa, phi_vi, lo=0, hi=ALL) -> bool:
@@ -403,6 +428,7 @@ class PlanState:
         prev_a = r1[pa - 1] if pa else 0
         next_a = r1[pa + 1] if pa + 1 < length1 else 0
         row_a = matrix[a]
+        dmin = math.inf
         for pb in range(lo, hi if hi < length2 else length2):
             b = r2[pb]
             demand_b = demands[b]
@@ -419,13 +445,16 @@ class PlanState:
                      - matrix[prev_a][a] - row_a[next_a]
                      + matrix[prev_b][a] + row_a[next_b]
                      - matrix[prev_b][b] - row_b[next_b])
-            phi_new = phi + delta
-            if phi_new < phi_vi or phi_new < phi_improve:
-                r1[pa], r2[pb] = b, a
-                self.loads[t1] = load1 - demand_a + demand_b
-                self.loads[t2] = load2 - demand_b + demand_a
-                self.phi = phi_new
-                return True
+            if delta < dmin:
+                phi_new = phi + delta
+                if phi_new < phi_vi or phi_new < phi_improve:
+                    r1[pa], r2[pb] = b, a
+                    self.loads[t1] = load1 - demand_a + demand_b
+                    self.loads[t2] = load2 - demand_b + demand_a
+                    self.phi = phi_new
+                    return True
+                dmin = delta
+        self.dmin = dmin
         return False
 
     def _m5(self, t1, t2, pa, phi_vi, lo=0, hi=ALL) -> bool:
@@ -436,6 +465,7 @@ class PlanState:
         start = lo if lo > pa + 2 else pa + 2
         stop = hi if hi < length else length
         if start >= stop:
+            self.dmin = math.inf
             return False
         matrix = self.matrix
         budget = self.budget
@@ -450,6 +480,7 @@ class PlanState:
         row_a = matrix[a]
         row_an = matrix[next_a]
         d_a_an = row_a[next_a]
+        dmin = math.inf
         for pb in range(start, stop):
             b = route[pb]
             next_b = route[pb + 1] if pb + 1 < length else 0
@@ -458,12 +489,15 @@ class PlanState:
             budget.arc_access_count += 3
             delta = (row_a[b] + row_an[next_b] - d_a_an
                      - matrix[b][next_b])
-            phi_new = phi + delta
-            if phi_new < phi_vi or phi_new < phi_improve:
-                self.routes[t1] = route[:pa + 1] + route[pa + 1:pb + 1][::-1] \
-                    + route[pb + 1:]
-                self.phi = phi_new
-                return True
+            if delta < dmin:
+                phi_new = phi + delta
+                if phi_new < phi_vi or phi_new < phi_improve:
+                    self.routes[t1] = route[:pa + 1] \
+                        + route[pa + 1:pb + 1][::-1] + route[pb + 1:]
+                    self.phi = phi_new
+                    return True
+                dmin = delta
+        self.dmin = dmin
         return False
 
     def _m6(self, t1, t2, pa, phi_vi, lo=0, hi=ALL) -> bool:
@@ -497,6 +531,7 @@ class PlanState:
         if lo:  # demand of the customers ahead of the range
             for b in r2[:lo]:
                 head2 += demands[b]
+        dmin = math.inf
         for pb in range(lo, hi if hi < length2 else length2):
             b = r2[pb]
             head2 += demands[b]
@@ -508,10 +543,13 @@ class PlanState:
             budget.arc_access_count += 3
             delta = (row_a[b] + row_an[next_b] - d_a_an
                      - matrix[b][next_b])
-            phi_new = phi + delta
-            if phi_new < phi_vi or phi_new < phi_improve:
-                self._apply_m6(t1, t2, pa, pb, head1 + head2, phi_new)
-                return True
+            if delta < dmin:
+                phi_new = phi + delta
+                if phi_new < phi_vi or phi_new < phi_improve:
+                    self._apply_m6(t1, t2, pa, pb, head1 + head2, phi_new)
+                    return True
+                dmin = delta
+        self.dmin = dmin
         return False
 
     def _m7(self, t1, t2, pa, phi_vi, lo=0, hi=ALL) -> bool:
@@ -545,6 +583,7 @@ class PlanState:
         if lo:  # demand of the customers ahead of the range
             for b in r2[:lo]:
                 head2 += demands[b]
+        dmin = math.inf
         for pb in range(lo, hi if hi < length2 else length2):
             b = r2[pb]
             head2 += demands[b]
@@ -558,16 +597,20 @@ class PlanState:
             budget.arc_access_count += 3
             delta = (row_a[next_b] + matrix[b][next_a] - d_a_an
                      - matrix[b][next_b])
-            phi_new = phi + delta
-            if phi_new < phi_vi or phi_new < phi_improve:
-                self._apply_m7(t1, t2, pa, pb, head1 + load2 - head2,
-                               phi_new)
-                return True
+            if delta < dmin:
+                phi_new = phi + delta
+                if phi_new < phi_vi or phi_new < phi_improve:
+                    self._apply_m7(t1, t2, pa, pb, head1 + load2 - head2,
+                                   phi_new)
+                    return True
+                dmin = delta
+        self.dmin = dmin
         return False
 
     def _m8(self, t1, t2, pa, phi_vi, lo=0, hi=ALL) -> bool:
         """m8: move a into the empty route t2 as its only customer."""
         if t2 < 0:
+            self.dmin = math.inf
             return False
         route = self.routes[t1]
         matrix = self.matrix
@@ -586,7 +629,14 @@ class PlanState:
         if phi_new < phi_vi or phi_new < phi - IMPROVE_EPS:
             self._apply_m8(t1, t2, pa, phi_new)
             return True
+        self.dmin = delta
         return False
+
+    # indexed by operator id; plain functions called as
+    # kernels[op](state, t1, t2, pa, phi_vi, lo, hi), since a tuple of bound
+    # methods held by the state would make every state a reference cycle
+    # that lives until the next full garbage collection
+    kernels = (_m1, _m2, _m3, _m4, _m5, _m6, _m7, _m8)
 
     # -- apply helpers ----------------------------------------------------
 
@@ -673,6 +723,14 @@ class _Engine(PlanState):
         self.hooks = hooks or {}
         self.table = None           # built lazily, never charged: shared data
         self.se_memo = {}           # solve_se's routes of its previous call
+        # failed full scans, one dict per operator: key a * stride + t2 ->
+        # (stamp of a's route, stamp of t2, arcs read, dmin).  A route's
+        # stamp changes with each move that edits it; the extra last slot
+        # stands for t2 = -1, so each key names one (a, t2)
+        self.stride = inst.route_slots + 1
+        self.memo = [{} for _ in range(8)]
+        self.stamps = [0] * self.stride
+        self.move_count = 0
         self.gamma = 0.0 if toggles.gamma_zero else params.follower_threshold
         self.explore_ops = list(range(7)) if toggles.no_m8 else list(range(8))
         self.iteration = 0
@@ -687,6 +745,8 @@ class _Engine(PlanState):
         while len(routes) < self.inst.route_slots:
             routes.append([])
         self.set_routes(routes)
+        for memo in self.memo:
+            memo.clear()
         phi = 0.0
         for r in routes:
             if not r:
@@ -738,27 +798,57 @@ class _Engine(PlanState):
 
     def _descend_target(self, op, t1, t2) -> bool:
         """Rescan one target until no pair (a, b) improves it, running the
-        operator's kernel over its full candidate range for each a."""
+        operator's kernel over its full candidate range for each a.
+
+        An anchor a whose failed scan is in the memo with both routes
+        unchanged since, and whose dmin cannot beat the current phi, is
+        charged the recorded arcs without rerunning the kernel, as in
+        explore."""
         budget = self.budget
         limit = self.arc_limit
         wall = self.wall_limited
         scan = self.kernels[op]
+        memo = self.memo[op]
+        stamps = self.stamps
+        stride = self.stride
         improved = False
         while True:
-            moved = False
             r1 = self.routes[t1]
             if not r1 or (t2 >= 0 and not self.routes[t2]):
                 return improved
+            stamp1 = stamps[t1]
+            stamp2 = stamps[t2]
+            phi = self.phi
+            phi_improve = phi - IMPROVE_EPS
             for pa in range(len(r1)):
-                if budget.arc_access_count >= limit or (
-                        wall and self._out_of_time()):
+                spent = budget.arc_access_count
+                if spent >= limit or (wall and self._out_of_time()):
                     return improved
-                if scan(t1, t2, pa, NEG_INF):
-                    moved = True
+                key = r1[pa] * stride + t2
+                seen = memo.get(key)
+                if seen is not None and seen[0] == stamp1 \
+                        and seen[1] == stamp2 and spent + seen[2] <= limit \
+                        and phi + seen[3] >= phi_improve:
+                    budget.arc_access_count = spent + seen[2]
+                    continue
+                if scan(self, t1, t2, pa, NEG_INF):
+                    self._touch(t1, t2)
                     improved = True
                     break
-            if not moved:
+                end = budget.arc_access_count
+                if end < limit:
+                    memo[key] = (stamp1, stamp2, end - spent, self.dmin)
+            else:
                 return improved
+
+    def _touch(self, t1, t2) -> None:
+        """Give routes t1 and t2 (t2 < 0: t1 alone), just edited by a move,
+        a stamp no route has held: every memo entry that read them is
+        retired, and an entry cannot match a route its customer left."""
+        self.move_count += 1
+        self.stamps[t1] = self.move_count
+        if t2 >= 0:
+            self.stamps[t2] = self.move_count
 
     def _out_of_time(self) -> bool:
         """Wall-clock stop for descent: polls the clock on the first scan
@@ -782,17 +872,22 @@ class _Engine(PlanState):
         the rejection sampling of randrange, still from the single seeded
         stream in program order.
 
-        Until the call accepts, the plan, phi and phi_vi stay fixed, so a
-        scan's outcome depends only on its target.  A repeat of a target
-        that already failed therefore fails again over the same arcs: it
-        still draws its floats and is charged the arcs the first scan read,
-        but its kernel does not run.  The meter thus counts what the
-        algorithm evaluates, and budgets, stop points and outputs are those
-        of rescanning.  Only when that charge would pass arc_limit does the
-        kernel run again, since a scan cut short there reads fewer arcs.
-        A call whose attempts can read no arc at all (m8 with no empty
-        route; m1, m3 and m5 when every route holds one customer) draws
-        its floats and returns at once.
+        A target whose failed full scan is in the memo (from this call, an
+        earlier one or a descent pass), with both routes unchanged since
+        (their stamps match), would read the same arcs
+        again and compute the same deltas bit for bit: the scan depends on
+        the two routes and their loads alone.  If phi + dmin now passes
+        neither phi_vi nor phi - IMPROVE_EPS, no candidate can pass, since
+        fl(phi + d) is monotone in d; the attempt then still draws its
+        floats and is charged the recorded arcs, but its kernel does not
+        run.  The meter thus counts what the algorithm evaluates, and
+        budgets, stop points and outputs are those of rescanning.  Only
+        when that charge would pass arc_limit does the kernel run again,
+        since a scan cut short there reads fewer arcs; such a scan is never
+        recorded.  A call whose attempts can read no arc at all (m8 with no
+        empty route; m1, m3 and m5 when every route holds one customer, m5
+        when none holds more than two) draws its floats and returns at
+        once.
         """
         draw = self.rng.random
         ops = self.explore_ops
@@ -810,9 +905,7 @@ class _Engine(PlanState):
         if inter:
             if count < 2:
                 return False        # no partner route: no attempt can draw
-        elif (dest < 0 if op == M8 else count == self.inst.num_customers):
-            # no attempt can read an arc: m8 has no empty route to fill, and
-            # m1, m3 and m5 cannot edit a route of one customer
+        elif (dest < 0 if op == M8 else self._cannot_edit(op, count)):
             if budget.arc_access_count < limit:
                 # the t1 and pa draws of every attempt: random() takes two
                 # 32-bit words of the Mersenne Twister and getrandbits(k)
@@ -820,9 +913,16 @@ class _Engine(PlanState):
                 self.rng.getrandbits(128 * attempts)
             return False
         on_accept = self.hooks.get("on_accept")
-        failed = {}                 # target -> arcs its failed scan read
+        memo = self.memo[op]
+        stamps = self.stamps
+        stride = self.stride
+        phi = self.phi
+        # a candidate passes iff phi_new < bar: phi_new < phi_vi or
+        # phi_new < phi - IMPROVE_EPS, none of them nan
+        bar = max(phi_vi, phi - IMPROVE_EPS)
         for _ in range(attempts):
-            if budget.arc_access_count >= limit:
+            spent = budget.arc_access_count
+            if spent >= limit:
                 return False
             if inter:
                 i = int(draw() * count)
@@ -834,22 +934,37 @@ class _Engine(PlanState):
             else:
                 t1 = nonempty[int(draw() * count)]
                 t2 = dest
-            pa = int(draw() * len(routes[t1]))
-            target = (t1, t2, pa)
-            arcs = failed.get(target)
-            if arcs is not None and budget.arc_access_count + arcs <= limit:
-                budget.arc_access_count += arcs
-                continue
-            start = budget.arc_access_count
-            phi_before = self.phi
-            if scan(t1, t2, pa, phi_vi):
+            route = routes[t1]
+            pa = int(draw() * len(route))
+            key = route[pa] * stride + t2
+            seen = memo.get(key)
+            if seen is not None:
+                stamp1, stamp2, arcs, dmin = seen
+                if stamp1 == stamps[t1] and stamp2 == stamps[t2] \
+                        and spent + arcs <= limit and phi + dmin >= bar:
+                    budget.arc_access_count = spent + arcs
+                    continue
+            if scan(self, t1, t2, pa, phi_vi):
+                self._touch(t1, t2)
                 if on_accept is not None:
-                    on_accept(self.phi, phi_before, phi_vi)
+                    on_accept(self.phi, phi, phi_vi)
                 if self.trace_full:
                     self._emit("accept")
                 return True
-            failed[target] = budget.arc_access_count - start
+            end = budget.arc_access_count
+            if end < limit:
+                memo[key] = (stamps[t1], stamps[t2], end - spent, self.dmin)
         return False
+
+    def _cannot_edit(self, op, count) -> bool:
+        """True when no target of intra-route op has a candidate: every
+        route holds one customer, or (m5) none holds more than two.  With
+        num_customers > 2 * count some route holds three or more."""
+        n = self.inst.num_customers
+        if count == n:
+            return True
+        return op == M5 and 2 * count >= n and \
+            max(len(self.routes[t]) for t in self.nonempty) <= 2
 
     # -- follower calls ------------------------------------------------------
 

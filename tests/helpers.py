@@ -12,7 +12,7 @@ from ecvrp.charging import (
 )
 from ecvrp.instance import DistanceOracle
 from ecvrp.moves import ALL_OPERATORS, INTRA_ROUTE, Move, enumerate_positions
-from ecvrp.search import M2, M4, M6, M7, M8, InstanceInfeasible
+from ecvrp.search import M2, M4, M6, M7, M8, NEG_INF, InstanceInfeasible
 from ecvrp.solution import ChargingPlan, RoutingPlan
 
 from conftest import make_instance
@@ -407,10 +407,37 @@ def explore_reference(self, phi_vi):
         route = self.routes[t1]
         pa = int(draw() * len(route))
         phi_before = self.phi
-        if scan(t1, t2, pa, phi_vi):
+        if scan(self, t1, t2, pa, phi_vi):
             if on_accept is not None:
                 on_accept(self.phi, phi_before, phi_vi)
             if self.trace_full:
                 self._emit("accept")
             return True
     return False
+
+
+def descend_reference(self, op, t1, t2):
+    """Reference descent of one target: every anchor runs the operator's
+    kernel, whatever the engine's memo holds.  The oracle for
+    _Engine._descend_target, which must leave the same plan, phi bits, arc
+    count and generator state; patch it in as _Engine._descend_target."""
+    budget = self.budget
+    limit = self.arc_limit
+    wall = self.wall_limited
+    scan = self.kernels[op]
+    improved = False
+    while True:
+        moved = False
+        r1 = self.routes[t1]
+        if not r1 or (t2 >= 0 and not self.routes[t2]):
+            return improved
+        for pa in range(len(r1)):
+            if budget.arc_access_count >= limit or (
+                    wall and self._out_of_time()):
+                return improved
+            if scan(self, t1, t2, pa, NEG_INF):
+                moved = True
+                improved = True
+                break
+        if not moved:
+            return improved

@@ -1,8 +1,12 @@
+import gc
+import math
 import random
+import weakref
 from collections import Counter
 
 import pytest
 
+import ecvrp.moves
 from ecvrp.instance import DistanceOracle, EvaluationBudget
 from ecvrp.moves import (
     ALL_OPERATORS,
@@ -16,9 +20,15 @@ from ecvrp.moves import (
     delta_phi,
     enumerate_positions,
 )
+from ecvrp.search import NEG_INF, PlanState
 from ecvrp.solution import surrogate_cost
 from conftest import make_instance
-from helpers import random_move, random_partition_plan
+from helpers import (
+    disc_point,
+    random_feasible_plan,
+    random_move,
+    random_partition_plan,
+)
 
 
 @pytest.fixture
@@ -213,6 +223,80 @@ class TestDelta:
         delta_phi(Move.SEED_EMPTY_ROUTE, [[1, 2, 3], [4, 5], [6, 7], []],
                   0, 2, 3, oracle)
         assert budget.arc_access_count == 4
+
+
+class TestScanMinimum:
+    def test_failed_scan_publishes_least_candidate(self):
+        # for every scan that fails, phi + dmin must equal, bit for bit, the
+        # least phi_new over the single-candidate runs of the same kernel:
+        # the candidates enumerate_positions lists, less those that break
+        # capacity and the structural no-ops the scan skips
+        rng = random.Random(8)
+        customers = [disc_point(rng, 30) for _ in range(13)]
+        inst = make_instance(customers=customers, stations=[(40, 40)],
+                             demands=[rng.randint(1, 3) for _ in customers],
+                             capacity=9, fleet=4)
+        oracle = DistanceOracle.for_instance(inst)
+        cap = inst.cargo_capacity
+        checked = Counter()
+        for _ in range(12):
+            routes = random_feasible_plan(rng, inst) + [[]]
+            phi = surrogate_cost(routes, oracle)
+            nonempty = [t for t, r in enumerate(routes) if r]
+            for op_id, op in enumerate(ALL_OPERATORS):
+                if op in INTER_ROUTE:
+                    targets = [(t1, t2) for t1 in nonempty for t2 in nonempty
+                               if t1 != t2]
+                else:           # m8 fills the empty last route
+                    t2 = -1 if op in INTRA_ROUTE else len(routes) - 1
+                    targets = [(t1, t2) for t1 in nonempty]
+                for t1, t2 in targets:
+                    for pa, a in enumerate(routes[t1]):
+                        state = PlanState([list(r) for r in routes],
+                                          oracle.matrix, list(inst.demands),
+                                          cap, EvaluationBudget(), math.inf)
+                        state.phi = phi
+                        if state.kernels[op_id](state, t1, t2, pa, NEG_INF):
+                            continue
+                        target = (t1, t2) if op in INTER_ROUTE else t1
+                        phis = []
+                        for b in enumerate_positions(op, routes, target, a):
+                            out = apply_move(op, routes, target, a, b)
+                            if out == routes or any(
+                                    sum(inst.demands[c] for c in r) > cap
+                                    for r in out):
+                                continue
+                            phis.append(phi + delta_phi(op, routes, target,
+                                                        a, b, oracle))
+                        assert (phi + state.dmin).hex() == \
+                            min(phis, default=math.inf).hex(), (op, t1, t2, a)
+                        checked[op] += bool(phis)
+        assert set(checked) == set(ALL_OPERATORS) and \
+            min(checked.values()) >= 20, checked
+
+
+class TestKernelStateLifetime:
+    def test_single_candidate_state_freed(self, monkeypatch, seven_instance):
+        # with the collector off, a state that is part of a reference cycle
+        # would outlive every delta_phi and apply_move call
+        states = []
+
+        class Tracked(PlanState):
+            def __init__(self, *args):
+                super().__init__(*args)
+                states.append(weakref.ref(self))
+
+        monkeypatch.setattr(ecvrp.moves, "PlanState", Tracked)
+        oracle = DistanceOracle.for_instance(seven_instance)
+        plan = [[1, 2, 3], [4, 5], [6, 7], []]
+        gc.collect()
+        gc.disable()
+        try:
+            delta_phi(Move.SWAP_ACROSS, plan, (0, 1), 2, 5, oracle)
+            apply_move(Move.REVERSE_SEGMENT, plan, 0, 1, 3)
+            assert len(states) == 2 and all(ref() is None for ref in states)
+        finally:
+            gc.enable()
 
 
 def test_operator_classification():

@@ -1,7 +1,9 @@
+import gc
 import math
 import random
 import sys
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,6 +35,7 @@ from ecvrp.solution import check_upper_feasible, surrogate_cost
 from conftest import make_instance
 from helpers import (
     certified_tiny_fixture,
+    descend_reference,
     e22_like,
     explore_reference,
     full_surrogate,
@@ -271,31 +274,45 @@ class TestNeighborhoodExplore:
         # still draws its floats but must not loop over them one attempt at
         # a time (the run took 3.4 s when it did)
         inst = make_instance(customers=[(10, 0)], stations=[(5, 5)], fleet=1)
+        check_calls_without_arcs(monkeypatch, inst)
 
-        def solve(attempts):
-            return run_blahc(
-                inst, SearchParams(history_length=5, max_attempts=attempts),
-                EvaluationBudget(max_arc_accesses=20_000))
+    def test_m5_calls_without_arcs_draw_and_return(self, monkeypatch):
+        # two customers on one vehicle: m5 has no segment of two or more
+        # customers after a, so none of its attempts reads an arc (the run
+        # took 0.9 s when its calls looped over every attempt)
+        inst = make_instance(customers=[(10, 0), (0, 10)], stations=[(5, 5)],
+                             fleet=1)
+        check_calls_without_arcs(monkeypatch, inst)
 
-        start = time.perf_counter()
-        solve(PARAM_MAX)
-        assert time.perf_counter() - start < 0.5
 
-        def recorded(explore, states):
-            def call(engine, phi_vi):
-                moved = explore(engine, phi_vi)
-                states.append((moved, engine.rng.getstate()))
-                return moved
-            return call
+def check_calls_without_arcs(monkeypatch, inst):
+    """A run at max_attempts PARAM_MAX ends in under 0.5 s, and at 10**4
+    leaves the same solution, trace and generator state after every
+    exploration call as explore_reference."""
+    def solve(attempts):
+        return run_blahc(
+            inst, SearchParams(history_length=5, max_attempts=attempts),
+            EvaluationBudget(max_arc_accesses=20_000))
 
-        outputs = []
-        for explore in (_Engine.explore, explore_reference):
-            states = []
-            monkeypatch.setattr(_Engine, "explore", recorded(explore, states))
-            sol, trace = solve(10**4)
-            outputs.append((sol, trace.to_csv(), states))
-        assert outputs[0] == outputs[1]
-        assert len(outputs[0][2]) > 1
+    start = time.perf_counter()
+    solve(PARAM_MAX)
+    assert time.perf_counter() - start < 0.5
+
+    def recorded(explore, states):
+        def call(engine, phi_vi):
+            moved = explore(engine, phi_vi)
+            states.append((moved, engine.rng.getstate()))
+            return moved
+        return call
+
+    outputs = []
+    for explore in (_Engine.explore, explore_reference):
+        states = []
+        monkeypatch.setattr(_Engine, "explore", recorded(explore, states))
+        sol, trace = solve(10**4)
+        outputs.append((sol, trace.to_csv(), states))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][2]) > 1
 
 
 def frozen_like(rng):
@@ -335,9 +352,9 @@ class TestExploreMatchesReference:
         log = []
 
         def logged(kernel):
-            def scan(t1, t2, pa, threshold):
+            def scan(state, t1, t2, pa, threshold):
                 start = budget.arc_access_count
-                moved = kernel(t1, t2, pa, threshold)
+                moved = kernel(state, t1, t2, pa, threshold)
                 log.append(((t1, t2, pa), start - loaded,
                             budget.arc_access_count - start, moved))
                 return moved
@@ -400,6 +417,86 @@ class TestExploreMatchesReference:
                             assert got == expected, (op, phi_vi, attempts,
                                                      headroom)
         assert repeats > 0 and crossings > 0
+
+
+class ReferenceEngine(_Engine):
+    """Runs every kernel again: neither descent nor exploration reads the
+    memo."""
+    explore = explore_reference
+    _descend_target = descend_reference
+
+
+class TestMemoMatchesReference:
+    """The memo lives across exploration calls and descent passes: twin
+    engines, one with it and one rescanning, go through plan loads,
+    descents and hundreds of exploration calls under history-like
+    thresholds and arc limits, and must agree bit for bit after every
+    call."""
+
+    @staticmethod
+    def twin(cls, inst, seed):
+        accepts = []
+        engine = cls(inst, SearchParams(seed=seed), EvaluationBudget(),
+                     trace_level="full",
+                     hooks={"on_accept": lambda *phis: accepts.append(
+                         tuple(p.hex() for p in phis))})
+        scans = [0, 0]              # kernel runs; those cut at the limit
+
+        def counted(kernel):
+            def scan(state, *args):
+                moved = kernel(state, *args)
+                scans[0] += 1
+                scans[1] += state.budget.arc_access_count >= state.arc_limit
+                return moved
+            return scan
+
+        engine.kernels = tuple(counted(k) for k in engine.kernels)
+        return engine, accepts, scans
+
+    @staticmethod
+    def state(engine, accepts, scans):
+        return (engine.routes, engine.loads, engine.nonempty, engine.empties,
+                engine.phi.hex(), engine.budget.arc_access_count,
+                engine.rng.getstate(), accepts, engine.trace.to_csv())
+
+    @pytest.mark.parametrize("make, calls", [
+        (e22_like, 400), (e22_tight, 400), (x143_like, 150)])
+    def test_same_state_as_rescanning(self, make, calls):
+        rng = random.Random(31)
+        inst = make(rng)
+        twins = [self.twin(cls, inst, 7) for cls in (_Engine, ReferenceEngine)]
+        memo_engine = twins[0][0]
+        for cycle in range(3):
+            plan = random_partition_plan(
+                rng, inst, rng.randint(1, inst.route_slots))
+            # the second descent stops at an arc limit partway through
+            headroom = 3000 if cycle == 1 else math.inf
+            for engine, _, _ in twins:
+                engine.load_plan(plan)
+                engine.arc_limit = engine.budget.arc_access_count + headroom
+                engine.descend()
+            assert self.state(*twins[0]) == self.state(*twins[1]), cycle
+            for call in range(calls):
+                phi = memo_engine.phi
+                u = rng.random()
+                phi_vi = math.inf if u < 0.04 else 0.0 if u < 0.08 else \
+                    phi * rng.uniform(0.98, 1.02)
+                # a limit close ahead lands inside recorded charges
+                limit = memo_engine.budget.arc_access_count \
+                    + rng.randrange(200) if rng.random() < 0.25 else math.inf
+                for engine, _, _ in twins:
+                    engine.arc_limit = limit
+                    engine.explore(phi_vi)
+                assert self.state(*twins[0]) == self.state(*twins[1]), \
+                    (cycle, call)
+            # a last descent leaves entries that match the current routes:
+            # the next plan must retire them
+            for engine, _, _ in twins:
+                engine.arc_limit = math.inf
+                engine.descend()
+            assert self.state(*twins[0]) == self.state(*twins[1]), cycle
+        ran, cut = twins[0][2]
+        assert ran < twins[1][2][0] and cut > 0
 
 
 @pytest.fixture(scope="module")
@@ -597,6 +694,47 @@ class TestEngineInvariants:
             for _ in range(400):
                 engine.explore(engine.phi * 1.03)
         assert all(applied), applied
+
+
+class TestMemoBound:
+    def test_entries_bounded_by_customers_and_slots(self):
+        # one entry per (operator, customer, partner route) at most, however
+        # long the run: 3n for m1, m3, m5 and n * route_slots for the others.
+        # Cargo for 25 customers a route keeps the descent short, and a
+        # battery that never binds lets every run find an incumbent
+        inst = replace(x143_like(random.Random(17)), cargo_capacity=25.0,
+                       battery_capacity=1e9)
+        bound = 8 * inst.num_customers * inst.route_slots
+        sizes = []
+        for arcs in (3_000_000, 10_000_000):
+            engine = _Engine(inst, SearchParams(history_length=200, seed=2),
+                             EvaluationBudget(max_arc_accesses=arcs))
+            engine.run()
+            sizes.append(sum(map(len, engine.memo)))
+        assert 0 < sizes[0] and max(sizes) <= bound, sizes
+
+
+class TestEngineLifetime:
+    def test_engine_freed_when_run_returns(self, monkeypatch,
+                                           searchable_instance):
+        # with the collector off, an engine that is part of a reference
+        # cycle (plan, memo, trace) would outlive the run
+        engines = []
+        run = _Engine.run
+
+        def tracked(engine):
+            engines.append(weakref.ref(engine))
+            return run(engine)
+
+        monkeypatch.setattr(_Engine, "run", tracked)
+        gc.collect()
+        gc.disable()
+        try:
+            run_blahc(searchable_instance, small_params(1),
+                      EvaluationBudget(max_arc_accesses=50_000))
+            assert len(engines) == 1 and engines[0]() is None
+        finally:
+            gc.enable()
 
 
 class TestBenchmarkTracer:
