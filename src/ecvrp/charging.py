@@ -465,6 +465,10 @@ def solve_exhaustive(plan, inst: InstanceSpec,
             assign[g] = None
 
         descend(0, 0, full, 0.0)
+        # descend holds itself through its closure cell: dropping the name
+        # empties the cell, so the route's tables go now, not at the next
+        # cyclic collection
+        del descend
         examined_total += examined
         if best == math.inf:
             return ChargingQueryResult(False, None, None, examined_total)

@@ -7,11 +7,14 @@ each iteration draws one operator, tries up to max_attempts random
 targets, and accepts the first candidate that beats either the current
 surrogate cost or the cost recorded a fixed number of accepted-move
 cycles ago (the history list).  The engine keeps one memo of failed
-scans for descent and exploration alike: a target whose two routes are
-unchanged since its scan failed reads the same arcs and computes the
-same deltas again, so while the scan's least delta cannot pass the
-threshold now in force it is charged those arcs without being rescanned,
-and the meter and every output stay those of rescanning.  The cheap
+scans for descent and exploration alike, keyed by what a scan reads: the
+operator, the anchor customer and the contents of its two routes, loads
+included.  A target whose routes hold the same contents as when its scan
+failed reads the same arcs and computes the same deltas again, so while
+the scan's least delta cannot pass the threshold now in force it is
+charged those arcs without being rescanned, and the meter and every
+output stay those of rescanning.  Late acceptance keeps returning to the
+same few routes, so most scans it draws are found there.  The cheap
 charging solver is invoked only when the current surrogate comes within
 the follower threshold of the best surrogate seen, and the incumbent
 keeps the best full cost found anywhere.  When progress stalls the run
@@ -49,6 +52,21 @@ M1, M2, M3, M4, M5, M6, M7, M8 = range(8)
 # 60: each restart allocates the whole history list (about 38 MB at the
 # cap) and an exploration call may loop over every attempt
 PARAM_MAX = 10**6
+
+# least number of slots the engine's memo of failed scans may hold before
+# it is cleared: at most about 3 MB, at the 48 bytes a slot it takes when
+# routes hold five customers (longer routes take fewer bytes a slot)
+MEMO_FLOOR = 1 << 16
+
+
+def memo_cap(inst: InstanceSpec) -> int:
+    """Slots the engine's memo of failed scans holds at most.  A memo row
+    takes one slot per anchor of its route and an interned route content
+    one per customer, plus one.  The failed scans of one plan fill at most
+    4 n route_slots row slots and its contents n + route_slots, so the cap
+    holds those of a plan at least about twice over, and never less than
+    MEMO_FLOOR."""
+    return max(MEMO_FLOOR, 8 * inst.num_customers * inst.route_slots)
 
 
 class SearchError(RuntimeError):
@@ -723,14 +741,21 @@ class _Engine(PlanState):
         self.hooks = hooks or {}
         self.table = None           # built lazily, never charged: shared data
         self.se_memo = {}           # solve_se's routes of its previous call
-        # failed full scans, one dict per operator: key a * stride + t2 ->
-        # (stamp of a's route, stamp of t2, arcs read, dmin).  A route's
-        # stamp changes with each move that edits it; the extra last slot
-        # stands for t2 = -1, so each key names one (a, t2)
-        self.stride = inst.route_slots + 1
+        # failed full scans, one dict per operator: key id1 * stride + id2,
+        # the content ids of the target's two routes, -> a row over the
+        # anchor positions pa of the first: row[pa] the scan's dmin (nan:
+        # none recorded) and row[~pa] the arcs it read.  ids[t] is route
+        # t's content id (see _intern); its extra last entry, the partner
+        # id of t2 = -1, lies above every content id
         self.memo = [{} for _ in range(8)]
-        self.stamps = [0] * self.stride
-        self.move_count = 0
+        self.content_ids = {}       # (tuple(route), load) -> content id
+        self.memo_cap = memo_cap(inst)
+        self.memo_slots = 0
+        no_route = self.memo_cap + 3 * inst.num_customers \
+            + 2 * inst.route_slots
+        self.stride = no_route + 1
+        self.ids = [0] * inst.route_slots + [no_route]
+        self._reset_memo()
         self.gamma = 0.0 if toggles.gamma_zero else params.follower_threshold
         self.explore_ops = list(range(7)) if toggles.no_m8 else list(range(8))
         self.iteration = 0
@@ -745,8 +770,8 @@ class _Engine(PlanState):
         while len(routes) < self.inst.route_slots:
             routes.append([])
         self.set_routes(routes)
-        for memo in self.memo:
-            memo.clear()
+        # entries are keyed by content, so they stay valid across plans
+        self._intern_routes(range(len(routes)))
         phi = 0.0
         for r in routes:
             if not r:
@@ -800,36 +825,31 @@ class _Engine(PlanState):
         """Rescan one target until no pair (a, b) improves it, running the
         operator's kernel over its full candidate range for each a.
 
-        An anchor a whose failed scan is in the memo with both routes
-        unchanged since, and whose dmin cannot beat the current phi, is
-        charged the recorded arcs without rerunning the kernel, as in
-        explore."""
+        An anchor whose failed scan is in the memo for the routes' current
+        contents, and whose dmin cannot beat the current phi, is charged
+        the recorded arcs without rerunning the kernel, as in explore."""
         budget = self.budget
         limit = self.arc_limit
         wall = self.wall_limited
         scan = self.kernels[op]
         memo = self.memo[op]
-        stamps = self.stamps
+        ids = self.ids
         stride = self.stride
         improved = False
         while True:
             r1 = self.routes[t1]
             if not r1 or (t2 >= 0 and not self.routes[t2]):
                 return improved
-            stamp1 = stamps[t1]
-            stamp2 = stamps[t2]
+            row = memo.get(ids[t1] * stride + ids[t2])
             phi = self.phi
             phi_improve = phi - IMPROVE_EPS
             for pa in range(len(r1)):
                 spent = budget.arc_access_count
                 if spent >= limit or (wall and self._out_of_time()):
                     return improved
-                key = r1[pa] * stride + t2
-                seen = memo.get(key)
-                if seen is not None and seen[0] == stamp1 \
-                        and seen[1] == stamp2 and spent + seen[2] <= limit \
-                        and phi + seen[3] >= phi_improve:
-                    budget.arc_access_count = spent + seen[2]
+                if row is not None and phi + row[pa] >= phi_improve \
+                        and spent + row[~pa] <= limit:
+                    budget.arc_access_count = spent + row[~pa]
                     continue
                 if scan(self, t1, t2, pa, NEG_INF):
                     self._touch(t1, t2)
@@ -837,18 +857,74 @@ class _Engine(PlanState):
                     break
                 end = budget.arc_access_count
                 if end < limit:
-                    memo[key] = (stamp1, stamp2, end - spent, self.dmin)
+                    if row is None:
+                        row = self._new_row(op, t1, t2)
+                    row[pa] = self.dmin
+                    row[~pa] = end - spent
             else:
                 return improved
 
+    # -- the memo of failed scans -------------------------------------------
+
     def _touch(self, t1, t2) -> None:
-        """Give routes t1 and t2 (t2 < 0: t1 alone), just edited by a move,
-        a stamp no route has held: every memo entry that read them is
-        retired, and an entry cannot match a route its customer left."""
-        self.move_count += 1
-        self.stamps[t1] = self.move_count
-        if t2 >= 0:
-            self.stamps[t2] = self.move_count
+        """Intern routes t1 and t2 (t2 < 0: t1 alone), just edited by a
+        move."""
+        self._intern_routes((t1,) if t2 < 0 else (t1, t2))
+
+    def _intern(self, t: int) -> None:
+        """Set ids[t] to the content id of route t, (tuple(route), load):
+        equal contents share an id, and a new one takes the next id.
+
+        A kernel reads its two routes, their loads and the instance alone,
+        so its deltas, capacity tests, arcs and dmin are a function of the
+        operator, the anchor and the two content ids.  The load is part of
+        the key, exactly: a capacity test reads its bits, and the same
+        customers can come back with a load rounded otherwise.  Floats
+        that compare equal differ at most in the sign of a zero, which no
+        sum of positive demands or capacity test tells apart."""
+        route = self.routes[t]
+        content = (tuple(route), self.loads[t])
+        cid = self.content_ids.get(content)
+        if cid is None:
+            cid = len(self.content_ids)
+            self.content_ids[content] = cid
+            self.memo_slots += len(route) + 1
+        self.ids[t] = cid
+
+    def _intern_routes(self, slots) -> None:
+        """Intern the routes in slots, then clear the memo if that took it
+        past memo_cap."""
+        for t in slots:
+            self._intern(t)
+        if self.memo_slots > self.memo_cap:
+            self._reset_memo()
+
+    def _reset_memo(self) -> None:
+        """Empty the memo and the intern table, then intern every route
+        afresh, so no row keyed on an old id outlives it.  A reset leaves
+        at most n + route_slots slots, a row adds at most n and a plan load
+        at most n + route_slots, so the slots never pass memo_cap + 3 n +
+        2 route_slots.  Every content takes at least one slot, so content
+        ids stay below that, the partner id of t2 = -1 in ids[-1]."""
+        for memo in self.memo:
+            memo.clear()
+        self.content_ids.clear()
+        self.memo_slots = 0
+        for t in range(len(self.routes)):
+            self._intern(t)
+
+    def _new_row(self, op, t1, t2) -> list:
+        """A fresh memo row for target (t1, t2) of op, every dmin unknown,
+        clearing the memo first when the row would take it past memo_cap.
+        An anchor's arcs are read only once its dmin is known, and both are
+        written together, so the arcs half starts as nan too."""
+        length = len(self.routes[t1])
+        if self.memo_slots + length > self.memo_cap:
+            self._reset_memo()
+        self.memo_slots += length
+        row = [math.nan] * (2 * length)
+        self.memo[op][self.ids[t1] * self.stride + self.ids[t2]] = row
+        return row
 
     def _out_of_time(self) -> bool:
         """Wall-clock stop for descent: polls the clock on the first scan
@@ -873,10 +949,10 @@ class _Engine(PlanState):
         stream in program order.
 
         A target whose failed full scan is in the memo (from this call, an
-        earlier one or a descent pass), with both routes unchanged since
-        (their stamps match), would read the same arcs
-        again and compute the same deltas bit for bit: the scan depends on
-        the two routes and their loads alone.  If phi + dmin now passes
+        earlier one, a descent pass or an earlier plan) for the current
+        contents of both routes would read the same arcs again and compute
+        the same deltas bit for bit: the scan depends on the two routes and
+        their loads alone (see _intern).  If phi + dmin now passes
         neither phi_vi nor phi - IMPROVE_EPS, no candidate can pass, since
         fl(phi + d) is monotone in d; the attempt then still draws its
         floats and is charged the recorded arcs, but its kernel does not
@@ -914,16 +990,17 @@ class _Engine(PlanState):
             return False
         on_accept = self.hooks.get("on_accept")
         memo = self.memo[op]
-        stamps = self.stamps
+        ids = self.ids
         stride = self.stride
         phi = self.phi
         # a candidate passes iff phi_new < bar: phi_new < phi_vi or
         # phi_new < phi - IMPROVE_EPS, none of them nan
         bar = max(phi_vi, phi - IMPROVE_EPS)
+        # the meter's count, kept here between kernel runs
+        spent = budget.arc_access_count
         for _ in range(attempts):
-            spent = budget.arc_access_count
             if spent >= limit:
-                return False
+                break
             if inter:
                 i = int(draw() * count)
                 j = int(draw() * (count - 1))
@@ -934,16 +1011,14 @@ class _Engine(PlanState):
             else:
                 t1 = nonempty[int(draw() * count)]
                 t2 = dest
-            route = routes[t1]
-            pa = int(draw() * len(route))
-            key = route[pa] * stride + t2
-            seen = memo.get(key)
-            if seen is not None:
-                stamp1, stamp2, arcs, dmin = seen
-                if stamp1 == stamps[t1] and stamp2 == stamps[t2] \
-                        and spent + arcs <= limit and phi + dmin >= bar:
-                    budget.arc_access_count = spent + arcs
+            pa = int(draw() * len(routes[t1]))
+            row = memo.get(ids[t1] * stride + ids[t2])
+            if row is not None and phi + row[pa] >= bar:
+                arcs = row[~pa]
+                if spent + arcs <= limit:
+                    spent += arcs
                     continue
+            budget.arc_access_count = spent
             if scan(self, t1, t2, pa, phi_vi):
                 self._touch(t1, t2)
                 if on_accept is not None:
@@ -953,7 +1028,12 @@ class _Engine(PlanState):
                 return True
             end = budget.arc_access_count
             if end < limit:
-                memo[key] = (stamps[t1], stamps[t2], end - spent, self.dmin)
+                if row is None:
+                    row = self._new_row(op, t1, t2)
+                row[pa] = self.dmin
+                row[~pa] = end - spent
+            spent = end
+        budget.arc_access_count = spent
         return False
 
     def _cannot_edit(self, op, count) -> bool:

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from bisect import bisect_right
@@ -261,6 +262,23 @@ class TestExhaustive:
                              battery=120, rate=1.0, fleet=1)
         oracle = DistanceOracle.for_instance(inst)
         assert not solve_exhaustive([[1]], inst, oracle).feasible
+
+    def test_calls_leave_no_reference_cycle(self):
+        # with the collector off, a call whose search closure refers to
+        # itself would leave each route's tables for the cyclic collector
+        rng = random.Random(8)
+        inst = e22_like(rng)
+        oracle = DistanceOracle.for_instance(inst)
+        plans = [random_feasible_plan(rng, inst) for _ in range(10)]
+        gc.collect()
+        gc.disable()
+        try:
+            feasible = sum(solve_exhaustive(plan, inst, oracle).feasible
+                           for plan in plans)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert feasible
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from ecvrp import search
 from ecvrp.cli import main
 from ecvrp.instance import serialize_instance
 from conftest import make_instance
@@ -55,8 +56,9 @@ REFINE_GOLDEN = {
 }
 
 
-@pytest.fixture(scope="module")
-def golden_runs(tmp_path_factory):
+def solve_golden(root):
+    """Solve the golden instance at --eta-max 10 and 60 into root/eta10 and
+    root/eta60."""
     # six customers, one station, binding cargo and battery: every
     # operator, the SE follower and the exhaustive refinement all run
     rng = random.Random(3)
@@ -65,7 +67,6 @@ def golden_runs(tmp_path_factory):
                    for _ in range(6)],
         stations=[(40, 40)], demands=[rng.randrange(1, 6) for _ in range(6)],
         capacity=9, battery=180, rate=1.0, fleet=3, name="golden6")
-    root = tmp_path_factory.mktemp("golden")
     path = root / "golden6.evrp"
     path.write_text(serialize_instance(inst))
     with pytest.MonkeyPatch.context() as mp:
@@ -75,7 +76,32 @@ def golden_runs(tmp_path_factory):
                          "--eta-max", str(eta), "--trace-level", "full",
                          "--out", str(root / f"eta{eta}")])
             assert code == 0
+
+
+@pytest.fixture(scope="module")
+def golden_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    solve_golden(root)
     return root
+
+
+@pytest.fixture(scope="module")
+def golden_runs_clearing_memo(tmp_path_factory):
+    """The golden runs with the memo of failed scans capped at 40 slots,
+    and the number of times it was cleared."""
+    root = tmp_path_factory.mktemp("golden_cap40")
+    clears = []
+    reset = search._Engine._reset_memo
+
+    def counted(engine):
+        clears.append(engine.memo_slots)
+        reset(engine)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "memo_cap", lambda inst: 40)
+        mp.setattr(search._Engine, "_reset_memo", counted)
+        solve_golden(root)
+    return root, len(clears)
 
 
 def digest(path) -> str:
@@ -96,6 +122,17 @@ def test_solve_outputs_match_golden_digests(golden_runs, seed):
 def test_solve_at_paper_attempt_cap_matches_golden_digests(golden_runs,
                                                            seed):
     assert solve_digests(golden_runs / "eta60", seed) == GOLDEN_ETA60[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
+def test_memo_clears_keep_golden_digests(golden_runs_clearing_memo, seed):
+    # a cap of 40 slots clears the memo about 20,000 times over the six
+    # runs; the memo only skips scans whose outcome it knows, so the
+    # outputs stay the same
+    root, clears = golden_runs_clearing_memo
+    assert clears > 6000
+    assert solve_digests(root / "eta10", seed) == GOLDEN[seed]
+    assert solve_digests(root / "eta60", seed) == GOLDEN_ETA60[seed]
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from ecvrp import search
 from ecvrp.instance import DistanceOracle, EvaluationBudget
 from ecvrp.moves import (
     DESCENT_OPERATORS,
@@ -329,6 +330,17 @@ def e22_tight(rng):
     return replace(e22_like(rng), cargo_capacity=5.0)
 
 
+def decimal_demands(rng):
+    """e22_like on eight vehicles with demands of 0.1, 0.2, 0.3 or 0.7
+    and cargo 1.0: a route's load depends on the order its customers came
+    in, and capacity tests turn on its last bits."""
+    inst = replace(e22_like(rng), cargo_capacity=1.0, fleet_size=8)
+    customers = inst.customers
+    return replace(inst, demands=tuple(
+        rng.choice((0.1, 0.2, 0.3, 0.7)) if node in customers else 0.0
+        for node in range(len(inst.demands))))
+
+
 class TestExploreMatchesReference:
     """_Engine.explore against explore_reference, which rescans every
     repeated target: twin engines on the same plan, generator state, arc
@@ -427,14 +439,17 @@ class ReferenceEngine(_Engine):
 
 
 class TestMemoMatchesReference:
-    """The memo lives across exploration calls and descent passes: twin
-    engines, one with it and one rescanning, go through plan loads,
+    """The memo lives across exploration calls, descent passes and plans:
+    twin engines, one with it and one rescanning, go through plan loads,
     descents and hundreds of exploration calls under history-like
     thresholds and arc limits, and must agree bit for bit after every
     call."""
 
     @staticmethod
-    def twin(cls, inst, seed):
+    def twin(cls, inst, seed, outcomes=None):
+        """An engine with its kernel runs counted; with outcomes, a dict,
+        every failed full scan is logged there as (op, a, routes read) ->
+        {loads read: (arcs, dmin)}."""
         accepts = []
         engine = cls(inst, SearchParams(seed=seed), EvaluationBudget(),
                      trace_level="full",
@@ -442,15 +457,25 @@ class TestMemoMatchesReference:
                          tuple(p.hex() for p in phis))})
         scans = [0, 0]              # kernel runs; those cut at the limit
 
-        def counted(kernel):
-            def scan(state, *args):
-                moved = kernel(state, *args)
+        def counted(op, kernel):
+            def scan(state, t1, t2, pa, *args):
+                start = state.budget.arc_access_count
+                read = (op, state.routes[t1][pa], tuple(state.routes[t1]),
+                        tuple(state.routes[t2]) if t2 >= 0 else None)
+                loads = (state.loads[t1], state.loads[t2] if t2 >= 0 else 0)
+                moved = kernel(state, t1, t2, pa, *args)
+                end = state.budget.arc_access_count
                 scans[0] += 1
-                scans[1] += state.budget.arc_access_count >= state.arc_limit
+                scans[1] += end >= state.arc_limit
+                if outcomes is not None and not moved \
+                        and end < state.arc_limit:
+                    outcomes.setdefault(read, {})[loads] = (end - start,
+                                                            state.dmin)
                 return moved
             return scan
 
-        engine.kernels = tuple(counted(k) for k in engine.kernels)
+        engine.kernels = tuple(counted(op, kernel)
+                               for op, kernel in enumerate(engine.kernels))
         return engine, accepts, scans
 
     @staticmethod
@@ -459,12 +484,14 @@ class TestMemoMatchesReference:
                 engine.phi.hex(), engine.budget.arc_access_count,
                 engine.rng.getstate(), accepts, engine.trace.to_csv())
 
-    @pytest.mark.parametrize("make, calls", [
-        (e22_like, 400), (e22_tight, 400), (x143_like, 150)])
-    def test_same_state_as_rescanning(self, make, calls):
+    def check(self, make, calls):
+        """Run the twins through three plans; returns both engines' kernel
+        runs and the rescanning twin's scan outcomes."""
         rng = random.Random(31)
         inst = make(rng)
-        twins = [self.twin(cls, inst, 7) for cls in (_Engine, ReferenceEngine)]
+        outcomes = {}
+        twins = [self.twin(_Engine, inst, 7),
+                 self.twin(ReferenceEngine, inst, 7, outcomes)]
         memo_engine = twins[0][0]
         for cycle in range(3):
             plan = random_partition_plan(
@@ -489,14 +516,67 @@ class TestMemoMatchesReference:
                     engine.explore(phi_vi)
                 assert self.state(*twins[0]) == self.state(*twins[1]), \
                     (cycle, call)
-            # a last descent leaves entries that match the current routes:
-            # the next plan must retire them
+            # a last descent records the current routes, which the next
+            # plan mostly lacks
             for engine, _, _ in twins:
                 engine.arc_limit = math.inf
                 engine.descend()
             assert self.state(*twins[0]) == self.state(*twins[1]), cycle
-        ran, cut = twins[0][2]
-        assert ran < twins[1][2][0] and cut > 0
+        return twins[0][2], twins[1][2], outcomes
+
+    @pytest.mark.parametrize("make, calls", [
+        (e22_like, 400), (e22_tight, 400), (x143_like, 150),
+        (decimal_demands, 400)])
+    def test_same_state_as_rescanning(self, make, calls):
+        (ran, cut), (rescans, _), outcomes = self.check(make, calls)
+        assert ran < rescans and cut > 0
+        if make is decimal_demands:
+            # the same customers came back in a route with other load bits,
+            # and a scan's outcome turned on them: the key must hold loads
+            assert any(len(set(by_loads.values())) > 1
+                       for by_loads in outcomes.values())
+
+    @pytest.mark.parametrize("make, calls", [
+        (e22_like, 400), (x143_like, 60), (decimal_demands, 400)])
+    def test_same_state_under_a_tiny_cap(self, monkeypatch, make, calls):
+        # a cap of a few dozen slots clears the memo over and over, often
+        # right before a row is recorded; the live routes are interned
+        # afresh each time
+        resets = []
+        reset = _Engine._reset_memo
+
+        def counted(engine):
+            resets.append(engine.memo_slots)
+            reset(engine)
+
+        monkeypatch.setattr(search, "memo_cap", lambda inst: 40)
+        monkeypatch.setattr(_Engine, "_reset_memo", counted)
+        (ran, _), (rescans, _), _ = self.check(make, calls)
+        assert ran < rescans and len(resets) > 100
+
+    def test_reloaded_plan_descends_without_a_kernel(self):
+        # entries are keyed by content, so they outlive plan loads: once a
+        # descent from a loaded plan has scanned it in vain, every later
+        # load of that plan descends without running a kernel.  (The first
+        # load of the descended plan sums its loads afresh, so with these
+        # demands its routes may hold other load bits than at the end of
+        # the descent that found it.)
+        rng = random.Random(5)
+        inst = decimal_demands(rng)
+        twins = [self.twin(cls, inst, 3) for cls in (_Engine,
+                                                     ReferenceEngine)]
+        plan = random_partition_plan(rng, inst, inst.route_slots)
+        runs = []
+        for _ in range(4):
+            for engine, _, _ in twins:
+                engine.load_plan(plan)
+                engine.descend()
+            assert self.state(*twins[0]) == self.state(*twins[1])
+            plan = twins[0][0].routes
+            runs.append((twins[0][2][0], twins[1][2][0]))
+        (ran0, _), (ran1, rescans1), (ran2, rescans2), (ran3, rescans3) = runs
+        assert ran0 > 0 and ran1 == ran2 == ran3
+        assert rescans3 > rescans2 > rescans1
 
 
 @pytest.fixture(scope="module")
@@ -697,21 +777,49 @@ class TestEngineInvariants:
 
 
 class TestMemoBound:
-    def test_entries_bounded_by_customers_and_slots(self):
-        # one entry per (operator, customer, partner route) at most, however
-        # long the run: 3n for m1, m3, m5 and n * route_slots for the others.
-        # Cargo for 25 customers a route keeps the descent short, and a
-        # battery that never binds lets every run find an incumbent
+    def test_entries_bounded_by_customers_and_slots(self, monkeypatch):
+        # the memo's rows (a slot per anchor) and the intern table (a slot
+        # per customer, plus one, per content) hold at most memo_cap slots,
+        # max(MEMO_FLOOR, 8 n route_slots), however long the run: past it
+        # every table is cleared.  Cargo for 25 customers a route keeps the
+        # descent short, and a battery that never binds lets every run find
+        # an incumbent
         inst = replace(x143_like(random.Random(17)), cargo_capacity=25.0,
                        battery_capacity=1e9)
-        bound = 8 * inst.num_customers * inst.route_slots
-        sizes = []
+        cap = search.memo_cap(inst)
+        assert cap == max(search.MEMO_FLOOR,
+                          8 * inst.num_customers * inst.route_slots)
+        peaks = []
+
+        def peak(method):
+            def run(engine, *args):
+                result = method(engine, *args)
+                peaks[-1] = max(peaks[-1], engine.memo_slots,
+                                len(engine.content_ids))
+                return result
+            return run
+
+        for name in ("_new_row", "_intern_routes"):
+            monkeypatch.setattr(_Engine, name, peak(getattr(_Engine, name)))
+        resets = []
         for arcs in (3_000_000, 10_000_000):
             engine = _Engine(inst, SearchParams(history_length=200, seed=2),
                              EvaluationBudget(max_arc_accesses=arcs))
+            peaks.append(0)
+            reset = engine._reset_memo
+            engine._reset_memo = lambda: (resets.append(arcs), reset())
             engine.run()
-            sizes.append(sum(map(len, engine.memo)))
-        assert 0 < sizes[0] and max(sizes) <= bound, sizes
+            held = sum(len(row) // 2 for memo in engine.memo
+                       for row in memo.values()) \
+                + sum(len(route) + 1 for route, _ in engine.content_ids)
+            assert held == engine.memo_slots
+            assert engine.ids[:-1] == [
+                engine.content_ids[tuple(route), load]
+                for route, load in zip(engine.routes, engine.loads)]
+            assert max(engine.content_ids.values()) < engine.ids[-1]
+        assert 0 < min(peaks) and max(peaks) <= cap, (peaks, cap)
+        # the longer run passed the cap: the bound held through clears
+        assert resets.count(10_000_000) > 0
 
 
 class TestEngineLifetime:
