@@ -100,6 +100,7 @@ def brute_force_optimum(inst: InstanceSpec,
             cache[key] = _best_route_over_orderings(block, inst, oracle)
         return cache[key]
 
+    units, cap = inst.cargo_units
     best_total = math.inf
     best_blocks = None
     for partition in _partitions_upto(tuple(inst.customers), inst.fleet_size):
@@ -107,8 +108,7 @@ def brute_force_optimum(inst: InstanceSpec,
         priced = []
         feasible = True
         for block in partition:
-            load = sum(inst.demands[c] for c in block)
-            if load > inst.cargo_capacity:
+            if sum(units[c] for c in block) > cap:
                 feasible = False
                 break
             entry = block_best(block)

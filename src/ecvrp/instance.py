@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,14 +95,30 @@ class InstanceSpec:
             raise InstanceError("consumption rate must be positive")
         if self.fleet_size <= 0:
             raise InstanceError("fleet size must be positive")
+        ids = self.original_ids or range(self.pz)    # as the file names them
         for c in self.customers:
             if self.demands[c] <= 0:
-                raise NonPositiveDemand(f"customer {c} has demand {self.demands[c]}")
+                raise NonPositiveDemand(f"customer {ids[c]} has demand {self.demands[c]}")
             if self.demands[c] > self.cargo_capacity:
                 raise DemandExceedsCapacity(
-                    f"customer {c} demand {self.demands[c]} exceeds "
+                    f"customer {ids[c]} demand {self.demands[c]} exceeds "
                     f"capacity {self.cargo_capacity}"
                 )
+
+    @cached_property
+    def cargo_units(self) -> tuple[tuple[float, ...], float]:
+        """(demands, cargo capacity) as exact integers, read by every
+        capacity decision: each float is p/q with q a power of two, scaled
+        here by the largest q (1 on integer-valued instances), so a load
+        depends on its customers alone, not on the order they were added.
+        While their total stays within 2**53 they are held as floats, which
+        add and subtract such integers exactly, and faster than ints do."""
+        ratios = [v.as_integer_ratio() for v in (*self.demands, self.cargo_capacity)]
+        scale = max(q for _, q in ratios)
+        units = [p * (scale // q) for p, q in ratios]
+        if sum(units) <= 2**53:
+            units = [float(u) for u in units]
+        return tuple(units[:-1]), units[-1]
 
     @property
     def pz(self) -> int:
@@ -337,14 +354,6 @@ def parse_instance(text: str) -> InstanceSpec:
     for cid in customer_ids:
         if cid not in demands:
             raise MissingSection(f"customer {cid} missing from DEMAND_SECTION")
-        if demands[cid] <= 0:
-            raise NonPositiveDemand(
-                f"customer {cid} has non-positive demand {demands[cid]}"
-            )
-        if demands[cid] > cargo:
-            raise DemandExceedsCapacity(
-                f"customer {cid} demand {demands[cid]} exceeds capacity {cargo}"
-            )
     if demands.get(depot_id, 0) != 0:
         raise InstanceError(f"depot {depot_id} must have zero demand")
 

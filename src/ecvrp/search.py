@@ -8,9 +8,9 @@ targets, and accepts the first candidate that beats either the current
 surrogate cost or the cost recorded a fixed number of accepted-move
 cycles ago (the history list).  The engine keeps one memo of failed
 scans for descent and exploration alike, keyed by what a scan reads: the
-operator, the anchor customer and the contents of its two routes, loads
-included.  A target whose routes hold the same contents as when its scan
-failed reads the same arcs and computes the same deltas again, so while
+operator, the anchor customer and the contents of its two routes.  A
+target whose routes hold the same contents as when its scan failed
+reads the same arcs and computes the same deltas again, so while
 the scan's least delta cannot pass the threshold now in force it is
 charged those arcs without being rescanned, and the meter and every
 output stay those of rescanning.  Late acceptance keeps returning to the
@@ -168,8 +168,7 @@ def split_giant_tour(perm, inst: InstanceSpec, oracle: DistanceOracle):
     for k in range(1, n):
         walk[k] = walk[k - 1] + matrix[perm[k - 1]][perm[k]]
 
-    demands = inst.demands
-    cap = inst.cargo_capacity
+    demands, cap = inst.cargo_units
 
     inf = math.inf
     prev_row = [inf] * (n + 1)
@@ -184,7 +183,7 @@ def split_giant_tour(perm, inst: InstanceSpec, oracle: DistanceOracle):
             base = prev_row[i]
             if base == inf:
                 continue
-            load = 0.0
+            load = 0
             j = i + 1
             while j <= n:
                 load += demands[perm[j - 1]]
@@ -265,7 +264,7 @@ class PlanState:
     def set_routes(self, routes: list[list[int]]) -> None:
         """Take routes as the plan; loads and route lists follow, phi not."""
         self.routes = routes
-        self.loads = [math.fsum(self.demands[c] for c in r) for r in routes]
+        self.loads = [sum(self.demands[c] for c in r) for r in routes]
         self.nonempty = [t for t, r in enumerate(routes) if r]
         self.empties = [t for t, r in enumerate(routes) if not r]
 
@@ -534,7 +533,7 @@ class PlanState:
         length1 = len(r1)
         length2 = len(r2)
         next_a = r1[pa + 1] if pa + 1 < length1 else 0
-        head1 = 0.0
+        head1 = 0
         for k in range(pa + 1):
             head1 += demands[r1[k]]
         tail1 = self.loads[t1] - head1
@@ -545,7 +544,7 @@ class PlanState:
         row_a = matrix[a]
         row_an = matrix[next_a]
         d_a_an = row_a[next_a]
-        head2 = 0.0
+        head2 = 0
         if lo:  # demand of the customers ahead of the range
             for b in r2[:lo]:
                 head2 += demands[b]
@@ -564,7 +563,8 @@ class PlanState:
             if delta < dmin:
                 phi_new = phi + delta
                 if phi_new < phi_vi or phi_new < phi_improve:
-                    self._apply_m6(t1, t2, pa, pb, head1 + head2, phi_new)
+                    self._apply_m6(t1, t2, pa, pb, head1 + head2,
+                                   tail1 + load2 - head2, phi_new)
                     return True
                 dmin = delta
         self.dmin = dmin
@@ -585,7 +585,7 @@ class PlanState:
         length1 = len(r1)
         length2 = len(r2)
         next_a = r1[pa + 1] if pa + 1 < length1 else 0
-        head1 = 0.0
+        head1 = 0
         for k in range(pa + 1):
             head1 += demands[r1[k]]
         tail1 = self.loads[t1] - head1
@@ -597,7 +597,7 @@ class PlanState:
         row_a = matrix[a]
         row_an = matrix[next_a]
         d_a_an = row_a[next_a]
-        head2 = 0.0
+        head2 = 0
         if lo:  # demand of the customers ahead of the range
             for b in r2[:lo]:
                 head2 += demands[b]
@@ -619,7 +619,7 @@ class PlanState:
                 phi_new = phi + delta
                 if phi_new < phi_vi or phi_new < phi_improve:
                     self._apply_m7(t1, t2, pa, pb, head1 + load2 - head2,
-                                   phi_new)
+                                   head2 + tail1, phi_new)
                     return True
                 dmin = delta
         self.dmin = dmin
@@ -682,24 +682,20 @@ class PlanState:
         if not self.routes[t1]:
             self._mark_empty(t1)
 
-    def _apply_m6(self, t1, t2, pa, pb, new_load1, phi_new):
+    def _apply_m6(self, t1, t2, pa, pb, load1, load2, phi_new):
         r1, r2 = self.routes[t1], self.routes[t2]
-        total = self.loads[t1] + self.loads[t2]
         self.routes[t1] = r1[:pa + 1] + r2[:pb + 1][::-1]
         self.routes[t2] = r1[pa + 1:][::-1] + r2[pb + 1:]
-        self.loads[t1] = new_load1
-        self.loads[t2] = total - new_load1
+        self.loads[t1], self.loads[t2] = load1, load2
         self.phi = phi_new
         if not self.routes[t2]:
             self._mark_empty(t2)
 
-    def _apply_m7(self, t1, t2, pa, pb, new_load1, phi_new):
+    def _apply_m7(self, t1, t2, pa, pb, load1, load2, phi_new):
         r1, r2 = self.routes[t1], self.routes[t2]
-        total = self.loads[t1] + self.loads[t2]
         self.routes[t1] = r1[:pa + 1] + r2[pb + 1:]
         self.routes[t2] = r2[:pb + 1] + r1[pa + 1:]
-        self.loads[t1] = new_load1
-        self.loads[t2] = total - new_load1
+        self.loads[t1], self.loads[t2] = load1, load2
         self.phi = phi_new
 
     def _apply_m8(self, t1, dest, pa, phi_new):
@@ -726,7 +722,7 @@ class _Engine(PlanState):
         self.oracle = DistanceOracle.for_instance(inst, budget)
         super().__init__(
             [[] for _ in range(inst.route_slots)], self.oracle.matrix,
-            list(inst.demands), inst.cargo_capacity, budget,
+            *inst.cargo_units, budget,
             budget.max_arc_accesses if budget.max_arc_accesses is not None
             else math.inf)
         self.inst = inst
@@ -748,7 +744,7 @@ class _Engine(PlanState):
         # t's content id (see _intern); its extra last entry, the partner
         # id of t2 = -1, lies above every content id
         self.memo = [{} for _ in range(8)]
-        self.content_ids = {}       # (tuple(route), load) -> content id
+        self.content_ids = {}       # tuple(route) -> content id
         self.memo_cap = memo_cap(inst)
         self.memo_slots = 0
         no_route = self.memo_cap + 3 * inst.num_customers \
@@ -872,23 +868,18 @@ class _Engine(PlanState):
         self._intern_routes((t1,) if t2 < 0 else (t1, t2))
 
     def _intern(self, t: int) -> None:
-        """Set ids[t] to the content id of route t, (tuple(route), load):
-        equal contents share an id, and a new one takes the next id.
-
-        A kernel reads its two routes, their loads and the instance alone,
-        so its deltas, capacity tests, arcs and dmin are a function of the
-        operator, the anchor and the two content ids.  The load is part of
-        the key, exactly: a capacity test reads its bits, and the same
-        customers can come back with a load rounded otherwise.  Floats
-        that compare equal differ at most in the sign of a zero, which no
-        sum of positive demands or capacity test tells apart."""
-        route = self.routes[t]
-        content = (tuple(route), self.loads[t])
+        """Set ids[t] to the content id of route t, tuple(route): equal
+        contents share an id, and a new one takes the next id.  A kernel
+        reads its two routes and the instance alone (a load is the exact
+        sum of its route's cargo_units), so a scan's deltas, capacity
+        tests, arcs and dmin are a function of the operator, the anchor
+        and the two content ids."""
+        content = tuple(self.routes[t])
         cid = self.content_ids.get(content)
         if cid is None:
             cid = len(self.content_ids)
             self.content_ids[content] = cid
-            self.memo_slots += len(route) + 1
+            self.memo_slots += len(content) + 1
         self.ids[t] = cid
 
     def _intern_routes(self, slots) -> None:
@@ -951,19 +942,18 @@ class _Engine(PlanState):
         A target whose failed full scan is in the memo (from this call, an
         earlier one, a descent pass or an earlier plan) for the current
         contents of both routes would read the same arcs again and compute
-        the same deltas bit for bit: the scan depends on the two routes and
-        their loads alone (see _intern).  If phi + dmin now passes
-        neither phi_vi nor phi - IMPROVE_EPS, no candidate can pass, since
-        fl(phi + d) is monotone in d; the attempt then still draws its
-        floats and is charged the recorded arcs, but its kernel does not
-        run.  The meter thus counts what the algorithm evaluates, and
-        budgets, stop points and outputs are those of rescanning.  Only
-        when that charge would pass arc_limit does the kernel run again,
-        since a scan cut short there reads fewer arcs; such a scan is never
-        recorded.  A call whose attempts can read no arc at all (m8 with no
-        empty route; m1, m3 and m5 when every route holds one customer, m5
-        when none holds more than two) draws its floats and returns at
-        once.
+        the same deltas bit for bit: the scan depends on the two routes
+        alone (see _intern).  If phi + dmin now passes neither phi_vi nor
+        phi - IMPROVE_EPS, no candidate can pass, since fl(phi + d) is
+        monotone in d; the attempt then still draws its floats and is
+        charged the recorded arcs, but its kernel does not run.  The meter
+        thus counts what the algorithm evaluates, and budgets, stop points
+        and outputs are those of rescanning.  Only when that charge would
+        pass arc_limit does the kernel run again, since a scan cut short
+        there reads fewer arcs; such a scan is never recorded.  A call
+        whose attempts can read no arc at all (m8 with no empty route; m1,
+        m3 and m5 when every route holds one customer, m5 when none holds
+        more than two) draws its floats and returns at once.
         """
         draw = self.rng.random
         ops = self.explore_ops

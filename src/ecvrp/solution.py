@@ -89,9 +89,10 @@ def check_upper_feasible(plan: RoutingPlan | list, inst: InstanceSpec) -> UpperV
     if len(routes) > inst.fleet_size:
         return UpperVerdict(False, "TooManyRoutes",
                             f"{len(routes)} route slots > fleet size {inst.fleet_size}")
+    units, cap = inst.cargo_units
     seen = set()
     for v, route in enumerate(routes):
-        load = 0.0
+        load = 0
         for c in route:
             if c in seen:
                 return UpperVerdict(False, "DuplicateCustomer",
@@ -100,11 +101,11 @@ def check_upper_feasible(plan: RoutingPlan | list, inst: InstanceSpec) -> UpperV
                 return UpperVerdict(False, "DuplicateCustomer",
                                     f"node {c} is not a customer")
             seen.add(c)
-            load += inst.demands[c]
-        if load > inst.cargo_capacity:
-            return UpperVerdict(
-                False, "CapacityExceeded",
-                f"route {v} load {load} > capacity {inst.cargo_capacity}")
+            load += units[c]
+        if load > cap:      # the detail speaks in file units
+            return UpperVerdict(False, "CapacityExceeded", f"route {v} load "
+                                f"{sum(inst.demands[c] for c in route)} > "
+                                f"capacity {inst.cargo_capacity}")
     if len(seen) != inst.num_customers:
         missing = sorted(set(inst.customers) - seen)
         return UpperVerdict(False, "MissingCustomer",

@@ -47,21 +47,22 @@ def random_partition_plan(rng, inst, n_routes=None):
 
 def random_feasible_plan(rng, inst, max_tries=200):
     """A capacity-feasible random partition into at most fleet_size routes."""
+    demands, cap = inst.cargo_units
     for _ in range(max_tries):
         customers = list(inst.customers)
         rng.shuffle(customers)
         routes = [[] for _ in range(inst.fleet_size)]
-        loads = [0.0] * inst.fleet_size
+        loads = [0] * inst.fleet_size
         ok = True
         for c in customers:
             fits = [v for v in range(inst.fleet_size)
-                    if loads[v] + inst.demands[c] <= inst.cargo_capacity]
+                    if loads[v] + demands[c] <= cap]
             if not fits:
                 ok = False
                 break
             v = fits[rng.randrange(len(fits))]
             routes[v].append(c)
-            loads[v] += inst.demands[c]
+            loads[v] += demands[c]
         if ok:
             return routes
     raise AssertionError("could not build a capacity-feasible plan")

@@ -1,6 +1,7 @@
-"""Fuzzing of the input parsers and the command line.  Malformed text may
-only raise ValueError (InstanceError is one), never another exception, and
-every subcommand exits 0, or 1 or 2 with one error line.
+"""Fuzzing of the input parsers, the capacity rule and the command line.
+Malformed text may only raise ValueError (InstanceError is one), never
+another exception, and every subcommand exits 0, or 1 or 2 with one error
+line.  Capacity is decided exactly on the binary values of the demands.
 
 Examples are derandomized, so every run draws the same inputs.
 """
@@ -8,15 +9,26 @@ Examples are derandomized, so every run draws the same inputs.
 import io
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecvrp import cli
-from ecvrp.instance import InstanceError, parse_instance, serialize_instance
-from ecvrp.solution import parse_solution_file, split_expanded_route
+from ecvrp.instance import (
+    DistanceOracle,
+    InstanceError,
+    parse_instance,
+    serialize_instance,
+)
+from ecvrp.search import InstanceInfeasible, split_giant_tour
+from ecvrp.solution import (
+    check_upper_feasible,
+    parse_solution_file,
+    split_expanded_route,
+)
 from conftest import make_instance
 
 FUZZ = settings(max_examples=250, derandomize=True, deadline=None)
@@ -133,6 +145,74 @@ class TestSplitExpandedRoute:
         except ValueError:
             return
         assert all(1 <= c <= self.INST.num_customers for c in route)
+
+
+# decimal demands, which no binary float holds exactly, and the float
+# extremes: the least subnormal and a value near the largest float
+DEMANDS = st.one_of(st.integers(1, 30).map(lambda k: k / 10),
+                    st.integers(1, 300).map(lambda k: k / 100),
+                    st.sampled_from([5e-324, 1e308]))
+
+
+@st.composite
+def capacity_case(draw):
+    """An instance of up to 12 customers with DEMANDS, a customer
+    permutation to split and a random plan over its route slots."""
+    demands = draw(st.lists(DEMANDS, min_size=1, max_size=12))
+    n = len(demands)
+    capacity = max(draw(st.one_of(DEMANDS, st.integers(1, 10).map(float))),
+                   *demands)
+    inst = make_instance(
+        customers=draw(st.lists(st.tuples(st.integers(-20, 20),
+                                          st.integers(-20, 20)),
+                                min_size=n, max_size=n)),
+        stations=[(5, 5)], demands=demands, capacity=capacity,
+        fleet=draw(st.integers(1, n)))
+    perm = draw(st.permutations(list(inst.customers)))
+    plan = [[] for _ in range(inst.route_slots)]
+    for c in perm:
+        plan[draw(st.integers(0, inst.route_slots - 1))].append(c)
+    return inst, perm, plan
+
+
+# 1e308 + 5e-324 rounds to 1e308 as a float, but exceeds it exactly, and
+# so do ten demands of 0.1 a capacity of 1.0
+EXTREMES = make_instance(customers=[(1, 0), (2, 0), (3, 0)],
+                         stations=[(5, 5)], demands=[5e-324, 1e308, 0.1],
+                         capacity=1e308, fleet=3)
+TENTHS = make_instance(customers=[(k, 0) for k in range(1, 11)],
+                       stations=[(5, 5)], demands=[0.1] * 10, capacity=1.0,
+                       fleet=2)
+
+
+class TestCapacityRule:
+    @settings(max_examples=150, derandomize=True, deadline=2000)
+    @given(capacity_case())
+    @example((EXTREMES, [1, 2, 3], [[1, 2], [3], []]))
+    @example((TENTHS, list(range(1, 11)), [list(range(1, 11)), []]))
+    def test_split_and_check_agree_on_exact_units(self, case):
+        inst, perm, plan = case
+        units, cap = inst.cargo_units
+        # the units are exact: a route fits iff the exact rational sum of
+        # its demands does, and they stay within the 2,098 bits of the
+        # largest float's numerator times the least subnormal's denominator
+        assert int(cap).bit_length() <= 2098
+        fits = [sum(units[c] for c in r) <= cap for r in plan]
+        assert fits == [sum(map(Fraction, (inst.demands[c] for c in r)))
+                        <= Fraction(inst.cargo_capacity) for r in plan]
+        verdict = check_upper_feasible(plan, inst)
+        assert verdict.ok == all(fits)
+        if not verdict.ok:
+            assert verdict.violation == "CapacityExceeded"
+        oracle = DistanceOracle.for_instance(inst)
+        try:
+            routes = split_giant_tour(perm, inst, oracle)
+        except InstanceInfeasible:
+            # one route a customer always fits
+            assert inst.route_slots < inst.num_customers
+            return
+        assert check_upper_feasible(routes, inst).ok
+        assert [c for r in routes for c in r] == list(perm)
 
 
 def cli_instance(coords=1.0, battery=1.0, rate=1.0, load=1.0) -> str:

@@ -84,12 +84,15 @@ class TestParsing:
         assert inst.original_ids == (1, 2, 3, 4, 5, 6)
 
     def test_zero_demand_rejected(self):
-        with pytest.raises(NonPositiveDemand):
+        # the message names the file's node id 3, not the internal id 2
+        with pytest.raises(NonPositiveDemand) as err:
             parse_instance(file_text(demands=[1, 0, 2]))
+        assert str(err.value) == "customer 3 has demand 0.0"
 
     def test_demand_above_capacity_rejected(self):
-        with pytest.raises(DemandExceedsCapacity):
+        with pytest.raises(DemandExceedsCapacity) as err:
             parse_instance(file_text(capacity=5, demands=[1, 9, 2]))
+        assert str(err.value) == "customer 3 demand 9.0 exceeds capacity 5.0"
 
     def test_duplicate_node_id_rejected(self):
         text = file_text(mutate=lambda t: t.replace("2 3 2", "1 3 2", 1))

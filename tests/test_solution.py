@@ -80,6 +80,18 @@ class TestUpperFeasible:
                               demands=[3, 4], capacity=6, fleet=2)
         verdict = check_upper_feasible([[1, 2], []], tight)
         assert verdict.violation == "CapacityExceeded"
+        assert verdict.detail == "route 0 load 7.0 > capacity 6.0"
+        # the rule is exact on the binary values: ten demands of 0.1, each
+        # a little above 1/10, exceed 1.0, though their float sum in route
+        # order rounds to 0.9999999999999999
+        tenths = make_instance(customers=[(k, 0) for k in range(1, 11)],
+                               stations=[(5, 5)], demands=[0.1] * 10,
+                               capacity=1.0, fleet=2)
+        route = list(tenths.customers)
+        assert sum(tenths.demands[c] for c in route) <= 1.0
+        verdict = check_upper_feasible([route, []], tenths)
+        assert verdict.violation == "CapacityExceeded"
+        assert check_upper_feasible([route[:9], route[9:]], tenths).ok
 
     def test_too_many_route_slots(self, quad_instance):
         verdict = check_upper_feasible([[1], [2], [3], [4]], quad_instance)
