@@ -22,7 +22,6 @@ from .solution import (
     total_cost,
 )
 from .charging import (
-    BestStationTable,
     ChargingQueryResult,
     build_best_station_table,
     solve_exhaustive,

@@ -2,11 +2,12 @@
 
 Two followers are provided.  solve_se() is the cheap one used during
 search: per route it chooses a set of gaps of one of the two admissible
-sizes and fills every chosen gap with the precomputed best detour
-station.  Because a recharge is always full, the battery check splits
-into independent legs between consecutive stops, and a dynamic program
-over (stops used, last stop) finds the set in O(k * n^2) per route (n
-gaps, k = lb + 1).  It returns exactly what enumerating every subset in
+sizes and fills every chosen gap (u, w) with the precomputed best detour
+station table[u][w], a nested tuple from build_best_station_table.
+Because a recharge is always full, the battery check splits into
+independent legs between consecutive stops, and a dynamic program over
+(stops used, last stop) finds the set in O(k * n^2) per route (n gaps,
+k = lb + 1).  It returns exactly what enumerating every subset in
 lexicographic order would: the same subset and the same detour bits.
 This is the single-station, full-recharge case of the fixed-route
 vehicle charging problem (Montoya et al. 2017; Froger et al. 2019).
@@ -46,22 +47,17 @@ class BudgetExhausted(RuntimeError):
     """Raised by solve_se when its oracle's budget runs out mid-call."""
 
 
-@dataclass(frozen=True)
-class BestStationTable:
-    """For every ordered pair of non-charging nodes, the station whose
-    detour path d(i,s) + d(s,j) is shortest.
+def build_best_station_table(inst: InstanceSpec,
+                             oracle: DistanceOracle) -> tuple:
+    """The best detour station of inst, as (n+1) x (n+1) nested tuples:
+    table[i][j] is the station s whose detour path d(i,s) + d(s,j) is
+    shortest, for every ordered pair of non-charging nodes, and -1 when
+    the instance has no station.
 
     Ties break toward the lowest station id, so results are reproducible.
     Construction is not metered: the table is immutable instance data
     shared across runs, like the distance matrix itself.
     """
-
-    station_for: tuple  # (n+1) x (n+1) nested tuples of station ids, -1: none
-
-
-def build_best_station_table(inst: InstanceSpec,
-                             oracle: DistanceOracle) -> BestStationTable:
-    """The table of inst; every entry is -1 when it has no station."""
     matrix = np.asarray(oracle.matrix)
     nc = 1 + inst.num_customers
     node_to_station = matrix[:nc, nc:]
@@ -73,8 +69,7 @@ def build_best_station_table(inst: InstanceSpec,
         better = cand < best_len
         best_len[better] = cand[better]
         best_sta[better] = nc + s_idx
-    return BestStationTable(
-        station_for=tuple(tuple(row) for row in best_sta.tolist()))
+    return tuple(tuple(row) for row in best_sta.tolist())
 
 
 def visits_lower_bound(route_cost: float, inst: InstanceSpec) -> int:
@@ -99,7 +94,7 @@ class ChargingQueryResult:
 
 
 def solve_se(plan, inst: InstanceSpec, oracle: DistanceOracle,
-             table: BestStationTable, memo: dict | None = None
+             table: tuple, memo: dict | None = None
              ) -> ChargingQueryResult:
     """Simple-enumeration follower: at most one station per gap, station
     fixed to the gap's best detour station.
@@ -171,7 +166,7 @@ def solve_se(plan, inst: InstanceSpec, oracle: DistanceOracle,
 
 
 def _price_route(route: tuple, inst: InstanceSpec, matrix,
-                 table: BestStationTable) -> tuple:
+                 table: tuple) -> tuple:
     """solve_se's result for one non-empty route: (route cost, C(n, lb) +
     C(n, lb + 1), detour, slots), with detour and slots None when no
     subset is feasible."""
@@ -182,7 +177,7 @@ def _price_route(route: tuple, inst: InstanceSpec, matrix,
     legs_out = []
     for g in range(n_gaps):
         u, w = nodes[g], nodes[g + 1]
-        station = table.station_for[u][w]
+        station = table[u][w]
         directs.append(matrix[u][w])
         if station < 0:
             # no station: infinite legs make the gap no stop option
@@ -204,7 +199,7 @@ def _price_route(route: tuple, inst: InstanceSpec, matrix,
     best_f, best_combo = best
     chosen = set(best_combo)
     return route_cost, size, best_f, tuple(
-        table.station_for[nodes[g]][nodes[g + 1]] if g in chosen else None
+        table[nodes[g]][nodes[g + 1]] if g in chosen else None
         for g in range(n_gaps))
 
 

@@ -10,6 +10,7 @@ of CPUs.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import statistics
 import sys
@@ -279,6 +280,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_refine(args) -> int:
+    if args.out == "":
+        print("error: --out needs a file name", file=sys.stderr)
+        return 2
     try:
         inst = load_instance(args.instance)
         plan, slot_lists, _ = _load_solution(inst, args.solution)
@@ -297,7 +301,7 @@ def cmd_refine(args) -> int:
         print("INFEASIBLE: no charging plan within the visit bound")
         return 1
     solution = evaluate_solution(plan, result.plan, oracle)
-    out_path = Path(args.out) if args.out else Path(args.solution)
+    out_path = Path(args.solution if args.out is None else args.out)
     try:
         out_path.write_text(format_solution(
             solution, [f"ecvrp {__version__} refined from {args.solution}"]))
@@ -400,7 +404,9 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: a build takes 2 ms and leaves cycles."""
     parser = argparse.ArgumentParser(
         prog="ecvrp",
         description="Bilevel solver for the electric capacitated VRP")
@@ -411,35 +417,31 @@ def build_parser() -> argparse.ArgumentParser:
     solve = subs.add_parser("solve", help="run the search on an instance")
     _add_run_options(solve)
     _add_solve_options(solve)
-    solve.set_defaults(func=cmd_solve)
 
     validate = subs.add_parser("validate", help="check a solution file")
     validate.add_argument("instance")
     validate.add_argument("solution")
-    validate.set_defaults(func=cmd_validate)
 
     refine = subs.add_parser(
         "refine", help="re-optimize charging of a solution file")
     refine.add_argument("instance")
     refine.add_argument("solution")
     refine.add_argument("--out", default=None)
-    refine.set_defaults(func=cmd_refine)
 
     analyze = subs.add_parser(
         "analyze", help="surrogate-vs-full cost correlation report")
     _add_run_options(analyze)
-    analyze.set_defaults(func=cmd_analyze)
 
     oracle = subs.add_parser(
         "oracle", help="exact brute-force optimum of a tiny instance")
     oracle.add_argument("instance")
-    oracle.set_defaults(func=cmd_oracle)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # looked up per call: a cmd_* replaced after the parser was built runs
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

@@ -47,7 +47,8 @@ class DemandExceedsCapacity(InstanceError):
 class InstanceSpec:
     """Immutable problem definition.
 
-    coords and demands are indexed by internal node id.  Demands are zero
+    coords and demands are indexed by internal node id: 0 is the depot,
+    1..n the customers and n+1..pz-1 the stations.  Demands are zero
     for the depot and the stations; customer demands are strictly positive
     and never exceed the cargo capacity.
     """
@@ -63,8 +64,6 @@ class InstanceSpec:
     fleet_size: int
     upper_bound: float | None = None
     original_ids: tuple[int, ...] = ()
-
-    depot: int = 0
 
     def __post_init__(self):
         n, s = self.num_customers, self.num_stations

@@ -38,8 +38,6 @@ from .charging import BudgetExhausted, build_best_station_table, solve_exhaustiv
 from .instance import DistanceOracle, EvaluationBudget, InstanceSpec
 from .solution import CompleteSolution, RoutingPlan
 
-NEG_INF = float("-inf")
-
 # floating-point guard: a candidate only counts as a strict improvement when
 # it beats the current surrogate by this margin, otherwise exact-tie moves
 # (route reversals and the like) oscillate on rounding noise forever
@@ -231,10 +229,11 @@ class PlanState:
     It holds the eight operator kernels, the only implementation of each
     move's delta and edit; the search engine runs them over whole candidate
     ranges and moves.delta_phi / moves.apply_move over a single candidate.
-    Kernel kernels[k](state, t1, t2, pa, phi_vi, lo, hi) anchors customer
+    Kernel kernels[k](state, t1, t2, pa, bar, lo, hi) anchors customer
     a = routes[t1][pa] and tries candidates lo..hi-1 in order.  It applies
-    the first whose new surrogate phi_new beats phi_vi, or beats phi by more
-    than IMPROVE_EPS, and returns True; it returns False when none does.
+    the first whose new surrogate phi + delta is below bar, and returns
+    True; it returns False when none does.  Descent passes the bar phi -
+    IMPROVE_EPS, exploration the larger of that and its history value.
     A candidate is a position pb of the partner route t2 (m2, m4, m6, m7) or
     of route t1 itself (m3, m5); m1 numbers the two sides of each customer,
     2*pb for before routes[t1][pb] and 2*pb + 1 for after it; m8 has one
@@ -270,7 +269,7 @@ class PlanState:
 
     # -- kernels -----------------------------------------------------------
 
-    def _m1(self, t1, t2, pa, phi_vi, lo=0, hi=ALL) -> bool:
+    def _m1(self, t1, t2, pa, bar, lo=0, hi=ALL) -> bool:
         """m1: relocate a before or after another customer of its route."""
         route = self.routes[t1]
         length = len(route)
@@ -281,7 +280,6 @@ class PlanState:
         budget = self.budget
         limit = self.arc_limit
         phi = self.phi
-        phi_improve = phi - IMPROVE_EPS
         a = route[pa]
         prev_a = route[pa - 1] if pa else 0
         next_a = route[pa + 1] if pa + 1 < length else 0
@@ -314,7 +312,7 @@ class PlanState:
                     - matrix[left][b]
                 if delta < dmin:
                     phi_new = phi + delta
-                    if phi_new < phi_vi or phi_new < phi_improve:
+                    if phi_new < bar:
                         self._apply_m1(t1, pa, pb, False, phi_new)
                         return True
                     dmin = delta
@@ -329,14 +327,14 @@ class PlanState:
                     - matrix[b][right]
                 if delta < dmin:
                     phi_new = phi + delta
-                    if phi_new < phi_vi or phi_new < phi_improve:
+                    if phi_new < bar:
                         self._apply_m1(t1, pa, pb, True, phi_new)
                         return True
                     dmin = delta
         self.dmin = dmin
         return False
 
-    def _m2(self, t1, t2, pa, phi_vi, lo=0, hi=ALL) -> bool:
+    def _m2(self, t1, t2, pa, bar, lo=0, hi=ALL) -> bool:
         """m2: move a into route t2, right after customer r2[pb]."""
         r1 = self.routes[t1]
         r2 = self.routes[t2]
@@ -348,7 +346,6 @@ class PlanState:
         budget = self.budget
         limit = self.arc_limit
         phi = self.phi
-        phi_improve = phi - IMPROVE_EPS
         length1 = len(r1)
         length2 = len(r2)
         prev_a = r1[pa - 1] if pa else 0
@@ -368,14 +365,14 @@ class PlanState:
             delta = removal + matrix[b][a] + row_a[right] - matrix[b][right]
             if delta < dmin:
                 phi_new = phi + delta
-                if phi_new < phi_vi or phi_new < phi_improve:
+                if phi_new < bar:
                     self._apply_m2(t1, t2, pa, pb, phi_new)
                     return True
                 dmin = delta
         self.dmin = dmin
         return False
 
-    def _m3(self, t1, t2, pa, phi_vi, lo=0, hi=ALL) -> bool:
+    def _m3(self, t1, t2, pa, bar, lo=0, hi=ALL) -> bool:
         """m3: swap a with another customer of its route."""
         route = self.routes[t1]
         length = len(route)
@@ -386,7 +383,6 @@ class PlanState:
         budget = self.budget
         limit = self.arc_limit
         phi = self.phi
-        phi_improve = phi - IMPROVE_EPS
         a = route[pa]
         prev_a = route[pa - 1] if pa else 0
         next_a = route[pa + 1] if pa + 1 < length else 0
@@ -417,7 +413,7 @@ class PlanState:
                          - matrix[prev_b][b] - row_b[next_b])
             if delta < dmin:
                 phi_new = phi + delta
-                if phi_new < phi_vi or phi_new < phi_improve:
+                if phi_new < bar:
                     route[pa], route[pb] = route[pb], route[pa]
                     self.phi = phi_new
                     return True
@@ -425,7 +421,7 @@ class PlanState:
         self.dmin = dmin
         return False
 
-    def _m4(self, t1, t2, pa, phi_vi, lo=0, hi=ALL) -> bool:
+    def _m4(self, t1, t2, pa, bar, lo=0, hi=ALL) -> bool:
         """m4: swap a with customer r2[pb] of route t2."""
         r1 = self.routes[t1]
         r2 = self.routes[t2]
@@ -435,7 +431,6 @@ class PlanState:
         demands = self.demands
         cap = self.cap
         phi = self.phi
-        phi_improve = phi - IMPROVE_EPS
         a = r1[pa]
         demand_a = demands[a]
         load1 = self.loads[t1]
@@ -464,7 +459,7 @@ class PlanState:
                      - matrix[prev_b][b] - row_b[next_b])
             if delta < dmin:
                 phi_new = phi + delta
-                if phi_new < phi_vi or phi_new < phi_improve:
+                if phi_new < bar:
                     r1[pa], r2[pb] = b, a
                     self.loads[t1] = load1 - demand_a + demand_b
                     self.loads[t2] = load2 - demand_b + demand_a
@@ -474,7 +469,7 @@ class PlanState:
         self.dmin = dmin
         return False
 
-    def _m5(self, t1, t2, pa, phi_vi, lo=0, hi=ALL) -> bool:
+    def _m5(self, t1, t2, pa, bar, lo=0, hi=ALL) -> bool:
         """m5: reverse the segment after a up to customer route[pb]; the
         one-customer segments pb <= pa + 1 are not candidates."""
         route = self.routes[t1]
@@ -488,7 +483,6 @@ class PlanState:
         budget = self.budget
         limit = self.arc_limit
         phi = self.phi
-        phi_improve = phi - IMPROVE_EPS
         a = route[pa]
         next_a = route[pa + 1]
         if budget.arc_access_count >= limit:
@@ -508,7 +502,7 @@ class PlanState:
                      - matrix[b][next_b])
             if delta < dmin:
                 phi_new = phi + delta
-                if phi_new < phi_vi or phi_new < phi_improve:
+                if phi_new < bar:
                     self.routes[t1] = route[:pa + 1] \
                         + route[pa + 1:pb + 1][::-1] + route[pb + 1:]
                     self.phi = phi_new
@@ -517,7 +511,7 @@ class PlanState:
         self.dmin = dmin
         return False
 
-    def _m6(self, t1, t2, pa, phi_vi, lo=0, hi=ALL) -> bool:
+    def _m6(self, t1, t2, pa, bar, lo=0, hi=ALL) -> bool:
         """m6: cut after a and after r2[pb], join a-b and the two tails,
         each head reversed into the other route."""
         r1 = self.routes[t1]
@@ -528,7 +522,6 @@ class PlanState:
         demands = self.demands
         cap = self.cap
         phi = self.phi
-        phi_improve = phi - IMPROVE_EPS
         a = r1[pa]
         length1 = len(r1)
         length2 = len(r2)
@@ -562,7 +555,7 @@ class PlanState:
                      - matrix[b][next_b])
             if delta < dmin:
                 phi_new = phi + delta
-                if phi_new < phi_vi or phi_new < phi_improve:
+                if phi_new < bar:
                     self._apply_m6(t1, t2, pa, pb, head1 + head2,
                                    tail1 + load2 - head2, phi_new)
                     return True
@@ -570,7 +563,7 @@ class PlanState:
         self.dmin = dmin
         return False
 
-    def _m7(self, t1, t2, pa, phi_vi, lo=0, hi=ALL) -> bool:
+    def _m7(self, t1, t2, pa, bar, lo=0, hi=ALL) -> bool:
         """m7: cut after a and after r2[pb] and exchange the tails."""
         r1 = self.routes[t1]
         r2 = self.routes[t2]
@@ -580,7 +573,6 @@ class PlanState:
         demands = self.demands
         cap = self.cap
         phi = self.phi
-        phi_improve = phi - IMPROVE_EPS
         a = r1[pa]
         length1 = len(r1)
         length2 = len(r2)
@@ -617,7 +609,7 @@ class PlanState:
                      - matrix[b][next_b])
             if delta < dmin:
                 phi_new = phi + delta
-                if phi_new < phi_vi or phi_new < phi_improve:
+                if phi_new < bar:
                     self._apply_m7(t1, t2, pa, pb, head1 + load2 - head2,
                                    head2 + tail1, phi_new)
                     return True
@@ -625,7 +617,7 @@ class PlanState:
         self.dmin = dmin
         return False
 
-    def _m8(self, t1, t2, pa, phi_vi, lo=0, hi=ALL) -> bool:
+    def _m8(self, t1, t2, pa, bar, lo=0, hi=ALL) -> bool:
         """m8: move a into the empty route t2 as its only customer."""
         if t2 < 0:
             self.dmin = math.inf
@@ -644,14 +636,14 @@ class PlanState:
         delta = matrix[prev_a][next_a] - matrix[prev_a][a] \
             - matrix[a][next_a] + out_back
         phi_new = phi + delta
-        if phi_new < phi_vi or phi_new < phi - IMPROVE_EPS:
+        if phi_new < bar:
             self._apply_m8(t1, t2, pa, phi_new)
             return True
         self.dmin = delta
         return False
 
     # indexed by operator id; plain functions called as
-    # kernels[op](state, t1, t2, pa, phi_vi, lo, hi), since a tuple of bound
+    # kernels[op](state, t1, t2, pa, bar, lo, hi), since a tuple of bound
     # methods held by the state would make every state a reference cycle
     # that lives until the next full garbage collection
     kernels = (_m1, _m2, _m3, _m4, _m5, _m6, _m7, _m8)
@@ -838,16 +830,16 @@ class _Engine(PlanState):
                 return improved
             row = memo.get(ids[t1] * stride + ids[t2])
             phi = self.phi
-            phi_improve = phi - IMPROVE_EPS
+            bar = phi - IMPROVE_EPS
             for pa in range(len(r1)):
                 spent = budget.arc_access_count
                 if spent >= limit or (wall and self._out_of_time()):
                     return improved
-                if row is not None and phi + row[pa] >= phi_improve \
+                if row is not None and phi + row[pa] >= bar \
                         and spent + row[~pa] <= limit:
                     budget.arc_access_count = spent + row[~pa]
                     continue
-                if scan(self, t1, t2, pa, NEG_INF):
+                if scan(self, t1, t2, pa, bar):
                     self._touch(t1, t2)
                     improved = True
                     break
@@ -943,12 +935,12 @@ class _Engine(PlanState):
         earlier one, a descent pass or an earlier plan) for the current
         contents of both routes would read the same arcs again and compute
         the same deltas bit for bit: the scan depends on the two routes
-        alone (see _intern).  If phi + dmin now passes neither phi_vi nor
-        phi - IMPROVE_EPS, no candidate can pass, since fl(phi + d) is
-        monotone in d; the attempt then still draws its floats and is
-        charged the recorded arcs, but its kernel does not run.  The meter
-        thus counts what the algorithm evaluates, and budgets, stop points
-        and outputs are those of rescanning.  Only when that charge would
+        alone (see _intern).  If phi + dmin is not below the call's bar,
+        no candidate can pass, since fl(phi + d) is monotone in d; the
+        attempt then still draws its floats and is charged the recorded
+        arcs, but its kernel does not run.  The meter thus counts what the
+        algorithm evaluates, and budgets, stop points and outputs are
+        those of rescanning.  Only when that charge would
         pass arc_limit does the kernel run again, since a scan cut short
         there reads fewer arcs; such a scan is never recorded.  A call
         whose attempts can read no arc at all (m8 with no empty route; m1,
@@ -983,8 +975,8 @@ class _Engine(PlanState):
         ids = self.ids
         stride = self.stride
         phi = self.phi
-        # a candidate passes iff phi_new < bar: phi_new < phi_vi or
-        # phi_new < phi - IMPROVE_EPS, none of them nan
+        # a candidate passes iff it is below phi_vi or below phi -
+        # IMPROVE_EPS, which for non-nan floats is below their maximum
         bar = max(phi_vi, phi - IMPROVE_EPS)
         # the meter's count, kept here between kernel runs
         spent = budget.arc_access_count
@@ -1009,7 +1001,7 @@ class _Engine(PlanState):
                     spent += arcs
                     continue
             budget.arc_access_count = spent
-            if scan(self, t1, t2, pa, phi_vi):
+            if scan(self, t1, t2, pa, bar):
                 self._touch(t1, t2)
                 if on_accept is not None:
                     on_accept(self.phi, phi, phi_vi)

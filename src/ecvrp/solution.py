@@ -4,7 +4,10 @@ A routing plan is a fixed-length list of exactly M customer sequences;
 empty sequences are unused vehicles and stay in place so route-creating
 moves have an insertion slot.  A charging plan assigns one slot to every
 gap of every route: None (no stop), a station id, or an ordered pair of
-distinct station ids.
+distinct station ids; a plan with no stop is [None] * (len(route) + 1)
+per route.  Capacity is decided exactly on InstanceSpec.cargo_units.
+split_expanded_route rejects station runs no slot holds: three stations
+in a row, or one station twice.
 
 None of these functions charges the oracle's budget: they price and check
 plans outside search, where the budget does not count.
@@ -19,6 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context
+from fractions import Fraction
 
 from .instance import DistanceOracle, InstanceSpec
 
@@ -38,10 +43,6 @@ class RoutingPlan:
     @classmethod
     def from_lists(cls, routes) -> "RoutingPlan":
         return cls(tuple(tuple(r) for r in routes))
-
-    @property
-    def num_nonempty(self) -> int:
-        return sum(1 for r in self.routes if r)
 
 
 @dataclass(frozen=True)
@@ -102,15 +103,28 @@ def check_upper_feasible(plan: RoutingPlan | list, inst: InstanceSpec) -> UpperV
                                     f"node {c} is not a customer")
             seen.add(c)
             load += units[c]
-        if load > cap:      # the detail speaks in file units
-            return UpperVerdict(False, "CapacityExceeded", f"route {v} load "
-                                f"{sum(inst.demands[c] for c in route)} > "
-                                f"capacity {inst.cargo_capacity}")
+        if load > cap:
+            return UpperVerdict(False, "CapacityExceeded",
+                                _capacity_detail(v, route, inst))
     if len(seen) != inst.num_customers:
         missing = sorted(set(inst.customers) - seen)
         return UpperVerdict(False, "MissingCustomer",
                             f"customers {missing} are not served")
     return UPPER_OK
+
+
+def _capacity_detail(v: int, route, inst: InstanceSpec) -> str:
+    """Why route v exceeds the cargo capacity, in file units: its float
+    load where exact, else the capacity plus the exact excess to 17
+    digits, as a float sum may round to the capacity or overflow."""
+    cap = inst.cargo_capacity
+    demands = [inst.demands[c] for c in route]
+    load = sum(map(Fraction, demands))
+    if sum(demands) == load:
+        return f"route {v} load {sum(demands)} > capacity {cap}"
+    excess = load - Fraction(cap)
+    shown = Context(prec=17).divide(excess.numerator, excess.denominator)
+    return f"route {v} load {cap} + {shown:g} > capacity {cap}"
 
 
 def surrogate_cost(plan: RoutingPlan | list, oracle: DistanceOracle) -> float:
@@ -230,11 +244,6 @@ def evaluate_solution(plan, charging, oracle) -> CompleteSolution:
     return CompleteSolution(routing, charge, f_total, f_detour, phi)
 
 
-def all_nil_charging(plan: RoutingPlan | list) -> ChargingPlan:
-    routes = plan.routes if isinstance(plan, RoutingPlan) else plan
-    return ChargingPlan(tuple(tuple([None] * (len(r) + 1)) for r in routes))
-
-
 # ---------------------------------------------------------------------------
 # Solution text format: one comma-separated expanded route per line,
 # then "COST <F>" with F rounded to 2 decimals.
@@ -297,6 +306,8 @@ def split_expanded_route(expanded, inst: InstanceSpec) -> tuple[list[int], list[
             continue
         if len(pending) > 2:
             raise ValueError(f"more than two consecutive stations: {pending}")
+        if len(pending) == 2 and pending[0] == pending[1]:
+            raise ValueError(f"station {pending[0]} twice in a row")
         slots.append(None if not pending else
                      pending[0] if len(pending) == 1 else (pending[0], pending[1]))
         pending = []

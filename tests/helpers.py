@@ -12,7 +12,7 @@ from ecvrp.charging import (
 )
 from ecvrp.instance import DistanceOracle
 from ecvrp.moves import ALL_OPERATORS, INTRA_ROUTE, Move, enumerate_positions
-from ecvrp.search import M2, M4, M6, M7, M8, NEG_INF, InstanceInfeasible
+from ecvrp.search import IMPROVE_EPS, M2, M4, M6, M7, M8, InstanceInfeasible
 from ecvrp.solution import ChargingPlan, RoutingPlan
 
 from conftest import make_instance
@@ -213,7 +213,7 @@ def solve_se_enumeration(routes, inst, oracle, table):
         legs_out = []
         for g in range(n_gaps):
             u, w = nodes[g], nodes[g + 1]
-            station = table.station_for[u][w]
+            station = table[u][w]
             directs.append(matrix[u][w])
             legs_in.append(matrix[u][station])
             legs_out.append(matrix[station][w])
@@ -261,7 +261,7 @@ def solve_se_enumeration(routes, inst, oracle, table):
             return ChargingQueryResult(False, None, None, examined_product)
         chosen = set(best_combo)
         slots_out.append(tuple(
-            table.station_for[nodes[g]][nodes[g + 1]] if g in chosen else None
+            table[nodes[g]][nodes[g + 1]] if g in chosen else None
             for g in range(n_gaps)))
         detour_total += best_f
 
@@ -389,6 +389,7 @@ def explore_reference(self, phi_vi):
     # single-route operators take no partner; m8 seeds the first empty
     dest = self.empties[0] if op == M8 and self.empties else -1
     on_accept = self.hooks.get("on_accept")
+    bar = max(phi_vi, self.phi - IMPROVE_EPS)
     for _ in range(self.params.max_attempts):
         if budget.arc_access_count >= limit:
             return False
@@ -408,7 +409,7 @@ def explore_reference(self, phi_vi):
         route = self.routes[t1]
         pa = int(draw() * len(route))
         phi_before = self.phi
-        if scan(self, t1, t2, pa, phi_vi):
+        if scan(self, t1, t2, pa, bar):
             if on_accept is not None:
                 on_accept(self.phi, phi_before, phi_vi)
             if self.trace_full:
@@ -436,7 +437,7 @@ def descend_reference(self, op, t1, t2):
             if budget.arc_access_count >= limit or (
                     wall and self._out_of_time()):
                 return improved
-            if scan(self, t1, t2, pa, NEG_INF):
+            if scan(self, t1, t2, pa, self.phi - IMPROVE_EPS):
                 moved = True
                 improved = True
                 break

@@ -184,7 +184,7 @@ def test_criterion_04_e30_route_structure():
             if solution.total_cost < best_cost:
                 best_cost = solution.total_cost
                 best_routes = solution.routing
-        assert best_routes.num_nonempty == 4, best_routes
+        assert sum(map(bool, best_routes.routes)) == 4, best_routes
 
         def degraded(seeds):
             toggles = AblationToggles(no_m8=True)
@@ -192,7 +192,7 @@ def test_criterion_04_e30_route_structure():
                 solution, _ = metered_run(inst, SearchParams(seed=seed),
                                           toggles)
                 worse = solution.total_cost >= 1.01 * 509.47
-                three_routes = solution.routing.num_nonempty == 3
+                three_routes = sum(map(bool, solution.routing.routes)) == 3
                 if worse or three_routes:
                     return True
             return False

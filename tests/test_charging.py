@@ -92,7 +92,7 @@ class TestBestStationTable:
         inst = make_instance(customers=[(10, 0)], stations=[(5, 1), (5, 5)])
         oracle = DistanceOracle.for_instance(inst)
         table = build_best_station_table(inst, oracle)
-        assert table.station_for[0][1] == 2
+        assert table[0][1] == 2
 
     def test_single_station_everywhere(self):
         inst = make_instance(customers=[(10, 0), (0, 10)], stations=[(7, 7)])
@@ -101,14 +101,14 @@ class TestBestStationTable:
         for i in range(3):
             for j in range(3):
                 if i != j:
-                    assert table.station_for[i][j] == 3
+                    assert table[i][j] == 3
 
     def test_tie_breaks_to_lowest_id(self):
         inst = make_instance(customers=[(10, 0)], stations=[(5, 1), (5, -1)])
         oracle = DistanceOracle.for_instance(inst)
         table = build_best_station_table(inst, oracle)
-        assert table.station_for[0][1] == 2
-        assert table.station_for[1][0] == 2
+        assert table[0][1] == 2
+        assert table[1][0] == 2
 
     def test_symmetry(self):
         rng = random.Random(11)
@@ -121,7 +121,7 @@ class TestBestStationTable:
         table = build_best_station_table(inst, oracle)
         for i in range(7):
             for j in range(7):
-                assert table.station_for[i][j] == table.station_for[j][i]
+                assert table[i][j] == table[j][i]
 
 
 class TestSimpleEnumeration:
@@ -145,7 +145,7 @@ class TestSimpleEnumeration:
                              battery=battery, rate=1.0, fleet=2)
         oracle = DistanceOracle.for_instance(inst)
         table = build_best_station_table(inst, oracle)
-        assert {s for row in table.station_for for s in row} == {-1}
+        assert {s for row in table for s in row} == {-1}
         plan = [[1, 2], []]
         se = solve_se(plan, inst, oracle, table)
         assert se.feasible == (battery == 1000)

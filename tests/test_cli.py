@@ -1,3 +1,4 @@
+import gc
 import math
 import time
 
@@ -193,6 +194,16 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error: line ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["validate", "refine"])
+    def test_repeated_station_is_one_line_error(self, tiny_file, tmp_path,
+                                                capsys, command):
+        # a capacity-feasible plan whose first gap holds station 4 twice:
+        # validate used to end in a traceback, refine to accept it
+        bad = tmp_path / "bad.sol"
+        bad.write_text("0,1,4,4,2,0\n0,3,0\nCOST 1.0\n")
+        assert run_cli(command, tiny_file, bad) == 2
+        assert one_error_line(capsys) == "error: station 4 twice in a row\n"
+
     def test_empty_seed_spec_is_clean_error(self, tiny_file, capsys):
         assert run_cli("solve", tiny_file, "--seeds", "") == 1
         assert "error" in capsys.readouterr().err
@@ -231,6 +242,14 @@ class TestCliErrors:
         assert run_cli(command, tiny_file, *args,
                        "--out", blocker / "x") == 1
         assert str(blocker / "x") in one_error_line(capsys)
+
+    def test_empty_out_keeps_the_input(self, tiny_file, tmp_path, capsys):
+        # an empty --out used to write the refined plan over the input
+        sol = tmp_path / "plan.sol"
+        sol.write_text("0,1,2,0\n0,3,0\n")
+        assert run_cli("refine", tiny_file, sol, "--out", "") == 2
+        assert one_error_line(capsys) == "error: --out needs a file name\n"
+        assert sol.read_text() == "0,1,2,0\n0,3,0\n"
 
     @pytest.mark.parametrize("flag", ["--lh", "--eta-max"])
     @pytest.mark.parametrize("command", ["solve", "analyze"])
@@ -277,6 +296,37 @@ class TestCliErrors:
         assert one_error_line(capsys) == (
             f"error: --seeds {spec!r}: expected a..b or a comma list of "
             "integers\n")
+
+
+class TestOneParser:
+    @pytest.fixture
+    def refine_argv(self, tiny_file, tmp_path):
+        sol = tmp_path / "plan.sol"
+        sol.write_text("0,1,2,0\n0,3,0\n")
+        return ["refine", str(tiny_file), str(sol),
+                "--out", str(tmp_path / "refined.sol")]
+
+    def test_requests_leave_no_reference_cycles(self, refine_argv, capsys):
+        # a parser built per call left about 310 objects in cycles
+        assert main(refine_argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(5):
+                assert main(refine_argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_command_replaced_after_the_first_call_runs(self, refine_argv,
+                                                        monkeypatch, capsys):
+        # wrappers installed on cli.cmd_refine see every request
+        assert main(refine_argv) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_refine",
+                            lambda args: seen.append(args.solution) or 7)
+        assert main(refine_argv) == 7
+        assert seen == [refine_argv[2]]
 
 
 class TestFleetBound:

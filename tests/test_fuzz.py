@@ -204,6 +204,10 @@ class TestCapacityRule:
         assert verdict.ok == all(fits)
         if not verdict.ok:
             assert verdict.violation == "CapacityExceeded"
+            # the detail shows, exactly enough, a load above the capacity
+            load, shown_cap = verdict.detail.split(" load ")[1].split(
+                " > capacity ")
+            assert sum(map(Fraction, load.split(" + "))) > Fraction(shown_cap)
         oracle = DistanceOracle.for_instance(inst)
         try:
             routes = split_giant_tour(perm, inst, oracle)

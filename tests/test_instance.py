@@ -74,11 +74,9 @@ class TestParsing:
         inst = parse_instance(text)
         assert list(inst.customers) == [1]
         assert list(inst.stations) == [2]
-        assert inst.depot == 0
 
     def test_internal_renumbering(self):
         inst = parse_instance(file_text())
-        assert inst.depot == 0
         assert list(inst.customers) == [1, 2, 3]
         assert list(inst.stations) == [4, 5]
         assert inst.original_ids == (1, 2, 3, 4, 5, 6)

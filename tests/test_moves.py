@@ -20,7 +20,7 @@ from ecvrp.moves import (
     delta_phi,
     enumerate_positions,
 )
-from ecvrp.search import NEG_INF, PlanState
+from ecvrp.search import IMPROVE_EPS, PlanState
 from ecvrp.solution import surrogate_cost
 from conftest import make_instance
 from helpers import (
@@ -256,7 +256,8 @@ class TestScanMinimum:
                                           oracle.matrix, list(inst.demands),
                                           cap, EvaluationBudget(), math.inf)
                         state.phi = phi
-                        if state.kernels[op_id](state, t1, t2, pa, NEG_INF):
+                        if state.kernels[op_id](state, t1, t2, pa,
+                                                phi - IMPROVE_EPS):
                             continue
                         target = (t1, t2) if op in INTER_ROUTE else t1
                         phis = []

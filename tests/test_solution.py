@@ -9,7 +9,6 @@ from ecvrp.solution import (
     ChargingPlan,
     RoutingPlan,
     SlotLengthMismatch,
-    all_nil_charging,
     battery_feasible,
     check_upper_feasible,
     evaluate_solution,
@@ -92,6 +91,27 @@ class TestUpperFeasible:
         verdict = check_upper_feasible([route, []], tenths)
         assert verdict.violation == "CapacityExceeded"
         assert check_upper_feasible([route[:9], route[9:]], tenths).ok
+
+    def test_capacity_detail_shows_the_exact_excess(self):
+        # float sums in route order read 0.9999999999999999 > 1.0 and
+        # 1e+308 > 1e+308 here, though each route exceeds its capacity
+        tenths = make_instance(customers=[(k, 0) for k in range(1, 11)],
+                               stations=[(5, 5)], demands=[0.1] * 10,
+                               capacity=1.0, fleet=2)
+        verdict = check_upper_feasible([list(tenths.customers), []], tenths)
+        assert verdict.detail == \
+            "route 0 load 1.0 + 5.5511151231257827e-17 > capacity 1.0"
+        extremes = make_instance(customers=[(1, 0), (2, 0), (3, 0)],
+                                 stations=[(5, 5)],
+                                 demands=[5e-324, 1e308, 1e308],
+                                 capacity=1e308, fleet=3)
+        verdict = check_upper_feasible([[1, 2], [3], []], extremes)
+        assert verdict.detail == \
+            "route 0 load 1e+308 + 4.9406564584124654e-324 > capacity 1e+308"
+        # a float sum that overflows
+        verdict = check_upper_feasible([[2, 3], [1], []], extremes)
+        assert verdict.detail == "route 0 load 1e+308 + " \
+            "1.0000000000000000e+308 > capacity 1e+308"
 
     def test_too_many_route_slots(self, quad_instance):
         verdict = check_upper_feasible([[1], [2], [3], [4]], quad_instance)
@@ -177,7 +197,8 @@ class TestTotalCost:
     def test_all_nil_means_f_zero(self, quad_instance):
         oracle = DistanceOracle.for_instance(quad_instance)
         plan = [[1, 2], [3, 4], []]
-        f_total, f_detour, phi = total_cost(plan, all_nil_charging(plan), oracle)
+        no_stops = [[None] * (len(r) + 1) for r in plan]
+        f_total, f_detour, phi = total_cost(plan, no_stops, oracle)
         assert f_detour == 0.0
         assert f_total == phi == pytest.approx(surrogate_cost(plan, oracle))
 
@@ -260,7 +281,8 @@ class TestSerialization:
     def test_cost_printed_to_two_decimals(self, quad_instance):
         oracle = DistanceOracle.for_instance(quad_instance)
         plan = [[1, 2], [3, 4], []]
-        sol = evaluate_solution(plan, all_nil_charging(plan), oracle)
+        no_stops = [[None] * (len(r) + 1) for r in plan]
+        sol = evaluate_solution(plan, no_stops, oracle)
         assert f"COST {sol.total_cost:.2f}" in format_solution(sol)
 
     def test_bad_route_line_rejected(self):
