@@ -123,16 +123,11 @@ def brute_force_optimum(inst: InstanceSpec,
     if best_blocks is None:
         raise InstanceInfeasible("no battery-feasible partition exists")
 
-    routes = [list(entry[1]) for entry in best_blocks]
-    slots = [entry[2] for entry in best_blocks]
-    while len(routes) < inst.route_slots:
-        routes.append([])
-        slots.append((None,))
     detour = sum(entry[3] for entry in best_blocks)
     surrogate = sum(entry[4] for entry in best_blocks)
     return CompleteSolution(
-        routing=RoutingPlan.from_lists(routes),
-        charging=ChargingPlan(tuple(slots)),
+        routing=RoutingPlan.from_lists(entry[1] for entry in best_blocks),
+        charging=ChargingPlan(tuple(entry[2] for entry in best_blocks)),
         total_cost=best_total,
         detour_cost=detour,
         surrogate=surrogate,

@@ -40,7 +40,7 @@ from operator import add
 import numpy as np
 
 from .instance import DistanceOracle, InstanceSpec
-from .solution import ChargingPlan, RoutingPlan, Slot
+from .solution import ChargingPlan, Slot
 
 
 class BudgetExhausted(RuntimeError):
@@ -93,7 +93,7 @@ class ChargingQueryResult:
         return self.feasible
 
 
-def solve_se(plan, inst: InstanceSpec, oracle: DistanceOracle,
+def solve_se(routes, inst: InstanceSpec, oracle: DistanceOracle,
              table: tuple, memo: dict | None = None
              ) -> ChargingQueryResult:
     """Simple-enumeration follower: at most one station per gap, station
@@ -118,11 +118,10 @@ def solve_se(plan, inst: InstanceSpec, oracle: DistanceOracle,
     Pass the same dict to successive calls on one instance and table;
     without one, every route is priced.
 
-    It charges the oracle's budget, when there is one, 3 arcs per gap
-    (direct arc and both station legs), for reused routes too, and raises
-    BudgetExhausted before a gap once that budget is exceeded.
+    It charges the oracle's budget 3 arcs per gap (direct arc and both
+    station legs), for reused routes too, and raises BudgetExhausted
+    before a gap once that budget is exceeded.
     """
-    routes = plan.routes if isinstance(plan, RoutingPlan) else plan
     budget = oracle.budget
     if memo is None:
         memo = {}
@@ -137,11 +136,10 @@ def solve_se(plan, inst: InstanceSpec, oracle: DistanceOracle,
         if not route:
             slots_out.append((None,))
             continue
-        if budget is not None:
-            for _ in range(len(route) + 1):
-                if budget.exceeded():
-                    raise BudgetExhausted
-                budget.arc_access_count += 3
+        for _ in range(len(route) + 1):
+            if budget.exceeded():
+                raise BudgetExhausted
+            budget.arc_access_count += 3
         key = tuple(route)
         entry = memo.get(key)
         if entry is None:
@@ -294,7 +292,7 @@ def _best_gap_subset(directs, legs_in, legs_out, lb: int, rate: float,
     return best
 
 
-def solve_exhaustive(plan, inst: InstanceSpec,
+def solve_exhaustive(routes, inst: InstanceSpec,
                      oracle: DistanceOracle) -> ChargingQueryResult:
     """Exhaustive follower: every gap may hold nothing, any single station,
     or any ordered pair of distinct stations, with per-route visits bounded
@@ -348,7 +346,6 @@ def solve_exhaustive(plan, inst: InstanceSpec,
 
     It reads the matrix without charging the oracle's budget.
     """
-    routes = plan.routes if isinstance(plan, RoutingPlan) else plan
     matrix = oracle.matrix
     rate = inst.consumption_rate
     full = inst.battery_capacity

@@ -237,16 +237,18 @@ def cmd_solve(args) -> int:
 
 
 def _load_solution(inst, path):
+    """(routes, slot lists, reported cost) of a solution file; a ValueError
+    names the file line at fault."""
     expanded_routes, reported = parse_solution_file(Path(path).read_text())
     plan = []
     slot_lists = []
-    for expanded in expanded_routes:
-        route, slots = split_expanded_route(expanded, inst)
+    for lineno, expanded in expanded_routes:
+        try:
+            route, slots = split_expanded_route(expanded, inst)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         plan.append(route)
         slot_lists.append(slots)
-    while len(plan) < inst.route_slots:
-        plan.append([])
-        slot_lists.append([None])
     return plan, slot_lists, reported
 
 
@@ -300,7 +302,7 @@ def cmd_refine(args) -> int:
     if not result.feasible:
         print("INFEASIBLE: no charging plan within the visit bound")
         return 1
-    solution = evaluate_solution(plan, result.plan, oracle)
+    solution = evaluate_solution(plan, result.plan.slots, oracle)
     out_path = Path(args.solution if args.out is None else args.out)
     try:
         out_path.write_text(format_solution(

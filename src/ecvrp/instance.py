@@ -184,12 +184,14 @@ class EvaluationBudget:
 
 
 class DistanceOracle:
-    """Symmetric Euclidean distances with an optional attached budget.
+    """Symmetric Euclidean distances with an attached budget.
 
     The full pz x pz matrix is precomputed (precomputation is not charged;
     metering starts with search) and exactly symmetric.  The search code
     that reads matrix[i][j] charges the attached budget one access per arc
-    read; code outside search reads it without charging.
+    read; code outside search reads it without charging.  An oracle built
+    without a budget gets a fresh unlimited one, so metered code never
+    asks whether there is one.
     """
 
     __slots__ = ("matrix", "budget")
@@ -198,7 +200,7 @@ class DistanceOracle:
         pts = np.asarray(coords, dtype=float)
         diff = pts[:, None, :] - pts[None, :, :]
         self.matrix = np.sqrt((diff * diff).sum(axis=-1)).tolist()
-        self.budget = budget
+        self.budget = EvaluationBudget() if budget is None else budget
 
     @classmethod
     def for_instance(cls, inst: InstanceSpec,

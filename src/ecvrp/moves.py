@@ -34,7 +34,6 @@ from enum import Enum
 
 from .instance import DistanceOracle, EvaluationBudget
 from .search import PlanState
-from .solution import RoutingPlan
 
 
 class InvalidTarget(ValueError):
@@ -63,11 +62,6 @@ DESCENT_OPERATORS = (Move.RELOCATE_WITHIN, Move.RELOCATE_ACROSS,
                      Move.SWAP_WITHIN, Move.SWAP_ACROSS, Move.REVERSE_SEGMENT,
                      Move.CROSS_REVERSED, Move.CROSS_STRAIGHT)
 ALL_OPERATORS = DESCENT_OPERATORS + (Move.SEED_EMPTY_ROUTE,)
-
-
-def _as_lists(plan):
-    routes = plan.routes if isinstance(plan, RoutingPlan) else plan
-    return [list(r) for r in routes]
 
 
 def _locate(route, node, what):
@@ -128,7 +122,7 @@ def _run_kernel(op: Move, plan, target, a, b, matrix, budget) -> PlanState:
 
     matrix None runs on zero distances, where every candidate is accepted.
     """
-    routes = _as_lists(plan)
+    routes = [list(r) for r in plan]
     t1, t2, pa, k = _candidate(op, routes, target, a, b)
     zeros = [0.0] * (1 + max((c for r in routes for c in r), default=0))
     if matrix is None:
@@ -139,8 +133,9 @@ def _run_kernel(op: Move, plan, target, a, b, matrix, budget) -> PlanState:
     return state
 
 
-def apply_move(op: Move, plan, target, a, b):
-    """Return the neighbouring plan op(plan, target, a, b); plan is unchanged.
+def apply_move(op: Move, plan, target, a, b) -> list[list[int]]:
+    """Return the neighbouring plan op(plan, target, a, b) as a fresh list
+    of route lists; plan, a list of routes, is unchanged.
 
     The customer partition is preserved for every operator; capacity may be
     violated and is the caller's concern.  Structural no-ops the search
@@ -150,27 +145,22 @@ def apply_move(op: Move, plan, target, a, b):
     route index otherwise) and NoEmptyRoute for m8 on a plan whose
     vehicles are all in use.
     """
-    routes = _run_kernel(op, plan, target, a, b, None,
-                         EvaluationBudget()).routes
-    if isinstance(plan, RoutingPlan):
-        return RoutingPlan.from_lists(routes)
-    return routes
+    return _run_kernel(op, plan, target, a, b, None,
+                       EvaluationBudget()).routes
 
 
 def delta_phi(op: Move, plan, target, a, b, oracle: DistanceOracle) -> float:
     """Surrogate-cost change of apply_move, computed by the search kernel
     from the broken and created arcs only; 0.0 for structural no-ops.
     Charges the budget for exactly the arcs it reads."""
-    budget = oracle.budget if oracle.budget is not None else EvaluationBudget()
-    return _run_kernel(op, plan, target, a, b, oracle.matrix, budget).phi
+    return _run_kernel(op, plan, target, a, b, oracle.matrix,
+                       oracle.budget).phi
 
 
-def enumerate_positions(op: Move, plan, target, a) -> list:
+def enumerate_positions(op: Move, routes, target, a) -> list:
     """Deterministically ordered candidate b values for op at (target, a):
     position ascending, preconditions filtered.  May be empty.  Raises
     InvalidTarget for a target that does not fit op, as apply_move does."""
-    routes = plan.routes if isinstance(plan, RoutingPlan) else plan
-
     if op in INTRA_ROUTE:
         route = list(routes[_target_single(target)])
         pa = _locate(route, a, "customer")

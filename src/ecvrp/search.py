@@ -146,8 +146,8 @@ class SearchTrace:
 
 def split_giant_tour(perm, inst: InstanceSpec, oracle: DistanceOracle):
     """Cut a customer permutation into at most fleet_size contiguous routes
-    of minimum total surrogate cost (shortest path over segment ends),
-    padded with empty routes to inst.route_slots.
+    of minimum total surrogate cost (shortest path over segment ends).
+    Every route it returns is non-empty; _Engine.load_plan pads the plan.
 
     Raises InstanceInfeasible when no capacity-feasible cut into fleet_size
     segments exists.  Charges the budget for the depot legs and the
@@ -156,9 +156,7 @@ def split_giant_tour(perm, inst: InstanceSpec, oracle: DistanceOracle):
     n = len(perm)
     fleet = inst.route_slots     # a segment holds a customer: no row above n
     matrix = oracle.matrix
-    budget = oracle.budget
-    if budget is not None:
-        budget.arc_access_count += 2 * n - 1 if n else 0
+    oracle.budget.arc_access_count += 2 * n - 1 if n else 0
 
     row0 = matrix[0]
     depot_leg = [row0[c] for c in perm]
@@ -208,9 +206,7 @@ def split_giant_tour(perm, inst: InstanceSpec, oracle: DistanceOracle):
         j = pred[k][j]
         cuts.append(j)
     cuts.reverse()
-    routes = [list(perm[cuts[t]:cuts[t + 1]]) for t in range(best_k)]
-    routes.extend([] for _ in range(fleet - best_k))
-    return routes
+    return [list(perm[cuts[t]:cuts[t + 1]]) for t in range(best_k)]
 
 
 # ---------------------------------------------------------------------------
@@ -752,6 +748,9 @@ class _Engine(PlanState):
     # -- state loading -------------------------------------------------
 
     def load_plan(self, routes) -> None:
+        """Take a copy of routes as the plan under search, padded with
+        empty routes to inst.route_slots: the one place a plan is padded,
+        as only the engine's route-creating moves read empty slots."""
         budget = self.budget
         matrix = self.matrix
         routes = [list(r) for r in routes]
@@ -1169,7 +1168,7 @@ class _Engine(PlanState):
                 "no battery-feasible solution found within the budget")
         inc = self.incumbent
         if not self.toggles.no_final_refinement:
-            refined = solve_exhaustive(inc.routing, inst, self.oracle)
+            refined = solve_exhaustive(inc.routing.routes, inst, self.oracle)
             if refined.feasible:
                 total = refined.surrogate + refined.detour_cost
                 if total < inc.total_cost:

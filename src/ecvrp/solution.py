@@ -1,13 +1,16 @@
 """Routing plans, charging plans, feasibility checks and cost evaluation.
 
-A routing plan is a fixed-length list of exactly M customer sequences;
-empty sequences are unused vehicles and stay in place so route-creating
-moves have an insertion slot.  A charging plan assigns one slot to every
-gap of every route: None (no stop), a station id, or an ordered pair of
-distinct station ids; a plan with no stop is [None] * (len(route) + 1)
-per route.  Capacity is decided exactly on InstanceSpec.cargo_units.
-split_expanded_route rejects station runs no slot holds: three stations
-in a row, or one station twice.
+A routing plan is a list of customer routes, at most fleet_size of them;
+an empty route is an unused vehicle.  Only the search engine pads a plan
+with empty routes to inst.route_slots, so route-creating moves have an
+insertion slot; every function here takes a plan of any length.  A
+charging plan assigns one slot to every gap of every route: None (no
+stop), a station id, or an ordered pair of distinct station ids; a plan
+with no stop is [None] * (len(route) + 1) per route.  RoutingPlan and
+ChargingPlan are only the immutable records a CompleteSolution holds.
+Capacity is decided exactly on InstanceSpec.cargo_units.
+split_expanded_route rejects station runs no slot holds (three stations
+in a row, or one station twice) and routes of stations alone.
 
 None of these functions charges the oracle's budget: they price and check
 plans outside search, where the budget does not count.
@@ -36,7 +39,7 @@ class SlotLengthMismatch(ValueError):
 
 @dataclass(frozen=True)
 class RoutingPlan:
-    """Upper-level decision: M ordered customer routes (some may be empty)."""
+    """Upper-level decision of a CompleteSolution: its customer routes."""
 
     routes: tuple[tuple[int, ...], ...]
 
@@ -47,7 +50,8 @@ class RoutingPlan:
 
 @dataclass(frozen=True)
 class ChargingPlan:
-    """Lower-level decision: per route, one slot per gap (len = route len + 1)."""
+    """Lower-level decision of a CompleteSolution: per route, one slot per
+    gap (len = route len + 1)."""
 
     slots: tuple[tuple[Slot, ...], ...]
 
@@ -64,8 +68,10 @@ class CompleteSolution:
 @dataclass(frozen=True)
 class UpperVerdict:
     ok: bool
-    violation: str | None = None   # MissingCustomer | DuplicateCustomer |
-    detail: str | None = None      # CapacityExceeded | TooManyRoutes
+    # MissingCustomer | DuplicateCustomer | NotACustomer | CapacityExceeded |
+    # TooManyRoutes
+    violation: str | None = None
+    detail: str | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -84,9 +90,8 @@ class BatteryVerdict:
 UPPER_OK = UpperVerdict(True)
 
 
-def check_upper_feasible(plan: RoutingPlan | list, inst: InstanceSpec) -> UpperVerdict:
+def check_upper_feasible(routes, inst: InstanceSpec) -> UpperVerdict:
     """Verify the partition, per-route capacity and route-count constraints."""
-    routes = plan.routes if isinstance(plan, RoutingPlan) else plan
     if len(routes) > inst.fleet_size:
         return UpperVerdict(False, "TooManyRoutes",
                             f"{len(routes)} route slots > fleet size {inst.fleet_size}")
@@ -99,7 +104,7 @@ def check_upper_feasible(plan: RoutingPlan | list, inst: InstanceSpec) -> UpperV
                 return UpperVerdict(False, "DuplicateCustomer",
                                     f"customer {c} served more than once")
             if c not in inst.customers:
-                return UpperVerdict(False, "DuplicateCustomer",
+                return UpperVerdict(False, "NotACustomer",
                                     f"node {c} is not a customer")
             seen.add(c)
             load += units[c]
@@ -127,9 +132,8 @@ def _capacity_detail(v: int, route, inst: InstanceSpec) -> str:
     return f"route {v} load {cap} + {shown:g} > capacity {cap}"
 
 
-def surrogate_cost(plan: RoutingPlan | list, oracle: DistanceOracle) -> float:
+def surrogate_cost(routes, oracle: DistanceOracle) -> float:
     """Total routing distance ignoring charging; empty routes contribute 0."""
-    routes = plan.routes if isinstance(plan, RoutingPlan) else plan
     matrix = oracle.matrix
     total = 0.0
     for route in routes:
@@ -195,16 +199,14 @@ def battery_feasible(expanded, inst: InstanceSpec,
     return BatteryVerdict(True), trace
 
 
-def total_cost(plan: RoutingPlan | list, charging: ChargingPlan | list,
-               oracle: DistanceOracle) -> tuple[float, float, float]:
+def total_cost(routes, slot_lists, oracle: DistanceOracle
+               ) -> tuple[float, float, float]:
     """Evaluate (F, f, phi) for a shape-matched plan pair.
 
     Cost is computable for battery-infeasible plans too; feasibility is a
     separate concern.  f is accumulated per gap so that F = phi + f holds
     exactly in floating point.
     """
-    routes = plan.routes if isinstance(plan, RoutingPlan) else plan
-    slot_lists = charging.slots if isinstance(charging, ChargingPlan) else charging
     if len(slot_lists) != len(routes):
         raise SlotLengthMismatch(
             f"{len(routes)} routes but {len(slot_lists)} slot lists")
@@ -236,12 +238,12 @@ def total_cost(plan: RoutingPlan | list, charging: ChargingPlan | list,
     return phi + detour, detour, phi
 
 
-def evaluate_solution(plan, charging, oracle) -> CompleteSolution:
-    routing = plan if isinstance(plan, RoutingPlan) else RoutingPlan.from_lists(plan)
-    charge = charging if isinstance(charging, ChargingPlan) \
-        else ChargingPlan(tuple(tuple(s) for s in charging))
-    f_total, f_detour, phi = total_cost(routing, charge, oracle)
-    return CompleteSolution(routing, charge, f_total, f_detour, phi)
+def evaluate_solution(routes, slot_lists, oracle) -> CompleteSolution:
+    """The CompleteSolution record of a plan pair, priced by total_cost."""
+    f_total, f_detour, phi = total_cost(routes, slot_lists, oracle)
+    return CompleteSolution(RoutingPlan.from_lists(routes),
+                            ChargingPlan(tuple(tuple(s) for s in slot_lists)),
+                            f_total, f_detour, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +262,11 @@ def format_solution(sol: CompleteSolution, header_lines=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_solution_file(text: str) -> tuple[list[list[int]], float | None]:
-    """Read expanded routes and the reported cost from solution text."""
-    expanded_routes: list[list[int]] = []
+def parse_solution_file(text: str
+                        ) -> tuple[list[tuple[int, list[int]]], float | None]:
+    """Read the expanded routes, each as (line number, nodes), and the
+    reported cost from solution text."""
+    expanded_routes: list[tuple[int, list[int]]] = []
     reported = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -287,7 +291,7 @@ def parse_solution_file(text: str) -> tuple[list[list[int]], float | None]:
         if 0 in nodes[1:-1]:
             raise ValueError(f"line {lineno}: depot 0 inside a route; "
                              "give each route its own line")
-        expanded_routes.append(nodes)
+        expanded_routes.append((lineno, nodes))
     return expanded_routes, reported
 
 
@@ -313,4 +317,6 @@ def split_expanded_route(expanded, inst: InstanceSpec) -> tuple[list[int], list[
         pending = []
         if node != 0:
             route.append(node)
+    if not route and any(slots):
+        raise ValueError("route visits stations but no customer")
     return route, slots

@@ -163,7 +163,7 @@ class TestBruteForce:
         rng = random.Random(40)
         inst, exact = certified_tiny_fixture(rng)
         oracle = DistanceOracle.for_instance(inst)
-        assert check_upper_feasible(exact.routing, inst).ok
+        assert check_upper_feasible(exact.routing.routes, inst).ok
         for route, slots in zip(exact.routing.routes, exact.charging.slots):
             if route:
                 assert battery_feasible(expand_route(route, slots), inst,

@@ -129,7 +129,7 @@ class TestParseSolution:
             routes, reported = parse_solution_file(text)
         except ValueError:
             return
-        for nodes in routes:
+        for _, nodes in routes:
             assert nodes[0] == nodes[-1] == 0 and 0 not in nodes[1:-1]
 
 

@@ -55,6 +55,23 @@ REFINE_GOLDEN = {
     9: None,
 }
 
+# SHA-256 of `ecvrp oracle` stdout per instance
+ORACLE_GOLDEN = {
+    "tiny3": "c93f02652491d91a68e889d960dcf358f844641edbec4a042459277cd02847d1",
+    "bare": "8b43cd36573eb29487b7cbad8cad7a143e155eb02c1469c2b2b0d048834a066e",
+}
+
+# the oracle instances: tiny3 fills its fleet of 2, bare (no station)
+# leaves one of its 3 vehicles unused
+ORACLE_INSTANCES = {
+    "tiny3": dict(customers=[(30, 0), (0, 40), (-25, -25)],
+                  stations=[(20, 20)], demands=[2, 1, 2], capacity=4,
+                  battery=120, rate=1.0, fleet=2),
+    "bare": dict(customers=[(10, 0), (0, 12), (-8, -6), (15, 9)],
+                 stations=[], demands=[1, 1, 1, 1], capacity=2, battery=1e9,
+                 rate=1.0, fleet=3),
+}
+
 
 def solve_golden(root):
     """Solve the golden instance at --eta-max 10 and 60 into root/eta10 and
@@ -194,3 +211,13 @@ def test_refine_golden_uses_station_pairs(refine_runs):
             pairs += sum(inst.is_station(a) and inst.is_station(b)
                          for a, b in zip(nodes, nodes[1:]) if a and b)
     assert pairs > 0
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GOLDEN))
+def test_oracle_output_matches_golden_digest(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.evrp"
+    path.write_text(serialize_instance(
+        make_instance(**ORACLE_INSTANCES[name], name=name)))
+    assert main(["oracle", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_GOLDEN[name]

@@ -662,14 +662,15 @@ class TestRunBlahc:
         inst = searchable_instance
         budget = EvaluationBudget(max_arc_accesses=400_000)
         sol, _ = run_blahc(inst, small_params(9), budget)
-        assert check_upper_feasible(sol.routing, inst).ok
+        assert check_upper_feasible(sol.routing.routes, inst).ok
         from ecvrp.solution import battery_feasible, expand_route, total_cost
         oracle = DistanceOracle.for_instance(inst)
         for route, slots in zip(sol.routing.routes, sol.charging.slots):
             if route:
                 assert battery_feasible(expand_route(route, slots), inst,
                                         oracle)[0].ok
-        full, detour, phi = total_cost(sol.routing, sol.charging, oracle)
+        full, detour, phi = total_cost(sol.routing.routes,
+                                       sol.charging.slots, oracle)
         assert full == pytest.approx(sol.total_cost)
         assert detour == pytest.approx(sol.detour_cost)
         assert phi == pytest.approx(sol.surrogate)

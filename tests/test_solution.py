@@ -6,8 +6,6 @@ import pytest
 from ecvrp.charging import solve_exhaustive
 from ecvrp.instance import DistanceOracle
 from ecvrp.solution import (
-    ChargingPlan,
-    RoutingPlan,
     SlotLengthMismatch,
     battery_feasible,
     check_upper_feasible,
@@ -65,6 +63,16 @@ class TestUpperFeasible:
         verdict = check_upper_feasible([[1, 2], [2, 3, 4]], quad_instance)
         assert not verdict.ok
         assert verdict.violation == "DuplicateCustomer"
+
+    def test_station_or_depot_is_not_a_customer(self):
+        inst = make_instance(customers=[(1, 0), (2, 0), (3, 0)],
+                             stations=[(4, 0), (5, 0)], fleet=3)
+        verdict = check_upper_feasible([[1, 2, 3, 4]], inst)
+        assert verdict.violation == "NotACustomer"
+        assert verdict.detail == "node 4 is not a customer"
+        verdict = check_upper_feasible([[1, 2], [0, 3]], inst)
+        assert verdict.violation == "NotACustomer"
+        assert verdict.detail == "node 0 is not a customer"
 
     def test_missing_customer(self, quad_instance):
         verdict = check_upper_feasible([[1, 2], [4]], quad_instance)
@@ -145,6 +153,14 @@ class TestExpandRoute:
         route, slots = split_expanded_route(expanded, inst)
         assert route == [1, 3, 2]
         assert slots == [4, None, (5, 4), None]
+
+    def test_stations_without_a_customer_rejected(self):
+        inst = make_instance(customers=[(1, 0), (2, 0), (3, 0)],
+                             stations=[(4, 0), (5, 0)])
+        assert split_expanded_route([0, 0], inst) == ([], [None])
+        for expanded in ([0, 4, 0], [0, 4, 5, 0]):
+            with pytest.raises(ValueError, match="stations but no customer"):
+                split_expanded_route(expanded, inst)
 
 
 class TestBattery:
@@ -270,12 +286,12 @@ class TestTotalCost:
 class TestSerialization:
     def test_round_trip(self, quad_instance):
         oracle = DistanceOracle.for_instance(quad_instance)
-        plan = RoutingPlan.from_lists([[1, 2], [3, 4], []])
-        charging = ChargingPlan(((None, 5, None), (None, None, None), (None,)))
+        plan = [[1, 2], [3, 4], []]
+        charging = [[None, 5, None], [None, None, None], [None]]
         sol = evaluate_solution(plan, charging, oracle)
         text = format_solution(sol, header_lines=["seed 1"])
         expanded, reported = parse_solution_file(text)
-        assert expanded == [[0, 1, 5, 2, 0], [0, 3, 4, 0]]
+        assert expanded == [(2, [0, 1, 5, 2, 0]), (3, [0, 3, 4, 0])]
         assert reported == pytest.approx(round(sol.total_cost, 2))
 
     def test_cost_printed_to_two_decimals(self, quad_instance):
