@@ -58,9 +58,9 @@ def build_best_station_table(inst: InstanceSpec,
     Construction is not metered: the table is immutable instance data
     shared across runs, like the distance matrix itself.
     """
-    matrix = np.asarray(oracle.matrix)
     nc = 1 + inst.num_customers
-    node_to_station = matrix[:nc, nc:]
+    # only this block is read: converting all pz**2 entries costs more
+    node_to_station = np.array([row[nc:] for row in oracle.matrix[:nc]])
     best_len = np.full((nc, nc), np.inf)
     best_sta = np.full((nc, nc), -1, dtype=np.int64)
     for s_idx in range(inst.num_stations):

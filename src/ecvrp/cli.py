@@ -1,7 +1,8 @@
 """Command-line front end: solve, validate, refine, analyze, oracle.
 
-Seeds expand from range syntax a..b or comma lists; every seed is an
-independent deterministic run writing its own solution and trace file.
+Seeds expand from range syntax a..b or comma lists, at most 10**6 of them;
+every seed is an independent deterministic run writing its own solution
+and trace file.
 ECVRP_THREADS caps how many seeds run as parallel worker processes
 (default 1, sequential); the pool never exceeds the number of seeds or
 of CPUs.
@@ -37,7 +38,13 @@ from .instance import (
     max_evals_budget,
     time_budget,
 )
-from .search import AblationToggles, SearchError, SearchParams, run_blahc
+from .search import (
+    PARAM_MAX,
+    AblationToggles,
+    SearchError,
+    SearchParams,
+    run_blahc,
+)
 from .solution import (
     battery_feasible,
     check_upper_feasible,
@@ -108,14 +115,21 @@ class RunReport:
 
 
 def parse_seeds(spec: str) -> tuple[int, ...]:
+    """The seeds of a..b or of a comma list, at most PARAM_MAX of them."""
     try:
         if ".." in spec:
             lo, hi = spec.split("..", 1)
-            return tuple(range(int(lo), int(hi) + 1))
-        return tuple(int(tok) for tok in spec.split(",") if tok)
+            seeds = range(int(lo), int(hi) + 1)
+        else:
+            seeds = [int(tok) for tok in spec.split(",") if tok]
     except ValueError:
         raise ValueError(f"--seeds {spec!r}: expected a..b or a comma list "
                          "of integers") from None
+    # a range slices from its bounds, so a huge one is never expanded
+    if seeds[PARAM_MAX:]:
+        raise ValueError(f"--seeds {spec!r}: names more than {PARAM_MAX} "
+                         "seeds")
+    return tuple(seeds)
 
 
 def _make_budget(inst: InstanceSpec, config: RunConfig) -> EvaluationBudget:

@@ -192,14 +192,25 @@ class DistanceOracle:
     read; code outside search reads it without charging.  An oracle built
     without a budget gets a fresh unlimited one, so metered code never
     asks whether there is one.
+
+    The matrix is built from the x and y coordinate vectors.  Each entry is
+    sqrt(dx*dx + dy*dy): two rounded products, one rounded sum and a
+    correctly rounded root, the same operations as
+    math.sqrt((xi-xj)*(xi-xj) + (yi-yj)*(yi-yj)), so every entry equals
+    that double bit for bit.  xi - xj is exactly -(xj - xi), so the matrix
+    is exactly symmetric with a zero diagonal.
     """
 
     __slots__ = ("matrix", "budget")
 
     def __init__(self, coords, budget: EvaluationBudget | None = None):
-        pts = np.asarray(coords, dtype=float)
-        diff = pts[:, None, :] - pts[None, :, :]
-        self.matrix = np.sqrt((diff * diff).sum(axis=-1)).tolist()
+        xs, ys = np.asarray(coords, dtype=float).T
+        dx = xs[:, None] - xs
+        dy = ys[:, None] - ys
+        dx *= dx
+        dy *= dy
+        dx += dy
+        self.matrix = np.sqrt(dx, out=dx).tolist()
         self.budget = EvaluationBudget() if budget is None else budget
 
     @classmethod
@@ -244,6 +255,11 @@ def parse_instance(text: str) -> InstanceSpec:
     Raises MissingSection / DuplicateNodeId / NonPositiveDemand /
     DemandExceedsCapacity (all InstanceError) naming the offending
     line or field.
+
+    Inside a section, a line that starts with an ASCII digit goes straight
+    to the section's data branch.  No section keyword, EOF mark or header
+    key starts with a digit, so the tests it skips could match no such
+    line, and the result or error is the one that running them gives.
     """
     headers: dict[str, str] = {}
     coords: dict[int, tuple[float, float]] = {}
@@ -257,20 +273,23 @@ def parse_instance(text: str) -> InstanceSpec:
         line = raw.strip()
         if not line:
             continue
-        upper = line.upper()
-        if upper.startswith("EOF"):
-            break
-        matched_section = next((s for s in _SECTIONS if upper.startswith(s)), None)
-        if matched_section:
-            section = matched_section
-            continue
-        if ":" in line:
-            key = line.split(":", 1)[0].strip().upper()
-            if key in _HEADER_KEYS:
-                headers[key] = line.split(":", 1)[1].strip()
+        if section is None or not "0" <= line[0] <= "9":
+            upper = line.upper()
+            if upper.startswith("EOF"):
+                break
+            matched_section = next(
+                (s for s in _SECTIONS if upper.startswith(s)), None)
+            if matched_section:
+                section = matched_section
                 continue
-        if section is None:
-            raise InstanceError(f"line {lineno}: unexpected content {line!r}")
+            if ":" in line:
+                key = line.split(":", 1)[0].strip().upper()
+                if key in _HEADER_KEYS:
+                    headers[key] = line.split(":", 1)[1].strip()
+                    continue
+            if section is None:
+                raise InstanceError(
+                    f"line {lineno}: unexpected content {line!r}")
         parts = line.split()
         try:
             if section == "NODE_COORD_SECTION":

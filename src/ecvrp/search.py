@@ -48,7 +48,8 @@ M1, M2, M3, M4, M5, M6, M7, M8 = range(8)
 
 # cap on history_length and max_attempts, far above the paper's 5723 and
 # 60: each restart allocates the whole history list (about 38 MB at the
-# cap) and an exploration call may loop over every attempt
+# cap) and an exploration call may loop over every attempt.  The command
+# line caps the number of seeds by it too.
 PARAM_MAX = 10**6
 
 # least number of slots the engine's memo of failed scans may hold before

@@ -10,7 +10,17 @@ from ecvrp.charging import (
     solve_se,
     visits_lower_bound,
 )
-from ecvrp.instance import DistanceOracle
+from ecvrp.instance import (
+    _HEADER_KEYS,
+    _SECTIONS,
+    DistanceOracle,
+    DuplicateNodeId,
+    InstanceError,
+    InstanceSpec,
+    MissingSection,
+    _finite_header,
+    _int_header,
+)
 from ecvrp.moves import ALL_OPERATORS, INTRA_ROUTE, Move, enumerate_positions
 from ecvrp.search import IMPROVE_EPS, M2, M4, M6, M7, M8, InstanceInfeasible
 from ecvrp.solution import ChargingPlan, RoutingPlan
@@ -443,3 +453,138 @@ def descend_reference(self, op, t1, t2):
                 break
         if not moved:
             return improved
+
+
+def parse_instance_reference(text: str) -> InstanceSpec:
+    """The instance parser as it was before data lines skipped the keyword
+    and header tests: every line runs them all.  The oracle for
+    instance.parse_instance, which must return an equal InstanceSpec or
+    raise the same exception type with the same message."""
+    headers: dict[str, str] = {}
+    coords: dict[int, tuple[float, float]] = {}
+    coord_order: list[int] = []
+    demands: dict[int, float] = {}
+    station_ids: list[int] = []
+    depot_id: int | None = None
+
+    section = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        upper = line.upper()
+        if upper.startswith("EOF"):
+            break
+        matched_section = next((s for s in _SECTIONS if upper.startswith(s)), None)
+        if matched_section:
+            section = matched_section
+            continue
+        if ":" in line:
+            key = line.split(":", 1)[0].strip().upper()
+            if key in _HEADER_KEYS:
+                headers[key] = line.split(":", 1)[1].strip()
+                continue
+        if section is None:
+            raise InstanceError(f"line {lineno}: unexpected content {line!r}")
+        parts = line.split()
+        try:
+            if section == "NODE_COORD_SECTION":
+                nid, x, y = int(parts[0]), float(parts[1]), float(parts[2])
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise InstanceError(
+                        f"line {lineno}: non-finite coordinate in {line!r}")
+                if nid in coords:
+                    raise DuplicateNodeId(f"line {lineno}: node id {nid} repeated")
+                coords[nid] = (x, y)
+                coord_order.append(nid)
+            elif section == "DEMAND_SECTION":
+                nid, dem = int(parts[0]), float(parts[1])
+                if not math.isfinite(dem):
+                    raise InstanceError(
+                        f"line {lineno}: non-finite demand in {line!r}")
+                if nid in demands:
+                    raise DuplicateNodeId(f"line {lineno}: demand for {nid} repeated")
+                demands[nid] = dem
+            elif section == "STATIONS_COORD_SECTION":
+                station_ids.append(int(parts[0]))
+            elif section == "DEPOT_SECTION":
+                val = int(parts[0])
+                if val == -1:
+                    section = None
+                elif depot_id is None:
+                    depot_id = val
+                else:
+                    raise InstanceError(f"line {lineno}: multiple depot entries")
+        except (ValueError, IndexError) as exc:
+            if isinstance(exc, InstanceError):
+                raise
+            raise InstanceError(f"line {lineno}: cannot parse {line!r}") from exc
+
+    for key in ("DIMENSION", "STATIONS", "CAPACITY", "ENERGY_CAPACITY",
+                "ENERGY_CONSUMPTION", "VEHICLES"):
+        if key not in headers:
+            raise MissingSection(f"header {key} is missing")
+    if not coords:
+        raise MissingSection("NODE_COORD_SECTION is missing")
+    if not demands:
+        raise MissingSection("DEMAND_SECTION is missing")
+    if depot_id is None:
+        raise MissingSection("DEPOT_SECTION is missing")
+
+    dimension = _int_header(headers, "DIMENSION")
+    n_stations = _int_header(headers, "STATIONS")
+    if n_stations > 0 and not station_ids:
+        raise MissingSection("STATIONS_COORD_SECTION is missing")
+    if len(station_ids) != n_stations:
+        raise InstanceError(
+            f"STATIONS says {n_stations} but STATIONS_COORD_SECTION "
+            f"lists {len(station_ids)}"
+        )
+    if len(coords) != dimension + n_stations:
+        raise InstanceError(
+            f"NODE_COORD_SECTION lists {len(coords)} nodes, expected "
+            f"DIMENSION + STATIONS = {dimension + n_stations}"
+        )
+    if len(set(station_ids)) != len(station_ids):
+        raise DuplicateNodeId("station id repeated in STATIONS_COORD_SECTION")
+    for sid in station_ids:
+        if sid not in coords:
+            raise InstanceError(f"station id {sid} has no coordinates")
+    if depot_id not in coords:
+        raise InstanceError(f"depot id {depot_id} has no coordinates")
+    if depot_id in station_ids:
+        raise InstanceError(f"depot id {depot_id} is also listed as a station")
+
+    station_set = set(station_ids)
+    customer_ids = [nid for nid in coord_order
+                    if nid != depot_id and nid not in station_set]
+    if len(customer_ids) != dimension - 1:
+        raise InstanceError(
+            f"found {len(customer_ids)} customers, expected DIMENSION - 1 "
+            f"= {dimension - 1}"
+        )
+
+    cargo, battery, rate = (_finite_header(headers, key) for key in (
+        "CAPACITY", "ENERGY_CAPACITY", "ENERGY_CONSUMPTION"))
+    fleet = _int_header(headers, "VEHICLES")
+    for cid in customer_ids:
+        if cid not in demands:
+            raise MissingSection(f"customer {cid} missing from DEMAND_SECTION")
+    if demands.get(depot_id, 0) != 0:
+        raise InstanceError(f"depot {depot_id} must have zero demand")
+
+    ordered = [depot_id] + customer_ids + station_ids
+    return InstanceSpec(
+        name=headers.get("NAME", "unnamed"),
+        coords=tuple(coords[nid] for nid in ordered),
+        demands=tuple(float(demands.get(nid, 0.0)) for nid in ordered),
+        num_customers=len(customer_ids),
+        num_stations=n_stations,
+        cargo_capacity=cargo,
+        battery_capacity=battery,
+        consumption_rate=rate,
+        fleet_size=fleet,
+        upper_bound=_finite_header(headers, "OPTIMAL_VALUE")
+        if "OPTIMAL_VALUE" in headers else None,
+        original_ids=tuple(ordered),
+    )

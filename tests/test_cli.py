@@ -7,6 +7,7 @@ import pytest
 from ecvrp import cli
 from ecvrp.cli import main, parse_seeds, worker_count
 from ecvrp.instance import serialize_instance
+from ecvrp.search import PARAM_MAX
 from conftest import make_instance
 
 
@@ -39,6 +40,25 @@ class TestSeek:
         assert parse_seeds("1..4") == (1, 2, 3, 4)
         assert parse_seeds("7") == (7,)
         assert parse_seeds("2,5,9") == (2, 5, 9)
+
+    def test_seed_count_capped(self):
+        assert len(parse_seeds(f"1..{PARAM_MAX}")) == PARAM_MAX
+        with pytest.raises(ValueError, match=f"more than {PARAM_MAX} seeds"):
+            parse_seeds(f"0..{PARAM_MAX}")
+
+    @pytest.mark.parametrize("command", ["solve", "analyze"])
+    @pytest.mark.parametrize("hi", [10**12, 10**30])
+    def test_huge_seed_range_is_one_line_error(self, command, hi, tiny_file,
+                                               tmp_path, capsys):
+        # terabytes as a tuple, or more seeds than a tuple can index: the
+        # range is refused from its bounds alone
+        code = run_cli(command, tiny_file, "--seeds", f"1..{hi}",
+                       "--out", tmp_path / "runs")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (f"error: --seeds '1..{hi}': names more than "
+                                f"{PARAM_MAX} seeds\n")
 
 
 class TestSolve:

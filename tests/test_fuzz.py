@@ -2,6 +2,8 @@
 Malformed text may only raise ValueError (InstanceError is one), never
 another exception, and every subcommand exits 0, or 1 or 2 with one error
 line.  Capacity is decided exactly on the binary values of the demands.
+The instance parser gives the result or error of its reference, the
+parser that ran every line through the keyword and header tests.
 
 Examples are derandomized, so every run draws the same inputs.
 """
@@ -30,6 +32,7 @@ from ecvrp.solution import (
     split_expanded_route,
 )
 from conftest import make_instance
+from helpers import parse_instance_reference
 
 FUZZ = settings(max_examples=250, derandomize=True, deadline=None)
 
@@ -103,6 +106,28 @@ def edited_lines(draw, base: str):
     return "\n".join(lines)
 
 
+@st.composite
+def reshaped(draw, texts):
+    """A text drawn from texts, with LF, CRLF or CR line ends, some lines
+    indented, and sometimes a data line among the headers, before any
+    section."""
+    lines = draw(texts).split("\n")
+    indents = draw(st.lists(st.sampled_from(["", "", " ", "\t", " \t "]),
+                            min_size=len(lines), max_size=len(lines)))
+    lines = [pad + line for pad, line in zip(indents, lines)]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, min(9, len(lines)))),
+                     draw(st.sampled_from(["1 0 0", "7", "2 3 2", "5:NAME"])))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+
+
+def outcome(parse, text):
+    try:
+        return repr(parse(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class TestParseInstance:
     @FUZZ
     @given(st.one_of(edited_lines(BASE_INSTANCE), st.text(max_size=200)))
@@ -113,6 +138,16 @@ class TestParseInstance:
             return
         # whatever parses survives a write/read cycle unchanged
         assert parse_instance(serialize_instance(inst)) == inst
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(reshaped(st.one_of(edited_lines(BASE_INSTANCE),
+                              st.text(max_size=200))))
+    @example(BASE_INSTANCE.replace("\n", "\r\n"))
+    @example(BASE_INSTANCE.replace("\n", "\n  "))
+    @example("1 0 0\n" + BASE_INSTANCE)
+    def test_matches_reference_parser(self, text):
+        assert outcome(parse_instance, text) == outcome(
+            parse_instance_reference, text)
 
 
 BASE_SOLUTION = """# solution of fuzz

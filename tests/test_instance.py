@@ -2,7 +2,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecvrp.instance import (
@@ -167,7 +167,7 @@ class TestDistanceOracle:
         oracle = DistanceOracle([(2.0, 7.0), (3.0, 4.0)])
         assert oracle.matrix[1][1] == 0.0
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.lists(st.tuples(st.floats(-500, 500), st.floats(-500, 500)),
                     min_size=3, max_size=8))
     def test_metric_properties(self, points):
@@ -210,13 +210,24 @@ class TestBudget:
             max_time_budget(e22_like, 0.0)
 
 
-def test_distances_match_math_dist():
-    pts = [(0.0, 0.0), (3.0, 4.0), (-2.5, 1.0), (7.0, -1.0)]
-    oracle = DistanceOracle(pts)
-    for i in range(4):
-        for j in range(4):
-            assert oracle.matrix[i][j] == pytest.approx(
-                math.dist(pts[i], pts[j]), abs=1e-12)
+COORDINATE = st.one_of(st.floats(-1e150, 1e150),
+                       st.floats(-1e-150, 1e-150),
+                       st.integers(-1000, 1000).map(float))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(COORDINATE, COORDINATE), min_size=1, max_size=8))
+@example([(0.0, 0.0), (3.0, 4.0), (-2.5, 1.0), (7.0, -1.0)])
+def test_distances_match_math_dist(points):
+    """Every entry is the textbook formula's double, bit for bit, with
+    an exactly symmetric matrix and a zero diagonal."""
+    m = DistanceOracle(points).matrix
+    for i, (xi, yi) in enumerate(points):
+        assert m[i][i] == 0.0
+        for j, (xj, yj) in enumerate(points):
+            expected = math.sqrt((xi - xj) * (xi - xj) + (yi - yj) * (yi - yj))
+            assert m[i][j].hex() == expected.hex()
+            assert m[i][j].hex() == m[j][i].hex()
 
 
 class TestInstanceSpec:
