@@ -16,9 +16,11 @@ ordered station pair per gap.  It is a depth-first branch-and-bound over
 the options of each gap: a battery relaxation, in which every stop leaves
 with a full battery, gives a lower bound on what the rest of a route can
 add to the detour, built once per route in O((lb + 2) * n^2) (_route_bounds),
-and a node is cut when its partial detour plus that bound cannot beat the
-best plan found.  The bound only cuts subtrees without a better leaf, so
-the result is that of the unpruned search, bit for bit.
+and the stops at a gap are cut when the partial detour plus that bound
+cannot beat the best plan found.  Between stops the search walks the run
+of gaps without one in a loop, so it recurses once per stop, not once per
+gap.  The bound only cuts subtrees without a better leaf, so the result
+is that of the unpruned search, bit for bit.
 
 Only solve_se is metered: it runs during search, where the paper's budget
 counts every arc read.  solve_exhaustive runs after search, outside that
@@ -306,43 +308,60 @@ def solve_exhaustive(routes, inst: InstanceSpec,
     association solve_se uses.  enumeration_count is the number of times
     the best plan was replaced, summed over routes.
 
-    It is a branch-and-bound: a node is cut when its partial detour plus a
-    lower bound on what the rest of the route adds is >= the best detour
-    found.  The bound is _route_bounds' battery relaxation, which treats
-    every stop as a full recharge.  Cutting a subtree that holds no leaf
-    < best cannot change the result: best only decreases, so none of its
-    leaves would ever have replaced the best plan, and the other leaves
-    are visited in the same order with the same floats.  So the slots,
-    the detour and surrogate bits and enumeration_count are those of the
-    plain depth-first search (tests/helpers.solve_exhaustive_dfs).
+    It is a branch-and-bound: the single stops (or the pairs) at a gap are
+    tried only when the partial detour plus a lower bound on what such a
+    stop and the rest of the route add is < the best detour found, and
+    each stop only when its own partial detour is.  The bounds are
+    _route_bounds' battery relaxation, which treats every stop as a full
+    recharge.  Cutting a subtree that holds no leaf < best cannot change
+    the result: best only decreases, so none of its leaves would ever have
+    replaced the best plan, and the other leaves are visited in the same
+    order with the same floats.  So the slots, the detour and surrogate
+    bits and enumeration_count are those of the plain depth-first search
+    (tests/helpers.solve_exhaustive_dfs).
+
+    The search recurses once per stop, not once per gap.  A call with v
+    visits made walks on from its gap with no stop while the charge lasts,
+    one loop step per gap (charge -= rate * direct, as the plain search
+    steps), and keeps each gap k it passes where detour + bound_rows[v][k]
+    < best; reaching the end of the route with v >= lb is a leaf.  Then it
+    tries the kept gaps, deepest first, singles before pairs, recursing
+    once per stop.  These are the leaves of the plain search in its order,
+    NIL before any stop at every gap: while the walk runs best, detour and
+    v are fixed, and bound_rows[v][k] is exactly min(single_rows[v][k],
+    pair_rows[v][k]), so the walk keeps every gap whose stop tests could
+    pass against best, which only decreases afterwards.  The recursion is
+    therefore at most lb + 2 calls deep, one per stop of the partial plan
+    plus one, however many gaps the route has.
 
     The bound is compared in floats, so it carries two allowances for
     rounding, both multiples of an ulp (n gaps, R the route length):
 
-    Reach slack.  A node at gap g with charge c looks for its next stop
-    among the gaps k whose prefix sum satisfies prefix[k] <= prefix[g] +
-    c / rate + slack.  The search reaches node k only if each of its
-    m = k - g <= n steps c -= rate * d leaves c >= 0.  Each step rounds
-    twice, by at most ulp(full) / 2 each, since the charge stays in
-    [0, full].  So sum(d) <= c / rate + m ulp(full) / rate, and
-    ulp(full) / rate < 2 ulp(span), span = full / rate.  Each prefix is
-    off its exact value by at most n ulp(2 R) / 2, so prefix[k] -
-    prefix[g] overstates sum(d) by at most n ulp(2 R).  The test rounds
-    c / rate by ulp(span) / 2 and its two additions by ulp(2 (R + span))
-    / 2 each.  A slack of (3 n + 2) ulp(2 (R + span)) covers all of it.
+    Reach slack.  Only _route_bounds uses it: the search itself keeps no
+    window.  After a stop that leaves node g, the relaxation looks for the
+    next stop among the gaps k whose prefix sum satisfies prefix[k] <=
+    prefix[g] + slack + span, span = full / rate (_full_reach).  The vehicle
+    leaves node g with a charge c <= full, and the search reaches node k
+    only if each of its m = k - g <= n steps c -= rate * d leaves c >= 0.
+    Each step rounds twice, by at most ulp(full) / 2 each, since the charge
+    stays in [0, full].  So sum(d) <= full / rate + m ulp(full) / rate, and
+    ulp(full) / rate < 2 ulp(span).  Each prefix is off its exact value by
+    at most n ulp(2 R) / 2, so prefix[k] - prefix[g] overstates sum(d) by at
+    most n ulp(2 R).  The test rounds span by ulp(span) / 2 and its two
+    additions by ulp(2 (R + span)) / 2 each.  A slack of
+    (3 n + 2) ulp(2 (R + span)) covers all of it.
 
-    Detour margin.  Let S be R plus ub times the longest hop plus twice
-    the longest leg between the route and a station, and u = ulp(2 S).  Every partial detour lies
-    within +-S, so every float operation on a detour rounds by at most
-    u / 2.  Below a node at most ub visits remain, each adding at most 3
-    operations to the search's sum, so a leaf's float detour is at least
-    the node's plus the exact increments, less 1.5 ub u.  The table's
-    value overstates the exact least increments by at most 2 u per stop
-    (3 operations for an increment and 1 to add it), 2 ub u in all.
-    Subtracting the margin and adding the node's detour round by u / 2
-    each.  With a margin of (4 ub + 2) u >= 3.5 ub u + u, detour + bound
-    >= best therefore implies that no leaf below the node has a detour
-    < best.
+    Detour margin.  Let S be R plus ub times the longest hop plus twice the
+    longest leg between the route and a station, and u = ulp(2 S).  Every
+    partial detour lies within +-S, so every float operation on a detour
+    rounds by at most u / 2.  Below a node at most ub visits remain, each
+    adding at most 3 operations to the search's sum, so a leaf's float
+    detour is at least the node's plus the exact increments, less 1.5 ub u.
+    The table's value overstates the exact least increments by at most 2 u
+    per stop (3 operations for an increment and 1 to add it), 2 ub u in all.
+    Subtracting the margin and adding the node's detour round by u / 2 each.
+    With a margin of (4 ub + 2) u >= 3.5 ub u + u, detour + bound >= best
+    therefore implies that no leaf below the node has a detour < best.
 
     It reads the matrix without charging the oracle's budget.
     """
@@ -381,37 +400,40 @@ def solve_exhaustive(routes, inst: InstanceSpec,
         ub = lb + 1
         if lb > 2 * n_gaps:
             return ChargingQueryResult(False, None, None, examined_total)
-        # the matrix is exactly symmetric: row w holds the legs into w
-        legs_in = [matrix[u][first:] for u in nodes[:-1]]
-        legs_out = [matrix[w][first:] for w in nodes[1:]]
+        # The matrix is exactly symmetric, so node u's row holds both the
+        # legs out of u and the legs into u: gap g leaves through row g and
+        # arrives through row g + 1.
+        rows = [matrix[u][first:] for u in nodes]
 
-        # The charge-independent half of every option.  singles[g] holds
-        # (station, leg in, rate * leg in, leg out, charge on leaving) in
-        # station order, for the stations whose onward leg a full battery
+        # The charge-independent half of every option.  onwards[g] is the
+        # charge on leaving each station towards node g + 1, and singles[g]
+        # holds (station, leg in, rate * leg in, leg out, charge on leaving)
+        # in station order, for the stations whose onward leg a full battery
         # covers: the others fail at every charge.  Pairs are listed the
         # same way by _gap_pairs, the first time the search tries them at
         # a gap.
         rate_directs = [rate * d for d in directs]
-        onwards = []
+        onwards = [[full - rate * b for b in row] for row in rows[1:]]
         singles = []
         inc1 = []
-        inc2 = []
-        for f_in, f_out, direct in zip(legs_in, legs_out, directs):
-            onward = [full - rate * b for b in f_out]
-            onwards.append(onward)
+        for g, direct in enumerate(directs):
+            f_in, f_out, onward = rows[g], rows[g + 1], onwards[g]
             singles.append([(s, a, rate * a, b, c) for s, a, b, c
                             in zip(stations, f_in, f_out, onward) if c >= 0.0])
             # the bounds may range over every station: that only weakens them
             inc1.append(min(map(add, f_in, f_out), default=math.inf) - direct)
-            if ub >= 2:
-                inc2.append(min(f_in, default=math.inf) + hop_min
-                            + min(f_out, default=math.inf) - direct)
+        if ub >= 2:
+            row_mins = [min(row, default=math.inf) for row in rows]
+            inc2 = [row_mins[g] + hop_min + row_mins[g + 1] - direct
+                    for g, direct in enumerate(directs)]
+        else:
+            inc2 = [math.inf] * n_gaps
         pairs: list = [None] * n_gaps
 
-        leg_max = max(map(max, legs_in + legs_out)) if stations else 0.0
+        leg_max = max(map(max, rows)) if stations else 0.0
         scale = route_cost + ub * (2.0 * leg_max + hop_max)
-        reach_from, bound_rows, single_rows, pair_rows = _route_bounds(
-            prefix, inc1, inc2 or [math.inf] * n_gaps, lb, ub, span, scale)
+        bound_rows, single_rows, pair_rows = _route_bounds(
+            prefix, inc1, inc2, lb, ub, span, scale)
 
         best = math.inf
         best_assign: list[Slot] = []
@@ -420,41 +442,47 @@ def solve_exhaustive(routes, inst: InstanceSpec,
 
         def descend(g: int, visits: int, charge: float, detour: float) -> None:
             nonlocal best, best_assign, examined
-            if g == n_gaps:
+            # Drive on from gap g with no further stop while the charge
+            # lasts, keeping the gaps where a stop may still beat best.
+            bound_row = bound_rows[visits]
+            open_gaps = []
+            while g < n_gaps:
+                if detour + bound_row[g] < best:
+                    open_gaps.append((g, charge))
+                charge -= rate_directs[g]
+                if charge < 0.0:
+                    break
+                g += 1
+            else:
                 if visits >= lb:
                     examined += 1
                     best = detour
                     best_assign = assign.copy()
-                return
-            # the next stop lies before top, which is n_gaps + 1 when the
-            # charge may reach the end of the route
-            top = bisect_right(prefix, reach_from[g] + charge / rate, g)
-            if detour + min(bound_rows[visits][g:top]) >= best:
-                return
-            after_nil = charge - rate_directs[g]
-            if after_nil >= 0.0 and detour < best:
-                descend(g + 1, visits, after_nil, detour)
-            direct = directs[g]
-            if detour + single_rows[visits][g] < best:
-                for station, a, ra, b, onward in singles[g]:
-                    if charge - ra >= 0.0:
-                        value = detour + a + b - direct
-                        if value < best:
-                            assign[g] = station
-                            descend(g + 1, visits + 1, onward, value)
-            if detour + pair_rows[visits][g] < best:
-                gap_pairs = pairs[g]
-                if gap_pairs is None:
-                    gap_pairs = pairs[g] = _gap_pairs(
-                        legs_in[g], legs_out[g], onwards[g], hops, rate)
-                for ra, a, seconds in gap_pairs:
-                    if charge - ra >= 0.0:
-                        for slot, hop, b, onward in seconds:
-                            value = detour + a + hop + b - direct
+            # then stop at those gaps, the deepest first
+            single_row = single_rows[visits]
+            pair_row = pair_rows[visits]
+            for g, charge in reversed(open_gaps):
+                direct = directs[g]
+                if detour + single_row[g] < best:
+                    for station, a, ra, b, onward in singles[g]:
+                        if charge - ra >= 0.0:
+                            value = detour + a + b - direct
                             if value < best:
-                                assign[g] = slot
-                                descend(g + 1, visits + 2, onward, value)
-            assign[g] = None
+                                assign[g] = station
+                                descend(g + 1, visits + 1, onward, value)
+                if detour + pair_row[g] < best:
+                    gap_pairs = pairs[g]
+                    if gap_pairs is None:
+                        gap_pairs = pairs[g] = _gap_pairs(
+                            rows[g], rows[g + 1], onwards[g], hops, rate)
+                    for ra, a, seconds in gap_pairs:
+                        if charge - ra >= 0.0:
+                            for slot, hop, b, onward in seconds:
+                                value = detour + a + hop + b - direct
+                                if value < best:
+                                    assign[g] = slot
+                                    descend(g + 1, visits + 2, onward, value)
+                assign[g] = None
 
         descend(0, 0, full, 0.0)
         # descend holds itself through its closure cell: dropping the name
@@ -486,6 +514,20 @@ def _gap_pairs(f_in, f_out, onward, hops, rate: float) -> list:
     return out
 
 
+def _full_reach(prefix, span: float) -> list[int]:
+    """For each node g of a route with direct-arc prefix sums prefix, the
+    window of gaps a full battery reaches from g without a stop: a vehicle
+    leaving node g with a full battery, span its driving range, makes its
+    next stop at one of the gaps g .. top[g] - 1, where index n_gaps stands
+    for the end of the route.  The reach slack covering the rounding of
+    prefix against a gap-by-gap battery walk is derived in
+    solve_exhaustive."""
+    n = len(prefix) - 1
+    slack = (3 * n + 2) * math.ulp(2.0 * (prefix[-1] + span))
+    return [bisect_right(prefix, prefix[g] + slack + span, g)
+            for g in range(n + 1)]
+
+
 def _route_bounds(prefix, inc1, inc2, lb: int, ub: int, span: float,
                   scale: float):
     """Lower bounds for solve_exhaustive's search on one route.
@@ -495,24 +537,20 @@ def _route_bounds(prefix, inc1, inc2, lb: int, ub: int, span: float,
     adds at gap g, span the driving range of a full battery and scale a
     bound on every partial detour.
 
-    Returns (reach_from, bound_rows, single_rows, pair_rows).  A search
-    node at gap g with charge c can make its next stop only at gaps
-    g .. top - 1, top = bisect_right(prefix, reach_from[g] + c / rate, g),
-    where index n_gaps stands for the end of the route.  With v visits
-    made, single_rows[v][k] and pair_rows[v][k] bound from below what the
-    rest of the route adds to the detour when the next stop is a single
-    station or a pair at gap k, and bound_rows[v][k] is the smaller of the
-    two, or for k = n_gaps the bound for ending the route there.  The relaxation
-    behind them lets every stop leave with a full battery and ignores the
-    legs to and from the station when checking the charge.  The reach
-    slack and the detour margin are derived in solve_exhaustive.
+    Returns (bound_rows, single_rows, pair_rows).  With v visits made,
+    single_rows[v][k] and pair_rows[v][k] bound from below what the rest
+    of the route adds to the detour when the next stop is a single station
+    or a pair at gap k, and bound_rows[v][k] is the smaller of the two, or
+    for k = n_gaps the bound for ending the route there: -margin once v
+    reaches lb, inf below it.  The relaxation behind them lets every stop
+    leave with a full battery and ignores the legs to and from the station
+    when checking the charge, so after a stop the next one lies within
+    _full_reach's window.  The detour margin is derived in
+    solve_exhaustive.
     """
     n = len(inc1)
-    slack = (3 * n + 2) * math.ulp(2.0 * (prefix[-1] + span))
-    reach_from = [p + slack for p in prefix]
     margin = (4 * ub + 2) * math.ulp(2.0 * scale)
-    full_top = [bisect_right(prefix, reach_from[g] + span, g)
-                for g in range(n + 1)]
+    full_top = _full_reach(prefix, span)
 
     # after1[k] and after2[k]: the least detour the rest of the route adds
     # after a stop that leaves node k with v + 1 or v + 2 visits made
@@ -531,4 +569,4 @@ def _route_bounds(prefix, inc1, inc2, lb: int, ub: int, span: float,
         bound_rows[v] = [x - margin for x in nxt]
         after = [min(nxt[g:full_top[g]]) for g in range(n + 1)]
         after1, after2 = after, after1
-    return reach_from, bound_rows, single_rows, pair_rows
+    return bound_rows, single_rows, pair_rows

@@ -28,6 +28,15 @@ def make_instance(customers, stations, *, demands=None, capacity=100.0,
     )
 
 
+def long_route_instance(customers=1100):
+    """One vehicle serving customers on a grid, with a battery far beyond
+    the route: the single route needs no stop."""
+    return make_instance(
+        customers=[(1 + i % 40, 1 + i // 40) for i in range(customers)],
+        stations=[(-50, -50), (90, 90)], capacity=customers, battery=1e6,
+        fleet=1, name="long-route")
+
+
 @pytest.fixture
 def quad_instance():
     """Four customers with hand-checkable arc lengths, one far-off station."""

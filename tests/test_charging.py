@@ -5,9 +5,12 @@ from bisect import bisect_right
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecvrp.charging import (
     BudgetExhausted,
+    _full_reach,
     _route_bounds,
     build_best_station_table,
     solve_exhaustive,
@@ -16,7 +19,7 @@ from ecvrp.charging import (
 )
 from ecvrp.instance import DistanceOracle, EvaluationBudget
 from ecvrp.solution import battery_feasible, expand_route, surrogate_cost
-from conftest import make_instance
+from conftest import long_route_instance, make_instance
 from helpers import (
     e22_like,
     random_feasible_plan,
@@ -262,6 +265,17 @@ class TestExhaustive:
                              battery=120, rate=1.0, fleet=1)
         oracle = DistanceOracle.for_instance(inst)
         assert not solve_exhaustive([[1]], inst, oracle).feasible
+
+    def test_long_route_within_the_recursion_limit(self):
+        # the search recurses once per stop, not once per gap: a route of
+        # 1,101 gaps and no stop is far inside Python's recursion limit
+        inst = long_route_instance()
+        oracle = DistanceOracle.for_instance(inst)
+        route = list(inst.customers)
+        result = solve_exhaustive([route], inst, oracle)
+        assert result.feasible
+        assert result.plan.slots == ((None,) * (len(route) + 1),)
+        assert result.detour_cost == 0.0
 
     def test_calls_leave_no_reference_cycle(self):
         # with the collector off, a call whose search closure refers to
@@ -611,6 +625,22 @@ class TestExhaustiveMatchesDfs:
         assert se_fingerprint(result) == se_fingerprint(
             solve_exhaustive_dfs(plan, inst, oracle))
 
+    def test_pair_where_one_single_cannot_finish(self):
+        # The route needs 3 visits.  The best plan stops once at gap 0 and
+        # then at a pair in the last gap, where a single stop would leave
+        # the route one visit short: that gap's single bound is inf, so a
+        # walk that kept gaps by their single bound alone would drop it.
+        inst = make_instance(customers=[(0, 150), (10, 150)],
+                             stations=[(0, 75), (10, 140), (5, 70)],
+                             battery=100, rate=1.0, fleet=1)
+        oracle = DistanceOracle.for_instance(inst)
+        plan = [[1, 2]]
+        result = solve_exhaustive(plan, inst, oracle)
+        assert result.plan.slots == ((3, None, (4, 5)),)
+        assert result.detour_cost < 0.03
+        assert se_fingerprint(result) == se_fingerprint(
+            solve_exhaustive_dfs(plan, inst, oracle))
+
     @pytest.mark.parametrize("battery", [1000, 30])
     def test_without_stations(self, battery):
         inst = make_instance(customers=[(10, 0), (0, 10)], stations=[],
@@ -621,6 +651,38 @@ class TestExhaustiveMatchesDfs:
         assert result.feasible == (battery == 1000)
         assert se_fingerprint(result) == se_fingerprint(
             solve_exhaustive_dfs(plan, inst, oracle))
+
+
+class TestRouteBounds:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_bound_rows_are_the_smaller_stop_bound(self, data):
+        # solve_exhaustive keeps the gaps a walk passes by their bound_rows
+        # entry and then tries them by single_rows and pair_rows: the two
+        # tests agree only if each entry is exactly the smaller of the two
+        n = data.draw(st.integers(1, 8))
+        length = st.floats(0.0, 100.0)
+        inc = st.one_of(st.floats(-1.0, 100.0), st.just(math.inf))
+        directs = data.draw(st.lists(length, min_size=n, max_size=n))
+        inc1 = data.draw(st.lists(inc, min_size=n, max_size=n))
+        inc2 = data.draw(st.lists(inc, min_size=n, max_size=n))
+        lb = data.draw(st.integers(0, 3))
+        span = data.draw(st.floats(0.5, 400.0))
+        scale = data.draw(st.floats(1.0, 1e4))
+        prefix = [0.0]
+        for d in directs:
+            prefix.append(prefix[-1] + d)
+        ub = lb + 1
+        bound_rows, single_rows, pair_rows = _route_bounds(
+            prefix, inc1, inc2, lb, ub, span, scale)
+        margin = (4 * ub + 2) * math.ulp(2.0 * scale)
+        assert len(bound_rows) == len(single_rows) == len(pair_rows) == ub + 1
+        for v in range(ub + 1):
+            assert len(bound_rows[v]) == n + 1
+            for k in range(n):
+                assert bound_rows[v][k] == min(single_rows[v][k],
+                                               pair_rows[v][k]), (v, k)
+            assert bound_rows[v][n] == (-margin if v >= lb else math.inf)
 
 
 class TestReachWindow:
@@ -642,15 +704,13 @@ class TestReachWindow:
             need = prefix[-1] * rate
             full = rng.choice([need, math.nextafter(need, 0.0),
                                math.nextafter(need, math.inf)])
-            no_stops = [math.inf] * len(directs)
-            reach_from = _route_bounds(prefix, no_stops, no_stops, 0, 1,
-                                       full / rate, 1.0)[0]
+            top = _full_reach(prefix, full / rate)[0]
             # the search's own battery walk from the depot, no stops
             charge, reached = full, 0
             while reached < len(directs) and \
                     charge - rate * directs[reached] >= 0.0:
                 charge -= rate * directs[reached]
                 reached += 1
-            assert reached < bisect_right(prefix, reach_from[0] + full / rate)
+            assert reached < top
             on_edge += reached >= bisect_right(prefix, full / rate)
         assert on_edge >= 20

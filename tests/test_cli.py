@@ -8,7 +8,7 @@ from ecvrp import cli
 from ecvrp.cli import main, parse_seeds, worker_count
 from ecvrp.instance import serialize_instance
 from ecvrp.search import PARAM_MAX
-from conftest import make_instance
+from conftest import long_route_instance, make_instance
 
 
 @pytest.fixture
@@ -506,6 +506,19 @@ class TestRefine:
         r2 = (tmp_path / "r2.sol").read_text()
         assert [l for l in r1.splitlines() if not l.startswith("#")] == \
             [l for l in r2.splitlines() if not l.startswith("#")]
+
+    def test_long_route(self, tmp_path, capsys):
+        # one route of 1,100 customers: the search's depth follows its
+        # stops, so a route this long needs no deep recursion
+        inst = long_route_instance()
+        inst_path = tmp_path / "long.evrp"
+        inst_path.write_text(serialize_instance(inst))
+        plan = tmp_path / "long.sol"
+        plan.write_text(",".join(map(str, [0, *inst.customers, 0])) + "\n")
+        out = tmp_path / "refined.sol"
+        assert run_cli("refine", inst_path, plan, "--out", out) == 0
+        assert f"wrote {out}" in capsys.readouterr().out
+        assert out.exists()
 
     def test_refined_cost_never_higher(self, tiny_file, tmp_path, capsys):
         out = tmp_path / "runs"
