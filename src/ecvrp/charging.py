@@ -15,12 +15,14 @@ solve_exhaustive() additionally ranges over every station and every
 ordered station pair per gap.  It is a depth-first branch-and-bound over
 the options of each gap: a battery relaxation, in which every stop leaves
 with a full battery, gives a lower bound on what the rest of a route can
-add to the detour, built once per route in O((lb + 2) * n^2) (_route_bounds),
+add to the detour, built once per route in O((lb + 2) * n) (_route_bounds),
 and the stops at a gap are cut when the partial detour plus that bound
-cannot beat the best plan found.  Between stops the search walks the run
-of gaps without one in a loop, so it recurses once per stop, not once per
-gap.  The bound only cuts subtrees without a better leaf, so the result
-is that of the unpruned search, bit for bit.
+cannot beat the best plan found.  A gap's list of single stops and of
+station pairs is built the first time the search tries a stop there.
+Between stops the search walks the run of gaps without one in a loop, so
+it recurses once per stop, not once per gap.  The bound only cuts subtrees
+without a better leaf, so the result is that of the unpruned search, bit
+for bit.
 
 Only solve_se is metered: it runs during search, where the paper's budget
 counts every arc read.  solve_exhaustive runs after search, outside that
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from operator import add
 
@@ -334,6 +337,13 @@ def solve_exhaustive(routes, inst: InstanceSpec,
     therefore at most lb + 2 calls deep, one per stop of the partial plan
     plus one, however many gaps the route has.
 
+    Before its search each route builds only the bound tables, from the
+    increments of _increments, in O((lb + 2) * n) (_route_bounds: the row
+    for ub visits in closed form, the others by a sliding minimum).  The
+    option lists of a gap, its single stops (_gap_singles) and its station
+    pairs (_gap_pairs), are built the first time the search tries such a
+    stop there, and most gaps never see one.
+
     The bound is compared in floats, so it carries two allowances for
     rounding, both multiples of an ulp (n gaps, R the route length):
 
@@ -405,32 +415,12 @@ def solve_exhaustive(routes, inst: InstanceSpec,
         # arrives through row g + 1.
         rows = [matrix[u][first:] for u in nodes]
 
-        # The charge-independent half of every option.  onwards[g] is the
-        # charge on leaving each station towards node g + 1, and singles[g]
-        # holds (station, leg in, rate * leg in, leg out, charge on leaving)
-        # in station order, for the stations whose onward leg a full battery
-        # covers: the others fail at every charge.  Pairs are listed the
-        # same way by _gap_pairs, the first time the search tries them at
-        # a gap.
+        # The charge-independent half of every option, per gap, is built
+        # the first time the search tries such a stop there.
         rate_directs = [rate * d for d in directs]
-        onwards = [[full - rate * b for b in row] for row in rows[1:]]
-        singles = []
-        inc1 = []
-        for g, direct in enumerate(directs):
-            f_in, f_out, onward = rows[g], rows[g + 1], onwards[g]
-            singles.append([(s, a, rate * a, b, c) for s, a, b, c
-                            in zip(stations, f_in, f_out, onward) if c >= 0.0])
-            # the bounds may range over every station: that only weakens them
-            inc1.append(min(map(add, f_in, f_out), default=math.inf) - direct)
-        if ub >= 2:
-            row_mins = [min(row, default=math.inf) for row in rows]
-            inc2 = [row_mins[g] + hop_min + row_mins[g + 1] - direct
-                    for g, direct in enumerate(directs)]
-        else:
-            inc2 = [math.inf] * n_gaps
+        singles: list = [None] * n_gaps
         pairs: list = [None] * n_gaps
-
-        leg_max = max(map(max, rows)) if stations else 0.0
+        inc1, inc2, leg_max = _increments(rows, directs, hop_min, ub)
         scale = route_cost + ub * (2.0 * leg_max + hop_max)
         bound_rows, single_rows, pair_rows = _route_bounds(
             prefix, inc1, inc2, lb, ub, span, scale)
@@ -464,7 +454,11 @@ def solve_exhaustive(routes, inst: InstanceSpec,
             for g, charge in reversed(open_gaps):
                 direct = directs[g]
                 if detour + single_row[g] < best:
-                    for station, a, ra, b, onward in singles[g]:
+                    gap_singles = singles[g]
+                    if gap_singles is None:
+                        gap_singles = singles[g] = _gap_singles(
+                            stations, rows[g], rows[g + 1], rate, full)
+                    for station, a, ra, b, onward in gap_singles:
                         if charge - ra >= 0.0:
                             value = detour + a + b - direct
                             if value < best:
@@ -474,7 +468,7 @@ def solve_exhaustive(routes, inst: InstanceSpec,
                     gap_pairs = pairs[g]
                     if gap_pairs is None:
                         gap_pairs = pairs[g] = _gap_pairs(
-                            rows[g], rows[g + 1], onwards[g], hops, rate)
+                            rows[g], rows[g + 1], hops, rate, full)
                     for ra, a, seconds in gap_pairs:
                         if charge - ra >= 0.0:
                             for slot, hop, b, onward in seconds:
@@ -500,11 +494,46 @@ def solve_exhaustive(routes, inst: InstanceSpec,
         surrogate_total)
 
 
-def _gap_pairs(f_in, f_out, onward, hops, rate: float) -> list:
+def _increments(rows, directs, hop_min: float, ub: int):
+    """(inc1, inc2, leg_max) of one route for _route_bounds, from the
+    station legs rows[u] of each route node u and the direct arcs:
+    inc1[g] = min over stations s of (leg in + leg out) - direct and
+    inc2[g] = ((least leg in + hop_min) + least leg out) - direct, lower
+    bounds on the detour a single stop or a pair adds at gap g (inf for
+    inc2 when ub < 2), and leg_max the longest leg.  They range over every
+    station, reachable or not: that only weakens them.  Built as arrays:
+    each elementwise operation rounds as its Python float form does, and
+    min and max are exact, so every value keeps its bits."""
+    n = len(directs)
+    if not rows[0]:
+        # no station: no gap has a stop option
+        return [math.inf] * n, [math.inf] * n, 0.0
+    legs = np.array(rows)
+    direct = np.array(directs)
+    inc1 = (np.min(legs[:-1] + legs[1:], axis=1) - direct).tolist()
+    if ub >= 2:
+        least = legs.min(axis=1)
+        inc2 = (((least[:-1] + hop_min) + least[1:]) - direct).tolist()
+    else:
+        inc2 = [math.inf] * n
+    return inc1, inc2, float(legs.max())
+
+
+def _gap_singles(stations, f_in, f_out, rate: float, full: float) -> list:
+    """The single stops of one gap in station order, as (station, leg in,
+    rate * leg in, leg out, charge on leaving), keeping those whose onward
+    leg a full battery covers: the others fail at every charge."""
+    return [(s, a, rate * a, b, onward)
+            for s, a, b in zip(stations, f_in, f_out)
+            if (onward := full - rate * b) >= 0.0]
+
+
+def _gap_pairs(f_in, f_out, hops, rate: float, full: float) -> list:
     """The station pairs of one gap in lexicographic order, grouped by
     first station as (rate * leg in, leg in, [(slot, hop, leg out, charge
     on leaving)]), keeping those whose hop and onward leg a full battery
     covers."""
+    onward = [full - rate * b for b in f_out]
     out = []
     for ui, seconds in enumerate(hops):
         kept = [(slot, hop, f_out[wi], onward[wi])
@@ -547,19 +576,30 @@ def _route_bounds(prefix, inc1, inc2, lb: int, ub: int, span: float,
     when checking the charge, so after a stop the next one lies within
     _full_reach's window.  The detour margin is derived in
     solve_exhaustive.
+
+    Rows are built from v = ub down, each from the least bound over every
+    window of the row above it.  The row for v = ub is closed-form: no stop
+    may follow, so it is inf at every gap and -margin at the end, and the
+    rest of the route after a stop that leaves node k with ub visits adds 0
+    if a full battery reaches the end from k, inf if not.  Each other
+    row's window minima take O(n) (_window_min), and those of v = 0 are
+    never read, so the build is O((lb + 2) * n).
     """
     n = len(inc1)
     margin = (4 * ub + 2) * math.ulp(2.0 * scale)
     full_top = _full_reach(prefix, span)
 
-    # after1[k] and after2[k]: the least detour the rest of the route adds
-    # after a stop that leaves node k with v + 1 or v + 2 visits made
-    inf_row = [math.inf] * (n + 1)
-    after1 = after2 = inf_row
-    bound_rows = [inf_row] * (ub + 1)
+    # the rows for v = ub: no stop may follow, only ending the route counts
+    inf_row = [math.inf] * n
+    bound_rows = [inf_row + [-margin]] * (ub + 1)
     single_rows = [inf_row] * (ub + 1)
     pair_rows = [inf_row] * (ub + 1)
-    for v in range(ub, -1, -1):
+    # after1[k] and after2[k]: the least detour the rest of the route adds
+    # after a stop that leaves node k with v + 1 or v + 2 visits made,
+    # first for v + 1 = ub: 0 where a full battery reaches the end
+    after1 = [0.0 if top > n else math.inf for top in full_top]
+    after2 = [math.inf] * (n + 1)
+    for v in range(ub - 1, -1, -1):
         singles = list(map(add, inc1, after1[1:]))
         pairs = list(map(add, inc2, after2[1:]))
         nxt = list(map(min, singles, pairs))
@@ -567,6 +607,29 @@ def _route_bounds(prefix, inc1, inc2, lb: int, ub: int, span: float,
         single_rows[v] = [x - margin for x in singles]
         pair_rows[v] = [x - margin for x in pairs]
         bound_rows[v] = [x - margin for x in nxt]
-        after = [min(nxt[g:full_top[g]]) for g in range(n + 1)]
-        after1, after2 = after, after1
+        if v:
+            after1, after2 = _window_min(nxt, full_top), after1
     return bound_rows, single_rows, pair_rows
+
+
+def _window_min(values, top) -> list:
+    """[min(values[g:top[g]]) for each g], the same floats, for windows
+    whose two ends only move forward (top non-decreasing, top[g] > g), in
+    O(len(values)).  window holds, in index order, the indices of the
+    values that are still the least of some later window: a new value
+    drops the ones strictly above it, so among equal values the first
+    stays in front, the one min returns."""
+    out = []
+    window: deque[int] = deque()
+    end = 0
+    for g, stop in enumerate(top):
+        while end < stop:
+            x = values[end]
+            while window and values[window[-1]] > x:
+                window.pop()
+            window.append(end)
+            end += 1
+        if window[0] < g:
+            window.popleft()
+        out.append(values[window[0]])
+    return out

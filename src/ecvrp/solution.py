@@ -96,6 +96,7 @@ def check_upper_feasible(routes, inst: InstanceSpec) -> UpperVerdict:
         return UpperVerdict(False, "TooManyRoutes",
                             f"{len(routes)} route slots > fleet size {inst.fleet_size}")
     units, cap = inst.cargo_units
+    customers = inst.customers
     seen = set()
     for v, route in enumerate(routes):
         load = 0
@@ -103,7 +104,7 @@ def check_upper_feasible(routes, inst: InstanceSpec) -> UpperVerdict:
             if c in seen:
                 return UpperVerdict(False, "DuplicateCustomer",
                                     f"customer {c} served more than once")
-            if c not in inst.customers:
+            if c not in customers:
                 return UpperVerdict(False, "NotACustomer",
                                     f"node {c} is not a customer")
             seen.add(c)
@@ -300,10 +301,11 @@ def split_expanded_route(expanded, inst: InstanceSpec) -> tuple[list[int], list[
     route: list[int] = []
     slots: list[Slot] = []
     pending: list[int] = []
+    pz = inst.pz
     for node in expanded:
-        if not 0 <= node < inst.pz:
+        if not 0 <= node < pz:
             raise ValueError(f"node id {node} outside this instance "
-                             f"(0..{inst.pz - 1})")
+                             f"(0..{pz - 1})")
     for node in expanded[1:]:
         if node != 0 and inst.is_station(node):
             pending.append(node)

@@ -2,10 +2,12 @@
 
 import math
 from itertools import combinations, permutations
+from operator import add
 
 from ecvrp.analysis import _partitions_upto, brute_force_optimum
 from ecvrp.charging import (
     ChargingQueryResult,
+    _full_reach,
     build_best_station_table,
     solve_se,
     visits_lower_bound,
@@ -382,6 +384,48 @@ def solve_exhaustive_dfs(plan, inst, oracle):
         True, ChargingPlan(tuple(slots_out)), detour_total, examined_total,
         surrogate_total)
 
+
+
+def route_bounds_reference(prefix, inc1, inc2, lb, ub, span, scale):
+    """Reference for charging._route_bounds: every row, the one for ub
+    visits included, built the same way, each window's least bound taken
+    by min over a slice.  The oracle the closed-form top row and the
+    sliding minimum must match bit for bit."""
+    n = len(inc1)
+    margin = (4 * ub + 2) * math.ulp(2.0 * scale)
+    full_top = _full_reach(prefix, span)
+    inf_row = [math.inf] * (n + 1)
+    after1 = after2 = inf_row
+    bound_rows = [inf_row] * (ub + 1)
+    single_rows = [inf_row] * (ub + 1)
+    pair_rows = [inf_row] * (ub + 1)
+    for v in range(ub, -1, -1):
+        singles = list(map(add, inc1, after1[1:]))
+        pairs = list(map(add, inc2, after2[1:]))
+        nxt = list(map(min, singles, pairs))
+        nxt.append(0.0 if v >= lb else math.inf)
+        single_rows[v] = [x - margin for x in singles]
+        pair_rows[v] = [x - margin for x in pairs]
+        bound_rows[v] = [x - margin for x in nxt]
+        after = [min(nxt[g:full_top[g]]) for g in range(n + 1)]
+        after1, after2 = after, after1
+    return bound_rows, single_rows, pair_rows
+
+
+def increments_reference(rows, directs, hop_min, ub):
+    """Reference for charging._increments, gap by gap in Python floats:
+    (inc1, inc2, leg_max) from the station legs rows[u] of each route
+    node."""
+    inc1 = [min(map(add, f_in, f_out), default=math.inf) - direct
+            for f_in, f_out, direct in zip(rows, rows[1:], directs)]
+    if ub >= 2:
+        row_mins = [min(row, default=math.inf) for row in rows]
+        inc2 = [row_mins[g] + hop_min + row_mins[g + 1] - direct
+                for g, direct in enumerate(directs)]
+    else:
+        inc2 = [math.inf] * len(directs)
+    leg_max = max(map(max, rows)) if rows[0] else 0.0
+    return inc1, inc2, leg_max
 
 def explore_reference(self, phi_vi):
     """Reference exploration call: every attempt runs the operator's kernel,

@@ -5,12 +5,13 @@ from bisect import bisect_right
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecvrp.charging import (
     BudgetExhausted,
     _full_reach,
+    _increments,
     _route_bounds,
     build_best_station_table,
     solve_exhaustive,
@@ -22,7 +23,9 @@ from ecvrp.solution import battery_feasible, expand_route, surrogate_cost
 from conftest import long_route_instance, make_instance
 from helpers import (
     e22_like,
+    increments_reference,
     random_feasible_plan,
+    route_bounds_reference,
     solve_exhaustive_dfs,
     solve_se_enumeration,
     x143_like,
@@ -683,6 +686,100 @@ class TestRouteBounds:
                 assert bound_rows[v][k] == min(single_rows[v][k],
                                                pair_rows[v][k]), (v, k)
             assert bound_rows[v][n] == (-margin if v >= lb else math.inf)
+
+
+def float_bits(rows):
+    return [[x.hex() for x in row] for row in rows]
+
+
+@st.composite
+def bound_inputs(draw):
+    """(prefix, inc1, inc2, lb, span, scale) for _route_bounds: routes of
+    1 to 10 gaps, increments that may all be inf (no station), and ranges
+    from under one gap to past the end of the route."""
+    n = draw(st.integers(1, 10))
+    directs = draw(st.lists(st.floats(0.0, 100.0), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        inc = st.one_of(st.floats(-1.0, 100.0), st.just(math.inf))
+        inc1 = draw(st.lists(inc, min_size=n, max_size=n))
+        inc2 = draw(st.lists(inc, min_size=n, max_size=n))
+    else:
+        inc1 = inc2 = [math.inf] * n
+    prefix = [0.0]
+    for d in directs:
+        prefix.append(prefix[-1] + d)
+    return (prefix, inc1, inc2, draw(st.integers(0, 4)),
+            draw(st.floats(0.5, 1500.0)), draw(st.floats(1.0, 1e4)))
+
+
+class TestRouteBoundsMatchReference:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(bound_inputs())
+    # lb = 0 on one gap; no station; every window past the end of the route
+    @example(([0.0, 5.0], [1.0], [2.0], 0, 3.0, 10.0))
+    @example(([0.0, 4.0, 9.0, 9.5], [math.inf] * 3, [math.inf] * 3, 1, 6.0,
+              50.0))
+    @example(([0.0, 1.0, 3.0, 6.0], [0.5, -0.25, 2.0], [1.0, 0.0, math.inf],
+              2, 100.0, 20.0))
+    def test_rows_equal_the_slice_minimum(self, inputs):
+        # The closed-form row for ub visits and the sliding window minimum
+        # must give every float of the slice-min build, bit for bit.
+        prefix, inc1, inc2, lb, span, scale = inputs
+        ub = lb + 1
+        got = _route_bounds(prefix, inc1, inc2, lb, ub, span, scale)
+        want = route_bounds_reference(prefix, inc1, inc2, lb, ub, span, scale)
+        for got_rows, want_rows in zip(got, want):
+            assert float_bits(got_rows) == float_bits(want_rows)
+
+
+class TestIncrements:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_array_build_keeps_every_bit(self, data):
+        # _increments builds inc1, inc2 and leg_max as numpy arrays; each
+        # value must carry the bits of the gap-by-gap Python sums.  A
+        # station may sit on a customer (a leg of 0.0), hop_min may be inf
+        # (no pair reachable) and ub may be 1 (no pair allowed).
+        point = st.tuples(st.integers(-20, 20), st.integers(-20, 20))
+        customers = data.draw(st.lists(point, min_size=1, max_size=8))
+        stations = data.draw(st.lists(point, max_size=4))
+        if stations and data.draw(st.booleans()):
+            stations[0] = data.draw(st.sampled_from(customers))
+        inst = make_instance(customers=customers, stations=stations)
+        matrix = DistanceOracle.for_instance(inst).matrix
+        route = data.draw(st.permutations(list(inst.customers)))
+        nodes = [0, *route, 0]
+        directs = [matrix[u][w] for u, w in zip(nodes, nodes[1:])]
+        first = 1 + inst.num_customers
+        rows = [matrix[u][first:] for u in nodes]
+        hop_min = data.draw(st.one_of(st.just(math.inf),
+                                      st.floats(0.0, 60.0)))
+        ub = data.draw(st.integers(1, 3))
+        got = _increments(rows, directs, hop_min, ub)
+        want = increments_reference(rows, directs, hop_min, ub)
+        assert float_bits(got[:2]) == float_bits(want[:2])
+        assert type(got[2]) is float and got[2].hex() == want[2].hex()
+
+    @pytest.mark.parametrize("stations,hop_min,ub", [
+        ([(3, 4), (0, 5)], math.inf, 2),    # a station on customer 1
+        ([(3, 4), (0, 5)], 5.0, 1),
+        ([(3, 4), (0, 5)], 5.0, 3),
+        ([], math.inf, 2),
+    ])
+    def test_fixed_corners(self, stations, hop_min, ub):
+        inst = make_instance(customers=[(3, 4), (6, 8)], stations=stations)
+        matrix = DistanceOracle.for_instance(inst).matrix
+        nodes = [0, 1, 2, 0]
+        directs = [matrix[u][w] for u, w in zip(nodes, nodes[1:])]
+        rows = [matrix[u][3:] for u in nodes]
+        got = _increments(rows, directs, hop_min, ub)
+        want = increments_reference(rows, directs, hop_min, ub)
+        assert float_bits(got[:2]) == float_bits(want[:2])
+        assert got[2].hex() == want[2].hex()
+        if stations:
+            assert 0.0 in rows[1]
+        if hop_min == math.inf or ub == 1:
+            assert got[1] == [math.inf] * 3
 
 
 class TestReachWindow:
