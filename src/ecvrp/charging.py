@@ -45,7 +45,7 @@ from operator import add
 import numpy as np
 
 from .instance import DistanceOracle, InstanceSpec
-from .solution import ChargingPlan, Slot
+from .solution import ChargingPlan, Slot, depot_walk
 
 
 class BudgetExhausted(RuntimeError):
@@ -60,12 +60,12 @@ def build_best_station_table(inst: InstanceSpec,
     the instance has no station.
 
     Ties break toward the lowest station id, so results are reproducible.
-    Construction is not metered: the table is immutable instance data
-    shared across runs, like the distance matrix itself.
+    Construction is not metered: it reads the block array[:n+1, n+1:] of
+    the oracle's array, and the table is immutable instance data shared
+    across runs, like the distances themselves.
     """
     nc = 1 + inst.num_customers
-    # only this block is read: converting all pz**2 entries costs more
-    node_to_station = np.array([row[nc:] for row in oracle.matrix[:nc]])
+    node_to_station = oracle.array[:nc, nc:]
     best_len = np.full((nc, nc), np.inf)
     best_sta = np.full((nc, nc), -1, dtype=np.int64)
     for s_idx in range(inst.num_stations):
@@ -373,15 +373,18 @@ def solve_exhaustive(routes, inst: InstanceSpec,
     With a margin of (4 ub + 2) u >= 3.5 ub u + u, detour + bound >= best
     therefore implies that no leaf below the node has a detour < best.
 
-    It reads the matrix without charging the oracle's budget.
+    It charges no budget and reads oracle.array three times: the station
+    hops array[first:, first:], then two gathers over the plan's
+    depot-closed walk (depot_walk), its direct arcs and every walk node's
+    station legs, of which each route reads its own stretch.
     """
-    matrix = oracle.matrix
+    array = oracle.array
     rate = inst.consumption_rate
     full = inst.battery_capacity
     span = full / rate
     stations = list(inst.stations)
     first = 1 + inst.num_customers       # stations are the last node ids
-    sta_sta = [matrix[s][first:] for s in stations]
+    sta_sta = array[first:, first:].tolist()
     # per first station, the second stations a full battery reaches
     hops = [[(wi, (stations[ui], stations[wi]), hop)
              for wi, hop in enumerate(row)
@@ -389,6 +392,14 @@ def solve_exhaustive(routes, inst: InstanceSpec,
             for ui, row in enumerate(sta_sta)]
     hop_min = min((h for row in hops for _, _, h in row), default=math.inf)
     hop_max = max(map(max, sta_sta), default=0.0)
+    walk = np.array(depot_walk(routes))
+    direct_block = array[walk[:-1], walk[1:]]
+    # The array is exactly symmetric, so node u's row holds both the legs
+    # out of u and the legs into u: gap g leaves through row g and arrives
+    # through row g + 1.
+    leg_block = array[walk, first:]
+    direct_all, rows_all = direct_block.tolist(), leg_block.tolist()
+    start = 0
 
     slots_out: list[tuple[Slot, ...]] = []
     detour_total = 0.0
@@ -398,9 +409,10 @@ def solve_exhaustive(routes, inst: InstanceSpec,
         if not route:
             slots_out.append((None,))
             continue
-        nodes = [0, *route, 0]
-        n_gaps = len(nodes) - 1
-        directs = [matrix[nodes[g]][nodes[g + 1]] for g in range(n_gaps)]
+        n_gaps = len(route) + 1
+        stop = start + n_gaps
+        directs = direct_all[start:stop]
+        rows = rows_all[start:stop + 1]
         prefix = [0.0]
         for d in directs:
             prefix.append(prefix[-1] + d)
@@ -410,17 +422,15 @@ def solve_exhaustive(routes, inst: InstanceSpec,
         ub = lb + 1
         if lb > 2 * n_gaps:
             return ChargingQueryResult(False, None, None, examined_total)
-        # The matrix is exactly symmetric, so node u's row holds both the
-        # legs out of u and the legs into u: gap g leaves through row g and
-        # arrives through row g + 1.
-        rows = [matrix[u][first:] for u in nodes]
 
         # The charge-independent half of every option, per gap, is built
         # the first time the search tries such a stop there.
         rate_directs = [rate * d for d in directs]
         singles: list = [None] * n_gaps
         pairs: list = [None] * n_gaps
-        inc1, inc2, leg_max = _increments(rows, directs, hop_min, ub)
+        inc1, inc2, leg_max = _increments(
+            leg_block[start:stop + 1], direct_block[start:stop], hop_min, ub)
+        start = stop
         scale = route_cost + ub * (2.0 * leg_max + hop_max)
         bound_rows, single_rows, pair_rows = _route_bounds(
             prefix, inc1, inc2, lb, ub, span, scale)
@@ -501,15 +511,16 @@ def _increments(rows, directs, hop_min: float, ub: int):
     inc2[g] = ((least leg in + hop_min) + least leg out) - direct, lower
     bounds on the detour a single stop or a pair adds at gap g (inf for
     inc2 when ub < 2), and leg_max the longest leg.  They range over every
-    station, reachable or not: that only weakens them.  Built as arrays:
-    each elementwise operation rounds as its Python float form does, and
-    min and max are exact, so every value keeps its bits."""
+    station, reachable or not: that only weakens them.  Built as arrays
+    (np.asarray, so an array block is not copied): each elementwise
+    operation rounds as its Python float form does, and min and max are
+    exact, so every value keeps its bits."""
     n = len(directs)
-    if not rows[0]:
+    legs = np.asarray(rows)
+    if not legs.size:
         # no station: no gap has a stop option
         return [math.inf] * n, [math.inf] * n, 0.0
-    legs = np.array(rows)
-    direct = np.array(directs)
+    direct = np.asarray(directs)
     inc1 = (np.min(legs[:-1] + legs[1:], axis=1) - direct).tolist()
     if ub >= 2:
         least = legs.min(axis=1)

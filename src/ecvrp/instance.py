@@ -2,8 +2,9 @@
 
 The budget counts arc reads made during search, as the paper's budget
 counts evaluations: the giant-tour split, plan loading, the move kernels
-and the SE follower charge it.  Final refinement, validation and cost
-evaluation read the same matrix without charging it.
+and the SE follower charge it, reading the oracle's nested-list matrix one
+arc at a time.  Final refinement, validation and cost evaluation charge
+nothing and gather the arcs they need from its array in a few numpy calls.
 
 Instances follow the keyword-section text format of the IEEE WCCI-2020
 benchmark distribution.  Internally every instance is renumbered so that
@@ -186,22 +187,24 @@ class EvaluationBudget:
 class DistanceOracle:
     """Symmetric Euclidean distances with an attached budget.
 
-    The full pz x pz matrix is precomputed (precomputation is not charged;
-    metering starts with search) and exactly symmetric.  The search code
-    that reads matrix[i][j] charges the attached budget one access per arc
-    read; code outside search reads it without charging.  An oracle built
-    without a budget gets a fresh unlimited one, so metered code never
-    asks whether there is one.
+    array, the pz x pz float64 distances, is precomputed (precomputation is
+    not charged; metering starts with search) and exactly symmetric.  The
+    search code reads matrix[i][j], array as nested lists built on first
+    read, and charges the attached budget one access per arc read.  Code
+    outside search never builds matrix: it gathers the arcs it needs from
+    array with fancy indexes, without charging.  matrix is array.tolist(),
+    so both hold the same doubles.  An oracle built without a budget gets a
+    fresh unlimited one, so metered code never asks whether there is one.
 
-    The matrix is built from the x and y coordinate vectors.  Each entry is
+    The array is built from the x and y coordinate vectors.  Each entry is
     sqrt(dx*dx + dy*dy): two rounded products, one rounded sum and a
     correctly rounded root, the same operations as
     math.sqrt((xi-xj)*(xi-xj) + (yi-yj)*(yi-yj)), so every entry equals
-    that double bit for bit.  xi - xj is exactly -(xj - xi), so the matrix
+    that double bit for bit.  xi - xj is exactly -(xj - xi), so the array
     is exactly symmetric with a zero diagonal.
     """
 
-    __slots__ = ("matrix", "budget")
+    __slots__ = ("array", "budget", "_matrix")
 
     def __init__(self, coords, budget: EvaluationBudget | None = None):
         xs, ys = np.asarray(coords, dtype=float).T
@@ -210,8 +213,17 @@ class DistanceOracle:
         dx *= dx
         dy *= dy
         dx += dy
-        self.matrix = np.sqrt(dx, out=dx).tolist()
+        self.array = np.sqrt(dx, out=dx)
+        self.array.flags.writeable = False    # matrix must stay its copy
+        self._matrix = None
         self.budget = EvaluationBudget() if budget is None else budget
+
+    @property
+    def matrix(self) -> list:
+        """array.tolist(), built on first read and kept."""
+        if self._matrix is None:
+            self._matrix = self.array.tolist()
+        return self._matrix
 
     @classmethod
     def for_instance(cls, inst: InstanceSpec,

@@ -13,7 +13,8 @@ split_expanded_route rejects station runs no slot holds (three stations
 in a row, or one station twice) and routes of stations alone.
 
 None of these functions charges the oracle's budget: they price and check
-plans outside search, where the budget does not count.
+plans outside search, where the budget does not count, and gather the arcs
+they read from oracle.array in one fancy index per call.
 
 Feasibility checking and cost evaluation are deliberately decoupled:
 search evaluates plenty of capacity-feasible plans whose battery
@@ -133,19 +134,30 @@ def _capacity_detail(v: int, route, inst: InstanceSpec) -> str:
     return f"route {v} load {cap} + {shown:g} > capacity {cap}"
 
 
+def depot_walk(routes) -> list[int]:
+    """The non-empty routes as one walk 0, route, 0, route, ..., 0: its
+    consecutive pairs are the plan's arcs, route after route."""
+    walk = [0]
+    for route in routes:
+        if route:
+            walk += route
+            walk.append(0)
+    return walk
+
+
 def surrogate_cost(routes, oracle: DistanceOracle) -> float:
     """Total routing distance ignoring charging; empty routes contribute 0."""
-    matrix = oracle.matrix
+    walk = depot_walk(routes)
+    arcs = oracle.array[walk[:-1], walk[1:]].tolist()
     total = 0.0
+    end = 0
     for route in routes:
-        if not route:
-            continue
-        prev = 0
-        cost = 0.0
-        for node in route:
-            cost += matrix[prev][node]
-            prev = node
-        total += cost + matrix[prev][0]
+        if route:
+            cost = 0.0
+            for d in arcs[end:end + len(route)]:
+                cost += d
+            end += len(route) + 1
+            total += cost + arcs[end - 1]
     return total
 
 
@@ -183,20 +195,18 @@ def battery_feasible(expanded, inst: InstanceSpec,
     negative charge.  The trace records the charge on arrival at each node
     (full at the starting depot) and is returned for diagnostics either way.
     """
-    matrix = oracle.matrix
+    arcs = oracle.array[expanded[:-1], expanded[1:]].tolist()
     rate = inst.consumption_rate
     full = inst.battery_capacity
     charge = full
     trace = [(expanded[0], charge)]
-    prev = expanded[0]
-    for node in expanded[1:]:
-        charge -= rate * matrix[prev][node]
+    for node, d in zip(expanded[1:], arcs):
+        charge -= rate * d
         trace.append((node, charge))
         if charge < 0.0:
             return BatteryVerdict(False, failed_at=node, deficit=-charge), trace
         if node == 0 or inst.is_station(node):
             charge = full
-        prev = node
     return BatteryVerdict(True), trace
 
 
@@ -207,13 +217,16 @@ def total_cost(routes, slot_lists, oracle: DistanceOracle
     Cost is computable for battery-infeasible plans too; feasibility is a
     separate concern.  f is accumulated per gap so that F = phi + f holds
     exactly in floating point.
+
+    One gather reads every arc priced: the direct arcs of depot_walk(routes),
+    then the arcs of each stop path (prev, s, next) or (prev, u, w, next) in
+    gap order.  They are summed in the order and association of a
+    gap-by-gap walk.
     """
     if len(slot_lists) != len(routes):
         raise SlotLengthMismatch(
             f"{len(routes)} routes but {len(slot_lists)} slot lists")
-    matrix = oracle.matrix
-    phi = 0.0
-    detour = 0.0
+    gaps: list[Slot] = []
     for route, slots in zip(routes, slot_lists):
         if not route:
             if len(slots) not in (0, 1) or (len(slots) == 1 and slots[0] is not None):
@@ -223,19 +236,26 @@ def total_cost(routes, slot_lists, oracle: DistanceOracle
             raise SlotLengthMismatch(
                 f"route of {len(route)} customers needs {len(route) + 1} slots, "
                 f"got {len(slots)}")
-        prev = 0
-        for gap, nxt in enumerate(list(route) + [0]):
-            direct = matrix[prev][nxt]
-            phi += direct
-            slot = slots[gap]
-            if slot is not None:
-                if isinstance(slot, tuple):
-                    u, w = slot
-                    path = matrix[prev][u] + matrix[u][w] + matrix[w][nxt]
-                else:
-                    path = matrix[prev][slot] + matrix[slot][nxt]
-                detour += path - direct
-            prev = nxt
+        gaps += slots
+    walk = depot_walk(routes)
+    tails, heads = walk[:-1], walk[1:]
+    for g, slot in enumerate(gaps):
+        if slot is not None:
+            stops = slot if isinstance(slot, tuple) else (slot,)
+            tails += (walk[g], *stops)
+            heads += (*stops, walk[g + 1])
+    arcs = oracle.array[tails, heads].tolist()
+    stop_arcs = iter(arcs[len(gaps):])
+    phi = 0.0
+    detour = 0.0
+    for direct, slot in zip(arcs, gaps):
+        phi += direct
+        if slot is not None:
+            if isinstance(slot, tuple):
+                path = next(stop_arcs) + next(stop_arcs) + next(stop_arcs)
+            else:
+                path = next(stop_arcs) + next(stop_arcs)
+            detour += path - direct
     return phi + detour, detour, phi
 
 

@@ -427,6 +427,68 @@ def increments_reference(rows, directs, hop_min, ub):
     leg_max = max(map(max, rows)) if rows[0] else 0.0
     return inc1, inc2, leg_max
 
+def surrogate_cost_reference(routes, oracle):
+    """Reference for solution.surrogate_cost, reading oracle.matrix one
+    arc at a time in the same order and association."""
+    matrix = oracle.matrix
+    total = 0.0
+    for route in routes:
+        if not route:
+            continue
+        prev = 0
+        cost = 0.0
+        for node in route:
+            cost += matrix[prev][node]
+            prev = node
+        total += cost + matrix[prev][0]
+    return total
+
+
+def battery_feasible_reference(expanded, inst, oracle):
+    """Reference for solution.battery_feasible, reading oracle.matrix one
+    arc at a time: (ok, failed_at, deficit) and the charge trace."""
+    matrix = oracle.matrix
+    rate = inst.consumption_rate
+    full = inst.battery_capacity
+    charge = full
+    trace = [(expanded[0], charge)]
+    prev = expanded[0]
+    for node in expanded[1:]:
+        charge -= rate * matrix[prev][node]
+        trace.append((node, charge))
+        if charge < 0.0:
+            return (False, node, -charge), trace
+        if node == 0 or inst.is_station(node):
+            charge = full
+        prev = node
+    return (True, None, 0.0), trace
+
+
+def total_cost_reference(routes, slot_lists, oracle):
+    """Reference for solution.total_cost on shape-matched plans, reading
+    oracle.matrix gap by gap: (F, f, phi)."""
+    matrix = oracle.matrix
+    phi = 0.0
+    detour = 0.0
+    for route, slots in zip(routes, slot_lists):
+        if not route:
+            continue
+        prev = 0
+        for gap, nxt in enumerate(list(route) + [0]):
+            direct = matrix[prev][nxt]
+            phi += direct
+            slot = slots[gap]
+            if slot is not None:
+                if isinstance(slot, tuple):
+                    u, w = slot
+                    path = matrix[prev][u] + matrix[u][w] + matrix[w][nxt]
+                else:
+                    path = matrix[prev][slot] + matrix[slot][nxt]
+                detour += path - direct
+            prev = nxt
+    return phi + detour, detour, phi
+
+
 def explore_reference(self, phi_vi):
     """Reference exploration call: every attempt runs the operator's kernel,
     repeats included.  The oracle for _Engine.explore, which must leave the

@@ -15,7 +15,8 @@ import pytest
 
 from ecvrp import search
 from ecvrp.cli import main
-from ecvrp.instance import serialize_instance
+from ecvrp.instance import DistanceOracle, serialize_instance
+from ecvrp.solution import parse_solution_file, split_expanded_route
 from conftest import make_instance
 
 # SHA-256 of (solution file, full trace) per seed
@@ -152,12 +153,12 @@ def test_memo_clears_keep_golden_digests(golden_runs_clearing_memo, seed):
     assert solve_digests(root / "eta60", seed) == GOLDEN_ETA60[seed]
 
 
-@pytest.fixture(scope="module")
-def refine_runs(tmp_path_factory):
-    # eight customers, four stations and a battery tight enough that some
-    # refined gaps need an ordered station pair and some plans have no
-    # charging plan at all; plans are random tours cut first-fit by cargo,
-    # written without any charging stop
+def write_refine_plans(root):
+    """Write golden8.evrp and plan0.sol .. plan9.sol to root; return the
+    instance.  Eight customers, four stations and a battery tight enough
+    that some refined gaps need an ordered station pair and some plans have
+    no charging plan at all; plans are random tours cut first-fit by cargo,
+    written without any charging stop."""
     rng = random.Random(3)
     inst = make_instance(
         customers=[(rng.randrange(-90, 91), rng.randrange(-90, 91))
@@ -166,27 +167,37 @@ def refine_runs(tmp_path_factory):
                   for _ in range(4)],
         demands=[rng.randrange(1, 6) for _ in range(8)],
         capacity=10, battery=140, rate=1.0, fleet=4, name="golden8")
-    root = tmp_path_factory.mktemp("refine")
     (root / "golden8.evrp").write_text(serialize_instance(inst))
-    codes = {}
+    for k in range(10):
+        perm = list(inst.customers)
+        rng.shuffle(perm)
+        routes = [[]]
+        load = 0.0
+        for c in perm:
+            if load + inst.demands[c] > inst.cargo_capacity:
+                routes.append([])
+                load = 0.0
+            routes[-1].append(c)
+            load += inst.demands[c]
+        (root / f"plan{k}.sol").write_text("".join(
+            ",".join(map(str, [0, *r, 0])) + "\n" for r in routes))
+    return inst
+
+
+def run_cli_in(root, argv) -> int:
+    # relative paths keep the tmp directory out of the file header
     with pytest.MonkeyPatch.context() as mp:
-        # relative paths keep the tmp directory out of the file header
         mp.chdir(root)
-        for k in range(10):
-            perm = list(inst.customers)
-            rng.shuffle(perm)
-            routes = [[]]
-            load = 0.0
-            for c in perm:
-                if load + inst.demands[c] > inst.cargo_capacity:
-                    routes.append([])
-                    load = 0.0
-                routes[-1].append(c)
-                load += inst.demands[c]
-            (root / f"plan{k}.sol").write_text("".join(
-                ",".join(map(str, [0, *r, 0])) + "\n" for r in routes))
-            codes[k] = main(["refine", "golden8.evrp", f"plan{k}.sol",
-                             "--out", f"plan{k}.refined.sol"])
+        return main(argv)
+
+
+@pytest.fixture(scope="module")
+def refine_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("refine")
+    inst = write_refine_plans(root)
+    codes = {k: run_cli_in(root, ["refine", "golden8.evrp", f"plan{k}.sol",
+                                  "--out", f"plan{k}.refined.sol"])
+             for k in range(10)}
     return root, inst, codes
 
 
@@ -211,6 +222,39 @@ def test_refine_golden_uses_station_pairs(refine_runs):
             pairs += sum(inst.is_station(a) and inst.is_station(b)
                          for a, b in zip(nodes, nodes[1:]) if a and b)
     assert pairs > 0
+
+
+def test_refine_and_validate_never_build_the_matrix(tmp_path, monkeypatch):
+    # outside search, pricing, checking and the exhaustive follower gather
+    # their arcs from the oracle's array; only metered search reads matrix
+    def unbuilt(oracle):
+        raise AssertionError("DistanceOracle.matrix read outside search")
+
+    monkeypatch.setattr(DistanceOracle, "matrix", property(unbuilt))
+    inst = write_refine_plans(tmp_path)
+    stops = set()
+    for k, want in REFINE_GOLDEN.items():
+        refined = tmp_path / f"plan{k}.refined.sol"
+        code = run_cli_in(tmp_path, ["refine", "golden8.evrp", f"plan{k}.sol",
+                                     "--out", refined.name])
+        if want is None:
+            assert code == 1 and not refined.exists()
+            continue
+        assert code == 0 and digest(refined) == want
+        # the refined plans hold single and pair stops: check and price
+        # them, and refine them again to the same routes
+        assert run_cli_in(tmp_path, ["validate", "golden8.evrp",
+                                     refined.name]) == 0
+        assert run_cli_in(tmp_path, ["refine", "golden8.evrp", refined.name,
+                                     "--out", f"again{k}.sol"]) == 0
+        routes, _ = parse_solution_file(refined.read_text())
+        again, _ = parse_solution_file(
+            (tmp_path / f"again{k}.sol").read_text())
+        assert [nodes for _, nodes in again] == [nodes for _, nodes in routes]
+        for _, nodes in routes:
+            stops.update(type(slot) for slot in
+                         split_expanded_route(nodes, inst)[1] if slot)
+    assert stops == {int, tuple}
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GOLDEN))

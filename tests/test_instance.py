@@ -167,6 +167,13 @@ class TestDistanceOracle:
         oracle = DistanceOracle([(2.0, 7.0), (3.0, 4.0)])
         assert oracle.matrix[1][1] == 0.0
 
+    def test_matrix_is_the_array_as_lists_built_once(self):
+        oracle = DistanceOracle([(2.0, 7.0), (3.0, 4.0), (-1.5, 0.25)])
+        assert oracle.matrix == oracle.array.tolist()
+        assert oracle.matrix is oracle.matrix
+        # matrix is a copy, so the array it was built from stays fixed
+        assert not oracle.array.flags.writeable
+
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.lists(st.tuples(st.floats(-500, 500), st.floats(-500, 500)),
                     min_size=3, max_size=8))

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecvrp.charging import solve_exhaustive
 from ecvrp.instance import DistanceOracle
@@ -18,7 +20,13 @@ from ecvrp.solution import (
     total_cost,
 )
 from conftest import make_instance
-from helpers import full_surrogate, random_partition_plan
+from helpers import (
+    battery_feasible_reference,
+    full_surrogate,
+    random_partition_plan,
+    surrogate_cost_reference,
+    total_cost_reference,
+)
 
 
 class TestSurrogate:
@@ -281,6 +289,64 @@ class TestTotalCost:
         with pytest.raises(SlotLengthMismatch):
             total_cost([[1, 2], [3, 4], []], [[None], [None, None, None]],
                        oracle)
+
+
+@st.composite
+def priced_plans(draw):
+    """(inst, routes, slot lists): 1 to 7 customers and 0 to 3 stations at
+    float coordinates, so the association of every sum shows in its bits;
+    routes cut from one customer order, empty ones among them; per gap no
+    stop, a station or an ordered pair of distinct stations; a battery
+    that some routes run out of."""
+    coord = st.floats(-100, 100)
+    point = st.tuples(coord, coord)
+    customers = draw(st.lists(point, min_size=1, max_size=7))
+    stations = draw(st.lists(point, max_size=3))
+    inst = make_instance(customers=customers, stations=stations,
+                         battery=draw(st.floats(20, 400)),
+                         rate=draw(st.floats(0.5, 2.0)), fleet=10)
+    order = draw(st.permutations(list(inst.customers)))
+    cuts = sorted(draw(st.lists(st.integers(0, len(order)), max_size=3)))
+    routes = [order[a:b] for a, b in zip([0, *cuts], [*cuts, len(order)])]
+    slot = st.none()
+    if stations:
+        slot |= st.sampled_from(list(inst.stations))
+    if len(stations) > 1:
+        slot |= st.permutations(list(inst.stations)).map(lambda p: (p[0], p[1]))
+    slot_lists = [draw(st.lists(slot, min_size=len(r) + 1, max_size=len(r) + 1))
+                  if r else draw(st.sampled_from([[None], []]))
+                  for r in routes]
+    return inst, routes, slot_lists
+
+
+class TestArrayPricing:
+    # the pricing functions gather their arcs from oracle.array; the
+    # list-reading references in helpers fix every bit they return
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(priced_plans())
+    def test_matches_list_pricing_bit_for_bit(self, case):
+        inst, routes, slot_lists = case
+        oracle = DistanceOracle.for_instance(inst)
+        want = [x.hex() for x in total_cost_reference(routes, slot_lists,
+                                                      oracle)]
+        assert [x.hex() for x in total_cost(routes, slot_lists,
+                                            oracle)] == want
+        sol = evaluate_solution(routes, slot_lists, oracle)
+        assert [sol.total_cost.hex(), sol.detour_cost.hex(),
+                sol.surrogate.hex()] == want
+        assert surrogate_cost(routes, oracle).hex() == \
+            surrogate_cost_reference(routes, oracle).hex()
+        for route, slots in zip(routes, slot_lists):
+            if not route:
+                continue
+            expanded = expand_route(route, slots)
+            verdict, trace = battery_feasible(expanded, inst, oracle)
+            (ok, node, deficit), ref_trace = battery_feasible_reference(
+                expanded, inst, oracle)
+            assert (verdict.ok, verdict.failed_at, verdict.deficit.hex()) \
+                == (ok, node, deficit.hex())
+            assert [(n, c.hex()) for n, c in trace] == \
+                [(n, c.hex()) for n, c in ref_trace]
 
 
 class TestSerialization:
