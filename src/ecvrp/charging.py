@@ -15,14 +15,17 @@ solve_exhaustive() additionally ranges over every station and every
 ordered station pair per gap.  It is a depth-first branch-and-bound over
 the options of each gap: a battery relaxation, in which every stop leaves
 with a full battery, gives a lower bound on what the rest of a route can
-add to the detour, built once per route in O((lb + 2) * n) (_route_bounds),
-and the stops at a gap are cut when the partial detour plus that bound
-cannot beat the best plan found.  A gap's list of single stops and of
-station pairs is built the first time the search tries a stop there.
-Between stops the search walks the run of gaps without one in a loop, so
-it recurses once per stop, not once per gap.  The bound only cuts subtrees
+add to the detour, built once per route in O((lb + 2) * n) (_route_bounds)
+from the least detour of the stops the search can take at each gap, and
+the stops at a gap are cut when the partial detour plus that bound cannot
+beat the best plan found.  A gap's list of single stops and of station
+pairs is built the first time the search tries a stop there.  Between
+stops the search walks the run of gaps without one in a loop, so it
+recurses once per stop, not once per gap.  The bound only cuts subtrees
 without a better leaf, so the result is that of the unpruned search, bit
-for bit.
+for bit.  The bound cuts nothing before a first leaf, so a route whose
+search finds none within _REACH_GATE steps is handed to an exact forward
+pass (_reaches_end), which ends the search when no plan exists.
 
 Only solve_se is metered: it runs during search, where the paper's budget
 counts every arc read.  solve_exhaustive runs after search, outside that
@@ -40,6 +43,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from operator import add
 
 import numpy as np
@@ -48,8 +52,20 @@ from .instance import DistanceOracle, InstanceSpec
 from .solution import ChargingPlan, Slot, depot_walk
 
 
+# descend calls a route's search makes without a leaf before the reach pass
+# decides whether the route has a plan at all
+_REACH_GATE = 64
+# floats _increments' pair temporary may hold, unless one first station's
+# block alone is larger
+_PAIR_BLOCK = 1 << 16
+
+
 class BudgetExhausted(RuntimeError):
     """Raised by solve_se when its oracle's budget runs out mid-call."""
+
+
+class _NoPlan(Exception):
+    """Ends the search of a route the reach pass finds has no plan."""
 
 
 def build_best_station_table(inst: InstanceSpec,
@@ -93,6 +109,8 @@ class ChargingQueryResult:
     detour_cost: float | None
     enumeration_count: int
     surrogate: float = 0.0   # direct route cost summed from the arcs read
+    # index in routes of the route solve_exhaustive found no plan for
+    failed_route: int | None = None
 
     def __bool__(self) -> bool:
         return self.feasible
@@ -337,12 +355,23 @@ def solve_exhaustive(routes, inst: InstanceSpec,
     therefore at most lb + 2 calls deep, one per stop of the partial plan
     plus one, however many gaps the route has.
 
-    Before its search each route builds only the bound tables, from the
-    increments of _increments, in O((lb + 2) * n) (_route_bounds: the row
-    for ub visits in closed form, the others by a sliding minimum).  The
-    option lists of a gap, its single stops (_gap_singles) and its station
-    pairs (_gap_pairs), are built the first time the search tries such a
-    stop there, and most gaps never see one.
+    Before its search each route builds only the bound tables, from its
+    stretch of the plan's increments (_increments, built once per call),
+    in O((lb + 2) * n) (_route_bounds: the row for ub visits in closed
+    form, the others by a sliding minimum).  The option lists of a gap,
+    its single stops (_gap_singles) and its station pairs (_gap_pairs),
+    are built the first time the search tries such a stop there, and most
+    gaps never see one.
+
+    The bound cuts nothing while best is inf, so a route with no plan
+    would be searched to the last subtree.  When a route's search makes
+    its _REACH_GATE-th call without a leaf, _reaches_end decides in one
+    forward pass whether any plan of lb..ub visits reaches the route's
+    end.  If none does, the search stops and the route is infeasible: it
+    had no leaf to keep.  If one does, the search goes on unchanged (the
+    pass only builds option lists the search would build the same way),
+    so the result is that of the search without the pass, bit for bit.
+    failed_route names the first route with no plan.
 
     The bound is compared in floats, so it carries two allowances for
     rounding, both multiples of an ulp (n gaps, R the route length):
@@ -384,14 +413,17 @@ def solve_exhaustive(routes, inst: InstanceSpec,
     span = full / rate
     stations = list(inst.stations)
     first = 1 + inst.num_customers       # stations are the last node ids
-    sta_sta = array[first:, first:].tolist()
+    sta_sta = array[first:, first:]
+    # the hop of every ordered pair of distinct stations a full battery
+    # covers, inf for the others
+    covered = full - rate * sta_sta >= 0.0
+    pair_hops = np.where(covered & ~np.eye(len(stations), dtype=bool),
+                         sta_sta, math.inf)
     # per first station, the second stations a full battery reaches
     hops = [[(wi, (stations[ui], stations[wi]), hop)
-             for wi, hop in enumerate(row)
-             if wi != ui and full - rate * hop >= 0.0]
-            for ui, row in enumerate(sta_sta)]
-    hop_min = min((h for row in hops for _, _, h in row), default=math.inf)
-    hop_max = max(map(max, sta_sta), default=0.0)
+             for wi, hop in enumerate(row) if hop < math.inf]
+            for ui, row in enumerate(pair_hops.tolist())]
+    hop_max = float(sta_sta.max(initial=0.0))
     walk = np.array(depot_walk(routes))
     direct_block = array[walk[:-1], walk[1:]]
     # The array is exactly symmetric, so node u's row holds both the legs
@@ -399,13 +431,15 @@ def solve_exhaustive(routes, inst: InstanceSpec,
     # through row g + 1.
     leg_block = array[walk, first:]
     direct_all, rows_all = direct_block.tolist(), leg_block.tolist()
+    inc1_all, inc2_all, leg_maxes = _increments(
+        leg_block, direct_block, pair_hops, rate, full)
     start = 0
 
     slots_out: list[tuple[Slot, ...]] = []
     detour_total = 0.0
     surrogate_total = 0.0
     examined_total = 0
-    for route in routes:
+    for index, route in enumerate(routes):
         if not route:
             slots_out.append((None,))
             continue
@@ -421,27 +455,43 @@ def solve_exhaustive(routes, inst: InstanceSpec,
         lb = visits_lower_bound(route_cost, inst)
         ub = lb + 1
         if lb > 2 * n_gaps:
-            return ChargingQueryResult(False, None, None, examined_total)
+            return ChargingQueryResult(False, None, None, examined_total,
+                                       failed_route=index)
 
         # The charge-independent half of every option, per gap, is built
         # the first time the search tries such a stop there.
         rate_directs = [rate * d for d in directs]
         singles: list = [None] * n_gaps
         pairs: list = [None] * n_gaps
-        inc1, inc2, leg_max = _increments(
-            leg_block[start:stop + 1], direct_block[start:stop], hop_min, ub)
-        start = stop
+        leg_max = max(leg_maxes[start:stop + 1])
         scale = route_cost + ub * (2.0 * leg_max + hop_max)
         bound_rows, single_rows, pair_rows = _route_bounds(
-            prefix, inc1, inc2, lb, ub, span, scale)
+            prefix, inc1_all[start:stop], inc2_all[start:stop], lb, ub, span,
+            scale)
+        start = stop
 
         best = math.inf
         best_assign: list[Slot] = []
         assign: list[Slot] = [None] * n_gaps
         examined = 0
+        calls = 0
+        gate = _REACH_GATE
+
+        def options(g: int) -> tuple[list, list]:
+            # gap g's single stops and station pairs, for the reach pass
+            if singles[g] is None:
+                singles[g] = _gap_singles(stations, rows[g], rows[g + 1],
+                                          rate, full)
+            if pairs[g] is None:
+                pairs[g] = _gap_pairs(rows[g], rows[g + 1], hops, rate, full)
+            return singles[g], pairs[g]
 
         def descend(g: int, visits: int, charge: float, detour: float) -> None:
-            nonlocal best, best_assign, examined
+            nonlocal best, best_assign, examined, calls
+            calls += 1
+            if calls == gate and best == math.inf and not _reaches_end(
+                    rate_directs, options, full, lb, ub):
+                raise _NoPlan
             # Drive on from gap g with no further stop while the charge
             # lasts, keeping the gaps where a stop may still beat best.
             bound_row = bound_rows[visits]
@@ -488,14 +538,18 @@ def solve_exhaustive(routes, inst: InstanceSpec,
                                     descend(g + 1, visits + 2, onward, value)
                 assign[g] = None
 
-        descend(0, 0, full, 0.0)
+        try:
+            descend(0, 0, full, 0.0)
+        except _NoPlan:
+            pass
         # descend holds itself through its closure cell: dropping the name
         # empties the cell, so the route's tables go now, not at the next
         # cyclic collection
         del descend
         examined_total += examined
         if best == math.inf:
-            return ChargingQueryResult(False, None, None, examined_total)
+            return ChargingQueryResult(False, None, None, examined_total,
+                                       failed_route=index)
         slots_out.append(tuple(best_assign))
         detour_total += best
 
@@ -504,30 +558,78 @@ def solve_exhaustive(routes, inst: InstanceSpec,
         surrogate_total)
 
 
-def _increments(rows, directs, hop_min: float, ub: int):
-    """(inc1, inc2, leg_max) of one route for _route_bounds, from the
-    station legs rows[u] of each route node u and the direct arcs:
-    inc1[g] = min over stations s of (leg in + leg out) - direct and
-    inc2[g] = ((least leg in + hop_min) + least leg out) - direct, lower
-    bounds on the detour a single stop or a pair adds at gap g (inf for
-    inc2 when ub < 2), and leg_max the longest leg.  They range over every
-    station, reachable or not: that only weakens them.  Built as arrays
-    (np.asarray, so an array block is not copied): each elementwise
-    operation rounds as its Python float form does, and min and max are
-    exact, so every value keeps its bits."""
-    n = len(directs)
+def _increments(rows, directs, pair_hops, rate: float, full: float):
+    """(inc1, inc2, leg_maxes) for _route_bounds, from the station legs
+    rows[u] of each node u of a walk, its direct arcs and the station hops
+    pair_hops (inf where _gap_pairs takes no pair).  inc1[g] is the least
+    (leg in + leg out) - direct over the single stops _gap_singles keeps at
+    gap g, and inc2[g] the least ((leg in + hop) + leg out) - direct over
+    the station pairs _gap_pairs keeps, each inf where the gap has no such
+    stop: lower bounds on the detour a stop the search can take adds there.
+    A route with ub < 2 gets no pair row from _route_bounds, whatever inc2
+    holds.  leg_maxes[u] is node u's longest leg.
+
+    Built once per plan as arrays over its whole walk (np.asarray, so an
+    array block is not copied), the pair sums one block of first stations
+    at a time, so the temporary holds about _PAIR_BLOCK floats whatever the
+    station count.  Each elementwise operation rounds as its Python float
+    form does, and min and max are exact, so every value keeps its bits."""
     legs = np.asarray(rows)
     if not legs.size:
         # no station: no gap has a stop option
-        return [math.inf] * n, [math.inf] * n, 0.0
+        return [math.inf] * len(directs), [math.inf] * len(directs), \
+            [0.0] * len(legs)
     direct = np.asarray(directs)
-    inc1 = (np.min(legs[:-1] + legs[1:], axis=1) - direct).tolist()
-    if ub >= 2:
-        least = legs.min(axis=1)
-        inc2 = (((least[:-1] + hop_min) + least[1:]) - direct).tolist()
-    else:
-        inc2 = [math.inf] * n
-    return inc1, inc2, float(legs.max())
+    legs_in = legs[:-1]
+    # a station whose onward leg a full battery cannot cover is no stop
+    legs_out = np.where(full - rate * legs[1:] >= 0.0, legs[1:], math.inf)
+    inc1 = np.min(legs_in + legs_out, axis=1) - direct
+    step = max(1, _PAIR_BLOCK // legs.size)
+    least = reduce(np.minimum, (
+        ((legs_in[:, u:u + step, None] + pair_hops[u:u + step])
+         + legs_out[:, None, :]).min(axis=(1, 2))
+        for u in range(0, legs.shape[1], step)))
+    return inc1.tolist(), (least - direct).tolist(), legs.max(axis=1).tolist()
+
+
+def _reaches_end(rate_directs, options, full: float, lb: int,
+                 ub: int) -> bool:
+    """Whether some charging plan of lb..ub visits takes a route to its
+    end, decided in one forward pass with the search's own float steps.
+
+    reach[v] is the highest charge at the current node with v visits made
+    (below 0 when no plan gets there).  Gap g moves it on by driving
+    through (charge - rate_directs[g] >= 0), by a single stop (charge -
+    rate * leg in >= 0, then leave with its onward charge) or by a station
+    pair (the same test on the first station's leg in, then leave with the
+    best onward charge of its second stations); options(g) gives gap g's
+    single stops and pairs as _gap_singles and _gap_pairs build them.  A
+    stop leaves with a charge that does not depend on the charge it came
+    with, and fl(c - x) is monotone in c, so a higher charge at the same
+    (gap, visits) passes every test a lower one passes: keeping only the
+    highest is exact.  O(n * ub * S) per route for n gaps and S stations,
+    plus the option lists it builds."""
+    reach = [full] + [-math.inf] * ub
+    for g, step in enumerate(rate_directs):
+        nxt = [charge - step for charge in reach]
+        singles, pairs = options(g)
+        tops = [(ra, max(second[3] for second in seconds))
+                for ra, _, seconds in pairs]
+        for v, charge in enumerate(reach):
+            if charge < 0.0:
+                continue
+            if v < ub:
+                for _, _, ra, _, onward in singles:
+                    if charge - ra >= 0.0 and onward > nxt[v + 1]:
+                        nxt[v + 1] = onward
+            if v + 1 < ub:
+                for ra, onward in tops:
+                    if charge - ra >= 0.0 and onward > nxt[v + 2]:
+                        nxt[v + 2] = onward
+        if max(nxt) < 0.0:
+            return False
+        reach = nxt
+    return max(reach[lb:]) >= 0.0
 
 
 def _gap_singles(stations, f_in, f_out, rate: float, full: float) -> list:

@@ -28,7 +28,7 @@ from .analysis import (
     correlation_report_row,
     pairs_to_csv,
 )
-from .charging import solve_exhaustive
+from .charging import solve_exhaustive, visits_lower_bound
 from .instance import (
     EvaluationBudget,
     DistanceOracle,
@@ -53,6 +53,7 @@ from .solution import (
     format_solution,
     parse_solution_file,
     split_expanded_route,
+    surrogate_cost,
     total_cost,
 )
 
@@ -251,8 +252,8 @@ def cmd_solve(args) -> int:
 
 
 def _load_solution(inst, path):
-    """(routes, slot lists, reported cost) of a solution file; a ValueError
-    names the file line at fault."""
+    """(routes, slot lists, reported cost, line number of each route) of a
+    solution file; a ValueError names the file line at fault."""
     expanded_routes, reported = parse_solution_file(Path(path).read_text())
     plan = []
     slot_lists = []
@@ -263,13 +264,14 @@ def _load_solution(inst, path):
             raise ValueError(f"line {lineno}: {exc}") from None
         plan.append(route)
         slot_lists.append(slots)
-    return plan, slot_lists, reported
+    linenos = [lineno for lineno, _ in expanded_routes]
+    return plan, slot_lists, reported, linenos
 
 
 def cmd_validate(args) -> int:
     try:
         inst = load_instance(args.instance)
-        plan, slot_lists, reported = _load_solution(inst, args.solution)
+        plan, slot_lists, reported, _ = _load_solution(inst, args.solution)
     except (InstanceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -301,7 +303,7 @@ def cmd_refine(args) -> int:
         return 2
     try:
         inst = load_instance(args.instance)
-        plan, slot_lists, _ = _load_solution(inst, args.solution)
+        plan, slot_lists, _, linenos = _load_solution(inst, args.solution)
     except (InstanceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -314,7 +316,10 @@ def cmd_refine(args) -> int:
     old_total, old_detour, _ = total_cost(plan, slot_lists, oracle)
     result = solve_exhaustive(plan, inst, oracle)
     if not result.feasible:
-        print("INFEASIBLE: no charging plan within the visit bound")
+        v = result.failed_route
+        lb = visits_lower_bound(surrogate_cost([plan[v]], oracle), inst)
+        print(f"INFEASIBLE: route on line {linenos[v]} has no charging plan "
+              f"within {lb}..{lb + 1} stops")
         return 1
     solution = evaluate_solution(plan, result.plan.slots, oracle)
     out_path = Path(args.solution if args.out is None else args.out)

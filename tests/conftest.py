@@ -37,6 +37,26 @@ def long_route_instance(customers=1100):
         fleet=1, name="long-route")
 
 
+def midpoint_line_instance(out=10):
+    """A route that needs more stops than its visit bound allows: it runs
+    out along y = 0 to x = 60 * out and back along y = 1, each of its 2 *
+    out arcs about 60 long, with a station at the middle of each arc and a
+    battery of 100.  After a stop the vehicle reaches the next arc's middle
+    only through a stop on that arc, so the route needs a stop in every arc
+    but its first and last, 2 * out - 2 in all, while its visit bound is
+    floor(120 * out / 100) + 1: out = 3 fits, out >= 4 does not.  Customer 1
+    at (0, 30) sits off the line for a second, charge-free route; the line
+    route is customers 2 .. 2 * out in order."""
+    line = [(60 * k, 0) for k in range(1, out + 1)]
+    line += [(60 * k, 1) for k in range(out - 1, 0, -1)]
+    nodes = [(0, 0), *line, (0, 0)]
+    stations = [((x0 + x1) / 2, (y0 + y1) / 2)
+                for (x0, y0), (x1, y1) in zip(nodes, nodes[1:])]
+    return make_instance(customers=[(0, 30), *line], stations=stations,
+                         capacity=100, battery=100, rate=1.0, fleet=2,
+                         name=f"midpoint-line{out}")
+
+
 @pytest.fixture
 def quad_instance():
     """Four customers with hand-checkable arc lengths, one far-off station."""

@@ -4,10 +4,14 @@ import math
 from itertools import combinations, permutations
 from operator import add
 
+import numpy as np
+
 from ecvrp.analysis import _partitions_upto, brute_force_optimum
 from ecvrp.charging import (
     ChargingQueryResult,
     _full_reach,
+    _gap_pairs,
+    _gap_singles,
     build_best_station_table,
     solve_se,
     visits_lower_bound,
@@ -412,20 +416,39 @@ def route_bounds_reference(prefix, inc1, inc2, lb, ub, span, scale):
     return bound_rows, single_rows, pair_rows
 
 
-def increments_reference(rows, directs, hop_min, ub):
-    """Reference for charging._increments, gap by gap in Python floats:
-    (inc1, inc2, leg_max) from the station legs rows[u] of each route
-    node."""
-    inc1 = [min(map(add, f_in, f_out), default=math.inf) - direct
-            for f_in, f_out, direct in zip(rows, rows[1:], directs)]
-    if ub >= 2:
-        row_mins = [min(row, default=math.inf) for row in rows]
-        inc2 = [row_mins[g] + hop_min + row_mins[g + 1] - direct
-                for g, direct in enumerate(directs)]
-    else:
-        inc2 = [math.inf] * len(directs)
-    leg_max = max(map(max, rows)) if rows[0] else 0.0
-    return inc1, inc2, leg_max
+def station_hops(sta_sta, rate, full):
+    """The station pairs of the exhaustive follower, built pair by pair in
+    Python floats from the station-to-station distances: per first station
+    the (second station, slot, hop) triples _gap_pairs takes, and the same
+    hops as an array with inf for every other pair, as _increments takes
+    them."""
+    hops = [[(wi, (ui, wi), hop) for wi, hop in enumerate(row)
+             if wi != ui and full - rate * hop >= 0.0]
+            for ui, row in enumerate(sta_sta)]
+    pair_hops = np.full((len(sta_sta), len(sta_sta)), math.inf)
+    for ui, seconds in enumerate(hops):
+        for wi, _, hop in seconds:
+            pair_hops[ui, wi] = hop
+    return hops, pair_hops
+
+
+def increments_reference(rows, directs, hops, rate, full):
+    """Reference for charging._increments, gap by gap in Python floats over
+    the option lists the search itself takes there (_gap_singles and
+    _gap_pairs): (inc1, inc2, leg_maxes) from the station legs rows[u] of
+    each walk node."""
+    stations = range(len(rows[0]))
+    inc1, inc2 = [], []
+    for f_in, f_out, direct in zip(rows, rows[1:], directs):
+        singles = _gap_singles(stations, f_in, f_out, rate, full)
+        inc1.append(min((a + b for _, a, _, b, _ in singles),
+                        default=math.inf) - direct)
+        pairs = _gap_pairs(f_in, f_out, hops, rate, full)
+        inc2.append(min((a + hop + b for _, a, seconds in pairs
+                         for _, hop, b, _ in seconds),
+                        default=math.inf) - direct)
+    return inc1, inc2, [max(row, default=0.0) for row in rows]
+
 
 def surrogate_cost_reference(routes, oracle):
     """Reference for solution.surrogate_cost, reading oracle.matrix one

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ecvrp import charging
 from ecvrp.charging import (
     BudgetExhausted,
     _full_reach,
+    _gap_pairs,
+    _gap_singles,
     _increments,
     _route_bounds,
     build_best_station_table,
@@ -20,7 +23,11 @@ from ecvrp.charging import (
 )
 from ecvrp.instance import DistanceOracle, EvaluationBudget
 from ecvrp.solution import battery_feasible, expand_route, surrogate_cost
-from conftest import long_route_instance, make_instance
+from conftest import (
+    long_route_instance,
+    make_instance,
+    midpoint_line_instance,
+)
 from helpers import (
     e22_like,
     increments_reference,
@@ -28,6 +35,7 @@ from helpers import (
     route_bounds_reference,
     solve_exhaustive_dfs,
     solve_se_enumeration,
+    station_hops,
     x143_like,
 )
 
@@ -656,6 +664,127 @@ class TestExhaustiveMatchesDfs:
             solve_exhaustive_dfs(plan, inst, oracle))
 
 
+@pytest.fixture
+def reach_verdicts(monkeypatch):
+    """Runs the reach pass at the first step of every route's search and
+    records what it returns, route by route."""
+    verdicts = []
+    reaches_end = charging._reaches_end
+
+    def spy(*args):
+        verdicts.append(reaches_end(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(charging, "_reaches_end", spy)
+    monkeypatch.setattr(charging, "_REACH_GATE", 1)
+    return verdicts
+
+
+def battery_variants(inst, oracle, route):
+    """inst with and without its stations, at its own battery and at one
+    ulp below, at and one ulp above route's consumption with no stop,
+    where the charge left at the route's end rounds to about 0."""
+    nc = inst.num_customers
+    customers = inst.coords[1:1 + nc]
+    stations = inst.coords[1 + nc:]
+    need = inst.consumption_rate * surrogate_cost([route], oracle)
+    for battery in (inst.battery_capacity, math.nextafter(need, 0.0), need,
+                    math.nextafter(need, math.inf)):
+        for sta in (stations, []):
+            yield make_instance(customers=customers, stations=sta,
+                                battery=battery, rate=inst.consumption_rate,
+                                fleet=1)
+
+
+class TestReachPass:
+    """The reach pass decides whether a route has a plan within its visit
+    bound; solve_exhaustive's result must not depend on whether it ran."""
+
+    @pytest.mark.parametrize("recipe,instances,routes,max_len", [
+        (x143_like, 2, 40, 8),
+        (e22_like, 6, 20, 8),
+        (tie_grid, 30, 6, 7),
+    ])
+    def test_agrees_with_dfs_on_feasibility(self, reach_verdicts, recipe,
+                                            instances, routes, max_len):
+        rng = random.Random(recipe.__name__ + "/reach")
+        verdicts = []
+        for _ in range(instances):
+            base = recipe(rng)
+            base_oracle = DistanceOracle.for_instance(base)
+            for _ in range(routes):
+                route = rng.sample(list(base.customers),
+                                   rng.randrange(1, max_len + 1))
+                for inst in battery_variants(base, base_oracle, route):
+                    oracle = DistanceOracle.for_instance(inst)
+                    reach_verdicts.clear()
+                    result = solve_exhaustive([route], inst, oracle)
+                    want = solve_exhaustive_dfs([route], inst, oracle)
+                    assert se_fingerprint(result) == se_fingerprint(want)
+                    # the pass runs unless lb > 2 * n_gaps settles the route
+                    assert reach_verdicts in ([want.feasible], [])
+                    verdicts += reach_verdicts
+        assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+    @pytest.mark.parametrize("out", [2, 3, 4, 5])
+    def test_routes_beyond_their_visit_bound(self, reach_verdicts, out):
+        # out >= 4: every stop sits where the battery needs one, but the
+        # route needs more of them than lb + 1
+        inst = midpoint_line_instance(out)
+        oracle = DistanceOracle.for_instance(inst)
+        plan = [[1], list(inst.customers)[1:]]
+        result = solve_exhaustive(plan, inst, oracle)
+        assert reach_verdicts == [True, out <= 3]
+        assert se_fingerprint(result) == se_fingerprint(
+            solve_exhaustive_dfs(plan, inst, oracle))
+
+    @pytest.mark.parametrize("recipe,instances,plans,max_len", [
+        (x143_like, 2, 60, 8),
+        (e22_like, 6, 40, 8),
+        (tie_grid, 40, 15, 7),
+    ])
+    def test_random_plans_match_dfs_when_it_always_runs(
+            self, reach_verdicts, recipe, instances, plans, max_len):
+        # the pass runs on every route, and where it finds a plan the
+        # search goes on as if it had not run
+        rng = random.Random(recipe.__name__ + "/exhaustive")
+        for _ in range(instances):
+            inst = recipe(rng)
+            oracle = DistanceOracle.for_instance(inst)
+            for _ in range(plans):
+                customers = rng.sample(
+                    list(inst.customers),
+                    min(rng.randrange(2, 2 * max_len + 1), inst.num_customers))
+                cut = rng.randrange(1, min(max_len, len(customers)) + 1)
+                plan = [customers[:cut]] if rng.random() < 0.6 else \
+                    [customers[:cut], customers[cut:cut + max_len]]
+                assert se_fingerprint(solve_exhaustive(plan, inst, oracle)) \
+                    == se_fingerprint(
+                        solve_exhaustive_dfs(plan, inst, oracle)), plan
+        assert True in reach_verdicts
+
+    def test_settles_a_route_beyond_its_visit_bound(self, monkeypatch):
+        # With the gate as shipped, the search of the line route makes
+        # _REACH_GATE steps without a leaf; the pass then ends it.  The
+        # charge-free route before it finds a leaf at once, so the pass
+        # never runs there.
+        verdicts = []
+        reaches_end = charging._reaches_end
+
+        def spy(rate_directs, options, full, lb, ub):
+            verdicts.append((len(rate_directs), lb, ub,
+                             reaches_end(rate_directs, options, full, lb, ub)))
+            return verdicts[-1][-1]
+
+        monkeypatch.setattr(charging, "_reaches_end", spy)
+        inst = midpoint_line_instance(10)
+        oracle = DistanceOracle.for_instance(inst)
+        result = solve_exhaustive([[1], list(inst.customers)[1:]], inst,
+                                  oracle)
+        assert verdicts == [(20, 12, 13, False)]
+        assert not result.feasible and result.failed_route == 1
+
+
 class TestRouteBounds:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.data())
@@ -732,54 +861,111 @@ class TestRouteBoundsMatchReference:
             assert float_bits(got_rows) == float_bits(want_rows)
 
 
+def increment_inputs(data):
+    """(rows, directs, hops, pair_hops, rate, full) of one drawn route:
+    grid points, a station possibly on a customer, and a battery that may
+    equal some leg's or hop's consumption exactly, so that it leaves a
+    charge of exactly 0.0."""
+    point = st.tuples(st.integers(-20, 20), st.integers(-20, 20))
+    customers = data.draw(st.lists(point, min_size=1, max_size=8))
+    stations = data.draw(st.lists(point, max_size=4))
+    if stations and data.draw(st.booleans()):
+        stations[0] = data.draw(st.sampled_from(customers))
+    rate = data.draw(st.sampled_from([0.5, 1.0, 1.5]))
+    inst = make_instance(customers=customers, stations=stations)
+    matrix = DistanceOracle.for_instance(inst).matrix
+    first = 1 + inst.num_customers
+    legs = [x for row in matrix for x in row[first:] if x > 0.0]
+    full = data.draw(st.one_of(
+        st.sampled_from([rate * x for x in legs] or [1.0]),
+        st.floats(1.0, 80.0)))
+    route = data.draw(st.permutations(list(inst.customers)))
+    nodes = [0, *route, 0]
+    directs = [matrix[u][w] for u, w in zip(nodes, nodes[1:])]
+    rows = [matrix[u][first:] for u in nodes]
+    hops, pair_hops = station_hops([row[first:] for row in matrix[first:]],
+                                   rate, full)
+    return rows, directs, hops, pair_hops, rate, full
+
+
 class TestIncrements:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.data())
     def test_array_build_keeps_every_bit(self, data):
-        # _increments builds inc1, inc2 and leg_max as numpy arrays; each
-        # value must carry the bits of the gap-by-gap Python sums.  A
-        # station may sit on a customer (a leg of 0.0), hop_min may be inf
-        # (no pair reachable) and ub may be 1 (no pair allowed).
-        point = st.tuples(st.integers(-20, 20), st.integers(-20, 20))
-        customers = data.draw(st.lists(point, min_size=1, max_size=8))
-        stations = data.draw(st.lists(point, max_size=4))
-        if stations and data.draw(st.booleans()):
-            stations[0] = data.draw(st.sampled_from(customers))
-        inst = make_instance(customers=customers, stations=stations)
-        matrix = DistanceOracle.for_instance(inst).matrix
-        route = data.draw(st.permutations(list(inst.customers)))
-        nodes = [0, *route, 0]
-        directs = [matrix[u][w] for u, w in zip(nodes, nodes[1:])]
-        first = 1 + inst.num_customers
-        rows = [matrix[u][first:] for u in nodes]
-        hop_min = data.draw(st.one_of(st.just(math.inf),
-                                      st.floats(0.0, 60.0)))
-        ub = data.draw(st.integers(1, 3))
-        got = _increments(rows, directs, hop_min, ub)
-        want = increments_reference(rows, directs, hop_min, ub)
-        assert float_bits(got[:2]) == float_bits(want[:2])
-        assert type(got[2]) is float and got[2].hex() == want[2].hex()
+        # _increments builds inc1, inc2 and leg_maxes as numpy arrays over
+        # the stops the search can take; each value must carry the bits of
+        # the gap-by-gap minimum over _gap_singles' and _gap_pairs' lists.
+        rows, directs, hops, pair_hops, rate, full = increment_inputs(data)
+        got = _increments(rows, directs, pair_hops, rate, full)
+        want = increments_reference(rows, directs, hops, rate, full)
+        assert float_bits(got) == float_bits(want)
 
-    @pytest.mark.parametrize("stations,hop_min,ub", [
-        ([(3, 4), (0, 5)], math.inf, 2),    # a station on customer 1
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_bounds_every_option_the_search_forms(self, data):
+        # inc1[g] and inc2[g] must be at most the detour every single stop
+        # and every pair the search can take at gap g adds, formed as the
+        # search forms it from a detour of 0.0, and inf only where it can
+        # take none.
+        rows, directs, hops, pair_hops, rate, full = increment_inputs(data)
+        inc1, inc2, _ = _increments(rows, directs, pair_hops, rate, full)
+        stations = range(len(rows[0]))
+        for g, direct in enumerate(directs):
+            singles = [0.0 + a + b - direct for _, a, _, b, _ in _gap_singles(
+                stations, rows[g], rows[g + 1], rate, full)]
+            pairs = [0.0 + a + hop + b - direct
+                     for _, a, seconds in _gap_pairs(
+                         rows[g], rows[g + 1], hops, rate, full)
+                     for _, hop, b, _ in seconds]
+            for inc, values in ((inc1[g], singles), (inc2[g], pairs)):
+                assert all(inc <= value for value in values), (g, inc)
+                assert (inc == math.inf) == (not values), (g, inc)
+
+    @pytest.mark.parametrize("stations,full,ub", [
+        # a station on customer 1; an unlimited battery keeps every option
+        ([(3, 4), (0, 5)], math.inf, 2),
+        # station 3 lies exactly 5 from customer 2: a battery of 5 leaves a
+        # charge of exactly 0.0 there; ub = 1 allows no pair
         ([(3, 4), (0, 5)], 5.0, 1),
         ([(3, 4), (0, 5)], 5.0, 3),
-        ([], math.inf, 2),
+        ([], math.inf, 2),                      # no station
+        ([(-30, -40), (40, -30)], 50.5, 2),     # gap 1 has no stop
     ])
-    def test_fixed_corners(self, stations, hop_min, ub):
+    def test_fixed_corners(self, stations, full, ub):
         inst = make_instance(customers=[(3, 4), (6, 8)], stations=stations)
         matrix = DistanceOracle.for_instance(inst).matrix
         nodes = [0, 1, 2, 0]
         directs = [matrix[u][w] for u, w in zip(nodes, nodes[1:])]
         rows = [matrix[u][3:] for u in nodes]
-        got = _increments(rows, directs, hop_min, ub)
-        want = increments_reference(rows, directs, hop_min, ub)
-        assert float_bits(got[:2]) == float_bits(want[:2])
-        assert got[2].hex() == want[2].hex()
-        if stations:
+        hops, pair_hops = station_hops([row[3:] for row in matrix[3:]],
+                                       1.0, full)
+        got = _increments(rows, directs, pair_hops, 1.0, full)
+        want = increments_reference(rows, directs, hops, 1.0, full)
+        assert float_bits(got) == float_bits(want)
+        inc1, inc2, _ = got
+        if (3, 4) in stations:
             assert 0.0 in rows[1]
-        if hop_min == math.inf or ub == 1:
-            assert got[1] == [math.inf] * 3
+        if not stations:
+            assert inc1 == inc2 == [math.inf] * 3
+        if full == 5.0:
+            assert inc1[1] == rows[1][0] + rows[2][0] - directs[1]
+        if full == 50.5:
+            # both stations lie 50 from the depot and more than 50.5 from
+            # customer 2, so no onward leg into customer 2 fits: gap 1 has
+            # no single stop, and the hop of 70.7 allows no pair anywhere
+            assert inc1[1] == math.inf
+            assert inc1[0] < math.inf and inc1[2] < math.inf
+            assert inc2 == [math.inf] * 3
+        # inc2 prices pairs whatever the route's visit bound: with ub = 1,
+        # _route_bounds opens no pair row
+        prefix = [0.0]
+        for d in directs:
+            prefix.append(prefix[-1] + d)
+        _, _, pair_rows = _route_bounds(prefix, inc1, inc2, ub - 1, ub,
+                                        full, 100.0)
+        if ub == 1:
+            assert inc2 != [math.inf] * 3
+            assert all(x == math.inf for row in pair_rows for x in row)
 
 
 class TestReachWindow:

@@ -8,7 +8,11 @@ from ecvrp import cli
 from ecvrp.cli import main, parse_seeds, worker_count
 from ecvrp.instance import serialize_instance
 from ecvrp.search import PARAM_MAX
-from conftest import long_route_instance, make_instance
+from conftest import (
+    long_route_instance,
+    make_instance,
+    midpoint_line_instance,
+)
 
 
 @pytest.fixture
@@ -519,6 +523,25 @@ class TestRefine:
         assert run_cli("refine", inst_path, plan, "--out", out) == 0
         assert f"wrote {out}" in capsys.readouterr().out
         assert out.exists()
+
+    def test_infeasible_names_the_route_and_its_visit_bound(self, tmp_path,
+                                                             capsys):
+        # the second route needs 6 stops, more than its visit bound of 4..5
+        inst = midpoint_line_instance(4)
+        inst_path = tmp_path / "line.evrp"
+        inst_path.write_text(serialize_instance(inst))
+        plan = tmp_path / "plan.sol"
+        text = "# two routes\n0,1,0\n" + ",".join(
+            map(str, [0, *list(inst.customers)[1:], 0])) + "\n"
+        plan.write_text(text)
+        out = tmp_path / "refined.sol"
+        assert run_cli("refine", inst_path, plan, "--out", out) == 1
+        assert capsys.readouterr().out == (
+            "INFEASIBLE: route on line 3 has no charging plan within "
+            "4..5 stops\n")
+        assert not out.exists()
+        assert run_cli("refine", inst_path, plan) == 1
+        assert plan.read_text() == text
 
     def test_refined_cost_never_higher(self, tiny_file, tmp_path, capsys):
         out = tmp_path / "runs"

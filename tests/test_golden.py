@@ -9,11 +9,14 @@ why; any other change must leave them untouched.
 """
 
 import hashlib
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from ecvrp import search
+from ecvrp import search, solve_exhaustive, total_cost
 from ecvrp.cli import main
 from ecvrp.instance import DistanceOracle, serialize_instance
 from ecvrp.solution import parse_solution_file, split_expanded_route
@@ -255,6 +258,41 @@ def test_refine_and_validate_never_build_the_matrix(tmp_path, monkeypatch):
             stops.update(type(slot) for slot in
                          split_expanded_route(nodes, inst)[1] if slot)
     assert stops == {int, tuple}
+
+
+def bench_workloads():
+    """bench/workloads.py, loaded from its file: the benchmark's instance
+    recipes, its refine plans and their stored optima."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_refine_plans_reach_their_stored_optima():
+    # every plan the benchmark refines, through the library: the refined F
+    # must be the stored exact optimum, or the plan infeasible where that
+    # is null
+    workloads = bench_workloads()
+    expected = workloads.load_expected()
+    checked = infeasible = 0
+    for key, make in workloads.INSTANCES.items():
+        inst = make()
+        oracle = DistanceOracle.for_instance(inst)
+        catalogue = workloads.plan_catalogue(inst)
+        assert {plan_key for plan_key, _ in catalogue} == set(expected[key])
+        for plan_key, routes in catalogue:
+            optimum = expected[key][plan_key]
+            result = solve_exhaustive(routes, inst, oracle)
+            assert result.feasible == (optimum is not None), plan_key
+            if result.feasible:
+                cost = total_cost(routes, result.plan.slots, oracle)[0]
+                assert abs(cost - optimum) <= 1e-6, (key, plan_key)
+            infeasible += not result.feasible
+            checked += 1
+    assert checked == 314 and infeasible == 12
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GOLDEN))
