@@ -107,7 +107,9 @@ class ChargingQueryResult:
     feasible: bool
     plan: ChargingPlan | None
     detour_cost: float | None
-    enumeration_count: int
+    # how many times solve_exhaustive's search replaced its best plan,
+    # summed over routes; 0 from solve_se
+    enumeration_count: int = 0
     surrogate: float = 0.0   # direct route cost summed from the arcs read
     # index in routes of the route solve_exhaustive found no plan for
     failed_route: int | None = None
@@ -128,9 +130,7 @@ def solve_se(routes, inst: InstanceSpec, oracle: DistanceOracle,
     the detour summed bit for bit as that enumeration sums it.  The
     subset is found by the dynamic program of _best_gap_subset in
     O(k * n^2) per route (n gaps, k = lb + 1) instead of C(n, lb) +
-    C(n, lb+1) subset walks.  enumeration_count keeps its meaning: the
-    product over routes of C(n, lb) + C(n, lb+1), the size of the
-    restricted configuration space, cut off at the first infeasible route.
+    C(n, lb+1) subset walks.
 
     For a fixed instance and table a route's result depends only on its
     customer sequence.  memo maps the routes of the previous call, as
@@ -153,7 +153,6 @@ def solve_se(routes, inst: InstanceSpec, oracle: DistanceOracle,
     slots_out: list[tuple[Slot, ...]] = []
     detour_total = 0.0
     surrogate_total = 0.0
-    examined_product = 1
     feasible = True
     for route in routes:
         if not route:
@@ -168,9 +167,8 @@ def solve_se(routes, inst: InstanceSpec, oracle: DistanceOracle,
         if entry is None:
             entry = _price_route(key, inst, oracle.matrix, table)
         priced[key] = entry
-        route_cost, size, detour, slots = entry
+        route_cost, detour, slots = entry
         surrogate_total += route_cost
-        examined_product *= size
         if slots is None:
             feasible = False
             break
@@ -180,17 +178,15 @@ def solve_se(routes, inst: InstanceSpec, oracle: DistanceOracle,
     memo.clear()
     memo.update(priced)
     if not feasible:
-        return ChargingQueryResult(False, None, None, examined_product)
-    return ChargingQueryResult(
-        True, ChargingPlan(tuple(slots_out)), detour_total, examined_product,
-        surrogate_total)
+        return ChargingQueryResult(False, None, None)
+    return ChargingQueryResult(True, ChargingPlan(tuple(slots_out)),
+                               detour_total, surrogate=surrogate_total)
 
 
 def _price_route(route: tuple, inst: InstanceSpec, matrix,
                  table: tuple) -> tuple:
-    """solve_se's result for one non-empty route: (route cost, C(n, lb) +
-    C(n, lb + 1), detour, slots), with detour and slots None when no
-    subset is feasible."""
+    """solve_se's result for one non-empty route: (route cost, detour,
+    slots), with detour and slots None when no subset is feasible."""
     nodes = [0, *route, 0]
     n_gaps = len(nodes) - 1
     directs = []
@@ -212,14 +208,13 @@ def _price_route(route: tuple, inst: InstanceSpec, matrix,
     for d in directs:
         route_cost += d
     lb = visits_lower_bound(route_cost, inst)
-    size = math.comb(n_gaps, lb) + math.comb(n_gaps, lb + 1)
     best = _best_gap_subset(directs, legs_in, legs_out, lb,
                             inst.consumption_rate, inst.battery_capacity)
     if best is None:
-        return route_cost, size, None, None
+        return route_cost, None, None
     best_f, best_combo = best
     chosen = set(best_combo)
-    return route_cost, size, best_f, tuple(
+    return route_cost, best_f, tuple(
         table[nodes[g]][nodes[g + 1]] if g in chosen else None
         for g in range(n_gaps))
 
@@ -567,7 +562,7 @@ def _increments(rows, directs, pair_hops, rate: float, full: float):
     the station pairs _gap_pairs keeps, each inf where the gap has no such
     stop: lower bounds on the detour a stop the search can take adds there.
     A route with ub < 2 gets no pair row from _route_bounds, whatever inc2
-    holds.  leg_maxes[u] is node u's longest leg.
+    holds.  leg_maxes[u] is node u's longest leg, 0.0 with no station.
 
     Built once per plan as arrays over its whole walk (np.asarray, so an
     array block is not copied), the pair sums one block of first stations
@@ -575,21 +570,19 @@ def _increments(rows, directs, pair_hops, rate: float, full: float):
     station count.  Each elementwise operation rounds as its Python float
     form does, and min and max are exact, so every value keeps its bits."""
     legs = np.asarray(rows)
-    if not legs.size:
-        # no station: no gap has a stop option
-        return [math.inf] * len(directs), [math.inf] * len(directs), \
-            [0.0] * len(legs)
     direct = np.asarray(directs)
     legs_in = legs[:-1]
     # a station whose onward leg a full battery cannot cover is no stop
     legs_out = np.where(full - rate * legs[1:] >= 0.0, legs[1:], math.inf)
-    inc1 = np.min(legs_in + legs_out, axis=1) - direct
-    step = max(1, _PAIR_BLOCK // legs.size)
+    inc1 = np.min(legs_in + legs_out, axis=1, initial=math.inf) - direct
+    step = max(1, _PAIR_BLOCK // max(legs.size, 1))
     least = reduce(np.minimum, (
         ((legs_in[:, u:u + step, None] + pair_hops[u:u + step])
          + legs_out[:, None, :]).min(axis=(1, 2))
-        for u in range(0, legs.shape[1], step)))
-    return inc1.tolist(), (least - direct).tolist(), legs.max(axis=1).tolist()
+        for u in range(0, legs.shape[1], step)),
+        np.full(len(direct), math.inf))
+    return inc1.tolist(), (least - direct).tolist(), \
+        legs.max(axis=1, initial=0.0).tolist()
 
 
 def _reaches_end(rate_directs, options, full: float, lb: int,

@@ -6,6 +6,11 @@ and trace file.
 ECVRP_THREADS caps how many seeds run as parallel worker processes
 (default 1, sequential); the pool never exceeds the number of seeds or
 of CPUs.
+
+main is the one error boundary: an input error ends a command with one
+`error:` line on stderr, and exit 2 when the command could not use its
+input as given (validate's or refine's files, an empty refine --out or
+ECVRP_THREADS), exit 1 for anything else.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (
-    InstanceTooLarge,
     brute_force_optimum,
     collect_pairs,
     correlation_report_row,
@@ -32,7 +36,6 @@ from .charging import solve_exhaustive, visits_lower_bound
 from .instance import (
     EvaluationBudget,
     DistanceOracle,
-    InstanceError,
     InstanceSpec,
     load_instance,
     max_evals_budget,
@@ -56,6 +59,10 @@ from .solution import (
     surrogate_cost,
     total_cost,
 )
+
+
+class UnusableInput(ValueError):
+    """The command cannot use its input as given; main exits 2."""
 
 
 @dataclass(frozen=True)
@@ -180,7 +187,7 @@ def worker_count(raw: str | None, n_jobs: int) -> int:
     except ValueError:
         requested = 0
     if requested <= 0:
-        raise ValueError(
+        raise UnusableInput(
             f"ECVRP_THREADS must be a positive integer, not {raw!r}")
     return min(requested, n_jobs, os.cpu_count() or 1)
 
@@ -214,34 +221,21 @@ def write_report(report: RunReport, config: RunConfig) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
-    try:
-        config = replace(
-            _config_from_args(args),
-            toggles=AblationToggles(
-                no_greedy_descent=args.no_g,
-                no_final_refinement=args.no_f,
-                gamma_zero=args.gamma_zero,
-                no_m8=args.no_m8,
-            ),
-            trace_level=args.trace_level)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        workers = worker_count(os.environ.get("ECVRP_THREADS"),
-                               len(config.seeds))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        inst = load_instance(config.instance_path)
-        # a bad --out fails here, not after the search
-        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-        report = run_config(inst, config, workers)
-        path = write_report(report, config)
-    except (InstanceError, OSError, SearchError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    config = replace(
+        _config_from_args(args),
+        toggles=AblationToggles(
+            no_greedy_descent=args.no_g,
+            no_final_refinement=args.no_f,
+            gamma_zero=args.gamma_zero,
+            no_m8=args.no_m8,
+        ),
+        trace_level=args.trace_level)
+    workers = worker_count(os.environ.get("ECVRP_THREADS"), len(config.seeds))
+    inst = load_instance(config.instance_path)
+    # a bad --out fails here, not after the search
+    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+    report = run_config(inst, config, workers)
+    path = write_report(report, config)
     for r in report.results:
         print(f"seed {r.seed}: F={r.best_cost:.2f} arcs={r.arc_accesses} "
               f"restarts={r.restarts} time={r.runtime:.1f}s")
@@ -251,30 +245,30 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _load_solution(inst, path):
-    """(routes, slot lists, reported cost, line number of each route) of a
-    solution file; a ValueError names the file line at fault."""
-    expanded_routes, reported = parse_solution_file(Path(path).read_text())
-    plan = []
-    slot_lists = []
-    for lineno, expanded in expanded_routes:
-        try:
+def _load_inputs(args):
+    """(instance, routes, slot lists, reported cost, line number of each
+    route) of validate's and refine's files.  Raises UnusableInput when
+    either cannot be read; an error in a route names its file line."""
+    lineno = None
+    try:
+        inst = load_instance(args.instance)
+        expanded_routes, reported = parse_solution_file(
+            Path(args.solution).read_text())
+        plan = []
+        slot_lists = []
+        for lineno, expanded in expanded_routes:
             route, slots = split_expanded_route(expanded, inst)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        plan.append(route)
-        slot_lists.append(slots)
+            plan.append(route)
+            slot_lists.append(slots)
+    except (ValueError, OSError) as exc:
+        where = "" if lineno is None else f"line {lineno}: "
+        raise UnusableInput(f"{where}{exc}") from None
     linenos = [lineno for lineno, _ in expanded_routes]
-    return plan, slot_lists, reported, linenos
+    return inst, plan, slot_lists, reported, linenos
 
 
 def cmd_validate(args) -> int:
-    try:
-        inst = load_instance(args.instance)
-        plan, slot_lists, reported, _ = _load_solution(inst, args.solution)
-    except (InstanceError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    inst, plan, slot_lists, reported, _ = _load_inputs(args)
     oracle = DistanceOracle.for_instance(inst)
     verdict = check_upper_feasible(plan, inst)
     if not verdict:
@@ -299,20 +293,12 @@ def cmd_validate(args) -> int:
 
 def cmd_refine(args) -> int:
     if args.out == "":
-        print("error: --out needs a file name", file=sys.stderr)
-        return 2
-    try:
-        inst = load_instance(args.instance)
-        plan, slot_lists, _, linenos = _load_solution(inst, args.solution)
-    except (InstanceError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UnusableInput("--out needs a file name")
+    inst, plan, slot_lists, _, linenos = _load_inputs(args)
     oracle = DistanceOracle.for_instance(inst)
     verdict = check_upper_feasible(plan, inst)
     if not verdict:
-        print(f"error: routing plan invalid: {verdict.violation}",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"routing plan invalid: {verdict.violation}")
     old_total, old_detour, _ = total_cost(plan, slot_lists, oracle)
     result = solve_exhaustive(plan, inst, oracle)
     if not result.feasible:
@@ -323,12 +309,8 @@ def cmd_refine(args) -> int:
         return 1
     solution = evaluate_solution(plan, result.plan.slots, oracle)
     out_path = Path(args.solution if args.out is None else args.out)
-    try:
-        out_path.write_text(format_solution(
-            solution, [f"ecvrp {__version__} refined from {args.solution}"]))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    out_path.write_text(format_solution(
+        solution, [f"ecvrp {__version__} refined from {args.solution}"]))
     print(f"f {old_detour:.2f} -> {solution.detour_cost:.2f} "
           f"(F {old_total:.2f} -> {solution.total_cost:.2f})")
     print(f"wrote {out_path}")
@@ -337,37 +319,28 @@ def cmd_refine(args) -> int:
 
 def cmd_analyze(args) -> int:
     header = "instance,n_samples,tau_b,recall_1,recall_5,recall_10,recall_20"
-    try:
-        config = _config_from_args(args)
-        if len(config.seeds) > 1:
-            raise ValueError(f"analyze runs one seed, --seeds {args.seeds!r} "
-                             f"names {len(config.seeds)}")
-        inst = load_instance(config.instance_path)
-        budget = _make_budget(inst, config)
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        pairs, _ = collect_pairs(
-            inst, replace(config.params, seed=config.seeds[0]), budget)
-        stem = Path(config.instance_path).stem
-        (out / f"{stem}_pairs.csv").write_text(pairs_to_csv(pairs))
-        row = correlation_report_row(inst.name, pairs)
-        line = ",".join(str(row[k]) for k in header.split(","))
-        (out / f"{stem}_analysis.csv").write_text(header + "\n" + line + "\n")
-    except (InstanceError, OSError, SearchError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    config = _config_from_args(args)
+    if len(config.seeds) > 1:
+        raise ValueError(f"analyze runs one seed, --seeds {args.seeds!r} "
+                         f"names {len(config.seeds)}")
+    inst = load_instance(config.instance_path)
+    budget = _make_budget(inst, config)
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    pairs, _ = collect_pairs(
+        inst, replace(config.params, seed=config.seeds[0]), budget)
+    stem = Path(config.instance_path).stem
+    (out / f"{stem}_pairs.csv").write_text(pairs_to_csv(pairs))
+    row = correlation_report_row(inst.name, pairs)
+    line = ",".join(str(row[k]) for k in header.split(","))
+    (out / f"{stem}_analysis.csv").write_text(header + "\n" + line + "\n")
     print(header)
     print(line)
     return 0
 
 
 def cmd_oracle(args) -> int:
-    try:
-        inst = load_instance(args.instance)
-        solution = brute_force_optimum(inst)
-    except (InstanceError, InstanceTooLarge, SearchError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    solution = brute_force_optimum(load_instance(args.instance))
     print(format_solution(solution, [f"ecvrp {__version__} exact oracle"]),
           end="")
     return 0
@@ -462,7 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # looked up per call: a cmd_* replaced after the parser was built runs
-    return globals()[f"cmd_{args.command}"](args)
+    command = globals()[f"cmd_{args.command}"]
+    try:
+        return command(args)
+    except (ValueError, OSError, SearchError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, UnusableInput) else 1
 
 
 if __name__ == "__main__":

@@ -217,7 +217,6 @@ def solve_se_enumeration(routes, inst, oracle, table):
     slots_out = []
     detour_total = 0.0
     surrogate_total = 0.0
-    examined_product = 1
     for route in routes:
         if not route:
             slots_out.append((None,))
@@ -242,12 +241,10 @@ def solve_se_enumeration(routes, inst, oracle, table):
 
         best_f = None
         best_combo = None
-        examined = 0
         for size in (lb, lb + 1):
             if size < 0 or size > n_gaps:
                 continue
             for combo in combinations(range(n_gaps), size):
-                examined += 1
                 charge = full
                 detour = 0.0
                 pos = 0
@@ -272,18 +269,16 @@ def solve_se_enumeration(routes, inst, oracle, table):
                 if ok and (best_f is None or detour < best_f):
                     best_f = detour
                     best_combo = combo
-        examined_product *= examined
         if best_f is None:
-            return ChargingQueryResult(False, None, None, examined_product)
+            return ChargingQueryResult(False, None, None)
         chosen = set(best_combo)
         slots_out.append(tuple(
             table[nodes[g]][nodes[g + 1]] if g in chosen else None
             for g in range(n_gaps)))
         detour_total += best_f
 
-    return ChargingQueryResult(
-        True, ChargingPlan(tuple(slots_out)), detour_total, examined_product,
-        surrogate_total)
+    return ChargingQueryResult(True, ChargingPlan(tuple(slots_out)),
+                               detour_total, surrogate=surrogate_total)
 
 
 def solve_exhaustive_dfs(plan, inst, oracle):

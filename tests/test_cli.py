@@ -317,6 +317,22 @@ class TestCliErrors:
         one_error_line(capsys)
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("command, code", [
+        ("solve", 1), ("analyze", 1), ("oracle", 1), ("validate", 2),
+        ("refine", 2)])
+    def test_instance_not_utf8(self, tmp_path, capsys, command, code):
+        # oracle used to end in a UnicodeDecodeError traceback
+        path = tmp_path / "bad.evrp"
+        path.write_bytes(b"\xff\xfe")
+        sol = tmp_path / "plan.sol"
+        sol.write_text("0,1,0\n")
+        args = {"solve": ["--out", tmp_path / "runs"],
+                "analyze": ["--out", tmp_path / "runs"], "oracle": [],
+                "validate": [sol], "refine": [sol]}[command]
+        assert run_cli(command, path, *args) == code
+        assert "utf-8" in one_error_line(capsys)
+        assert sol.read_text() == "0,1,0\n"
+
     @pytest.mark.parametrize("spec", ["1..3..5", "a", "1,,x", "1..b"])
     def test_malformed_seeds_are_named(self, tiny_file, tmp_path, capsys,
                                        spec):
