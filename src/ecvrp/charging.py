@@ -19,13 +19,15 @@ add to the detour, built once per route in O((lb + 2) * n) (_route_bounds)
 from the least detour of the stops the search can take at each gap, and
 the stops at a gap are cut when the partial detour plus that bound cannot
 beat the best plan found.  A gap's list of single stops and of station
-pairs is built the first time the search tries a stop there.  Between
-stops the search walks the run of gaps without one in a loop, so it
-recurses once per stop, not once per gap.  The bound only cuts subtrees
-without a better leaf, so the result is that of the unpruned search, bit
-for bit.  The bound cuts nothing before a first leaf, so a route whose
-search finds none within _REACH_GATE steps is handed to an exact forward
-pass (_reaches_end), which ends the search when no plan exists.
+pairs is built the first time the search tries a stop there.  The search
+keeps its open work on one list, not in recursive calls, so no stop count
+meets Python's recursion limit, and it walks each run of gaps without a
+stop in one loop.  Each test is made when its item is popped, against a
+best that only falls, so the bound only cuts subtrees without a better
+leaf and the result is that of the unpruned search, bit for bit.  The
+bound cuts nothing before a first leaf, so a route whose search finds
+none within _REACH_GATE walks is handed to an exact forward pass
+(_reaches_end), which ends the search when no plan exists.
 
 Only solve_se is metered: it runs during search, where the paper's budget
 counts every arc read.  solve_exhaustive runs after search, outside that
@@ -52,9 +54,11 @@ from .instance import DistanceOracle, InstanceSpec
 from .solution import ChargingPlan, Slot, depot_walk
 
 
-# descend calls a route's search makes without a leaf before the reach pass
-# decides whether the route has a plan at all
+# walks a route's search makes without a leaf before the reach pass decides
+# whether the route has a plan at all
 _REACH_GATE = 64
+# the kinds of solve_exhaustive's work items
+_WALK, _SINGLES, _PAIRS = range(3)
 # floats _increments' pair temporary may hold, unless one first station's
 # block alone is larger
 _PAIR_BLOCK = 1 << 16
@@ -62,10 +66,6 @@ _PAIR_BLOCK = 1 << 16
 
 class BudgetExhausted(RuntimeError):
     """Raised by solve_se when its oracle's budget runs out mid-call."""
-
-
-class _NoPlan(Exception):
-    """Ends the search of a route the reach pass finds has no plan."""
 
 
 def build_best_station_table(inst: InstanceSpec,
@@ -336,19 +336,22 @@ def solve_exhaustive(routes, inst: InstanceSpec,
     bits and enumeration_count are those of the plain depth-first search
     (tests/helpers.solve_exhaustive_dfs).
 
-    The search recurses once per stop, not once per gap.  A call with v
-    visits made walks on from its gap with no stop while the charge lasts,
-    one loop step per gap (charge -= rate * direct, as the plain search
-    steps), and keeps each gap k it passes where detour + bound_rows[v][k]
-    < best; reaching the end of the route with v >= lb is a leaf.  Then it
-    tries the kept gaps, deepest first, singles before pairs, recursing
-    once per stop.  These are the leaves of the plain search in its order,
-    NIL before any stop at every gap: while the walk runs best, detour and
-    v are fixed, and bound_rows[v][k] is exactly min(single_rows[v][k],
-    pair_rows[v][k]), so the walk keeps every gap whose stop tests could
-    pass against best, which only decreases afterwards.  The recursion is
-    therefore at most lb + 2 calls deep, one per stop of the partial plan
-    plus one, however many gaps the route has.
+    The search pops items (kind, g, v, charge, detour, path) from the end
+    of one work list; path links the stops made as (gap, slot, earlier
+    path), and the best leaf's path gives the route's slots.  A walk item
+    drives on from gap g with no stop while the charge lasts, one loop
+    step per gap (charge -= rate * direct, as the plain search steps), and
+    queues a singles item at each gap k where detour + bound_rows[v][k] <
+    best, the deepest on top; reaching the end with v >= lb is a leaf.  A
+    singles item queues the gap's pairs item, then its single stops as
+    walk items, the last station first; a pairs item queues its pairs the
+    same way.  So the leaves are the plain search's in its order: while a
+    walk runs, best, detour and v are fixed, and bound_rows[v][k] is
+    exactly min(single_rows[v][k], pair_rows[v][k]).  Each test a
+    recursive form would make before a call is made when its item is
+    popped, against the same best, and a push-time test only drops items
+    whose pop-time test would fail too, as best only falls.  Only walk
+    items are skipped on detour >= best: an increment can round below 0.
 
     Before its search each route builds only the bound tables, from its
     stretch of the plan's increments (_increments, built once per call),
@@ -360,7 +363,7 @@ def solve_exhaustive(routes, inst: InstanceSpec,
 
     The bound cuts nothing while best is inf, so a route with no plan
     would be searched to the last subtree.  When a route's search makes
-    its _REACH_GATE-th call without a leaf, _reaches_end decides in one
+    its _REACH_GATE-th walk without a leaf, _reaches_end decides in one
     forward pass whether any plan of lb..ub visits reaches the route's
     end.  If none does, the search stops and the route is infeasible: it
     had no leaf to keep.  If one does, the search goes on unchanged (the
@@ -465,13 +468,6 @@ def solve_exhaustive(routes, inst: InstanceSpec,
             scale)
         start = stop
 
-        best = math.inf
-        best_assign: list[Slot] = []
-        assign: list[Slot] = [None] * n_gaps
-        examined = 0
-        calls = 0
-        gate = _REACH_GATE
-
         def options(g: int) -> tuple[list, list]:
             # gap g's single stops and station pairs, for the reach pass
             if singles[g] is None:
@@ -481,71 +477,75 @@ def solve_exhaustive(routes, inst: InstanceSpec,
                 pairs[g] = _gap_pairs(rows[g], rows[g + 1], hops, rate, full)
             return singles[g], pairs[g]
 
-        def descend(g: int, visits: int, charge: float, detour: float) -> None:
-            nonlocal best, best_assign, examined, calls
-            calls += 1
-            if calls == gate and best == math.inf and not _reaches_end(
-                    rate_directs, options, full, lb, ub):
-                raise _NoPlan
-            # Drive on from gap g with no further stop while the charge
-            # lasts, keeping the gaps where a stop may still beat best.
-            bound_row = bound_rows[visits]
-            open_gaps = []
-            while g < n_gaps:
-                if detour + bound_row[g] < best:
-                    open_gaps.append((g, charge))
-                charge -= rate_directs[g]
-                if charge < 0.0:
+        best = math.inf
+        best_path = None
+        examined = 0
+        walks = 0
+        work = [(_WALK, 0, 0, full, 0.0, None)]
+        while work:
+            kind, g, visits, charge, detour, path = work.pop()
+            if kind == _WALK:
+                if detour >= best:
+                    continue
+                walks += 1
+                if walks == _REACH_GATE and best == math.inf and not \
+                        _reaches_end(rate_directs, options, full, lb, ub):
                     break
-                g += 1
-            else:
-                if visits >= lb:
-                    examined += 1
-                    best = detour
-                    best_assign = assign.copy()
-            # then stop at those gaps, the deepest first
-            single_row = single_rows[visits]
-            pair_row = pair_rows[visits]
-            for g, charge in reversed(open_gaps):
-                direct = directs[g]
-                if detour + single_row[g] < best:
+                # Drive on from gap g with no further stop while the charge
+                # lasts, queueing the gaps where a stop may still beat best,
+                # so the deepest is tried first.
+                bound_row = bound_rows[visits]
+                while g < n_gaps:
+                    if detour + bound_row[g] < best:
+                        work.append((_SINGLES, g, visits, charge, detour,
+                                     path))
+                    charge -= rate_directs[g]
+                    if charge < 0.0:
+                        break
+                    g += 1
+                else:
+                    if visits >= lb:
+                        examined += 1
+                        best = detour
+                        best_path = path
+            elif kind == _SINGLES:
+                # the gap's pairs come after its single stops' subtrees
+                if detour + pair_rows[visits][g] < best:
+                    work.append((_PAIRS, g, visits, charge, detour, path))
+                if detour + single_rows[visits][g] < best:
                     gap_singles = singles[g]
                     if gap_singles is None:
                         gap_singles = singles[g] = _gap_singles(
                             stations, rows[g], rows[g + 1], rate, full)
-                    for station, a, ra, b, onward in gap_singles:
+                    direct = directs[g]
+                    for station, a, ra, b, onward in reversed(gap_singles):
                         if charge - ra >= 0.0:
                             value = detour + a + b - direct
                             if value < best:
-                                assign[g] = station
-                                descend(g + 1, visits + 1, onward, value)
-                if detour + pair_row[g] < best:
-                    gap_pairs = pairs[g]
-                    if gap_pairs is None:
-                        gap_pairs = pairs[g] = _gap_pairs(
-                            rows[g], rows[g + 1], hops, rate, full)
-                    for ra, a, seconds in gap_pairs:
-                        if charge - ra >= 0.0:
-                            for slot, hop, b, onward in seconds:
-                                value = detour + a + hop + b - direct
-                                if value < best:
-                                    assign[g] = slot
-                                    descend(g + 1, visits + 2, onward, value)
-                assign[g] = None
-
-        try:
-            descend(0, 0, full, 0.0)
-        except _NoPlan:
-            pass
-        # descend holds itself through its closure cell: dropping the name
-        # empties the cell, so the route's tables go now, not at the next
-        # cyclic collection
-        del descend
+                                work.append((_WALK, g + 1, visits + 1, onward,
+                                             value, (g, station, path)))
+            elif detour + pair_rows[visits][g] < best:   # a pairs item
+                gap_pairs = pairs[g]
+                if gap_pairs is None:
+                    gap_pairs = pairs[g] = _gap_pairs(
+                        rows[g], rows[g + 1], hops, rate, full)
+                direct = directs[g]
+                for ra, a, seconds in reversed(gap_pairs):
+                    if charge - ra >= 0.0:
+                        for slot, hop, b, onward in reversed(seconds):
+                            value = detour + a + hop + b - direct
+                            if value < best:
+                                work.append((_WALK, g + 1, visits + 2, onward,
+                                             value, (g, slot, path)))
         examined_total += examined
         if best == math.inf:
             return ChargingQueryResult(False, None, None, examined_total,
                                        failed_route=index)
-        slots_out.append(tuple(best_assign))
+        assign: list[Slot] = [None] * n_gaps
+        while best_path is not None:
+            g, slot, best_path = best_path
+            assign[g] = slot
+        slots_out.append(tuple(assign))
         detour_total += best
 
     return ChargingQueryResult(

@@ -37,6 +37,20 @@ def long_route_instance(customers=1100):
         fleet=1, name="long-route")
 
 
+def alternating_stops_instance(customers=1100):
+    """One vehicle shuttling between (0, 0) and (100, 0): its customers
+    alternate between the two points, first (100, 0), and a station sits
+    on each.  The route is customers arcs of 100 against a battery of
+    100 * (customers + 1) / customers, so it needs a stop at every point
+    between two arcs, customers - 1 in all, at zero detour, and its visit
+    bound is customers - 1: 1,099 for 1,100 customers."""
+    n = customers
+    return make_instance(
+        customers=[(100 * (1 - i % 2), 0) for i in range(n)],
+        stations=[(0, 0), (100, 0)], capacity=n,
+        battery=100 * (n + 1) / n, fleet=1, name="alternating-stops")
+
+
 def midpoint_line_instance(out=10):
     """A route that needs more stops than its visit bound allows: it runs
     out along y = 0 to x = 60 * out and back along y = 1, each of its 2 *

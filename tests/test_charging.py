@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import sys
 from bisect import bisect_right
 from itertools import combinations
 
@@ -24,6 +25,7 @@ from ecvrp.charging import (
 from ecvrp.instance import DistanceOracle, EvaluationBudget
 from ecvrp.solution import battery_feasible, expand_route, surrogate_cost
 from conftest import (
+    alternating_stops_instance,
     long_route_instance,
     make_instance,
     midpoint_line_instance,
@@ -255,8 +257,8 @@ class TestExhaustive:
         assert not solve_exhaustive([[1]], inst, oracle).feasible
 
     def test_long_route_within_the_recursion_limit(self):
-        # the search recurses once per stop, not once per gap: a route of
-        # 1,101 gaps and no stop is far inside Python's recursion limit
+        # a route of 1,101 gaps and no stop: the search walks each run of
+        # gaps without a stop in one loop, not one step per gap
         inst = long_route_instance()
         oracle = DistanceOracle.for_instance(inst)
         route = list(inst.customers)
@@ -265,9 +267,25 @@ class TestExhaustive:
         assert result.plan.slots == ((None,) * (len(route) + 1),)
         assert result.detour_cost == 0.0
 
+    def test_more_stops_than_the_recursion_limit(self):
+        # the search keeps its open work on one list, so its depth in stops
+        # is not bounded by Python's recursion limit
+        inst = alternating_stops_instance()
+        oracle = DistanceOracle.for_instance(inst)
+        route = list(inst.customers)
+        lb = visits_lower_bound(surrogate_cost([route], oracle), inst)
+        assert lb > sys.getrecursionlimit()
+        result = solve_exhaustive([route], inst, oracle)
+        assert result.feasible
+        assert result.detour_cost == 0.0
+        slots = result.plan.slots[0]
+        assert lb <= station_visits(slots) <= lb + 1
+        assert battery_feasible(expand_route(route, slots), inst, oracle)[0]
+
     def test_calls_leave_no_reference_cycle(self):
-        # with the collector off, a call whose search closure refers to
-        # itself would leave each route's tables for the cyclic collector
+        # with the collector off, a call that left its search state in a
+        # reference cycle would leave each route's tables for the cyclic
+        # collector
         rng = random.Random(8)
         inst = e22_like(rng)
         oracle = DistanceOracle.for_instance(inst)

@@ -9,6 +9,7 @@ from ecvrp.cli import main, parse_seeds, worker_count
 from ecvrp.instance import serialize_instance
 from ecvrp.search import PARAM_MAX
 from conftest import (
+    alternating_stops_instance,
     long_route_instance,
     make_instance,
     midpoint_line_instance,
@@ -528,8 +529,8 @@ class TestRefine:
             [l for l in r2.splitlines() if not l.startswith("#")]
 
     def test_long_route(self, tmp_path, capsys):
-        # one route of 1,100 customers: the search's depth follows its
-        # stops, so a route this long needs no deep recursion
+        # one route of 1,100 customers and no stop: the search walks its
+        # gaps in one loop, however many the route has
         inst = long_route_instance()
         inst_path = tmp_path / "long.evrp"
         inst_path.write_text(serialize_instance(inst))
@@ -539,6 +540,22 @@ class TestRefine:
         assert run_cli("refine", inst_path, plan, "--out", out) == 0
         assert f"wrote {out}" in capsys.readouterr().out
         assert out.exists()
+
+    def test_more_stops_than_the_recursion_limit(self, tmp_path, capsys):
+        # a route whose 1,099 stops exceed Python's recursion limit is
+        # refined and written, and the written plan validates
+        inst = alternating_stops_instance()
+        inst_path = tmp_path / "alternating.evrp"
+        inst_path.write_text(serialize_instance(inst))
+        plan = tmp_path / "alternating.sol"
+        plan.write_text(",".join(map(str, [0, *inst.customers, 0])) + "\n")
+        out = tmp_path / "refined.sol"
+        assert run_cli("refine", inst_path, plan, "--out", out) == 0
+        captured = capsys.readouterr()
+        assert [line for line in captured.out.splitlines()
+                if line.startswith("wrote")] == [f"wrote {out}"]
+        assert captured.err == ""
+        assert run_cli("validate", inst_path, out) == 0
 
     def test_infeasible_names_the_route_and_its_visit_bound(self, tmp_path,
                                                              capsys):
