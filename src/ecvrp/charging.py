@@ -14,20 +14,23 @@ vehicle charging problem (Montoya et al. 2017; Froger et al. 2019).
 solve_exhaustive() additionally ranges over every station and every
 ordered station pair per gap.  It is a depth-first branch-and-bound over
 the options of each gap: a battery relaxation, in which every stop leaves
-with a full battery, gives a lower bound on what the rest of a route can
-add to the detour, built once per route in O((lb + 2) * n) (_route_bounds)
-from the least detour of the stops the search can take at each gap, and
-the stops at a gap are cut when the partial detour plus that bound cannot
-beat the best plan found.  A gap's list of single stops and of station
-pairs is built the first time the search tries a stop there.  The search
-keeps its open work on one list, not in recursive calls, so no stop count
-meets Python's recursion limit, and it walks each run of gaps without a
-stop in one loop.  Each test is made when its item is popped, against a
-best that only falls, so the bound only cuts subtrees without a better
-leaf and the result is that of the unpruned search, bit for bit.  The
-bound cuts nothing before a first leaf, so a route whose search finds
-none within _REACH_GATE walks is handed to an exact forward pass
-(_reaches_end), which ends the search when no plan exists.
+with a full battery, gives lower bounds on what the rest of a route can
+add to the detour, two tables built once per route in O((lb + 2) * n)
+(_route_bounds) from the least detour of the stops the search can take at
+each gap.  One bounds any stop at a gap, the other what the route adds
+after a stop, from which the bound of a single stop or of a pair there is
+summed when the search tries one.  The stops at a gap are cut when the
+partial detour plus their bound cannot beat the best plan found.  A gap's
+list of single stops and of station pairs is built the first time the
+search tries a stop there.  The search keeps its open work on one list,
+not in recursive calls, so no stop count meets Python's recursion limit,
+and it walks each run of gaps without a stop in one loop.  Each test is
+made when its item is popped, against a best that only falls, so the
+bound only cuts subtrees without a better leaf and the result is that of
+the unpruned search, bit for bit.  The bound cuts nothing before a first
+leaf, so a route whose search finds none within _REACH_GATE walks is
+handed to an exact forward pass (_reaches_end), which ends the search
+when no plan exists.
 
 Only solve_se is metered: it runs during search, where the paper's budget
 counts every arc read.  solve_exhaustive runs after search, outside that
@@ -345,21 +348,25 @@ def solve_exhaustive(routes, inst: InstanceSpec,
     best, the deepest on top; reaching the end with v >= lb is a leaf.  A
     singles item queues the gap's pairs item, then its single stops as
     walk items, the last station first; a pairs item queues its pairs the
-    same way.  So the leaves are the plain search's in its order: while a
-    walk runs, best, detour and v are fixed, and bound_rows[v][k] is
-    exactly min(single_rows[v][k], pair_rows[v][k]).  Each test a
-    recursive form would make before a call is made when its item is
-    popped, against the same best, and a push-time test only drops items
-    whose pop-time test would fail too, as best only falls.  Only walk
-    items are skipped on detour >= best: an increment can round below 0.
+    same way.  A singles item tries its stops when detour + (inc1[k] +
+    after_rows[v + 1][k + 1] - margin) < best, and a pairs item, at its
+    push and at its pop, when detour + (inc2[k] + after_rows[v + 2][k + 1]
+    - margin) < best.  So the leaves are the plain search's in its order:
+    while a walk runs, best, detour and v are fixed, and bound_rows[v][k]
+    is exactly the smaller of those two sums, the same floats in the same
+    order.  Each test a recursive form would make before a call is made
+    when its item is popped, against the same best, and a push-time test
+    only drops items whose pop-time test would fail too, as best only
+    falls.  Only walk items are skipped on detour >= best: an increment
+    can round below 0.
 
-    Before its search each route builds only the bound tables, from its
-    stretch of the plan's increments (_increments, built once per call),
-    in O((lb + 2) * n) (_route_bounds: the row for ub visits in closed
-    form, the others by a sliding minimum).  The option lists of a gap,
-    its single stops (_gap_singles) and its station pairs (_gap_pairs),
-    are built the first time the search tries such a stop there, and most
-    gaps never see one.
+    Before its search each route builds only the two bound tables, from
+    its stretch of the plan's increments (_increments, built once per
+    call), in O((lb + 2) * n) (_route_bounds: the rows for ub visits in
+    closed form, the others by a sliding minimum).  The option lists of a
+    gap, its single stops (gap_singles) and its station pairs (gap_pairs),
+    are built the first time the search or the reach pass asks for them
+    (_gap_singles, _gap_pairs), and most gaps never see one.
 
     The bound cuts nothing while best is inf, so a route with no plan
     would be searched to the last subtree.  When a route's search makes
@@ -367,7 +374,7 @@ def solve_exhaustive(routes, inst: InstanceSpec,
     forward pass whether any plan of lb..ub visits reaches the route's
     end.  If none does, the search stops and the route is infeasible: it
     had no leaf to keep.  If one does, the search goes on unchanged (the
-    pass only builds option lists the search would build the same way),
+    pass only builds option lists through the search's own builders),
     so the result is that of the search without the pass, bit for bit.
     failed_route names the first route with no plan.
 
@@ -457,25 +464,29 @@ def solve_exhaustive(routes, inst: InstanceSpec,
                                        failed_route=index)
 
         # The charge-independent half of every option, per gap, is built
-        # the first time the search tries such a stop there.
+        # the first time the search or the reach pass asks for it.
         rate_directs = [rate * d for d in directs]
         singles: list = [None] * n_gaps
         pairs: list = [None] * n_gaps
-        leg_max = max(leg_maxes[start:stop + 1])
-        scale = route_cost + ub * (2.0 * leg_max + hop_max)
-        bound_rows, single_rows, pair_rows = _route_bounds(
-            prefix, inc1_all[start:stop], inc2_all[start:stop], lb, ub, span,
-            scale)
-        start = stop
 
-        def options(g: int) -> tuple[list, list]:
-            # gap g's single stops and station pairs, for the reach pass
+        def gap_singles(g: int) -> list:
             if singles[g] is None:
                 singles[g] = _gap_singles(stations, rows[g], rows[g + 1],
                                           rate, full)
+            return singles[g]
+
+        def gap_pairs(g: int) -> list:
             if pairs[g] is None:
                 pairs[g] = _gap_pairs(rows[g], rows[g + 1], hops, rate, full)
-            return singles[g], pairs[g]
+            return pairs[g]
+
+        scale = route_cost + ub * (2.0 * max(leg_maxes[start:stop + 1])
+                                   + hop_max)
+        margin = (4 * ub + 2) * math.ulp(2.0 * scale)
+        inc1, inc2 = inc1_all[start:stop], inc2_all[start:stop]
+        bound_rows, after_rows = _route_bounds(prefix, inc1, inc2, lb, ub,
+                                               span, margin)
+        start = stop
 
         best = math.inf
         best_path = None
@@ -489,7 +500,8 @@ def solve_exhaustive(routes, inst: InstanceSpec,
                     continue
                 walks += 1
                 if walks == _REACH_GATE and best == math.inf and not \
-                        _reaches_end(rate_directs, options, full, lb, ub):
+                        _reaches_end(rate_directs, gap_singles, gap_pairs,
+                                     full, lb, ub):
                     break
                 # Drive on from gap g with no further stop while the charge
                 # lasts, queueing the gaps where a stop may still beat best,
@@ -510,27 +522,22 @@ def solve_exhaustive(routes, inst: InstanceSpec,
                         best_path = path
             elif kind == _SINGLES:
                 # the gap's pairs come after its single stops' subtrees
-                if detour + pair_rows[visits][g] < best:
+                if detour + (inc2[g] + after_rows[visits + 2][g + 1]
+                             - margin) < best:
                     work.append((_PAIRS, g, visits, charge, detour, path))
-                if detour + single_rows[visits][g] < best:
-                    gap_singles = singles[g]
-                    if gap_singles is None:
-                        gap_singles = singles[g] = _gap_singles(
-                            stations, rows[g], rows[g + 1], rate, full)
+                if detour + (inc1[g] + after_rows[visits + 1][g + 1]
+                             - margin) < best:
                     direct = directs[g]
-                    for station, a, ra, b, onward in reversed(gap_singles):
+                    for station, a, ra, b, onward in reversed(gap_singles(g)):
                         if charge - ra >= 0.0:
                             value = detour + a + b - direct
                             if value < best:
                                 work.append((_WALK, g + 1, visits + 1, onward,
                                              value, (g, station, path)))
-            elif detour + pair_rows[visits][g] < best:   # a pairs item
-                gap_pairs = pairs[g]
-                if gap_pairs is None:
-                    gap_pairs = pairs[g] = _gap_pairs(
-                        rows[g], rows[g + 1], hops, rate, full)
+            elif detour + (inc2[g] + after_rows[visits + 2][g + 1]
+                           - margin) < best:   # a pairs item
                 direct = directs[g]
-                for ra, a, seconds in reversed(gap_pairs):
+                for ra, a, seconds in reversed(gap_pairs(g)):
                     if charge - ra >= 0.0:
                         for slot, hop, b, onward in reversed(seconds):
                             value = detour + a + hop + b - direct
@@ -585,8 +592,8 @@ def _increments(rows, directs, pair_hops, rate: float, full: float):
         legs.max(axis=1, initial=0.0).tolist()
 
 
-def _reaches_end(rate_directs, options, full: float, lb: int,
-                 ub: int) -> bool:
+def _reaches_end(rate_directs, gap_singles, gap_pairs, full: float,
+                 lb: int, ub: int) -> bool:
     """Whether some charging plan of lb..ub visits takes a route to its
     end, decided in one forward pass with the search's own float steps.
 
@@ -595,19 +602,19 @@ def _reaches_end(rate_directs, options, full: float, lb: int,
     through (charge - rate_directs[g] >= 0), by a single stop (charge -
     rate * leg in >= 0, then leave with its onward charge) or by a station
     pair (the same test on the first station's leg in, then leave with the
-    best onward charge of its second stations); options(g) gives gap g's
-    single stops and pairs as _gap_singles and _gap_pairs build them.  A
-    stop leaves with a charge that does not depend on the charge it came
-    with, and fl(c - x) is monotone in c, so a higher charge at the same
-    (gap, visits) passes every test a lower one passes: keeping only the
-    highest is exact.  O(n * ub * S) per route for n gaps and S stations,
+    best onward charge of its second stations); gap_singles(g) and
+    gap_pairs(g) give gap g's lists as _gap_singles and _gap_pairs build
+    them.  A stop leaves with a charge that does not depend on the charge
+    it came with, and fl(c - x) is monotone in c, so a higher charge at the
+    same (gap, visits) passes every test a lower one passes: keeping only
+    the highest is exact.  O(n * ub * S) per route for n gaps and S stations,
     plus the option lists it builds."""
     reach = [full] + [-math.inf] * ub
     for g, step in enumerate(rate_directs):
         nxt = [charge - step for charge in reach]
-        singles, pairs = options(g)
+        singles = gap_singles(g)
         tops = [(ra, max(second[3] for second in seconds))
-                for ra, _, seconds in pairs]
+                for ra, _, seconds in gap_pairs(g)]
         for v, charge in enumerate(reach):
             if charge < 0.0:
                 continue
@@ -664,58 +671,49 @@ def _full_reach(prefix, span: float) -> list[int]:
 
 
 def _route_bounds(prefix, inc1, inc2, lb: int, ub: int, span: float,
-                  scale: float):
+                  margin: float):
     """Lower bounds for solve_exhaustive's search on one route.
 
     prefix[k] is the float sum of the first k direct arcs, inc1[g] and
     inc2[g] lower bounds on the detour a single station or a station pair
-    adds at gap g, span the driving range of a full battery and scale a
-    bound on every partial detour.
+    adds at gap g, span the driving range of a full battery and margin the
+    detour margin derived in solve_exhaustive.
 
-    Returns (bound_rows, single_rows, pair_rows).  With v visits made,
-    single_rows[v][k] and pair_rows[v][k] bound from below what the rest
-    of the route adds to the detour when the next stop is a single station
-    or a pair at gap k, and bound_rows[v][k] is the smaller of the two, or
-    for k = n_gaps the bound for ending the route there: -margin once v
-    reaches lb, inf below it.  The relaxation behind them lets every stop
-    leave with a full battery and ignores the legs to and from the station
-    when checking the charge, so after a stop the next one lies within
-    _full_reach's window.  The detour margin is derived in
-    solve_exhaustive.
+    Returns (bound_rows, after_rows).  after_rows[w][k], for w = 1 .. ub,
+    bounds from below what the rest of the route adds to the detour after
+    a stop that leaves node k with w visits made; row ub + 1 is inf, as no
+    plan makes that many visits, and row 0 is None, as no stop leaves
+    with 0.  With v visits made, inc1[k] + after_rows[v + 1][k + 1] - margin
+    bounds what a single station at gap k and the rest of the route add,
+    and inc2[k] + after_rows[v + 2][k + 1] - margin what a pair there and
+    the rest add.  bound_rows[v][k] is the smaller of the two, with the
+    same bits, or for k = n_gaps the bound for ending the route there:
+    -margin once v reaches lb, inf below it.  The relaxation behind them
+    lets every stop leave with a full battery and ignores the legs to and
+    from the station when checking the charge, so after a stop the next
+    one lies within _full_reach's window.
 
-    Rows are built from v = ub down, each from the least bound over every
-    window of the row above it.  The row for v = ub is closed-form: no stop
-    may follow, so it is inf at every gap and -margin at the end, and the
-    rest of the route after a stop that leaves node k with ub visits adds 0
-    if a full battery reaches the end from k, inf if not.  Each other
-    row's window minima take O(n) (_window_min), and those of v = 0 are
-    never read, so the build is O((lb + 2) * n).
+    Rows are built from v = ub down: bound row v from after rows v + 1 and
+    v + 2, then after row v as the least of bound row v, before the margin,
+    over every window.  The rows for v = ub are closed-form: no stop may
+    follow, so bound_rows[ub] is inf at every gap and -margin at the end,
+    and after_rows[ub][k] is 0 if a full battery reaches the end from node
+    k, inf if not.  Each other after row's window minima take O(n)
+    (_window_min), so the build is O((lb + 2) * n).
     """
     n = len(inc1)
-    margin = (4 * ub + 2) * math.ulp(2.0 * scale)
     full_top = _full_reach(prefix, span)
-
-    # the rows for v = ub: no stop may follow, only ending the route counts
-    inf_row = [math.inf] * n
-    bound_rows = [inf_row + [-margin]] * (ub + 1)
-    single_rows = [inf_row] * (ub + 1)
-    pair_rows = [inf_row] * (ub + 1)
-    # after1[k] and after2[k]: the least detour the rest of the route adds
-    # after a stop that leaves node k with v + 1 or v + 2 visits made,
-    # first for v + 1 = ub: 0 where a full battery reaches the end
-    after1 = [0.0 if top > n else math.inf for top in full_top]
-    after2 = [math.inf] * (n + 1)
+    bound_rows = [[math.inf] * n + [-margin]] * (ub + 1)
+    after_rows = [None] * ub + [[0.0 if top > n else math.inf
+                                 for top in full_top], [math.inf] * (n + 1)]
     for v in range(ub - 1, -1, -1):
-        singles = list(map(add, inc1, after1[1:]))
-        pairs = list(map(add, inc2, after2[1:]))
-        nxt = list(map(min, singles, pairs))
+        nxt = list(map(min, map(add, inc1, after_rows[v + 1][1:]),
+                       map(add, inc2, after_rows[v + 2][1:])))
         nxt.append(0.0 if v >= lb else math.inf)
-        single_rows[v] = [x - margin for x in singles]
-        pair_rows[v] = [x - margin for x in pairs]
         bound_rows[v] = [x - margin for x in nxt]
         if v:
-            after1, after2 = _window_min(nxt, full_top), after1
-    return bound_rows, single_rows, pair_rows
+            after_rows[v] = _window_min(nxt, full_top)
+    return bound_rows, after_rows
 
 
 def _window_min(values, top) -> list:

@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import sys
+import tracemalloc
 from bisect import bisect_right
 from itertools import combinations
 
@@ -281,6 +282,25 @@ class TestExhaustive:
         slots = result.plan.slots[0]
         assert lb <= station_visits(slots) <= lb + 1
         assert battery_feasible(expand_route(route, slots), inst, oracle)[0]
+
+    def test_bound_tables_of_a_long_route_stay_small(self):
+        # a route of 300 customers with lb = 299: its bound tables hold
+        # (lb + 2) rows of 301 floats each, so the peak of the call is
+        # mostly tables.  Two of them peak near 6 MiB; a third would take
+        # the peak past 8.5 MiB.
+        inst = alternating_stops_instance(300)
+        oracle = DistanceOracle.for_instance(inst)
+        route = list(inst.customers)
+        assert visits_lower_bound(surrogate_cost([route], oracle), inst) \
+            == 299
+        tracemalloc.start()
+        try:
+            result = solve_exhaustive([route], inst, oracle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.feasible and result.detour_cost == 0.0
+        assert peak <= 7.5 * 2 ** 20
 
     def test_calls_leave_no_reference_cycle(self):
         # with the collector off, a call that left its search state in a
@@ -766,9 +786,10 @@ class TestReachPass:
         verdicts = []
         reaches_end = charging._reaches_end
 
-        def spy(rate_directs, options, full, lb, ub):
+        def spy(rate_directs, gap_singles, gap_pairs, full, lb, ub):
             verdicts.append((len(rate_directs), lb, ub,
-                             reaches_end(rate_directs, options, full, lb, ub)))
+                             reaches_end(rate_directs, gap_singles, gap_pairs,
+                                         full, lb, ub)))
             return verdicts[-1][-1]
 
         monkeypatch.setattr(charging, "_reaches_end", spy)
@@ -780,13 +801,31 @@ class TestReachPass:
         assert not result.feasible and result.failed_route == 1
 
 
+def stop_bounds(inc1, inc2, after_rows, v, margin):
+    """The bounds solve_exhaustive's search sums from _route_bounds'
+    after_rows for a single stop and for a pair at each gap, with v visits
+    made, as two lists.  A row past ub + 1, which the search never reads,
+    counts as row ub + 1: no plan makes that many visits."""
+    def row(w):
+        return after_rows[min(w, len(after_rows) - 1)][1:]
+    return ([inc + after - margin for inc, after in zip(inc1, row(v + 1))],
+            [inc + after - margin for inc, after in zip(inc2, row(v + 2))])
+
+
+def bound_margin(ub, scale):
+    """solve_exhaustive's detour margin for a route with visit bound ub
+    and detour bound scale."""
+    return (4 * ub + 2) * math.ulp(2.0 * scale)
+
+
 class TestRouteBounds:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.data())
     def test_bound_rows_are_the_smaller_stop_bound(self, data):
         # solve_exhaustive keeps the gaps a walk passes by their bound_rows
-        # entry and then tries them by single_rows and pair_rows: the two
-        # tests agree only if each entry is exactly the smaller of the two
+        # entry and then tries them by the single-stop and pair bounds it
+        # sums from after_rows: the two tests agree only if each entry is
+        # exactly the smaller of the two
         n = data.draw(st.integers(1, 8))
         length = st.floats(0.0, 100.0)
         inc = st.one_of(st.floats(-1.0, 100.0), st.just(math.inf))
@@ -800,15 +839,16 @@ class TestRouteBounds:
         for d in directs:
             prefix.append(prefix[-1] + d)
         ub = lb + 1
-        bound_rows, single_rows, pair_rows = _route_bounds(
-            prefix, inc1, inc2, lb, ub, span, scale)
-        margin = (4 * ub + 2) * math.ulp(2.0 * scale)
-        assert len(bound_rows) == len(single_rows) == len(pair_rows) == ub + 1
+        margin = bound_margin(ub, scale)
+        bound_rows, after_rows = _route_bounds(prefix, inc1, inc2, lb, ub,
+                                               span, margin)
+        assert len(bound_rows) == ub + 1 and len(after_rows) == ub + 2
+        assert after_rows[ub + 1] == [math.inf] * (n + 1)
         for v in range(ub + 1):
             assert len(bound_rows[v]) == n + 1
+            singles, pairs = stop_bounds(inc1, inc2, after_rows, v, margin)
             for k in range(n):
-                assert bound_rows[v][k] == min(single_rows[v][k],
-                                               pair_rows[v][k]), (v, k)
+                assert bound_rows[v][k] == min(singles[k], pairs[k]), (v, k)
             assert bound_rows[v][n] == (-margin if v >= lb else math.inf)
 
 
@@ -846,14 +886,22 @@ class TestRouteBoundsMatchReference:
     @example(([0.0, 1.0, 3.0, 6.0], [0.5, -0.25, 2.0], [1.0, 0.0, math.inf],
               2, 100.0, 20.0))
     def test_rows_equal_the_slice_minimum(self, inputs):
-        # The closed-form row for ub visits and the sliding window minimum
-        # must give every float of the slice-min build, bit for bit.
+        # The closed-form rows for ub visits and the sliding window minimum
+        # must give every float of the slice-min build, bit for bit: the
+        # bound rows, and the single-stop and pair bounds the search sums
+        # from the after rows.
         prefix, inc1, inc2, lb, span, scale = inputs
         ub = lb + 1
-        got = _route_bounds(prefix, inc1, inc2, lb, ub, span, scale)
-        want = route_bounds_reference(prefix, inc1, inc2, lb, ub, span, scale)
-        for got_rows, want_rows in zip(got, want):
-            assert float_bits(got_rows) == float_bits(want_rows)
+        margin = bound_margin(ub, scale)
+        bound_rows, after_rows = _route_bounds(prefix, inc1, inc2, lb, ub,
+                                               span, margin)
+        want_bounds, want_singles, want_pairs = route_bounds_reference(
+            prefix, inc1, inc2, lb, ub, span, scale)
+        assert float_bits(bound_rows) == float_bits(want_bounds)
+        for v in range(ub + 1):
+            got = stop_bounds(inc1, inc2, after_rows, v, margin)
+            assert float_bits(got) == float_bits(
+                [want_singles[v], want_pairs[v]]), v
 
 
 def increment_inputs(data):
@@ -952,15 +1000,18 @@ class TestIncrements:
             assert inc1[0] < math.inf and inc1[2] < math.inf
             assert inc2 == [math.inf] * 3
         # inc2 prices pairs whatever the route's visit bound: with ub = 1,
-        # _route_bounds opens no pair row
+        # every pair bound the search sums from _route_bounds is inf
         prefix = [0.0]
         for d in directs:
             prefix.append(prefix[-1] + d)
-        _, _, pair_rows = _route_bounds(prefix, inc1, inc2, ub - 1, ub,
-                                        full, 100.0)
+        margin = bound_margin(ub, 100.0)
+        _, after_rows = _route_bounds(prefix, inc1, inc2, ub - 1, ub, full,
+                                      margin)
         if ub == 1:
             assert inc2 != [math.inf] * 3
-            assert all(x == math.inf for row in pair_rows for x in row)
+            assert all(x == math.inf for v in range(ub + 1)
+                       for x in stop_bounds(inc1, inc2, after_rows, v,
+                                            margin)[1])
 
 
 class TestReachWindow:
