@@ -13,13 +13,16 @@ This is the single-station, full-recharge case of the fixed-route
 vehicle charging problem (Montoya et al. 2017; Froger et al. 2019).
 solve_exhaustive() additionally ranges over every station and every
 ordered station pair per gap.  It is a depth-first branch-and-bound over
-the options of each gap: a battery relaxation, in which every stop leaves
-with a full battery, gives lower bounds on what the rest of a route can
-add to the detour, two tables built once per route in O((lb + 2) * n)
-(_route_bounds) from the least detour of the stops the search can take at
-each gap.  One bounds any stop at a gap, the other what the route adds
-after a stop, from which the bound of a single stop or of a pair there is
-summed when the search tries one.  The stops at a gap are cut when the
+the options of each gap: a battery relaxation gives lower bounds on what
+the rest of a route can add to the detour, two tables built once per
+route in O((lb + 2) * n) (_route_bounds) from the least detour of the
+stops the search can take at each gap.  Between two stops the relaxation
+charges the direct arcs and, at both ends, the node's shortest leg to any
+station, so a stop leaves with at most a full battery less its nearest
+leg, and the next one lies within a window of gaps (_reach_tops).  One
+table bounds any stop at a gap, the other what the route adds after a
+stop, from which the bound of a single stop or of a pair there is summed
+when the search tries one.  The stops at a gap are cut when the
 partial detour plus their bound cannot beat the best plan found.  A gap's
 list of single stops and of station pairs is built the first time the
 search tries a stop there.  The search keeps its open work on one list,
@@ -45,7 +48,6 @@ that at most two consecutive stops ever suffice.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
@@ -331,12 +333,15 @@ def solve_exhaustive(routes, inst: InstanceSpec,
     tried only when the partial detour plus a lower bound on what such a
     stop and the rest of the route add is < the best detour found, and
     each stop only when its own partial detour is.  The bounds are
-    _route_bounds' battery relaxation, which treats every stop as a full
-    recharge.  Cutting a subtree that holds no leaf < best cannot change
-    the result: best only decreases, so none of its leaves would ever have
-    replaced the best plan, and the other leaves are visited in the same
-    order with the same floats.  So the slots, the detour and surrogate
-    bits and enumeration_count are those of the plain depth-first search
+    _route_bounds' battery relaxation, in which a stop leaves node k with
+    at most full - rate * near[k] and the next stop at gap j needs a leg in
+    of at least near[j], near[u] being node u's shortest leg to any
+    station, whichever stations the stops take.  Cutting a subtree that
+    holds no leaf < best cannot change the result: best only decreases, so
+    none of its leaves would ever have replaced the best plan, and the
+    other leaves are visited in the same order with the same floats.  So
+    the slots, the detour and surrogate bits and enumeration_count are
+    those of the plain depth-first search
     (tests/helpers.solve_exhaustive_dfs).
 
     The search pops items (kind, g, v, charge, detour, path) from the end
@@ -360,12 +365,13 @@ def solve_exhaustive(routes, inst: InstanceSpec,
     falls.  Only walk items are skipped on detour >= best: an increment
     can round below 0.
 
-    Before its search each route builds only the two bound tables, from
-    its stretch of the plan's increments (_increments, built once per
-    call), in O((lb + 2) * n) (_route_bounds: the rows for ub visits in
-    closed form, the others by a sliding minimum).  The option lists of a
-    gap, its single stops (gap_singles) and its station pairs (gap_pairs),
-    are built the first time the search or the reach pass asks for them
+    Before its search each route builds only its windows (_reach_tops, in
+    O(n)) and the two bound tables, from its stretch of the plan's
+    increments and nearest legs (_increments, built once per call), in
+    O((lb + 2) * n) (_route_bounds: the rows for ub visits in closed form,
+    the others by a sliding minimum).  The option lists of a gap, its
+    single stops (gap_singles) and its station pairs (gap_pairs), are
+    built the first time the search or the reach pass asks for them
     (_gap_singles, _gap_pairs), and most gaps never see one.
 
     The bound cuts nothing while best is inf, so a route with no plan
@@ -381,31 +387,40 @@ def solve_exhaustive(routes, inst: InstanceSpec,
     The bound is compared in floats, so it carries two allowances for
     rounding, both multiples of an ulp (n gaps, R the route length):
 
-    Reach slack.  Only _route_bounds uses it: the search itself keeps no
-    window.  After a stop that leaves node g, the relaxation looks for the
-    next stop among the gaps k whose prefix sum satisfies prefix[k] <=
-    prefix[g] + slack + span, span = full / rate (_full_reach).  The vehicle
-    leaves node g with a charge c <= full, and the search reaches node k
-    only if each of its m = k - g <= n steps c -= rate * d leaves c >= 0.
-    Each step rounds twice, by at most ulp(full) / 2 each, since the charge
-    stays in [0, full].  So sum(d) <= full / rate + m ulp(full) / rate, and
-    ulp(full) / rate < 2 ulp(span).  Each prefix is off its exact value by
-    at most n ulp(2 R) / 2, so prefix[k] - prefix[g] overstates sum(d) by at
-    most n ulp(2 R).  The test rounds span by ulp(span) / 2 and its two
-    additions by ulp(2 (R + span)) / 2 each.  A slack of
-    (3 n + 2) ulp(2 (R + span)) covers all of it.
+    Detour margin.  Let S (scale) be R plus ub times the longest hop plus
+    twice the longest leg between the route and a station, and u = ulp(2
+    S).  Every partial detour lies within +-S, so every float operation on
+    a detour rounds by at most u / 2.  Below a node at most ub visits
+    remain, each adding at most 3 operations to the search's sum, so a
+    leaf's float detour is at least the node's plus the exact increments,
+    less 1.5 ub u.  The table's value overstates the exact least increments
+    by at most 2 u per stop (3 operations for an increment and 1 to add
+    it), 2 ub u in all.  Subtracting the margin and adding the node's
+    detour round by u / 2 each.  With a margin of (4 ub + 2) u >= 3.5 ub u
+    + u, detour + bound >= best therefore implies that no leaf below the
+    node has a detour < best.
 
-    Detour margin.  Let S be R plus ub times the longest hop plus twice the
-    longest leg between the route and a station, and u = ulp(2 S).  Every
-    partial detour lies within +-S, so every float operation on a detour
-    rounds by at most u / 2.  Below a node at most ub visits remain, each
-    adding at most 3 operations to the search's sum, so a leaf's float
-    detour is at least the node's plus the exact increments, less 1.5 ub u.
-    The table's value overstates the exact least increments by at most 2 u
-    per stop (3 operations for an increment and 1 to add it), 2 ub u in all.
-    Subtracting the margin and adding the node's detour round by u / 2 each.
-    With a margin of (4 ub + 2) u >= 3.5 ub u + u, detour + bound >= best
-    therefore implies that no leaf below the node has a detour < best.
+    Reach slack.  Only _reach_tops uses it: the search itself keeps no
+    window.  A stop that arrives at node k leaves it with c = full - rate *
+    b, b >= near[k] the leg from its (second) station.  The search makes
+    the next stop at gap j >= k only if each of its m = j - k steps c -=
+    rate * d leaves c >= 0 and then c - rate * a >= 0, a >= near[j] the leg
+    to the stop's (first) station; it reaches the end only if all m = n - k
+    steps leave c >= 0.  Every charge and every product the passing tests
+    hold lies in [0, full], so each of those 2 m + 3 operations rounds by
+    at most U / 2, U = ulp(full), and the exact legs satisfy rate (b +
+    sum(d) + a) <= full + (m + 1.5) U, or rate (b + sum(d)) <= full + (m +
+    1) U for the end.  U / rate <= 2 ulp(span), span = full / rate, which
+    itself rounds by ulp(span) / 2, so b + sum(d) + a <= span + (2 m + 3.5)
+    ulp(span).  Each prefix rounds by at most ulp(R) / 2 per addition, so
+    prefix[j] - prefix[k] overstates sum(d) by at most (j + k) ulp(R) / 2.
+    With Q = ulp(2 (S + span)), ulp(R) and ulp(span) are at most Q / 2, and
+    so prefix[j] + near[j] <= prefix[k] - near[k] + span + (m + 1.75 + (j +
+    k) / 4) Q, where m + (j + k) / 4 = 1.25 j - 0.75 k <= 1.25 n.  The
+    window test adds near[j] (Q / 4, as the sum stays within S), subtracts
+    near[k] (Q / 4) and adds span + slack (Q / 2), which itself rounds by
+    Q / 2.  A slack of (1.25 n + 3.25) Q = (5 n + 13) Q / 4 covers all of
+    it.
 
     It charges no budget and reads oracle.array three times: the station
     hops array[first:, first:], then two gathers over the plan's
@@ -436,7 +451,7 @@ def solve_exhaustive(routes, inst: InstanceSpec,
     # through row g + 1.
     leg_block = array[walk, first:]
     direct_all, rows_all = direct_block.tolist(), leg_block.tolist()
-    inc1_all, inc2_all, leg_maxes = _increments(
+    inc1_all, inc2_all, leg_maxes, near_all = _increments(
         leg_block, direct_block, pair_hops, rate, full)
     start = 0
 
@@ -484,8 +499,9 @@ def solve_exhaustive(routes, inst: InstanceSpec,
                                    + hop_max)
         margin = (4 * ub + 2) * math.ulp(2.0 * scale)
         inc1, inc2 = inc1_all[start:stop], inc2_all[start:stop]
-        bound_rows, after_rows = _route_bounds(prefix, inc1, inc2, lb, ub,
-                                               span, margin)
+        tops = _reach_tops(prefix, near_all[start:stop + 1], span, scale)
+        bound_rows, after_rows = _route_bounds(inc1, inc2, tops, lb, ub,
+                                               margin)
         start = stop
 
         best = math.inf
@@ -561,15 +577,17 @@ def solve_exhaustive(routes, inst: InstanceSpec,
 
 
 def _increments(rows, directs, pair_hops, rate: float, full: float):
-    """(inc1, inc2, leg_maxes) for _route_bounds, from the station legs
-    rows[u] of each node u of a walk, its direct arcs and the station hops
-    pair_hops (inf where _gap_pairs takes no pair).  inc1[g] is the least
-    (leg in + leg out) - direct over the single stops _gap_singles keeps at
-    gap g, and inc2[g] the least ((leg in + hop) + leg out) - direct over
-    the station pairs _gap_pairs keeps, each inf where the gap has no such
-    stop: lower bounds on the detour a stop the search can take adds there.
-    A route with ub < 2 gets no pair row from _route_bounds, whatever inc2
-    holds.  leg_maxes[u] is node u's longest leg, 0.0 with no station.
+    """(inc1, inc2, leg_maxes, near) for solve_exhaustive's bounds, from
+    the station legs rows[u] of each node u of a walk, its direct arcs and
+    the station hops pair_hops (inf where _gap_pairs takes no pair).
+    inc1[g] is the least (leg in + leg out) - direct over the single stops
+    _gap_singles keeps at gap g, and inc2[g] the least ((leg in + hop) +
+    leg out) - direct over the station pairs _gap_pairs keeps, each inf
+    where the gap has no such stop: lower bounds on the detour a stop the
+    search can take adds there.  A route with ub < 2 gets no pair row from
+    _route_bounds, whatever inc2 holds.  leg_maxes[u] is node u's longest
+    leg, 0.0 with no station, and near[u] its shortest, inf with no
+    station.
 
     Built once per plan as arrays over its whole walk (np.asarray, so an
     array block is not copied), the pair sums one block of first stations
@@ -589,7 +607,8 @@ def _increments(rows, directs, pair_hops, rate: float, full: float):
         for u in range(0, legs.shape[1], step)),
         np.full(len(direct), math.inf))
     return inc1.tolist(), (least - direct).tolist(), \
-        legs.max(axis=1, initial=0.0).tolist()
+        legs.max(axis=1, initial=0.0).tolist(), \
+        legs.min(axis=1, initial=math.inf).tolist()
 
 
 def _reaches_end(rate_directs, gap_singles, gap_pairs, full: float,
@@ -656,28 +675,50 @@ def _gap_pairs(f_in, f_out, hops, rate: float, full: float) -> list:
     return out
 
 
-def _full_reach(prefix, span: float) -> list[int]:
-    """For each node g of a route with direct-arc prefix sums prefix, the
-    window of gaps a full battery reaches from g without a stop: a vehicle
-    leaving node g with a full battery, span its driving range, makes its
-    next stop at one of the gaps g .. top[g] - 1, where index n_gaps stands
-    for the end of the route.  The reach slack covering the rounding of
-    prefix against a gap-by-gap battery walk is derived in
-    solve_exhaustive."""
+def _reach_tops(prefix, near, span: float, scale: float) -> list[int]:
+    """For each node k of a route with direct-arc prefix sums prefix, the
+    window of gaps where the stop after one that arrives at node k can lie:
+    k .. top[k] - 1, where index n_gaps stands for the end of the route.
+
+    span is a full battery's driving range and near[u] node u's shortest
+    station leg.  A stop leaves node k with at most span - near[k] of range,
+    and a stop at gap j needs a leg in of at least near[j].  So a next stop
+    at gap j needs prefix[j] + near[j] <= limit[k] = prefix[k] - near[k] +
+    span + slack, and the end needs prefix[n_gaps] <= limit[k].  The slack,
+    derived in solve_exhaustive from the route's detour scale, covers the
+    rounding of these sums against the search's battery steps.
+    top[k] is one past the last index that passes, widened so that every
+    window is non-empty and the tops never fall: _window_min needs both,
+    and a wider window only lowers a bound.  One pass builds the suffix
+    minima of the keys, and one moves the top forward over them."""
     n = len(prefix) - 1
-    slack = (3 * n + 2) * math.ulp(2.0 * (prefix[-1] + span))
-    return [bisect_right(prefix, prefix[g] + slack + span, g)
-            for g in range(n + 1)]
+    reach = span + (5 * n + 13) * math.ulp(2.0 * (scale + span)) / 4
+    # least[j]: the smallest key of a next stop at gap j or later, or the end
+    low = prefix[n]
+    least = [low] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        key = prefix[j] + near[j]
+        if key < low:
+            low = key
+        least[j] = low
+    tops = []
+    top = 0
+    for k in range(n + 1):
+        if top <= k:
+            top = k + 1
+        limit = prefix[k] - near[k] + reach
+        while top <= n and least[top] <= limit:
+            top += 1
+        tops.append(top)
+    return tops
 
 
-def _route_bounds(prefix, inc1, inc2, lb: int, ub: int, span: float,
-                  margin: float):
+def _route_bounds(inc1, inc2, tops, lb: int, ub: int, margin: float):
     """Lower bounds for solve_exhaustive's search on one route.
 
-    prefix[k] is the float sum of the first k direct arcs, inc1[g] and
-    inc2[g] lower bounds on the detour a single station or a station pair
-    adds at gap g, span the driving range of a full battery and margin the
-    detour margin derived in solve_exhaustive.
+    inc1[g] and inc2[g] are lower bounds on the detour a single station or
+    a station pair adds at gap g, tops the windows of _reach_tops and
+    margin the detour margin derived in solve_exhaustive.
 
     Returns (bound_rows, after_rows).  after_rows[w][k], for w = 1 .. ub,
     bounds from below what the rest of the route adds to the detour after
@@ -689,30 +730,29 @@ def _route_bounds(prefix, inc1, inc2, lb: int, ub: int, span: float,
     the rest add.  bound_rows[v][k] is the smaller of the two, with the
     same bits, or for k = n_gaps the bound for ending the route there:
     -margin once v reaches lb, inf below it.  The relaxation behind them
-    lets every stop leave with a full battery and ignores the legs to and
-    from the station when checking the charge, so after a stop the next
-    one lies within _full_reach's window.
+    charges only the direct arcs between two stops and the nearest-station
+    legs at both ends of that stretch, so after a stop that leaves node k
+    the next one lies within k .. tops[k] - 1, where n_gaps is the end.
 
     Rows are built from v = ub down: bound row v from after rows v + 1 and
     v + 2, then after row v as the least of bound row v, before the margin,
     over every window.  The rows for v = ub are closed-form: no stop may
     follow, so bound_rows[ub] is inf at every gap and -margin at the end,
-    and after_rows[ub][k] is 0 if a full battery reaches the end from node
-    k, inf if not.  Each other after row's window minima take O(n)
-    (_window_min), so the build is O((lb + 2) * n).
+    and after_rows[ub][k] is 0 if node k's window holds the end, inf if
+    not.  Each other after row's window minima take O(n) (_window_min), so
+    the build is O((lb + 2) * n).
     """
     n = len(inc1)
-    full_top = _full_reach(prefix, span)
     bound_rows = [[math.inf] * n + [-margin]] * (ub + 1)
     after_rows = [None] * ub + [[0.0 if top > n else math.inf
-                                 for top in full_top], [math.inf] * (n + 1)]
+                                 for top in tops], [math.inf] * (n + 1)]
     for v in range(ub - 1, -1, -1):
         nxt = list(map(min, map(add, inc1, after_rows[v + 1][1:]),
                        map(add, inc2, after_rows[v + 2][1:])))
         nxt.append(0.0 if v >= lb else math.inf)
         bound_rows[v] = [x - margin for x in nxt]
         if v:
-            after_rows[v] = _window_min(nxt, full_top)
+            after_rows[v] = _window_min(nxt, tops)
     return bound_rows, after_rows
 
 

@@ -71,6 +71,22 @@ def midpoint_line_instance(out=10):
                          name=f"midpoint-line{out}")
 
 
+def beside_line_instance(out=10):
+    """midpoint_line_instance's routes with each station 1 beside a line
+    customer instead of at an arc's middle.  A stop beside a customer
+    leaves the vehicle about 40 at the next one, short of the arc after,
+    so the line route needs more stops than its visit bound allows for
+    out >= 3.  But every customer's nearest station leg is 1, so a
+    relaxation that charges only the nearest legs lets the vehicle stop in
+    every other arc, and cannot rule the route out."""
+    line = [(60 * k, 0) for k in range(1, out + 1)]
+    line += [(60 * k, 1) for k in range(out - 1, 0, -1)]
+    stations = [(x, -1 if y == 0 else 2) for x, y in line]
+    return make_instance(customers=[(0, 30), *line], stations=stations,
+                         capacity=100, battery=100, rate=1.0, fleet=2,
+                         name=f"beside-line{out}")
+
+
 @pytest.fixture
 def quad_instance():
     """Four customers with hand-checkable arc lengths, one far-off station."""

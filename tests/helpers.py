@@ -9,7 +9,6 @@ import numpy as np
 from ecvrp.analysis import _partitions_upto, brute_force_optimum
 from ecvrp.charging import (
     ChargingQueryResult,
-    _full_reach,
     _gap_pairs,
     _gap_singles,
     build_best_station_table,
@@ -385,14 +384,32 @@ def solve_exhaustive_dfs(plan, inst, oracle):
 
 
 
-def route_bounds_reference(prefix, inc1, inc2, lb, ub, span, scale):
-    """Reference for charging._route_bounds: every row, the one for ub
-    visits included, built the same way, each window's least bound taken
-    by min over a slice.  The oracle the closed-form top row and the
+def reach_tops_reference(prefix, near, span, scale):
+    """Reference for charging._reach_tops, by a scan of every index: gap j
+    lies in node k's window when prefix[j] + near[j] <= limit, the end when
+    prefix[n] <= limit, limit = prefix[k] - near[k] + span + slack; each
+    top is one past the last index that passes, raised to k + 1 and to
+    the top before it."""
+    n = len(prefix) - 1
+    reach = span + (5 * n + 13) * math.ulp(2.0 * (scale + span)) / 4
+    keys = [p + x for p, x in zip(prefix, near[:n])] + [prefix[n]]
+    tops = []
+    for k in range(n + 1):
+        limit = prefix[k] - near[k] + reach
+        passing = [j for j in range(k, n + 1) if keys[j] <= limit]
+        tops.append(max([k + 1, *tops[-1:], *(j + 1 for j in passing)]))
+    return tops
+
+
+def route_bounds_reference(prefix, near, inc1, inc2, lb, ub, span, scale):
+    """Reference for charging._route_bounds over the windows of
+    _reach_tops: every row, the one for ub visits included, built the same
+    way, each window found by reach_tops_reference and its least bound
+    taken by min over a slice.  The oracle the closed-form top row and the
     sliding minimum must match bit for bit."""
     n = len(inc1)
     margin = (4 * ub + 2) * math.ulp(2.0 * scale)
-    full_top = _full_reach(prefix, span)
+    tops = reach_tops_reference(prefix, near, span, scale)
     inf_row = [math.inf] * (n + 1)
     after1 = after2 = inf_row
     bound_rows = [inf_row] * (ub + 1)
@@ -406,7 +423,7 @@ def route_bounds_reference(prefix, inc1, inc2, lb, ub, span, scale):
         single_rows[v] = [x - margin for x in singles]
         pair_rows[v] = [x - margin for x in pairs]
         bound_rows[v] = [x - margin for x in nxt]
-        after = [min(nxt[g:full_top[g]]) for g in range(n + 1)]
+        after = [min(nxt[g:tops[g]]) for g in range(n + 1)]
         after1, after2 = after, after1
     return bound_rows, single_rows, pair_rows
 
@@ -430,8 +447,8 @@ def station_hops(sta_sta, rate, full):
 def increments_reference(rows, directs, hops, rate, full):
     """Reference for charging._increments, gap by gap in Python floats over
     the option lists the search itself takes there (_gap_singles and
-    _gap_pairs): (inc1, inc2, leg_maxes) from the station legs rows[u] of
-    each walk node."""
+    _gap_pairs): (inc1, inc2, leg_maxes, near) from the station legs
+    rows[u] of each walk node."""
     stations = range(len(rows[0]))
     inc1, inc2 = [], []
     for f_in, f_out, direct in zip(rows, rows[1:], directs):
@@ -442,7 +459,8 @@ def increments_reference(rows, directs, hops, rate, full):
         inc2.append(min((a + hop + b for _, a, seconds in pairs
                          for _, hop, b, _ in seconds),
                         default=math.inf) - direct)
-    return inc1, inc2, [max(row, default=0.0) for row in rows]
+    return inc1, inc2, [max(row, default=0.0) for row in rows], \
+        [min(row, default=math.inf) for row in rows]
 
 
 def surrogate_cost_reference(routes, oracle):

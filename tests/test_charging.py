@@ -3,7 +3,6 @@ import math
 import random
 import sys
 import tracemalloc
-from bisect import bisect_right
 from itertools import combinations
 
 import pytest
@@ -13,10 +12,10 @@ from hypothesis import strategies as st
 from ecvrp import charging
 from ecvrp.charging import (
     BudgetExhausted,
-    _full_reach,
     _gap_pairs,
     _gap_singles,
     _increments,
+    _reach_tops,
     _route_bounds,
     build_best_station_table,
     solve_exhaustive,
@@ -27,6 +26,7 @@ from ecvrp.instance import DistanceOracle, EvaluationBudget
 from ecvrp.solution import battery_feasible, expand_route, surrogate_cost
 from conftest import (
     alternating_stops_instance,
+    beside_line_instance,
     long_route_instance,
     make_instance,
     midpoint_line_instance,
@@ -35,6 +35,7 @@ from helpers import (
     e22_like,
     increments_reference,
     random_feasible_plan,
+    reach_tops_reference,
     route_bounds_reference,
     solve_exhaustive_dfs,
     solve_se_enumeration,
@@ -779,10 +780,13 @@ class TestReachPass:
         assert True in reach_verdicts
 
     def test_settles_a_route_beyond_its_visit_bound(self, monkeypatch):
-        # With the gate as shipped, the search of the line route makes
-        # _REACH_GATE steps without a leaf; the pass then ends it.  The
-        # charge-free route before it finds a leaf at once, so the pass
-        # never runs there.
+        # With the gate as shipped, the search of the beside-line route
+        # makes _REACH_GATE walks without a leaf; the pass then ends it.
+        # The charge-free route before it finds a leaf at once, so the pass
+        # never runs there.  On the midpoint line the bound alone rules the
+        # line route out before the gate: a stop leaves each customer with
+        # at most 70, less than the next arc's 30 to its station plus 60,
+        # so each window holds one gap and the stops needed pass ub.
         verdicts = []
         reaches_end = charging._reaches_end
 
@@ -793,12 +797,14 @@ class TestReachPass:
             return verdicts[-1][-1]
 
         monkeypatch.setattr(charging, "_reaches_end", spy)
-        inst = midpoint_line_instance(10)
-        oracle = DistanceOracle.for_instance(inst)
-        result = solve_exhaustive([[1], list(inst.customers)[1:]], inst,
-                                  oracle)
-        assert verdicts == [(20, 12, 13, False)]
-        assert not result.feasible and result.failed_route == 1
+        for inst, want in ((beside_line_instance(10), [(20, 12, 13, False)]),
+                           (midpoint_line_instance(10), [])):
+            verdicts.clear()
+            oracle = DistanceOracle.for_instance(inst)
+            result = solve_exhaustive([[1], list(inst.customers)[1:]], inst,
+                                      oracle)
+            assert verdicts == want, inst.name
+            assert not result.feasible and result.failed_route == 1
 
 
 def stop_bounds(inc1, inc2, after_rows, v, margin):
@@ -832,6 +838,7 @@ class TestRouteBounds:
         directs = data.draw(st.lists(length, min_size=n, max_size=n))
         inc1 = data.draw(st.lists(inc, min_size=n, max_size=n))
         inc2 = data.draw(st.lists(inc, min_size=n, max_size=n))
+        near = data.draw(st.lists(length, min_size=n + 1, max_size=n + 1))
         lb = data.draw(st.integers(0, 3))
         span = data.draw(st.floats(0.5, 400.0))
         scale = data.draw(st.floats(1.0, 1e4))
@@ -840,8 +847,9 @@ class TestRouteBounds:
             prefix.append(prefix[-1] + d)
         ub = lb + 1
         margin = bound_margin(ub, scale)
-        bound_rows, after_rows = _route_bounds(prefix, inc1, inc2, lb, ub,
-                                               span, margin)
+        tops = _reach_tops(prefix, near, span, scale)
+        bound_rows, after_rows = _route_bounds(inc1, inc2, tops, lb, ub,
+                                               margin)
         assert len(bound_rows) == ub + 1 and len(after_rows) == ub + 2
         assert after_rows[ub + 1] == [math.inf] * (n + 1)
         for v in range(ub + 1):
@@ -858,45 +866,57 @@ def float_bits(rows):
 
 @st.composite
 def bound_inputs(draw):
-    """(prefix, inc1, inc2, lb, span, scale) for _route_bounds: routes of
-    1 to 10 gaps, increments that may all be inf (no station), and ranges
-    from under one gap to past the end of the route."""
+    """(prefix, near, inc1, inc2, lb, span, scale) for _reach_tops and
+    _route_bounds: routes of 1 to 10 gaps, nearest-station legs that may
+    put a later gap's key below an earlier one's, increments and legs that
+    may all be inf (no station), and ranges from under one gap to past the
+    end of the route."""
     n = draw(st.integers(1, 10))
     directs = draw(st.lists(st.floats(0.0, 100.0), min_size=n, max_size=n))
     if draw(st.booleans()):
         inc = st.one_of(st.floats(-1.0, 100.0), st.just(math.inf))
         inc1 = draw(st.lists(inc, min_size=n, max_size=n))
         inc2 = draw(st.lists(inc, min_size=n, max_size=n))
+        near = draw(st.lists(st.floats(0.0, 200.0), min_size=n + 1,
+                             max_size=n + 1))
     else:
         inc1 = inc2 = [math.inf] * n
+        near = [math.inf] * (n + 1)
     prefix = [0.0]
     for d in directs:
         prefix.append(prefix[-1] + d)
-    return (prefix, inc1, inc2, draw(st.integers(0, 4)),
+    return (prefix, near, inc1, inc2, draw(st.integers(0, 4)),
             draw(st.floats(0.5, 1500.0)), draw(st.floats(1.0, 1e4)))
 
 
 class TestRouteBoundsMatchReference:
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(bound_inputs())
-    # lb = 0 on one gap; no station; every window past the end of the route
-    @example(([0.0, 5.0], [1.0], [2.0], 0, 3.0, 10.0))
-    @example(([0.0, 4.0, 9.0, 9.5], [math.inf] * 3, [math.inf] * 3, 1, 6.0,
-              50.0))
-    @example(([0.0, 1.0, 3.0, 6.0], [0.5, -0.25, 2.0], [1.0, 0.0, math.inf],
-              2, 100.0, 20.0))
+    # lb = 0 on one gap; no station; every window past the end of the
+    # route; a far station at node 1 whose window would end before node 0's
+    @example(([0.0, 5.0], [0.0, 0.0], [1.0], [2.0], 0, 3.0, 10.0))
+    @example(([0.0, 4.0, 9.0, 9.5], [math.inf] * 4, [math.inf] * 3,
+              [math.inf] * 3, 1, 6.0, 50.0))
+    @example(([0.0, 1.0, 3.0, 6.0], [0.0] * 4, [0.5, -0.25, 2.0],
+              [1.0, 0.0, math.inf], 2, 100.0, 20.0))
+    @example(([0.0, 1.0, 2.0, 3.0, 4.0], [0.5, 2.0, 0.25, 0.0, 0.5],
+              [0.5, 0.25, 1.0, 0.0], [1.0, 0.5, math.inf, 2.0], 1, 3.0,
+              20.0))
     def test_rows_equal_the_slice_minimum(self, inputs):
-        # The closed-form rows for ub visits and the sliding window minimum
-        # must give every float of the slice-min build, bit for bit: the
-        # bound rows, and the single-stop and pair bounds the search sums
-        # from the after rows.
-        prefix, inc1, inc2, lb, span, scale = inputs
+        # The windows must be those of a scan of every index, and the
+        # closed-form rows for ub visits and the sliding window minimum must
+        # give every float of the slice-min build over them, bit for bit:
+        # the bound rows, and the single-stop and pair bounds the search
+        # sums from the after rows.
+        prefix, near, inc1, inc2, lb, span, scale = inputs
         ub = lb + 1
         margin = bound_margin(ub, scale)
-        bound_rows, after_rows = _route_bounds(prefix, inc1, inc2, lb, ub,
-                                               span, margin)
+        tops = _reach_tops(prefix, near, span, scale)
+        assert tops == reach_tops_reference(prefix, near, span, scale)
+        bound_rows, after_rows = _route_bounds(inc1, inc2, tops, lb, ub,
+                                               margin)
         want_bounds, want_singles, want_pairs = route_bounds_reference(
-            prefix, inc1, inc2, lb, ub, span, scale)
+            prefix, near, inc1, inc2, lb, ub, span, scale)
         assert float_bits(bound_rows) == float_bits(want_bounds)
         for v in range(ub + 1):
             got = stop_bounds(inc1, inc2, after_rows, v, margin)
@@ -935,7 +955,8 @@ class TestIncrements:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.data())
     def test_array_build_keeps_every_bit(self, data):
-        # _increments builds inc1, inc2 and leg_maxes as numpy arrays over
+        # _increments builds inc1, inc2, leg_maxes and near as numpy arrays
+        # over
         # the stops the search can take; each value must carry the bits of
         # the gap-by-gap minimum over _gap_singles' and _gap_pairs' lists.
         rows, directs, hops, pair_hops, rate, full = increment_inputs(data)
@@ -951,7 +972,7 @@ class TestIncrements:
         # search forms it from a detour of 0.0, and inf only where it can
         # take none.
         rows, directs, hops, pair_hops, rate, full = increment_inputs(data)
-        inc1, inc2, _ = _increments(rows, directs, pair_hops, rate, full)
+        inc1, inc2, *_ = _increments(rows, directs, pair_hops, rate, full)
         stations = range(len(rows[0]))
         for g, direct in enumerate(directs):
             singles = [0.0 + a + b - direct for _, a, _, b, _ in _gap_singles(
@@ -985,9 +1006,9 @@ class TestIncrements:
         got = _increments(rows, directs, pair_hops, 1.0, full)
         want = increments_reference(rows, directs, hops, 1.0, full)
         assert float_bits(got) == float_bits(want)
-        inc1, inc2, _ = got
+        inc1, inc2, _, near = got
         if (3, 4) in stations:
-            assert 0.0 in rows[1]
+            assert 0.0 in rows[1] and near[1] == 0.0
         if not stations:
             assert inc1 == inc2 == [math.inf] * 3
         if full == 5.0:
@@ -1005,8 +1026,8 @@ class TestIncrements:
         for d in directs:
             prefix.append(prefix[-1] + d)
         margin = bound_margin(ub, 100.0)
-        _, after_rows = _route_bounds(prefix, inc1, inc2, ub - 1, ub, full,
-                                      margin)
+        tops = _reach_tops(prefix, near, full, 100.0)
+        _, after_rows = _route_bounds(inc1, inc2, tops, ub - 1, ub, margin)
         if ub == 1:
             assert inc2 != [math.inf] * 3
             assert all(x == math.inf for v in range(ub + 1)
@@ -1015,31 +1036,61 @@ class TestIncrements:
 
 
 class TestReachWindow:
-    def test_window_covers_every_node_the_charge_reaches(self):
-        # A battery equal to the route's own consumption, give or take an
-        # ulp, sits where the gap-by-gap charge and the prefix sums round
-        # apart: the slack must keep every node the search reaches inside
-        # the window of stops the bound looks at.
+    def test_window_holds_every_next_stop_the_search_takes(self):
+        # After every stop the search can take, its own battery steps decide
+        # where the next one can be: onward = full - rate * b, then c -=
+        # rate * d per gap, then the stop test c - ra >= 0.  Every gap where
+        # a next stop passes, and the end when the charge gets there, must
+        # lie below the window's top.  A battery of exactly the consumption
+        # of one stretch between nearest-station legs, give or take an ulp,
+        # sits where those steps and the window's sums round apart; on_edge
+        # counts the stops that only the slack keeps inside.
         rng = random.Random("reach")
         on_edge = 0
-        for _ in range(2000):
-            points = [(0, 0)] + [(rng.randrange(-9, 10), rng.randrange(-9, 10))
-                                 for _ in range(3)]
+        for _ in range(1500):
+            def point():
+                return rng.randrange(-9, 10), rng.randrange(-9, 10)
+            customers = [point() for _ in range(rng.randrange(2, 6))]
+            stations = [point() for _ in range(rng.randrange(1, 4))]
+            if rng.random() < 0.5:
+                stations[0] = rng.choice(customers)
+            points = [(0, 0), *customers, (0, 0)]
+            n = len(points) - 1
             directs = [math.dist(p, q) for p, q in zip(points, points[1:])]
+            rows = [[math.dist(p, s) for s in stations] for p in points]
+            near = [min(row) for row in rows]
             rate = rng.choice([0.5, 0.7, 1.0, 1.2, 1.5])
             prefix = [0.0]
             for d in directs:
                 prefix.append(prefix[-1] + d)
-            need = prefix[-1] * rate
+            k = rng.randrange(1, n + 1)
+            j = rng.randrange(k, n + 1)
+            need = rate * (near[k] + (prefix[j] - prefix[k])
+                           + (near[j] if j < n else 0.0))
             full = rng.choice([need, math.nextafter(need, 0.0),
                                math.nextafter(need, math.inf)])
-            top = _full_reach(prefix, full / rate)[0]
-            # the search's own battery walk from the depot, no stops
-            charge, reached = full, 0
-            while reached < len(directs) and \
-                    charge - rate * directs[reached] >= 0.0:
-                charge -= rate * directs[reached]
-                reached += 1
-            assert reached < top
-            on_edge += reached >= bisect_right(prefix, full / rate)
+            if full <= 0.0:
+                continue
+            span = full / rate
+            # the least scale solve_exhaustive passes: one visit, no hop
+            scale = prefix[-1] + 2.0 * max(map(max, rows))
+            tops = _reach_tops(prefix, near, span, scale)
+            for k in range(1, n + 1):
+                bare = prefix[k] - near[k] + span
+                for b in rows[k]:
+                    c = full - rate * b
+                    if c < 0.0:
+                        continue
+                    g = k
+                    while g < n:
+                        if any(c - rate * a >= 0.0 for a in rows[g]):
+                            assert g < tops[k], (k, g)
+                            on_edge += prefix[g] + near[g] > bare
+                        c -= rate * directs[g]
+                        if c < 0.0:
+                            break
+                        g += 1
+                    else:
+                        assert n < tops[k], k
+                        on_edge += prefix[n] > bare
         assert on_edge >= 20

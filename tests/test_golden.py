@@ -59,6 +59,11 @@ REFINE_GOLDEN = {
     9: None,
 }
 
+# SHA-256 of solve_exhaustive's results on the benchmark's 314 catalogue
+# plans (test_bench_refine_plans_keep_every_output_bit)
+CATALOGUE_GOLDEN = (
+    "69fda0882ba6ad4b713ff14263929278802b68ca12ed7bb002f32b837857b27e")
+
 # SHA-256 of `ecvrp oracle` stdout per instance
 ORACLE_GOLDEN = {
     "tiny3": "c93f02652491d91a68e889d960dcf358f844641edbec4a042459277cd02847d1",
@@ -271,28 +276,53 @@ def bench_workloads():
     return module
 
 
-def test_bench_refine_plans_reach_their_stored_optima():
-    # every plan the benchmark refines, through the library: the refined F
-    # must be the stored exact optimum, or the plan infeasible where that
-    # is null
+@pytest.fixture(scope="module")
+def catalogue_refined():
+    """solve_exhaustive on every plan the benchmark refines, as (instance
+    key, plan key, routes, oracle, result) in catalogue order."""
     workloads = bench_workloads()
-    expected = workloads.load_expected()
-    checked = infeasible = 0
+    out = []
     for key, make in workloads.INSTANCES.items():
         inst = make()
         oracle = DistanceOracle.for_instance(inst)
-        catalogue = workloads.plan_catalogue(inst)
-        assert {plan_key for plan_key, _ in catalogue} == set(expected[key])
-        for plan_key, routes in catalogue:
-            optimum = expected[key][plan_key]
-            result = solve_exhaustive(routes, inst, oracle)
-            assert result.feasible == (optimum is not None), plan_key
-            if result.feasible:
-                cost = total_cost(routes, result.plan.slots, oracle)[0]
-                assert abs(cost - optimum) <= 1e-6, (key, plan_key)
-            infeasible += not result.feasible
-            checked += 1
-    assert checked == 314 and infeasible == 12
+        for plan_key, routes in workloads.plan_catalogue(inst):
+            out.append((key, plan_key, routes, oracle,
+                        solve_exhaustive(routes, inst, oracle)))
+    return out
+
+
+def test_bench_refine_plans_reach_their_stored_optima(catalogue_refined):
+    # every plan the benchmark refines, through the library: the refined F
+    # must be the stored exact optimum, or the plan infeasible where that
+    # is null
+    expected = bench_workloads().load_expected()
+    for key in expected:
+        assert {plan_key for k, plan_key, *_ in catalogue_refined
+                if k == key} == set(expected[key])
+    infeasible = 0
+    for key, plan_key, routes, oracle, result in catalogue_refined:
+        optimum = expected[key][plan_key]
+        assert result.feasible == (optimum is not None), plan_key
+        if result.feasible:
+            cost = total_cost(routes, result.plan.slots, oracle)[0]
+            assert abs(cost - optimum) <= 1e-6, (key, plan_key)
+        infeasible += not result.feasible
+    assert len(catalogue_refined) == 314 and infeasible == 12
+
+
+def test_bench_refine_plans_keep_every_output_bit(catalogue_refined):
+    # the follower's whole result on every catalogue plan, detour and
+    # surrogate to the bit: a change to its bounds may move how much it
+    # searches, never what it returns
+    lines = []
+    for key, plan_key, _, _, result in catalogue_refined:
+        slots = result.plan.slots if result.feasible else None
+        detour = result.detour_cost.hex() if result.feasible else None
+        lines.append(f"{key} {plan_key} {result.feasible} {slots!r} {detour} "
+                     f"{result.surrogate.hex()} {result.enumeration_count} "
+                     f"{result.failed_route}\n")
+    got = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert got == CATALOGUE_GOLDEN
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GOLDEN))
