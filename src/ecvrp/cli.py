@@ -11,6 +11,10 @@ main is the one error boundary: an input error ends a command with one
 `error:` line on stderr, and exit 2 when the command could not use its
 input as given (validate's or refine's files, an empty refine --out or
 ECVRP_THREADS), exit 1 for anything else.
+
+A command imports only what it runs: `statistics` loads with solve's
+report and `concurrent.futures` with its worker pool, so refine and
+validate load neither.
 """
 
 from __future__ import annotations
@@ -18,10 +22,8 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -105,10 +107,14 @@ class RunReport:
 
     @property
     def mean(self) -> float:
+        import statistics
+
         return statistics.fmean(r.best_cost for r in self.results)
 
     @property
     def std(self) -> float:
+        import statistics
+
         values = [r.best_cost for r in self.results]
         return statistics.stdev(values) if len(values) > 1 else 0.0
 
@@ -196,6 +202,8 @@ def run_config(inst: InstanceSpec, config: RunConfig,
                workers: int = 1) -> RunReport:
     jobs = [(inst, config, seed) for seed in config.seeds]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_solve_one_seed_star, jobs))
     else:

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Context
-from fractions import Fraction
 
 from .instance import DistanceOracle, InstanceSpec
 
@@ -124,6 +122,10 @@ def _capacity_detail(v: int, route, inst: InstanceSpec) -> str:
     """Why route v exceeds the cargo capacity, in file units: its float
     load where exact, else the capacity plus the exact excess to 17
     digits, as a float sum may round to the capacity or overflow."""
+    # imported here: this error path is their only user
+    from decimal import Context
+    from fractions import Fraction
+
     cap = inst.cargo_capacity
     demands = [inst.demands[c] for c in route]
     load = sum(map(Fraction, demands))

@@ -1,6 +1,20 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import ecvrp
 from ecvrp.instance import DistanceOracle, EvaluationBudget, InstanceSpec
+
+
+def fresh_env() -> dict:
+    """The environment for a fresh interpreter that imports this
+    checkout's ecvrp first."""
+    env = dict(os.environ)
+    src = str(Path(ecvrp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        src, env.get("PYTHONPATH")]))
+    return env
 
 
 def make_instance(customers, stations, *, demands=None, capacity=100.0,

@@ -1,5 +1,7 @@
 import gc
 import math
+import subprocess
+import sys
 import time
 
 import pytest
@@ -10,6 +12,7 @@ from ecvrp.instance import serialize_instance
 from ecvrp.search import PARAM_MAX
 from conftest import (
     alternating_stops_instance,
+    fresh_env,
     long_route_instance,
     make_instance,
     midpoint_line_instance,
@@ -373,6 +376,38 @@ class TestOneParser:
                             lambda args: seen.append(args.solution) or 7)
         assert main(refine_argv) == 7
         assert seen == [refine_argv[2]]
+
+
+class TestEntryPoint:
+    def test_module_run_matches_main(self, tiny_file, tmp_path, capsys):
+        # the command as a fresh process: its exit code, stdout and output
+        # file are those of an in-process main call
+        sol = tmp_path / "plan.sol"
+        sol.write_text("0,1,2,0\n0,3,0\n")
+        out = tmp_path / "refined.sol"
+
+        def take_output():
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            return written
+
+        seen = []
+        for argv in (["refine", str(tiny_file), str(sol), "--out", str(out)],
+                     ["--version"]):
+            try:
+                code = main(argv)
+            except SystemExit as stop:
+                code = stop.code
+            in_process = (code, capsys.readouterr().out, take_output())
+            done = subprocess.run(
+                [sys.executable, "-m", "ecvrp.cli", *argv], env=fresh_env(),
+                capture_output=True, text=True, timeout=120)
+            assert done.stderr == ""
+            assert (done.returncode, done.stdout, take_output()) == in_process
+            seen.append(in_process)
+        (refine_code, _, refined), version = seen
+        assert refine_code == 0 and refined.startswith(b"# ecvrp")
+        assert version == (0, f"ecvrp {cli.__version__}\n", None)
 
 
 class TestFleetBound:
