@@ -7,14 +7,17 @@ ECVRP_THREADS caps how many seeds run as parallel worker processes
 (default 1, sequential); the pool never exceeds the number of seeds or
 of CPUs.
 
-main is the one error boundary: an input error ends a command with one
+main is the one error boundary: an input error (any ValueError or
+OSError, the search's SearchError among them) ends a command with one
 `error:` line on stderr, and exit 2 when the command could not use its
-input as given (validate's or refine's files, an empty refine --out or
-ECVRP_THREADS), exit 1 for anything else.
+input as given (validate's or refine's files, refine's plan failing the
+partition or capacity check, an empty refine --out or ECVRP_THREADS),
+exit 1 for anything else.
 
-A command imports only what it runs: `statistics` loads with solve's
-report and `concurrent.futures` with its worker pool, so refine and
-validate load neither.
+A command imports only what it runs: solve loads the search and
+`statistics` for its report, and `concurrent.futures` with its worker
+pool; analyze and oracle load the analysis (and so the search).  validate
+and refine load none of these.
 """
 
 from __future__ import annotations
@@ -24,32 +27,12 @@ import functools
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .analysis import (
-    brute_force_optimum,
-    collect_pairs,
-    correlation_report_row,
-    pairs_to_csv,
-)
 from .charging import solve_exhaustive, visits_lower_bound
-from .instance import (
-    EvaluationBudget,
-    DistanceOracle,
-    InstanceSpec,
-    load_instance,
-    max_evals_budget,
-    time_budget,
-)
-from .search import (
-    PARAM_MAX,
-    AblationToggles,
-    SearchError,
-    SearchParams,
-    run_blahc,
-)
+from .instance import DistanceOracle, load_instance, max_evals_budget, time_budget
 from .solution import (
     battery_feasible,
     check_upper_feasible,
@@ -62,74 +45,25 @@ from .solution import (
     total_cost,
 )
 
+# solve's and analyze's search flags, each stored under the SearchParams
+# field it sets; a flag not given stores nothing, so SearchParams supplies
+# the default
+SEARCH_FLAGS = (("--lh", "history_length", int),
+                ("--eta-max", "max_attempts", int),
+                ("--gamma", "follower_threshold", float),
+                ("--alpha-lb", "alpha_lb", float),
+                ("--alpha-ub", "alpha_ub", float))
+
 
 class UnusableInput(ValueError):
     """The command cannot use its input as given; main exits 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    instance_path: str
-    stop: str = "evals"               # "evals" | "time"
-    omega: float = 1.0
-    seeds: tuple[int, ...] = (1,)
-    params: SearchParams = field(default_factory=SearchParams)
-    toggles: AblationToggles = field(default_factory=AblationToggles)
-    out_dir: str = "runs"
-    trace_level: str = "phase"
-
-    def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
-        if self.stop not in ("evals", "time"):
-            raise ValueError("stop criterion must be 'evals' or 'time'")
-
-
-@dataclass(frozen=True)
-class SeedResult:
-    seed: int
-    best_cost: float
-    runtime: float
-    arc_accesses: int
-    restarts: int
-    solution_text: str
-    trace_text: str
-
-
-@dataclass(frozen=True)
-class RunReport:
-    instance: str
-    results: tuple[SeedResult, ...]
-
-    @property
-    def best(self) -> float:
-        return min(r.best_cost for r in self.results)
-
-    @property
-    def mean(self) -> float:
-        import statistics
-
-        return statistics.fmean(r.best_cost for r in self.results)
-
-    @property
-    def std(self) -> float:
-        import statistics
-
-        values = [r.best_cost for r in self.results]
-        return statistics.stdev(values) if len(values) > 1 else 0.0
-
-    def to_csv(self) -> str:
-        lines = ["seed,best_F,runtime_s,arc_accesses,restarts"]
-        for r in self.results:
-            lines.append(f"{r.seed},{r.best_cost:.2f},{r.runtime:.2f},"
-                         f"{r.arc_accesses},{r.restarts}")
-        lines.append(f"aggregate,best={self.best:.2f},mean={self.mean:.2f},"
-                     f"std={self.std:.2f},")
-        return "\n".join(lines) + "\n"
-
-
 def parse_seeds(spec: str) -> tuple[int, ...]:
-    """The seeds of a..b or of a comma list, at most PARAM_MAX of them."""
+    """The seeds of a..b or of a comma list, at least one and at most
+    PARAM_MAX of them."""
+    from .search import PARAM_MAX
+
     try:
         if ".." in spec:
             lo, hi = spec.split("..", 1)
@@ -139,6 +73,8 @@ def parse_seeds(spec: str) -> tuple[int, ...]:
     except ValueError:
         raise ValueError(f"--seeds {spec!r}: expected a..b or a comma list "
                          "of integers") from None
+    if not seeds:
+        raise ValueError("at least one seed is required")
     # a range slices from its bounds, so a huge one is never expanded
     if seeds[PARAM_MAX:]:
         raise ValueError(f"--seeds {spec!r}: names more than {PARAM_MAX} "
@@ -146,40 +82,47 @@ def parse_seeds(spec: str) -> tuple[int, ...]:
     return tuple(seeds)
 
 
-def _make_budget(inst: InstanceSpec, config: RunConfig) -> EvaluationBudget:
-    if config.stop == "evals":
+def _params(args):
+    """The SearchParams of the search flags given, checked before any
+    file is read."""
+    from .search import SearchParams
+
+    return SearchParams(**{field: getattr(args, field)
+                           for _, field, _ in SEARCH_FLAGS if field in args})
+
+
+def _budget(inst, args):
+    if args.stop == "evals":
         return max_evals_budget(inst)
-    return time_budget(inst, config.omega)
+    return time_budget(inst, args.omega)
 
 
-def _solve_one_seed(inst: InstanceSpec, config: RunConfig, seed: int) -> SeedResult:
-    params = replace(config.params, seed=seed)
-    budget = _make_budget(inst, config)
+def _solve_seed(job):
+    """One seed of solve: job is solve's flags plus the instance and that
+    seed's params.  Returns its report row (seed, F, seconds, arcs,
+    restarts) and the texts of its .sol and .trace.csv files."""
+    from .search import AblationToggles, run_blahc
+
+    params = job.params
+    toggles = AblationToggles(no_greedy_descent=job.no_g,
+                              no_final_refinement=job.no_f,
+                              gamma_zero=job.gamma_zero, no_m8=job.no_m8)
+    budget = _budget(job.inst, job)
     start = time.perf_counter()
-    solution, trace = run_blahc(inst, params, budget, toggles=config.toggles,
-                                trace_level=config.trace_level)
+    solution, trace = run_blahc(job.inst, params, budget, toggles=toggles,
+                                trace_level=job.trace_level)
     runtime = time.perf_counter() - start
     header = [
-        f"ecvrp {__version__} instance={inst.name} seed={seed}",
-        f"stop={config.stop} omega={config.omega} "
+        f"ecvrp {__version__} instance={job.inst.name} seed={params.seed}",
+        f"stop={job.stop} omega={job.omega} "
         f"lh={params.history_length} eta_max={params.max_attempts} "
         f"gamma={params.follower_threshold} "
         f"alpha=[{params.alpha_lb},{params.alpha_ub}] "
-        f"toggles={config.toggles}",
+        f"toggles={toggles}",
     ]
-    return SeedResult(
-        seed=seed,
-        best_cost=solution.total_cost,
-        runtime=runtime,
-        arc_accesses=budget.arc_access_count,
-        restarts=len(trace.events("restart")),
-        solution_text=format_solution(solution, header),
-        trace_text=trace.to_csv(),
-    )
-
-
-def _solve_one_seed_star(args):
-    return _solve_one_seed(*args)
+    row = (params.seed, solution.total_cost, runtime,
+           budget.arc_access_count, len(trace.events("restart")))
+    return row, format_solution(solution, header), trace.to_csv()
 
 
 def worker_count(raw: str | None, n_jobs: int) -> int:
@@ -198,58 +141,47 @@ def worker_count(raw: str | None, n_jobs: int) -> int:
     return min(requested, n_jobs, os.cpu_count() or 1)
 
 
-def run_config(inst: InstanceSpec, config: RunConfig,
-               workers: int = 1) -> RunReport:
-    jobs = [(inst, config, seed) for seed in config.seeds]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_solve_one_seed_star, jobs))
-    else:
-        results = [_solve_one_seed(*job) for job in jobs]
-    return RunReport(instance=inst.name, results=tuple(results))
-
-
-def write_report(report: RunReport, config: RunConfig) -> Path:
-    """Write the per-seed files and the report into config.out_dir, which
-    must exist."""
-    out = Path(config.out_dir)
-    stem = Path(config.instance_path).stem
-    for r in report.results:
-        (out / f"{stem}_seed{r.seed}.sol").write_text(r.solution_text)
-        (out / f"{stem}_seed{r.seed}.trace.csv").write_text(r.trace_text)
-    report_path = out / f"{stem}_report.csv"
-    report_path.write_text(report.to_csv())
-    return report_path
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
-    config = replace(
-        _config_from_args(args),
-        toggles=AblationToggles(
-            no_greedy_descent=args.no_g,
-            no_final_refinement=args.no_f,
-            gamma_zero=args.gamma_zero,
-            no_m8=args.no_m8,
-        ),
-        trace_level=args.trace_level)
-    workers = worker_count(os.environ.get("ECVRP_THREADS"), len(config.seeds))
-    inst = load_instance(config.instance_path)
+    import statistics
+
+    params = _params(args)
+    seeds = parse_seeds(args.seeds)
+    workers = worker_count(os.environ.get("ECVRP_THREADS"), len(seeds))
+    inst = load_instance(args.instance)
+    out = Path(args.out)
     # a bad --out fails here, not after the search
-    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-    report = run_config(inst, config, workers)
-    path = write_report(report, config)
-    for r in report.results:
-        print(f"seed {r.seed}: F={r.best_cost:.2f} arcs={r.arc_accesses} "
-              f"restarts={r.restarts} time={r.runtime:.1f}s")
-    print(f"best {report.best:.2f} mean {report.mean:.2f} "
-          f"std {report.std:.2f}")
-    print(f"report: {path}")
+    out.mkdir(parents=True, exist_ok=True)
+    jobs = (argparse.Namespace(**vars(args), inst=inst,
+                               params=replace(params, seed=seed))
+            for seed in seeds)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_solve_seed, jobs))
+    else:
+        results = [_solve_seed(job) for job in jobs]
+    stem = Path(args.instance).stem
+    report = ["seed,best_F,runtime_s,arc_accesses,restarts"]
+    for (seed, cost, runtime, arcs, restarts), sol, trace in results:
+        (out / f"{stem}_seed{seed}.sol").write_text(sol)
+        (out / f"{stem}_seed{seed}.trace.csv").write_text(trace)
+        report.append(f"{seed},{cost:.2f},{runtime:.2f},{arcs},{restarts}")
+    costs = [row[1] for row, _, _ in results]
+    best, mean = min(costs), statistics.fmean(costs)
+    std = statistics.stdev(costs) if len(costs) > 1 else 0.0
+    report.append(f"aggregate,best={best:.2f},mean={mean:.2f},std={std:.2f},")
+    report_path = out / f"{stem}_report.csv"
+    report_path.write_text("\n".join(report) + "\n")
+    for (seed, cost, runtime, arcs, restarts), _, _ in results:
+        print(f"seed {seed}: F={cost:.2f} arcs={arcs} "
+              f"restarts={restarts} time={runtime:.1f}s")
+    print(f"best {best:.2f} mean {mean:.2f} std {std:.2f}")
+    print(f"report: {report_path}")
     return 0
 
 
@@ -306,7 +238,7 @@ def cmd_refine(args) -> int:
     oracle = DistanceOracle.for_instance(inst)
     verdict = check_upper_feasible(plan, inst)
     if not verdict:
-        raise ValueError(f"routing plan invalid: {verdict.violation}")
+        raise UnusableInput(f"{verdict.violation}: {verdict.detail}")
     old_total, old_detour, _ = total_cost(plan, slot_lists, oracle)
     result = solve_exhaustive(plan, inst, oracle)
     if not result.feasible:
@@ -326,18 +258,20 @@ def cmd_refine(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .analysis import collect_pairs, correlation_report_row, pairs_to_csv
+
     header = "instance,n_samples,tau_b,recall_1,recall_5,recall_10,recall_20"
-    config = _config_from_args(args)
-    if len(config.seeds) > 1:
+    params = _params(args)
+    seeds = parse_seeds(args.seeds)
+    if len(seeds) > 1:
         raise ValueError(f"analyze runs one seed, --seeds {args.seeds!r} "
-                         f"names {len(config.seeds)}")
-    inst = load_instance(config.instance_path)
-    budget = _make_budget(inst, config)
-    out = Path(config.out_dir)
+                         f"names {len(seeds)}")
+    inst = load_instance(args.instance)
+    budget = _budget(inst, args)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    pairs, _ = collect_pairs(
-        inst, replace(config.params, seed=config.seeds[0]), budget)
-    stem = Path(config.instance_path).stem
+    pairs, _ = collect_pairs(inst, replace(params, seed=seeds[0]), budget)
+    stem = Path(args.instance).stem
     (out / f"{stem}_pairs.csv").write_text(pairs_to_csv(pairs))
     row = correlation_report_row(inst.name, pairs)
     line = ",".join(str(row[k]) for k in header.split(","))
@@ -348,6 +282,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .analysis import brute_force_optimum
+
     solution = brute_force_optimum(load_instance(args.instance))
     print(format_solution(solution, [f"ecvrp {__version__} exact oracle"]),
           end="")
@@ -363,12 +299,9 @@ def _add_run_options(sub):
     sub.add_argument("instance")
     sub.add_argument("--stop", choices=("evals", "time"), default="evals")
     sub.add_argument("--omega", type=float, default=1.0)
-    sub.add_argument("--lh", type=int, default=SearchParams.history_length)
-    sub.add_argument("--eta-max", type=int, default=SearchParams.max_attempts)
-    sub.add_argument("--gamma", type=float,
-                     default=SearchParams.follower_threshold)
-    sub.add_argument("--alpha-lb", type=float, default=SearchParams.alpha_lb)
-    sub.add_argument("--alpha-ub", type=float, default=SearchParams.alpha_ub)
+    for flag, field, kind in SEARCH_FLAGS:
+        sub.add_argument(flag, dest=field, type=kind, default=argparse.SUPPRESS,
+                         metavar=flag[2:].upper().replace("-", "_"))
     sub.add_argument("--seeds", default="1")
     sub.add_argument("--out", default="runs")
 
@@ -384,26 +317,6 @@ def _add_solve_options(sub):
                      help="never trigger the follower during search")
     sub.add_argument("--no-m8", action="store_true",
                      help="drop the route-creating operator from exploration")
-
-
-def _config_from_args(args) -> RunConfig:
-    """The run options of _add_run_options; toggles and trace level keep
-    their defaults."""
-    params = SearchParams(
-        history_length=args.lh,
-        max_attempts=args.eta_max,
-        follower_threshold=args.gamma,
-        alpha_lb=args.alpha_lb,
-        alpha_ub=args.alpha_ub,
-    )
-    return RunConfig(
-        instance_path=args.instance,
-        stop=args.stop,
-        omega=args.omega,
-        seeds=parse_seeds(args.seeds),
-        params=params,
-        out_dir=args.out,
-    )
 
 
 @functools.cache
@@ -446,7 +359,7 @@ def main(argv=None) -> int:
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except (ValueError, OSError, SearchError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UnusableInput) else 1
 

@@ -68,8 +68,8 @@ def memo_cap(inst: InstanceSpec) -> int:
     return max(MEMO_FLOOR, 8 * inst.num_customers * inst.route_slots)
 
 
-class SearchError(RuntimeError):
-    pass
+class SearchError(ValueError):
+    """The instance as given has no solution the search can return."""
 
 
 class InstanceInfeasible(SearchError):

@@ -110,6 +110,8 @@ class TestSolve:
 
     def test_parallel_workers_match_sequential(self, tiny_file, tmp_path,
                                                monkeypatch):
+        # two CPUs, so the pool runs on any machine
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         out1 = tmp_path / "seq"
         run_cli("solve", tiny_file, "--seeds", "1..2", "--lh", "50",
                 "--eta-max", "10", "--out", out1)
@@ -269,7 +271,7 @@ class TestCliErrors:
         sol = tmp_path / "plan.sol"
         sol.write_text("0,1,2,0\n0,3,0\n")
         # solve must fail before it searches
-        monkeypatch.setattr(cli, "run_config",
+        monkeypatch.setattr(cli, "_solve_seed",
                             lambda *a: pytest.fail("searched"))
         args = [sol] if command == "refine" else ["--lh", "50"]
         assert run_cli(command, tiny_file, *args,
@@ -289,9 +291,9 @@ class TestCliErrors:
     def test_huge_history_or_attempt_cap(self, tiny_file, tmp_path, capsys,
                                          monkeypatch, command, flag):
         # rejected before the history list is allocated
-        monkeypatch.setattr(cli, "run_config",
+        monkeypatch.setattr(cli, "_solve_seed",
                             lambda *a: pytest.fail("searched"))
-        monkeypatch.setattr(cli, "collect_pairs",
+        monkeypatch.setattr("ecvrp.analysis.collect_pairs",
                             lambda *a: pytest.fail("searched"))
         assert run_cli(command, tiny_file, flag, "1000000000",
                        "--out", tmp_path / "runs") == 1
@@ -305,9 +307,9 @@ class TestCliErrors:
                                          monkeypatch, command, flag, value):
         # --gamma nan ran silently and never called the follower after
         # descent; rejected before any search
-        monkeypatch.setattr(cli, "run_config",
+        monkeypatch.setattr(cli, "_solve_seed",
                             lambda *a: pytest.fail("searched"))
-        monkeypatch.setattr(cli, "collect_pairs",
+        monkeypatch.setattr("ecvrp.analysis.collect_pairs",
                             lambda *a: pytest.fail("searched"))
         assert run_cli(command, tiny_file, flag, value,
                        "--out", tmp_path / "runs") == 1
@@ -611,6 +613,18 @@ class TestRefine:
         assert run_cli("refine", inst_path, plan) == 1
         assert plan.read_text() == text
 
+    def test_invalid_plan_is_unusable_input(self, tiny_file, tmp_path,
+                                            capsys):
+        # a plan that fails the partition check is an input refine cannot
+        # use: exit 2, with the verdict's detail
+        plan = tmp_path / "plan.sol"
+        plan.write_text("0,1,0\n0,2,0\n")
+        assert run_cli("refine", tiny_file, plan,
+                       "--out", tmp_path / "r.sol") == 2
+        assert one_error_line(capsys) == (
+            "error: MissingCustomer: customers [3] are not served\n")
+        assert not (tmp_path / "r.sol").exists()
+
     def test_refined_cost_never_higher(self, tiny_file, tmp_path, capsys):
         out = tmp_path / "runs"
         run_cli("solve", tiny_file, "--seeds", "1", "--lh", "50",
@@ -658,7 +672,7 @@ class TestAnalyzeAndOracle:
 
     def test_analyze_rejects_several_seeds(self, tiny_file, tmp_path,
                                            capsys, monkeypatch):
-        monkeypatch.setattr(cli, "collect_pairs",
+        monkeypatch.setattr("ecvrp.analysis.collect_pairs",
                             lambda *a: pytest.fail("searched"))
         assert run_cli("analyze", tiny_file, "--seeds", "1..5",
                        "--out", tmp_path / "out") == 1

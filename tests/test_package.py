@@ -102,6 +102,8 @@ class TestImportFootprint:
         assert result["same"]
 
     def test_refine_imports_no_pool_or_statistics(self, tmp_path):
+        # nor the search or the analysis, which only solve, analyze and
+        # oracle run; validate neither
         inst = make_instance(customers=[(30, 0), (0, 40), (-25, -25)],
                              stations=[(20, 20)], demands=[2, 1, 2],
                              capacity=4, battery=120, fleet=2)
@@ -109,13 +111,16 @@ class TestImportFootprint:
         path.write_text(serialize_instance(inst))
         plan = tmp_path / "plan.sol"
         plan.write_text("0,1,2,0\n0,3,0\n")
-        result = _fresh_process(
-            "import contextlib, io, json, sys\n"
-            "from ecvrp import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = cli.main(['refine', *sys.argv[1:]])\n"
-            "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n",
-            path, plan, "--out", tmp_path / "refined.sol")
-        assert result["code"] == 0
-        for name in ("concurrent.futures.process", "statistics"):
-            assert name not in result["modules"]
+        for argv in (["refine", path, plan, "--out", tmp_path / "refined.sol"],
+                     ["validate", path, tmp_path / "refined.sol"]):
+            result = _fresh_process(
+                "import contextlib, io, json, sys\n"
+                "from ecvrp import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    code = cli.main(sys.argv[1:])\n"
+                "print(json.dumps({'code': code,"
+                " 'modules': sorted(sys.modules)}))\n", *argv)
+            assert result["code"] == 0, argv[0]
+            for name in ("concurrent.futures.process", "statistics",
+                         "ecvrp.search", "ecvrp.analysis"):
+                assert name not in result["modules"], (argv[0], name)
