@@ -18,7 +18,7 @@ _EXPORTS = {
         "max_evals_budget", "max_time_budget", "parse_instance",
     ), "instance"),
     **dict.fromkeys((
-        "ChargingPlan", "CompleteSolution", "RoutingPlan", "battery_feasible",
+        "CompleteSolution", "RoutingPlan", "battery_feasible",
         "check_upper_feasible", "evaluate_solution", "expand_route",
         "surrogate_cost", "total_cost",
     ), "solution"),

@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 from .charging import solve_exhaustive
 from .instance import DistanceOracle, EvaluationBudget, InstanceSpec
-from .solution import ChargingPlan, CompleteSolution, RoutingPlan
-from .search import InstanceInfeasible, SearchParams, SearchTrace, run_blahc
+from .solution import CompleteSolution, RoutingPlan
+from .search import InstanceInfeasible, SearchParams, run_blahc
 
 BRUTE_FORCE_MAX_CUSTOMERS = 8
 BRUTE_FORCE_MAX_STATIONS = 3
@@ -58,7 +58,7 @@ def _best_route_over_orderings(block, inst, oracle):
             continue
         total = result.surrogate + result.detour_cost
         if best is None or total < best[0]:
-            best = (total, order, result.plan.slots[0],
+            best = (total, order, result.plan[0],
                     result.detour_cost, result.surrogate)
     return best
 
@@ -76,8 +76,7 @@ def _partitions_upto(items, max_blocks):
             yield partial + [(first,)]
 
 
-def brute_force_optimum(inst: InstanceSpec,
-                        oracle: DistanceOracle | None = None) -> CompleteSolution:
+def brute_force_optimum(inst: InstanceSpec) -> CompleteSolution:
     """Globally optimal complete solution of a tiny instance.
 
     Guarded to 8 customers and 3 stations; raises InstanceTooLarge beyond
@@ -90,7 +89,7 @@ def brute_force_optimum(inst: InstanceSpec,
     if inst.num_stations > BRUTE_FORCE_MAX_STATIONS:
         raise InstanceTooLarge(
             f"{inst.num_stations} stations > {BRUTE_FORCE_MAX_STATIONS}")
-    oracle = oracle or DistanceOracle.for_instance(inst)
+    oracle = DistanceOracle.for_instance(inst)
 
     cache: dict[frozenset, tuple | None] = {}
 
@@ -127,7 +126,7 @@ def brute_force_optimum(inst: InstanceSpec,
     surrogate = sum(entry[4] for entry in best_blocks)
     return CompleteSolution(
         routing=RoutingPlan.from_lists(entry[1] for entry in best_blocks),
-        charging=ChargingPlan(tuple(entry[2] for entry in best_blocks)),
+        charging=tuple(entry[2] for entry in best_blocks),
         total_cost=best_total,
         detour_cost=detour,
         surrogate=surrogate,
@@ -233,8 +232,7 @@ def canonical_plan_key(routes) -> tuple:
 
 
 def collect_pairs(inst: InstanceSpec, params: SearchParams,
-                  budget: EvaluationBudget
-                  ) -> tuple[list[SamplePair], SearchTrace]:
+                  budget: EvaluationBudget) -> list[SamplePair]:
     """Run the search and record one (phi, F) pair per unique routing plan
     for which the follower produced a feasible charging plan."""
     seen: set = set()
@@ -246,8 +244,8 @@ def collect_pairs(inst: InstanceSpec, params: SearchParams,
             seen.add(key)
             pairs.append(SamplePair(phi, full))
 
-    _, trace = run_blahc(inst, params, budget, hooks={"on_pair": on_pair})
-    return pairs, trace
+    run_blahc(inst, params, budget, hooks={"on_pair": on_pair})
+    return pairs
 
 
 def pairs_to_csv(pairs) -> str:

@@ -56,7 +56,7 @@ from operator import add
 import numpy as np
 
 from .instance import DistanceOracle, InstanceSpec
-from .solution import ChargingPlan, Slot, depot_walk
+from .solution import Slot, depot_walk
 
 
 # walks a route's search makes without a leaf before the reach pass decides
@@ -110,7 +110,8 @@ def visits_lower_bound(route_cost: float, inst: InstanceSpec) -> int:
 @dataclass(frozen=True)
 class ChargingQueryResult:
     feasible: bool
-    plan: ChargingPlan | None
+    # per route, one slot per gap (route len + 1); None when infeasible
+    plan: tuple[tuple[Slot, ...], ...] | None
     detour_cost: float | None
     # how many times solve_exhaustive's search replaced its best plan,
     # summed over routes; 0 from solve_se
@@ -118,9 +119,6 @@ class ChargingQueryResult:
     surrogate: float = 0.0   # direct route cost summed from the arcs read
     # index in routes of the route solve_exhaustive found no plan for
     failed_route: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.feasible
 
 
 def solve_se(routes, inst: InstanceSpec, oracle: DistanceOracle,
@@ -184,8 +182,8 @@ def solve_se(routes, inst: InstanceSpec, oracle: DistanceOracle,
     memo.update(priced)
     if not feasible:
         return ChargingQueryResult(False, None, None)
-    return ChargingQueryResult(True, ChargingPlan(tuple(slots_out)),
-                               detour_total, surrogate=surrogate_total)
+    return ChargingQueryResult(True, tuple(slots_out), detour_total,
+                               surrogate=surrogate_total)
 
 
 def _price_route(route: tuple, inst: InstanceSpec, matrix,
@@ -571,9 +569,8 @@ def solve_exhaustive(routes, inst: InstanceSpec,
         slots_out.append(tuple(assign))
         detour_total += best
 
-    return ChargingQueryResult(
-        True, ChargingPlan(tuple(slots_out)), detour_total, examined_total,
-        surrogate_total)
+    return ChargingQueryResult(True, tuple(slots_out), detour_total,
+                               examined_total, surrogate_total)
 
 
 def _increments(rows, directs, pair_hops, rate: float, full: float):

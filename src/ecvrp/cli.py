@@ -99,8 +99,9 @@ def _budget(inst, args):
 
 def _solve_seed(job):
     """One seed of solve: job is solve's flags plus the instance and that
-    seed's params.  Returns its report row (seed, F, seconds, arcs,
-    restarts) and the texts of its .sol and .trace.csv files."""
+    seed's params.  Writes the seed's .sol and .trace.csv files into
+    --out, so a later seed that raises keeps them, and returns its report
+    row (seed, F, seconds, arcs, restarts)."""
     from .search import AblationToggles, run_blahc
 
     params = job.params
@@ -120,9 +121,11 @@ def _solve_seed(job):
         f"alpha=[{params.alpha_lb},{params.alpha_ub}] "
         f"toggles={toggles}",
     ]
-    row = (params.seed, solution.total_cost, runtime,
-           budget.arc_access_count, len(trace.events("restart")))
-    return row, format_solution(solution, header), trace.to_csv()
+    base = f"{job.out}/{Path(job.instance).stem}_seed{params.seed}"
+    Path(f"{base}.sol").write_text(format_solution(solution, header))
+    Path(f"{base}.trace.csv").write_text(trace.to_csv())
+    return (params.seed, solution.total_cost, runtime,
+            budget.arc_access_count, len(trace.events("restart")))
 
 
 def worker_count(raw: str | None, n_jobs: int) -> int:
@@ -162,22 +165,19 @@ def cmd_solve(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_solve_seed, jobs))
+            rows = list(pool.map(_solve_seed, jobs))
     else:
-        results = [_solve_seed(job) for job in jobs]
-    stem = Path(args.instance).stem
+        rows = [_solve_seed(job) for job in jobs]
     report = ["seed,best_F,runtime_s,arc_accesses,restarts"]
-    for (seed, cost, runtime, arcs, restarts), sol, trace in results:
-        (out / f"{stem}_seed{seed}.sol").write_text(sol)
-        (out / f"{stem}_seed{seed}.trace.csv").write_text(trace)
+    for seed, cost, runtime, arcs, restarts in rows:
         report.append(f"{seed},{cost:.2f},{runtime:.2f},{arcs},{restarts}")
-    costs = [row[1] for row, _, _ in results]
+    costs = [row[1] for row in rows]
     best, mean = min(costs), statistics.fmean(costs)
     std = statistics.stdev(costs) if len(costs) > 1 else 0.0
     report.append(f"aggregate,best={best:.2f},mean={mean:.2f},std={std:.2f},")
-    report_path = out / f"{stem}_report.csv"
+    report_path = out / f"{Path(args.instance).stem}_report.csv"
     report_path.write_text("\n".join(report) + "\n")
-    for (seed, cost, runtime, arcs, restarts), _, _ in results:
+    for seed, cost, runtime, arcs, restarts in rows:
         print(f"seed {seed}: F={cost:.2f} arcs={arcs} "
               f"restarts={restarts} time={runtime:.1f}s")
     print(f"best {best:.2f} mean {mean:.2f} std {std:.2f}")
@@ -247,7 +247,7 @@ def cmd_refine(args) -> int:
         print(f"INFEASIBLE: route on line {linenos[v]} has no charging plan "
               f"within {lb}..{lb + 1} stops")
         return 1
-    solution = evaluate_solution(plan, result.plan.slots, oracle)
+    solution = evaluate_solution(plan, result.plan, oracle)
     out_path = Path(args.solution if args.out is None else args.out)
     out_path.write_text(format_solution(
         solution, [f"ecvrp {__version__} refined from {args.solution}"]))
@@ -270,7 +270,7 @@ def cmd_analyze(args) -> int:
     budget = _budget(inst, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    pairs, _ = collect_pairs(inst, replace(params, seed=seeds[0]), budget)
+    pairs = collect_pairs(inst, replace(params, seed=seeds[0]), budget)
     stem = Path(args.instance).stem
     (out / f"{stem}_pairs.csv").write_text(pairs_to_csv(pairs))
     row = correlation_report_row(inst.name, pairs)

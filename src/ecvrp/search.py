@@ -300,8 +300,6 @@ class PlanState:
             # their float-noise deltas could masquerade as improvements
             if pb != pa + 1 and pb != skip_before:
                 left = route[pb - 1] if pb else 0
-                if left == a:
-                    left = prev_a
                 if budget.arc_access_count >= limit:
                     return False
                 budget.arc_access_count += 3
@@ -315,8 +313,6 @@ class PlanState:
                     dmin = delta
             if pb != pa - 1 and pb != skip_after:
                 right = route[pb + 1] if pb + 1 < length else 0
-                if right == a:
-                    right = next_a
                 if budget.arc_access_count >= limit:
                     return False
                 budget.arc_access_count += 3

@@ -6,8 +6,9 @@ with empty routes to inst.route_slots, so route-creating moves have an
 insertion slot; every function here takes a plan of any length.  A
 charging plan assigns one slot to every gap of every route: None (no
 stop), a station id, or an ordered pair of distinct station ids; a plan
-with no stop is [None] * (len(route) + 1) per route.  RoutingPlan and
-ChargingPlan are only the immutable records a CompleteSolution holds.
+with no stop is [None] * (len(route) + 1) per route.  A CompleteSolution
+holds its routes in a RoutingPlan record and its charging plan as a plain
+tuple of slot tuples, the shape every function here takes back in.
 Capacity is decided exactly on InstanceSpec.cargo_units.
 split_expanded_route rejects station runs no slot holds (three stations
 in a row, or one station twice) and routes of stations alone.
@@ -48,17 +49,10 @@ class RoutingPlan:
 
 
 @dataclass(frozen=True)
-class ChargingPlan:
-    """Lower-level decision of a CompleteSolution: per route, one slot per
-    gap (len = route len + 1)."""
-
-    slots: tuple[tuple[Slot, ...], ...]
-
-
-@dataclass(frozen=True)
 class CompleteSolution:
     routing: RoutingPlan
-    charging: ChargingPlan
+    # lower-level decision: per route, one slot per gap (route len + 1)
+    charging: tuple[tuple[Slot, ...], ...]
     total_cost: float      # F = surrogate + detour
     detour_cost: float     # f >= 0
     surrogate: float       # phi, routing distance alone
@@ -265,7 +259,7 @@ def evaluate_solution(routes, slot_lists, oracle) -> CompleteSolution:
     """The CompleteSolution record of a plan pair, priced by total_cost."""
     f_total, f_detour, phi = total_cost(routes, slot_lists, oracle)
     return CompleteSolution(RoutingPlan.from_lists(routes),
-                            ChargingPlan(tuple(tuple(s) for s in slot_lists)),
+                            tuple(tuple(s) for s in slot_lists),
                             f_total, f_detour, phi)
 
 
@@ -276,7 +270,7 @@ def evaluate_solution(routes, slot_lists, oracle) -> CompleteSolution:
 
 def format_solution(sol: CompleteSolution, header_lines=()) -> str:
     lines = [f"# {h}" for h in header_lines]
-    for route, slots in zip(sol.routing.routes, sol.charging.slots):
+    for route, slots in zip(sol.routing.routes, sol.charging):
         if not route:
             continue
         expanded = expand_route(route, slots)

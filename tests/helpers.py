@@ -28,7 +28,7 @@ from ecvrp.instance import (
 )
 from ecvrp.moves import ALL_OPERATORS, INTRA_ROUTE, Move, enumerate_positions
 from ecvrp.search import IMPROVE_EPS, M2, M4, M6, M7, M8, InstanceInfeasible
-from ecvrp.solution import ChargingPlan, RoutingPlan
+from ecvrp.solution import RoutingPlan
 
 from conftest import make_instance
 
@@ -276,8 +276,8 @@ def solve_se_enumeration(routes, inst, oracle, table):
             for g in range(n_gaps)))
         detour_total += best_f
 
-    return ChargingQueryResult(True, ChargingPlan(tuple(slots_out)),
-                               detour_total, surrogate=surrogate_total)
+    return ChargingQueryResult(True, tuple(slots_out), detour_total,
+                               surrogate=surrogate_total)
 
 
 def solve_exhaustive_dfs(plan, inst, oracle):
@@ -378,9 +378,8 @@ def solve_exhaustive_dfs(plan, inst, oracle):
         slots_out.append(tuple(best[1]))
         detour_total += best[0]
 
-    return ChargingQueryResult(
-        True, ChargingPlan(tuple(slots_out)), detour_total, examined_total,
-        surrogate_total)
+    return ChargingQueryResult(True, tuple(slots_out), detour_total,
+                               examined_total, surrogate_total)
 
 
 

@@ -301,7 +301,7 @@ def test_criterion_09_surrogate_correlation_e22():
                       "pairs"):
         inst = benchmark_instance("n22")
         budget = max_evals_budget(inst)
-        pairs, _ = collect_pairs(inst, SearchParams(seed=1), budget)
+        pairs = collect_pairs(inst, SearchParams(seed=1), budget)
         BUDGET_AUDIT.append(
             (budget.arc_access_count, budget.max_arc_accesses, inst.pz))
         assert len(pairs) >= 10_000, len(pairs)

@@ -157,14 +157,14 @@ class TestBruteForce:
         inst = make_instance(customers=[(200, 0)], stations=[(60, 5), (145, 0)],
                              battery=120, rate=1.0, fleet=1)
         sol = brute_force_optimum(inst)
-        assert sol.charging.slots == (((2, 3), (3, 2)),)
+        assert sol.charging == (((2, 3), (3, 2)),)
 
     def test_result_is_feasible_and_dominates_samples(self):
         rng = random.Random(40)
         inst, exact = certified_tiny_fixture(rng)
         oracle = DistanceOracle.for_instance(inst)
         assert check_upper_feasible(exact.routing.routes, inst).ok
-        for route, slots in zip(exact.routing.routes, exact.charging.slots):
+        for route, slots in zip(exact.routing.routes, exact.charging):
             if route:
                 assert battery_feasible(expand_route(route, slots), inst,
                                         oracle)[0].ok
@@ -186,7 +186,7 @@ class TestPairCollection:
                              demands=[1] * 7, capacity=3, battery=1e9,
                              fleet=4)
         budget = EvaluationBudget(max_arc_accesses=400_000)
-        pairs, _ = collect_pairs(
+        pairs = collect_pairs(
             inst, SearchParams(seed=3, history_length=60, max_attempts=10,
                                follower_threshold=1.10), budget)
         assert len(pairs) >= 5
@@ -198,8 +198,8 @@ class TestPairCollection:
         rng = random.Random(8)
         inst, _ = certified_tiny_fixture(rng)
         budget = EvaluationBudget(max_arc_accesses=300_000)
-        pairs, _ = collect_pairs(inst, SearchParams(seed=4, history_length=60,
-                                                    max_attempts=10), budget)
+        pairs = collect_pairs(inst, SearchParams(seed=4, history_length=60,
+                                                 max_attempts=10), budget)
         assert pairs
         for p in pairs:
             assert p.full_cost >= p.surrogate - 1e-6

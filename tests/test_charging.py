@@ -151,7 +151,7 @@ class TestSimpleEnumeration:
         result = solve_se([[1, 2]], inst, oracle, table)
         assert result.feasible
         assert result.detour_cost == 0.0
-        assert result.plan.slots == ((None, None, None),)
+        assert result.plan == ((None, None, None),)
 
     @pytest.mark.parametrize("battery", [1000, 30])
     def test_without_stations(self, battery):
@@ -187,7 +187,7 @@ class TestSimpleEnumeration:
         assert best == pytest.approx(4 * leg - 200.0)
 
         assert result.feasible
-        assert result.plan.slots == ((2, 2),)
+        assert result.plan == ((2, 2),)
         assert result.detour_cost == pytest.approx(best)
         assert result.detour_cost == pytest.approx(3.96, abs=5e-3)
 
@@ -228,7 +228,7 @@ class TestExhaustive:
         result = solve_exhaustive([[1]], inst, oracle)
         assert result.feasible
         assert result.detour_cost == 0.0
-        assert result.plan.slots == ((None, None),)
+        assert result.plan == ((None, None),)
 
     def test_matches_se_when_singles_suffice(self, detour_instance):
         inst = detour_instance
@@ -237,7 +237,7 @@ class TestExhaustive:
         se = solve_se([[1]], inst, oracle, table)
         ex = solve_exhaustive([[1]], inst, oracle)
         assert ex.feasible
-        assert ex.plan.slots == se.plan.slots
+        assert ex.plan == se.plan
         assert ex.detour_cost == se.detour_cost
 
     def test_pair_restores_feasibility(self, pair_instance):
@@ -245,10 +245,10 @@ class TestExhaustive:
         oracle = DistanceOracle.for_instance(inst)
         result = solve_exhaustive([[1]], inst, oracle)
         assert result.feasible
-        assert result.plan.slots == (((2, 3), (3, 2)),)
+        assert result.plan == (((2, 3), (3, 2)),)
         hop = math.dist((0, 0), (60, 5)) + math.dist((60, 5), (145, 0)) + 55.0
         assert result.detour_cost == pytest.approx(2 * (hop - 200.0))
-        expanded = expand_route([1], result.plan.slots[0])
+        expanded = expand_route([1], result.plan[0])
         assert sim_ok(expanded, inst)
 
     def test_visit_bound_keeps_result_infeasible_beyond_pairs(self):
@@ -266,7 +266,7 @@ class TestExhaustive:
         route = list(inst.customers)
         result = solve_exhaustive([route], inst, oracle)
         assert result.feasible
-        assert result.plan.slots == ((None,) * (len(route) + 1),)
+        assert result.plan == ((None,) * (len(route) + 1),)
         assert result.detour_cost == 0.0
 
     def test_more_stops_than_the_recursion_limit(self):
@@ -280,7 +280,7 @@ class TestExhaustive:
         result = solve_exhaustive([route], inst, oracle)
         assert result.feasible
         assert result.detour_cost == 0.0
-        slots = result.plan.slots[0]
+        slots = result.plan[0]
         assert lb <= station_visits(slots) <= lb + 1
         assert battery_feasible(expand_route(route, slots), inst, oracle)[0]
 
@@ -348,12 +348,12 @@ class TestFollowerProperties:
                 feasible_seen += 1
                 assert ex.feasible
                 assert ex.detour_cost <= se.detour_cost
-                for route, slots in zip(plan, se.plan.slots):
+                for route, slots in zip(plan, se.plan):
                     if route:
                         assert battery_feasible(
                             expand_route(route, slots), inst, oracle)[0].ok
             if ex.feasible:
-                for route, slots in zip(plan, ex.plan.slots):
+                for route, slots in zip(plan, ex.plan):
                     if route:
                         assert battery_feasible(
                             expand_route(route, slots), inst, oracle)[0].ok
@@ -404,7 +404,7 @@ class TestFollowerProperties:
         plan = [[1, 2, 3], [4, 5, 6], [7, 8], []]
         result = solve_se(plan, inst, oracle, table)
         if result.feasible:
-            assert result.plan.slots[3] == (None,)
+            assert result.plan[3] == (None,)
 
 
 def tie_grid(rng):
@@ -446,7 +446,7 @@ def sweep_route(rng, inst, oracle, sizes):
 def se_fingerprint(result):
     """Everything the follower returns, floats compared by their bits."""
     return (result.feasible,
-            result.plan.slots if result.plan is not None else None,
+            result.plan,
             None if result.detour_cost is None else result.detour_cost.hex(),
             result.surrogate.hex(), result.enumeration_count)
 
@@ -511,7 +511,7 @@ class TestSeMatchesEnumeration:
         table = build_best_station_table(inst, oracle)
         plan = [[3, 5, 1, 10, 2, 11, 7]]
         se = solve_se(plan, inst, oracle, table)
-        assert se.plan.slots == ((None, 14, 16, None, 14, 14, None, None),)
+        assert se.plan == ((None, 14, 16, None, 14, 14, None, None),)
         assert se_fingerprint(se) == se_fingerprint(
             solve_se_enumeration(plan, inst, oracle, table))
 
@@ -648,7 +648,7 @@ class TestExhaustiveMatchesDfs:
         oracle = DistanceOracle.for_instance(inst)
         plan = [[8, 4, 2, 5, 9]]
         result = solve_exhaustive(plan, inst, oracle)
-        assert result.plan.slots == ((None, 15, (14, 13), None, None, None),)
+        assert result.plan == ((None, 15, (14, 13), None, None, None),)
         assert se_fingerprint(result) == se_fingerprint(
             solve_exhaustive_dfs(plan, inst, oracle))
 
@@ -663,7 +663,7 @@ class TestExhaustiveMatchesDfs:
         oracle = DistanceOracle.for_instance(inst)
         plan = [[1, 2]]
         result = solve_exhaustive(plan, inst, oracle)
-        assert result.plan.slots == ((3, None, (4, 5)),)
+        assert result.plan == ((3, None, (4, 5)),)
         assert result.detour_cost < 0.03
         assert se_fingerprint(result) == se_fingerprint(
             solve_exhaustive_dfs(plan, inst, oracle))

@@ -85,6 +85,29 @@ class TestSolve:
         assert report.startswith("seed,best_F,runtime_s,arc_accesses,restarts")
         assert "aggregate" in report
 
+    def test_failed_seed_keeps_earlier_seeds_files(self, tiny_file, tmp_path,
+                                                   monkeypatch, capsys):
+        # each seed writes its files as it finishes, so seed 2 raising
+        # must not discard seed 1's
+        import ecvrp.search
+        from ecvrp.search import IncumbentInfeasible
+        real = ecvrp.search.run_blahc
+
+        def run_blahc(inst, params, *args, **kwargs):
+            if params.seed == 2:
+                raise IncumbentInfeasible("no solution")
+            return real(inst, params, *args, **kwargs)
+
+        monkeypatch.setattr(ecvrp.search, "run_blahc", run_blahc)
+        out = tmp_path / "runs"
+        assert run_cli("solve", tiny_file, "--seeds", "1,2", "--lh", "50",
+                       "--eta-max", "10", "--out", out) == 1
+        assert one_error_line(capsys) == "error: no solution\n"
+        assert (out / "tiny3_seed1.sol").exists()
+        assert (out / "tiny3_seed1.trace.csv").exists()
+        assert not (out / "tiny3_seed2.sol").exists()
+        assert not (out / "tiny3_report.csv").exists()
+
     def test_solution_file_passes_validate(self, tiny_file, tmp_path, capsys):
         out = tmp_path / "runs"
         run_cli("solve", tiny_file, "--seeds", "3", "--lh", "50",

@@ -304,7 +304,7 @@ def test_bench_refine_plans_reach_their_stored_optima(catalogue_refined):
         optimum = expected[key][plan_key]
         assert result.feasible == (optimum is not None), plan_key
         if result.feasible:
-            cost = total_cost(routes, result.plan.slots, oracle)[0]
+            cost = total_cost(routes, result.plan, oracle)[0]
             assert abs(cost - optimum) <= 1e-6, (key, plan_key)
         infeasible += not result.feasible
     assert len(catalogue_refined) == 314 and infeasible == 12
@@ -316,7 +316,7 @@ def test_bench_refine_plans_keep_every_output_bit(catalogue_refined):
     # searches, never what it returns
     lines = []
     for key, plan_key, _, _, result in catalogue_refined:
-        slots = result.plan.slots if result.feasible else None
+        slots = result.plan if result.feasible else None
         detour = result.detour_cost.hex() if result.feasible else None
         lines.append(f"{key} {plan_key} {result.feasible} {slots!r} {detour} "
                      f"{result.surrogate.hex()} {result.enumeration_count} "

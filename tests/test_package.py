@@ -14,11 +14,10 @@ from conftest import fresh_env, make_instance
 SUBMODULES = {"instance", "solution", "charging", "moves", "search",
               "analysis"}
 # name -> defining module; with SUBMODULES these are the 38 names the
-# package exported when it imported every submodule eagerly, plus
-# evaluate_solution
+# package exports
 EXPORTS = {
-    "AblationToggles": "search", "ChargingPlan": "solution",
-    "ChargingQueryResult": "charging", "CompleteSolution": "solution",
+    "AblationToggles": "search", "ChargingQueryResult": "charging",
+    "CompleteSolution": "solution",
     "DistanceOracle": "instance", "EvaluationBudget": "instance",
     "InstanceSpec": "instance", "Move": "moves", "RoutingPlan": "solution",
     "SamplePair": "analysis", "SearchParams": "search",
@@ -39,7 +38,7 @@ EXPORTS = {
 
 class TestNamespace:
     def test_all_lists_every_name_and_submodule(self):
-        assert len(EXPORTS) + len(SUBMODULES) == 39
+        assert len(EXPORTS) + len(SUBMODULES) == 38
         assert set(ecvrp.__all__) == set(EXPORTS) | SUBMODULES
 
     @pytest.mark.parametrize("name", sorted(EXPORTS))

@@ -665,12 +665,12 @@ class TestRunBlahc:
         assert check_upper_feasible(sol.routing.routes, inst).ok
         from ecvrp.solution import battery_feasible, expand_route, total_cost
         oracle = DistanceOracle.for_instance(inst)
-        for route, slots in zip(sol.routing.routes, sol.charging.slots):
+        for route, slots in zip(sol.routing.routes, sol.charging):
             if route:
                 assert battery_feasible(expand_route(route, slots), inst,
                                         oracle)[0].ok
         full, detour, phi = total_cost(sol.routing.routes,
-                                       sol.charging.slots, oracle)
+                                       sol.charging, oracle)
         assert full == pytest.approx(sol.total_cost)
         assert detour == pytest.approx(sol.detour_cost)
         assert phi == pytest.approx(sol.surrogate)
@@ -682,6 +682,45 @@ class TestRunBlahc:
         budget = EvaluationBudget(max_arc_accesses=2_000)
         with pytest.raises(IncumbentInfeasible):
             run_blahc(inst, small_params(1, history_length=20), budget)
+
+    @staticmethod
+    def _count_failed_splits(monkeypatch):
+        failed = []
+
+        def split(perm, inst, oracle):
+            try:
+                return split_giant_tour(perm, inst, oracle)
+            except InstanceInfeasible:
+                failed.append(tuple(perm))
+                raise
+
+        monkeypatch.setattr(search, "split_giant_tour", split)
+        return failed
+
+    def test_unsplittable_order_is_resampled(self, monkeypatch):
+        # {1, 3} and {2, 4} fill two vehicles, but an order putting both
+        # demand-2 customers, or both demand-1 ones, first cuts into three
+        inst = make_instance(customers=[(10, 0), (0, 10), (-10, 0), (0, -10)],
+                             stations=[(5, 5)], demands=[2, 2, 1, 1],
+                             capacity=3, fleet=2)
+        failed = self._count_failed_splits(monkeypatch)
+        budget = EvaluationBudget(max_arc_accesses=20_000)
+        sol, _ = run_blahc(inst, small_params(1, history_length=20,
+                                              max_attempts=5), budget)
+        assert failed
+        assert check_upper_feasible(sol.routing.routes, inst).ok
+
+    def test_no_splittable_order_raises(self, monkeypatch):
+        # two demand-2 customers need two vehicles of capacity 3; one exists
+        inst = make_instance(customers=[(10, 0), (0, 10)], stations=[(5, 5)],
+                             demands=[2, 2], capacity=3, fleet=1)
+        failed = self._count_failed_splits(monkeypatch)
+        budget = EvaluationBudget(max_arc_accesses=20_000)
+        with pytest.raises(InstanceInfeasible,
+                           match="no sampled permutation"):
+            run_blahc(inst, small_params(1, history_length=20,
+                                         max_attempts=5), budget)
+        assert len(failed) == 64
 
 
 class TestAblation:
