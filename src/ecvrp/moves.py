@@ -71,34 +71,41 @@ def _locate(route, node, what):
         raise InvalidTarget(f"{what} {node} is not on the target route") from None
 
 
-def _target_pair(target):
+def _route_index(routes, t):
+    if not isinstance(t, int) or not 0 <= t < len(routes):
+        raise InvalidTarget(
+            f"route index {t!r} is not in a plan of {len(routes)} routes")
+    return t
+
+
+def _target_pair(routes, target):
     if not (isinstance(target, tuple) and len(target) == 2):
         raise InvalidTarget("inter-route operators need an ordered route pair")
-    if target[0] == target[1]:
+    t1, t2 = (_route_index(routes, t) for t in target)
+    if t1 == t2:
         raise InvalidTarget("route pair must name two distinct routes")
-    return target
+    return t1, t2
 
 
-def _target_single(target):
+def _target_single(routes, target):
     if isinstance(target, tuple):
         raise InvalidTarget("intra-route operators take a single route index")
-    return target
+    return _route_index(routes, target)
 
 
 def _candidate(op: Move, routes, target, a, b) -> tuple[int, int, int, int]:
     """Check (op, target, a, b) against routes and name it as the kernel
     arguments (t1, t2, pa, k): candidate k of anchor a at position pa."""
     if op in INTER_ROUTE:
-        t1, t2 = _target_pair(target)
+        t1, t2 = _target_pair(routes, target)
         pa = _locate(routes[t1], a, "customer")
         return t1, t2, pa, _locate(routes[t2], b, "customer")
-    t1 = _target_single(target)
+    t1 = _target_single(routes, target)
     route = routes[t1]
     if op is Move.SEED_EMPTY_ROUTE:
         if all(routes):
             raise NoEmptyRoute("every vehicle already serves customers")
-        if not isinstance(b, int) or not 0 <= b < len(routes):
-            raise InvalidTarget(f"m8 destination must be a route index, got {b!r}")
+        _route_index(routes, b)
         if routes[b]:
             raise InvalidTarget(f"destination route {b} is not empty")
         return t1, b, _locate(route, a, "customer"), 0
@@ -142,8 +149,8 @@ def apply_move(op: Move, plan, target, a, b) -> list[list[int]]:
     skips (m1 beside itself, m5 over one customer, m7 joining two final
     arcs) return the plan as it is.  Raises InvalidTarget when the
     arguments do not fit the operator (a route pair for INTER_ROUTE, one
-    route index otherwise) and NoEmptyRoute for m8 on a plan whose
-    vehicles are all in use.
+    route index otherwise) or name a route index the plan lacks, and
+    NoEmptyRoute for m8 on a plan whose vehicles are all in use.
     """
     return _run_kernel(op, plan, target, a, b, None,
                        EvaluationBudget()).routes
@@ -162,7 +169,7 @@ def enumerate_positions(op: Move, routes, target, a) -> list:
     position ascending, preconditions filtered.  May be empty.  Raises
     InvalidTarget for a target that does not fit op, as apply_move does."""
     if op in INTRA_ROUTE:
-        route = list(routes[_target_single(target)])
+        route = list(routes[_target_single(routes, target)])
         pa = _locate(route, a, "customer")
         if op is Move.RELOCATE_WITHIN:
             out = []
@@ -176,7 +183,7 @@ def enumerate_positions(op: Move, routes, target, a) -> list:
         return list(route[pa + 2:])
 
     if op in INTER_ROUTE:
-        t1, t2 = _target_pair(target)
+        t1, t2 = _target_pair(routes, target)
         r1 = list(routes[t1])
         pa = _locate(r1, a, "customer")
         r2 = list(routes[t2])
@@ -186,7 +193,7 @@ def enumerate_positions(op: Move, routes, target, a) -> list:
         return r2
 
     if op is Move.SEED_EMPTY_ROUTE:
-        _locate(list(routes[_target_single(target)]), a, "customer")
+        _locate(list(routes[_target_single(routes, target)]), a, "customer")
         return [idx for idx, r in enumerate(routes) if not r]
 
     raise InvalidTarget(f"unknown operator {op!r}")  # pragma: no cover

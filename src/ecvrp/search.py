@@ -233,7 +233,9 @@ class PlanState:
     IMPROVE_EPS, exploration the larger of that and its history value.
     A candidate is a position pb of the partner route t2 (m2, m4, m6, m7) or
     of route t1 itself (m3, m5); m1 numbers the two sides of each customer,
-    2*pb for before routes[t1][pb] and 2*pb + 1 for after it; m8 has one
+    2*pb for before routes[t1][pb] and 2*pb + 1 for after it, and so
+    inserts a into gap (k + 1) >> 1, between routes[t1][gap - 1] and
+    routes[t1][gap], skipping the two gaps beside a; m8 has one
     candidate, moving a into the empty route t2 (t2 < 0: none left).  Every
     arc read is charged to the budget, and a scan stops once the count
     reaches arc_limit.
@@ -267,7 +269,11 @@ class PlanState:
     # -- kernels -----------------------------------------------------------
 
     def _m1(self, t1, t2, pa, bar, lo=0, hi=ALL) -> bool:
-        """m1: relocate a before or after another customer of its route."""
+        """m1: move a into gap (k + 1) >> 1 of its route, between
+        route[gap - 1] and route[gap] (the depot past either end).  The
+        gaps beside a, pa and pa + 1, would leave the route as it is and
+        are skipped: their float-noise deltas could masquerade as
+        improvements."""
         route = self.routes[t1]
         length = len(route)
         if length < 2:
@@ -286,44 +292,26 @@ class PlanState:
         dmin = math.inf
         row_a = matrix[a]
         removal = matrix[prev_a][next_a] - matrix[prev_a][a] - row_a[next_a]
-        # a range may open on an after side (lo odd) and close on a before
-        # side (hi odd); the other side of that customer lies outside it
-        first = lo >> 1
-        skip_before = first if lo & 1 else -1
-        skip_after = hi >> 1 if hi & 1 else -1
-        stop = (hi + 1) >> 1
-        for pb in range(first, stop if stop < length else length):
-            if pb == pa:
+        stop = 2 * length
+        for k in range(lo, hi if hi < stop else stop):
+            gap = (k + 1) >> 1
+            if gap == pa or gap == pa + 1:
                 continue
-            b = route[pb]
-            # structural no-ops (reinserting a beside itself) are skipped:
-            # their float-noise deltas could masquerade as improvements
-            if pb != pa + 1 and pb != skip_before:
-                left = route[pb - 1] if pb else 0
-                if budget.arc_access_count >= limit:
-                    return False
-                budget.arc_access_count += 3
-                delta = removal + matrix[left][a] + row_a[b] \
-                    - matrix[left][b]
-                if delta < dmin:
-                    phi_new = phi + delta
-                    if phi_new < bar:
-                        self._apply_m1(t1, pa, pb, False, phi_new)
-                        return True
-                    dmin = delta
-            if pb != pa - 1 and pb != skip_after:
-                right = route[pb + 1] if pb + 1 < length else 0
-                if budget.arc_access_count >= limit:
-                    return False
-                budget.arc_access_count += 3
-                delta = removal + matrix[b][a] + row_a[right] \
-                    - matrix[b][right]
-                if delta < dmin:
-                    phi_new = phi + delta
-                    if phi_new < bar:
-                        self._apply_m1(t1, pa, pb, True, phi_new)
-                        return True
-                    dmin = delta
+            left = route[gap - 1] if gap else 0
+            right = route[gap] if gap < length else 0
+            if budget.arc_access_count >= limit:
+                return False
+            budget.arc_access_count += 3
+            delta = removal + matrix[left][a] + row_a[right] \
+                - matrix[left][right]
+            if delta < dmin:
+                phi_new = phi + delta
+                if phi_new < bar:
+                    del route[pa]
+                    route.insert(gap - 1 if gap > pa else gap, a)
+                    self.phi = phi_new
+                    return True
+                dmin = delta
         self.dmin = dmin
         return False
 
@@ -651,13 +639,6 @@ class PlanState:
         self.empties.remove(t)
         insort(self.nonempty, t)
 
-    def _apply_m1(self, t, pa, pb, after, phi_new):
-        route = self.routes[t]
-        a = route.pop(pa)
-        pb_adj = pb - 1 if pa < pb else pb
-        route.insert(pb_adj + 1 if after else pb_adj, a)
-        self.phi = phi_new
-
     def _apply_m2(self, t1, t2, pa, pb, phi_new):
         a = self.routes[t1].pop(pa)
         self.routes[t2].insert(pb + 1, a)
@@ -715,8 +696,6 @@ class _Engine(PlanState):
         self.toggles = toggles
         self.rng = random.Random(params.seed)
         self.wall_limited = budget.wall_clock_limit is not None
-        self.descent_scans = 0      # clock polls in descent, wall limit only
-        self.timed_out = False
         self.trace = SearchTrace()
         self.trace_full = trace_level == "full"
         self.hooks = hooks or {}
@@ -780,19 +759,23 @@ class _Engine(PlanState):
 
     def descend(self) -> None:
         """First-improvement descent over the seven partition-preserving
-        operators, shuffled each outer pass, until no operator improves."""
+        operators, shuffled each outer pass, until no operator improves.
+        Under a wall-clock limit the clock is read before each operator
+        and at the top of each pass over a target's anchors
+        (_descend_target); an arc-limited run reads no clock."""
         rng = self.rng
         ops = [M1, M2, M3, M4, M5, M6, M7]
         fleet = len(self.routes)
         budget = self.budget
         limit = self.arc_limit
+        wall = self.wall_limited
         while True:
-            any_improved = False
+            improved = False
             rng.shuffle(ops)
             for op in ops:
-                if budget.arc_access_count >= limit or self.timed_out:
+                if budget.arc_access_count >= limit or (
+                        wall and budget.exceeded()):
                     return
-                improved = False
                 if op in (M1, M3, M5):
                     for t in range(fleet):
                         improved |= self._descend_target(op, t, -1)
@@ -801,13 +784,14 @@ class _Engine(PlanState):
                         for t2 in range(fleet):
                             if t1 != t2:
                                 improved |= self._descend_target(op, t1, t2)
-                any_improved |= improved
-            if not any_improved or budget.arc_access_count >= limit:
+            if not improved or budget.arc_access_count >= limit:
                 return
 
     def _descend_target(self, op, t1, t2) -> bool:
         """Rescan one target until no pair (a, b) improves it, running the
-        operator's kernel over its full candidate range for each a.
+        operator's kernel over its full candidate range for each a.  Under
+        a wall-clock limit each pass over the anchors starts with one clock
+        read, so an expired deadline ends descent within one pass.
 
         An anchor whose failed scan is in the memo for the routes' current
         contents, and whose dmin cannot beat the current phi, is charged
@@ -822,14 +806,15 @@ class _Engine(PlanState):
         improved = False
         while True:
             r1 = self.routes[t1]
-            if not r1 or (t2 >= 0 and not self.routes[t2]):
+            if not r1 or (t2 >= 0 and not self.routes[t2]) or (
+                    wall and budget.exceeded()):
                 return improved
             row = memo.get(ids[t1] * stride + ids[t2])
             phi = self.phi
             bar = phi - IMPROVE_EPS
             for pa in range(len(r1)):
                 spent = budget.arc_access_count
-                if spent >= limit or (wall and self._out_of_time()):
+                if spent >= limit:
                     return improved
                 if row is not None and phi + row[pa] >= bar \
                         and spent + row[~pa] <= limit:
@@ -904,16 +889,6 @@ class _Engine(PlanState):
         row = [math.nan] * (2 * length)
         self.memo[op][self.ids[t1] * self.stride + self.ids[t2]] = row
         return row
-
-    def _out_of_time(self) -> bool:
-        """Wall-clock stop for descent: polls the clock on the first scan
-        and then every 1024 scans, like exploration polls per iteration,
-        and stays True once the limit has passed."""
-        if not self.timed_out:
-            if self.descent_scans & 1023 == 0 and self.budget.exceeded():
-                self.timed_out = True
-            self.descent_scans += 1
-        return self.timed_out
 
     # -- neighborhood exploration ------------------------------------------
 

@@ -27,7 +27,16 @@ from ecvrp.instance import (
     _int_header,
 )
 from ecvrp.moves import ALL_OPERATORS, INTRA_ROUTE, Move, enumerate_positions
-from ecvrp.search import IMPROVE_EPS, M2, M4, M6, M7, M8, InstanceInfeasible
+from ecvrp.search import (
+    ALL,
+    IMPROVE_EPS,
+    M2,
+    M4,
+    M6,
+    M7,
+    M8,
+    InstanceInfeasible,
+)
 from ecvrp.solution import RoutingPlan
 
 from conftest import make_instance
@@ -573,7 +582,8 @@ def descend_reference(self, op, t1, t2):
     """Reference descent of one target: every anchor runs the operator's
     kernel, whatever the engine's memo holds.  The oracle for
     _Engine._descend_target, which must leave the same plan, phi bits, arc
-    count and generator state; patch it in as _Engine._descend_target."""
+    count and generator state; patch it in as _Engine._descend_target.
+    Like the engine it reads the wall clock once per pass."""
     budget = self.budget
     limit = self.arc_limit
     wall = self.wall_limited
@@ -584,9 +594,10 @@ def descend_reference(self, op, t1, t2):
         r1 = self.routes[t1]
         if not r1 or (t2 >= 0 and not self.routes[t2]):
             return improved
+        if wall and budget.exceeded():
+            return improved
         for pa in range(len(r1)):
-            if budget.arc_access_count >= limit or (
-                    wall and self._out_of_time()):
+            if budget.arc_access_count >= limit:
                 return improved
             if scan(self, t1, t2, pa, self.phi - IMPROVE_EPS):
                 moved = True
@@ -594,6 +605,80 @@ def descend_reference(self, op, t1, t2):
                 break
         if not moved:
             return improved
+
+
+def m1_reference(self, t1, t2, pa, bar, lo=0, hi=ALL) -> bool:
+    """PlanState._m1 as it was when it priced the before and after sides of
+    each customer by two copies of the insertion delta.  The oracle for
+    _m1, which must return the same value and leave the same routes, phi
+    and dmin bits and arc count under every bar, candidate range and arc
+    limit."""
+    route = self.routes[t1]
+    length = len(route)
+    if length < 2:
+        self.dmin = math.inf
+        return False
+    matrix = self.matrix
+    budget = self.budget
+    limit = self.arc_limit
+    phi = self.phi
+    a = route[pa]
+    prev_a = route[pa - 1] if pa else 0
+    next_a = route[pa + 1] if pa + 1 < length else 0
+    if budget.arc_access_count >= limit:
+        return False
+    budget.arc_access_count += 3
+    dmin = math.inf
+    row_a = matrix[a]
+    removal = matrix[prev_a][next_a] - matrix[prev_a][a] - row_a[next_a]
+    # a range may open on an after side (lo odd) and close on a before
+    # side (hi odd); the other side of that customer lies outside it
+    first = lo >> 1
+    skip_before = first if lo & 1 else -1
+    skip_after = hi >> 1 if hi & 1 else -1
+    stop = (hi + 1) >> 1
+    for pb in range(first, stop if stop < length else length):
+        if pb == pa:
+            continue
+        b = route[pb]
+        # structural no-ops (reinserting a beside itself) are skipped:
+        # their float-noise deltas could masquerade as improvements
+        if pb != pa + 1 and pb != skip_before:
+            left = route[pb - 1] if pb else 0
+            if budget.arc_access_count >= limit:
+                return False
+            budget.arc_access_count += 3
+            delta = removal + matrix[left][a] + row_a[b] \
+                - matrix[left][b]
+            if delta < dmin:
+                phi_new = phi + delta
+                if phi_new < bar:
+                    _apply_m1_reference(self, t1, pa, pb, False, phi_new)
+                    return True
+                dmin = delta
+        if pb != pa - 1 and pb != skip_after:
+            right = route[pb + 1] if pb + 1 < length else 0
+            if budget.arc_access_count >= limit:
+                return False
+            budget.arc_access_count += 3
+            delta = removal + matrix[b][a] + row_a[right] \
+                - matrix[b][right]
+            if delta < dmin:
+                phi_new = phi + delta
+                if phi_new < bar:
+                    _apply_m1_reference(self, t1, pa, pb, True, phi_new)
+                    return True
+                dmin = delta
+    self.dmin = dmin
+    return False
+
+
+def _apply_m1_reference(self, t, pa, pb, after, phi_new):
+    route = self.routes[t]
+    a = route.pop(pa)
+    pb_adj = pb - 1 if pa < pb else pb
+    route.insert(pb_adj + 1 if after else pb_adj, a)
+    self.phi = phi_new
 
 
 def parse_instance_reference(text: str) -> InstanceSpec:

@@ -20,11 +20,12 @@ from ecvrp.moves import (
     delta_phi,
     enumerate_positions,
 )
-from ecvrp.search import IMPROVE_EPS, PlanState
+from ecvrp.search import ALL, IMPROVE_EPS, PlanState
 from ecvrp.solution import surrogate_cost
 from conftest import make_instance
 from helpers import (
     disc_point,
+    m1_reference,
     random_feasible_plan,
     random_move,
     random_partition_plan,
@@ -103,6 +104,30 @@ class TestApplyErrors:
     def test_segment_end_before_start(self):
         with pytest.raises(InvalidTarget):
             apply_move(Move.REVERSE_SEGMENT, [[1, 2, 3]], 0, 3, 1)
+
+    @pytest.mark.parametrize("call", ["apply_move", "delta_phi",
+                                      "enumerate_positions"])
+    @pytest.mark.parametrize("op,plan,target,a,b", [
+        # -2 is route 0 of a two-route plan: not a distinct pair
+        (Move.RELOCATE_ACROSS, [[1, 2, 3], [4, 5]], (0, -2), 1, 3),
+        (Move.SWAP_ACROSS, [[1, 2, 3], [4, 5]], (0, 5), 1, 4),
+        (Move.CROSS_STRAIGHT, [[1, 2, 3], [4, 5]], ("1", 0), 4, 1),
+        (Move.SWAP_WITHIN, [[1, 2, 3], [4, 5]], 7, 4, 5),
+        (Move.SWAP_WITHIN, [[1, 2, 3], [4, 5]], -1, 4, 5),
+        (Move.RELOCATE_WITHIN, [[1, 2, 3], [4, 5]], 1.0, 4, (5, "after")),
+        (Move.SEED_EMPTY_ROUTE, [[1, 2, 3], [4, 5], []], 3, 4, 2),
+    ])
+    def test_route_index_outside_plan(self, seven_instance, call, op, plan,
+                                      target, a, b):
+        oracle = DistanceOracle.for_instance(seven_instance)
+        run = {"apply_move": lambda: apply_move(op, plan, target, a, b),
+               "delta_phi": lambda: delta_phi(op, plan, target, a, b,
+                                              oracle),
+               "enumerate_positions": lambda: enumerate_positions(
+                   op, plan, target, a)}[call]
+        with pytest.raises(InvalidTarget, match="route index"):
+            run()
+        assert oracle.budget.arc_access_count == 0
 
 
 class TestEnumerate:
@@ -274,6 +299,60 @@ class TestScanMinimum:
                         checked[op] += bool(phis)
         assert set(checked) == set(ALL_OPERATORS) and \
             min(checked.values()) >= 20, checked
+
+
+class TestM1MatchesReference:
+    """_m1 prices each insertion gap with one delta; m1_reference is the
+    kernel that priced the before and after sides of each customer with
+    two.  From the same state, under every bar, candidate range and arc
+    limit, both must return the same value and leave the same routes, phi
+    and dmin bits and arc count."""
+
+    @staticmethod
+    def run(kernel, route, matrix, pa, phi, bar, lo, hi, start, limit):
+        state = PlanState([list(route)], matrix, [0] * len(matrix),
+                          math.inf, EvaluationBudget(), limit)
+        state.budget.arc_access_count = start
+        state.phi = phi
+        state.dmin = 0.5            # a cut scan leaves dmin as it was
+        moved = kernel(state, 0, -1, pa, bar, lo, hi)
+        return (moved, state.routes, state.phi.hex(), state.dmin.hex(),
+                state.budget.arc_access_count)
+
+    def test_same_outcome_as_two_sided_kernel(self):
+        rng = random.Random(26)
+        inst = make_instance(
+            customers=[disc_point(rng, 30) for _ in range(12)],
+            stations=[(40, 40)], fleet=12, capacity=1e9)
+        matrix = DistanceOracle.for_instance(inst).matrix
+        outcomes = Counter()
+        for length in range(1, 13):
+            for _ in range(2):
+                route = rng.sample(range(1, 13), length)
+                phi = rng.uniform(100, 400)
+                start = rng.randrange(1000)
+                bars = (-math.inf, math.inf, phi + rng.uniform(-40, 5))
+                ranges = [(lo, hi) for lo in range(2 * length + 1)
+                          for hi in [*range(lo, 2 * length + 2), ALL]]
+                for pa in range(length):
+                    for bar in bars:
+                        for lo, hi in ranges:
+                            args = (route, matrix, pa, phi, bar, lo, hi,
+                                    start, math.inf)
+                            want = self.run(m1_reference, *args)
+                            assert self.run(PlanState._m1, *args) == want, \
+                                (route, pa, bar, lo, hi)
+                            outcomes[want[0], hi - lo == 1] += 1
+                        full = self.run(m1_reference, route, matrix, pa, phi,
+                                        bar, 0, ALL, start, math.inf)[-1]
+                        for limit in range(start, full + 1):
+                            args = (route, matrix, pa, phi, bar, 0, ALL,
+                                    start, limit)
+                            assert self.run(PlanState._m1, *args) == \
+                                self.run(m1_reference, *args), \
+                                (route, pa, bar, limit)
+        # single candidates and wider ranges both accept and fail
+        assert min(outcomes.values()) > 100, outcomes
 
 
 class TestKernelStateLifetime:

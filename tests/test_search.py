@@ -220,6 +220,58 @@ class TestGreedyDescent:
         assert spent[3600.0] > 0
         assert spent[0.0] == 0
 
+    def test_clock_read_once_per_pass(self):
+        # a wall-clock descent reads the clock before each operator and at
+        # the top of each pass over a target's anchors.  Whichever read
+        # first finds the deadline passed, no kernel runs after it, the
+        # kernels run before it are those of the untimed descent, and the
+        # rescanning reference, which runs every anchor's kernel, stops at
+        # the same read in the same state
+        inst = e22_like(random.Random(5))
+        plan = random_partition_plan(random.Random(6), inst, 4)
+
+        class Deadline(EvaluationBudget):
+            """Time left for the first `left` clock reads, none after."""
+
+            def __init__(self, left):
+                super().__init__(wall_clock_limit=3600.0)
+                self.left = left
+                self.reads = 0
+
+            def exceeded(self):
+                self.reads += 1
+                return self.reads > self.left
+
+        def descend(cls, left):
+            budget = Deadline(left)
+            engine = cls(inst, SearchParams(seed=2), budget)
+            engine.load_plan(plan)
+            runs = []
+
+            def logged(op, kernel):
+                def scan(state, t1, t2, pa, *args):
+                    runs.append((op, t1, t2, pa, budget.reads))
+                    return kernel(state, t1, t2, pa, *args)
+                return scan
+
+            engine.kernels = tuple(logged(op, kernel)
+                                   for op, kernel in enumerate(cls.kernels))
+            engine.descend()
+            return runs, (engine.routes, engine.phi.hex(),
+                          budget.arc_access_count, budget.reads)
+
+        untimed, (_, _, _, reads) = descend(_Engine, math.inf)
+        # one read per pass: a pass's later anchors read no clock
+        for prev, run in zip(untimed, untimed[1:]):
+            if run[:3] == prev[:3] and run[3] > prev[3]:
+                assert run[4] == prev[4], run
+        assert reads < len(untimed) // 4
+        for left in range(reads):
+            runs, state = descend(_Engine, left)
+            assert runs == untimed[:len(runs)], left
+            assert all(run[4] <= left for run in runs), left
+            assert state == descend(ReferenceEngine, left)[1], left
+
 
 class TestNeighborhoodExplore:
     @pytest.fixture
