@@ -46,7 +46,7 @@ class SamplePair(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def _best_route_over_orderings(block, inst, oracle):
-    """Cheapest ordered route serving a customer set, priced with optimal
+    """Cheapest ordered route serving a customer set, costed with optimal
     charging; None when no ordering is battery-feasible under the visit
     bound.  Reversals are skipped: costs are symmetric."""
     best = None
@@ -104,7 +104,7 @@ def brute_force_optimum(inst: InstanceSpec) -> CompleteSolution:
     best_blocks = None
     for partition in _partitions_upto(tuple(inst.customers), inst.fleet_size):
         total = 0.0
-        priced = []
+        blocks = []
         feasible = True
         for block in partition:
             if sum(units[c] for c in block) > cap:
@@ -115,10 +115,10 @@ def brute_force_optimum(inst: InstanceSpec) -> CompleteSolution:
                 feasible = False
                 break
             total += entry[0]
-            priced.append(entry)
+            blocks.append(entry)
         if feasible and total < best_total:
             best_total = total
-            best_blocks = priced
+            best_blocks = blocks
     if best_blocks is None:
         raise InstanceInfeasible("no battery-feasible partition exists")
 

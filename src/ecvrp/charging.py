@@ -136,22 +136,20 @@ def solve_se(routes, inst: InstanceSpec, oracle: DistanceOracle,
     C(n, lb+1) subset walks.
 
     For a fixed instance and table a route's result depends only on its
-    customer sequence.  memo maps the routes of the previous call, as
-    tuples, to their results (_price_route); a route found there is not
-    priced again, and the call leaves in memo the routes it priced or
-    reused, and nothing else.  Totals are still summed route by route in
-    plan order, so a reused result changes no bit of the return value.
-    Pass the same dict to successive calls on one instance and table;
-    without one, every route is priced.
+    customer sequence.  memo caches results (_price_route) by route, as a
+    tuple: a route found there is not computed again, and one that is
+    gets stored.  Totals are still summed route by route in plan order,
+    so a cached result changes no bit of the return value.  Pass the same
+    dict to successive calls on one instance and table, and empty it to
+    bound it; without one, every route is computed.
 
     It charges the oracle's budget 3 arcs per gap (direct arc and both
-    station legs), for reused routes too, and raises BudgetExhausted
+    station legs), for cached routes too, and raises BudgetExhausted
     before a gap once that budget is exceeded.
     """
     budget = oracle.budget
     if memo is None:
         memo = {}
-    priced = {}
 
     slots_out: list[tuple[Slot, ...]] = []
     detour_total = 0.0
@@ -168,8 +166,7 @@ def solve_se(routes, inst: InstanceSpec, oracle: DistanceOracle,
         key = tuple(route)
         entry = memo.get(key)
         if entry is None:
-            entry = _price_route(key, inst, oracle.matrix, table)
-        priced[key] = entry
+            entry = memo[key] = _price_route(key, inst, oracle.matrix, table)
         route_cost, detour, slots = entry
         surrogate_total += route_cost
         if slots is None:
@@ -178,8 +175,6 @@ def solve_se(routes, inst: InstanceSpec, oracle: DistanceOracle,
         slots_out.append(slots)
         detour_total += detour
 
-    memo.clear()
-    memo.update(priced)
     if not feasible:
         return ChargingQueryResult(False, None, None)
     return ChargingQueryResult(True, tuple(slots_out), detour_total,

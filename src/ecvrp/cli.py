@@ -61,7 +61,7 @@ class UnusableInput(ValueError):
 
 def parse_seeds(spec: str) -> tuple[int, ...]:
     """The seeds of a..b or of a comma list, at least one and at most
-    PARAM_MAX of them."""
+    PARAM_MAX of them, none negative (-3 would rerun seed 3)."""
     from .search import PARAM_MAX
 
     try:
@@ -79,6 +79,8 @@ def parse_seeds(spec: str) -> tuple[int, ...]:
     if seeds[PARAM_MAX:]:
         raise ValueError(f"--seeds {spec!r}: names more than {PARAM_MAX} "
                          "seeds")
+    if min(seeds) < 0:
+        raise ValueError(f"--seeds {spec!r}: every seed must be >= 0")
     return tuple(seeds)
 
 

@@ -72,7 +72,9 @@ def _locate(route, node, what):
 
 
 def _route_index(routes, t):
-    if not isinstance(t, int) or not 0 <= t < len(routes):
+    # bool is an int subclass, but True is no route index
+    if not isinstance(t, int) or isinstance(t, bool) \
+            or not 0 <= t < len(routes):
         raise InvalidTarget(
             f"route index {t!r} is not in a plan of {len(routes)} routes")
     return t

@@ -95,6 +95,9 @@ class SearchParams:
         if self.history_length > PARAM_MAX or self.max_attempts > PARAM_MAX:
             raise ValueError(
                 f"history length and attempt cap must be <= {PARAM_MAX}")
+        # random.Random(n) seeds with abs(n): -3 would rerun seed 3
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         # written so that nan fails every comparison
         if not 1.0 <= self.follower_threshold < math.inf:
             raise ValueError("follower threshold must be finite and >= 1")
@@ -347,7 +350,13 @@ class PlanState:
             if delta < dmin:
                 phi_new = phi + delta
                 if phi_new < bar:
-                    self._apply_m2(t1, t2, pa, pb, phi_new)
+                    del r1[pa]
+                    r2.insert(pb + 1, a)
+                    self.loads[t1] -= self.demands[a]
+                    self.loads[t2] += self.demands[a]
+                    self.phi = phi_new
+                    if not r1:
+                        self._mark_empty(t1)
                     return True
                 dmin = delta
         self.dmin = dmin
@@ -537,8 +546,13 @@ class PlanState:
             if delta < dmin:
                 phi_new = phi + delta
                 if phi_new < bar:
-                    self._apply_m6(t1, t2, pa, pb, head1 + head2,
-                                   tail1 + load2 - head2, phi_new)
+                    self.routes[t1] = r1[:pa + 1] + r2[:pb + 1][::-1]
+                    self.routes[t2] = r1[pa + 1:][::-1] + r2[pb + 1:]
+                    self.loads[t1] = head1 + head2
+                    self.loads[t2] = tail1 + load2 - head2
+                    self.phi = phi_new
+                    if not self.routes[t2]:
+                        self._mark_empty(t2)
                     return True
                 dmin = delta
         self.dmin = dmin
@@ -591,8 +605,11 @@ class PlanState:
             if delta < dmin:
                 phi_new = phi + delta
                 if phi_new < bar:
-                    self._apply_m7(t1, t2, pa, pb, head1 + load2 - head2,
-                                   head2 + tail1, phi_new)
+                    self.routes[t1] = r1[:pa + 1] + r2[pb + 1:]
+                    self.routes[t2] = r2[:pb + 1] + r1[pa + 1:]
+                    self.loads[t1] = head1 + load2 - head2
+                    self.loads[t2] = head2 + tail1
+                    self.phi = phi_new
                     return True
                 dmin = delta
         self.dmin = dmin
@@ -618,7 +635,14 @@ class PlanState:
             - matrix[a][next_a] + out_back
         phi_new = phi + delta
         if phi_new < bar:
-            self._apply_m8(t1, t2, pa, phi_new)
+            del route[pa]
+            self.routes[t2] = [a]
+            self.loads[t1] -= self.demands[a]
+            self.loads[t2] = self.demands[a]
+            self.phi = phi_new
+            self._mark_used(t2)
+            if not route:
+                self._mark_empty(t1)
             return True
         self.dmin = delta
         return False
@@ -629,7 +653,7 @@ class PlanState:
     # that lives until the next full garbage collection
     kernels = (_m1, _m2, _m3, _m4, _m5, _m6, _m7, _m8)
 
-    # -- apply helpers ----------------------------------------------------
+    # -- the sorted route lists, for the kernels that empty or fill a route
 
     def _mark_empty(self, t: int) -> None:
         self.nonempty.remove(t)
@@ -638,41 +662,6 @@ class PlanState:
     def _mark_used(self, t: int) -> None:
         self.empties.remove(t)
         insort(self.nonempty, t)
-
-    def _apply_m2(self, t1, t2, pa, pb, phi_new):
-        a = self.routes[t1].pop(pa)
-        self.routes[t2].insert(pb + 1, a)
-        self.loads[t1] -= self.demands[a]
-        self.loads[t2] += self.demands[a]
-        self.phi = phi_new
-        if not self.routes[t1]:
-            self._mark_empty(t1)
-
-    def _apply_m6(self, t1, t2, pa, pb, load1, load2, phi_new):
-        r1, r2 = self.routes[t1], self.routes[t2]
-        self.routes[t1] = r1[:pa + 1] + r2[:pb + 1][::-1]
-        self.routes[t2] = r1[pa + 1:][::-1] + r2[pb + 1:]
-        self.loads[t1], self.loads[t2] = load1, load2
-        self.phi = phi_new
-        if not self.routes[t2]:
-            self._mark_empty(t2)
-
-    def _apply_m7(self, t1, t2, pa, pb, load1, load2, phi_new):
-        r1, r2 = self.routes[t1], self.routes[t2]
-        self.routes[t1] = r1[:pa + 1] + r2[pb + 1:]
-        self.routes[t2] = r2[:pb + 1] + r1[pa + 1:]
-        self.loads[t1], self.loads[t2] = load1, load2
-        self.phi = phi_new
-
-    def _apply_m8(self, t1, dest, pa, phi_new):
-        a = self.routes[t1].pop(pa)
-        self.routes[dest] = [a]
-        self.loads[t1] -= self.demands[a]
-        self.loads[dest] = self.demands[a]
-        self.phi = phi_new
-        self._mark_used(dest)
-        if not self.routes[t1]:
-            self._mark_empty(t1)
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +688,9 @@ class _Engine(PlanState):
         self.trace = SearchTrace()
         self.trace_full = trace_level == "full"
         self.hooks = hooks or {}
-        self.table = None           # built lazily, never charged: shared data
-        self.se_memo = {}           # solve_se's routes of its previous call
+        # the best detour stations, never charged: shared instance data
+        self.table = build_best_station_table(inst, self.oracle)
+        self.se_memo = {}           # solve_se's route cache, emptied with memo
         # failed full scans, one dict per operator: key id1 * stride + id2,
         # the content ids of the target's two routes, -> a row over the
         # anchor positions pa of the first: row[pa] the scan's dmin (nan:
@@ -864,14 +854,17 @@ class _Engine(PlanState):
             self._reset_memo()
 
     def _reset_memo(self) -> None:
-        """Empty the memo and the intern table, then intern every route
-        afresh, so no row keyed on an old id outlives it.  A reset leaves
-        at most n + route_slots slots, a row adds at most n and a plan load
-        at most n + route_slots, so the slots never pass memo_cap + 3 n +
-        2 route_slots.  Every content takes at least one slot, so content
-        ids stay below that, the partner id of t2 = -1 in ids[-1]."""
+        """Empty the memo, the intern table and solve_se's route cache,
+        then intern every route afresh, so no row keyed on an old id
+        outlives it and the cache holds only routes interned since.  A
+        reset leaves at most n + route_slots slots, a row adds at most n
+        and a plan load at most n + route_slots, so the slots never pass
+        memo_cap + 3 n + 2 route_slots.  Every content takes at least one
+        slot, so content ids stay below that, the partner id of t2 = -1 in
+        ids[-1]."""
         for memo in self.memo:
             memo.clear()
+        self.se_memo.clear()
         self.content_ids.clear()
         self.memo_slots = 0
         for t in range(len(self.routes)):
@@ -1001,17 +994,12 @@ class _Engine(PlanState):
 
     # -- follower calls ------------------------------------------------------
 
-    def _ensure_table(self):
-        if self.table is None:
-            self.table = build_best_station_table(self.inst, self.oracle)
-        return self.table
-
     def _challenge_incumbent(self, phi_best: float) -> bool:
         """Run the cheap follower on the current plan and keep it if the
         full cost improves on the incumbent.  False when the meter died."""
         try:
             result = solve_se(self.routes, self.inst, self.oracle,
-                              self._ensure_table(), self.se_memo)
+                              self.table, self.se_memo)
         except BudgetExhausted:
             return False
         hook = self.hooks.get("on_follower")

@@ -214,7 +214,7 @@ def total_cost(routes, slot_lists, oracle: DistanceOracle
     separate concern.  f is accumulated per gap so that F = phi + f holds
     exactly in floating point.
 
-    One gather reads every arc priced: the direct arcs of depot_walk(routes),
+    One gather reads every arc costed: the direct arcs of depot_walk(routes),
     then the arcs of each stop path (prev, s, next) or (prev, u, w, next) in
     gap order.  They are summed in the order and association of a
     gap-by-gap walk.
@@ -256,7 +256,7 @@ def total_cost(routes, slot_lists, oracle: DistanceOracle
 
 
 def evaluate_solution(routes, slot_lists, oracle) -> CompleteSolution:
-    """The CompleteSolution record of a plan pair, priced by total_cost."""
+    """The CompleteSolution record of a plan pair, costed by total_cost."""
     f_total, f_detour, phi = total_cost(routes, slot_lists, oracle)
     return CompleteSolution(RoutingPlan.from_lists(routes),
                             tuple(tuple(s) for s in slot_lists),

@@ -541,9 +541,36 @@ def edit_plan(rng, plan):
 
 
 class TestSeMemo:
-    """A call that reuses the previous call's routes must return what a
-    call without a memo returns, and leave the meter at the same count,
-    also when the budget runs out partway through it."""
+    """A call that finds routes in the memo, left there by any earlier
+    call, must return what a call without a memo returns, and leave the
+    meter at the same count, also when the budget runs out partway
+    through it."""
+
+    def test_route_seen_two_calls_ago_not_priced_again(self, monkeypatch):
+        rng = random.Random("se-memo/aba")
+        inst = x143_like(rng)
+        oracle = DistanceOracle.for_instance(inst)
+        table = build_best_station_table(inst, oracle)
+        plan_a = [sweep_route(rng, inst, oracle, (5, 16)) for _ in range(3)]
+        plan_b = [sweep_route(rng, inst, oracle, (5, 16)) for _ in range(3)]
+        assert not {tuple(r) for r in plan_a} & {tuple(r) for r in plan_b}
+        calls = []
+        price = charging._price_route
+        monkeypatch.setattr(charging, "_price_route",
+                            lambda *args: calls.append(1) or price(*args))
+
+        def call(plan, memo):
+            oracle.budget = EvaluationBudget()
+            result = se_fingerprint(solve_se(plan, inst, oracle, table, memo))
+            return result, oracle.budget.arc_access_count
+
+        memo = {}
+        call(plan_a, memo)
+        call(plan_b, memo)
+        before = len(calls)
+        again = call(plan_a, memo)
+        assert before and len(calls) == before
+        assert again == call(plan_a, None)
 
     @pytest.mark.parametrize("recipe,sizes,steps", [
         (x143_like, (5, 16), 150),

@@ -371,6 +371,18 @@ class TestCliErrors:
             f"error: --seeds {spec!r}: expected a..b or a comma list of "
             "integers\n")
 
+    @pytest.mark.parametrize("spec", ["2,-2", "-3..3"])
+    def test_negative_seed_refused_before_any_run(self, tiny_file, tmp_path,
+                                                  capsys, spec):
+        # random.Random(-2) draws the stream of random.Random(2): the run
+        # would repeat seed 2 and count it twice in the report
+        out = tmp_path / "runs"
+        assert run_cli("solve", tiny_file, f"--seeds={spec}",
+                       "--out", out) == 1
+        assert one_error_line(capsys) == (
+            f"error: --seeds {spec!r}: every seed must be >= 0\n")
+        assert not out.exists()
+
 
 class TestOneParser:
     @pytest.fixture

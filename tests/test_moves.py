@@ -116,6 +116,9 @@ class TestApplyErrors:
         (Move.SWAP_WITHIN, [[1, 2, 3], [4, 5]], -1, 4, 5),
         (Move.RELOCATE_WITHIN, [[1, 2, 3], [4, 5]], 1.0, 4, (5, "after")),
         (Move.SEED_EMPTY_ROUTE, [[1, 2, 3], [4, 5], []], 3, 4, 2),
+        # bool is an int subclass: True would name route 1
+        (Move.SWAP_WITHIN, [[1, 2], [3, 4]], True, 3, 4),
+        (Move.RELOCATE_ACROSS, [[1, 2], [3, 4]], (False, True), 1, 3),
     ])
     def test_route_index_outside_plan(self, seven_instance, call, op, plan,
                                       target, a, b):

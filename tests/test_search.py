@@ -152,6 +152,13 @@ class TestSearchParams:
         with pytest.raises(ValueError, match="must be finite"):
             SearchParams(**{name: value})
 
+    def test_negative_seed_rejected(self):
+        # random.Random(-3) draws the stream of random.Random(3), so a
+        # negative seed would rerun its positive twin
+        SearchParams(seed=0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SearchParams(seed=-3)
+
 
 class TestGreedyDescent:
     @pytest.fixture
@@ -915,6 +922,17 @@ class TestMemoBound:
         assert 0 < min(peaks) and max(peaks) <= cap, (peaks, cap)
         # the longer run passed the cap: the bound held through clears
         assert resets.count(10_000_000) > 0
+
+    def test_reset_empties_se_cache(self, searchable_instance):
+        # solve_se's route cache is emptied with the memo, so it holds only
+        # routes interned since the last reset and memo_cap bounds it too
+        engine = _Engine(searchable_instance, small_params(1),
+                         EvaluationBudget(max_arc_accesses=50_000))
+        engine.run()
+        assert engine.se_memo
+        assert set(engine.se_memo) <= set(engine.content_ids)
+        engine._reset_memo()
+        assert engine.se_memo == {}
 
 
 class TestEngineLifetime:
