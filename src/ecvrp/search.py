@@ -33,6 +33,7 @@ import math
 import random
 from bisect import insort
 from dataclasses import dataclass, field
+from math import floor
 
 from .charging import BudgetExhausted, build_best_station_table, solve_exhaustive, solve_se
 from .instance import DistanceOracle, EvaluationBudget, InstanceSpec
@@ -691,12 +692,14 @@ class _Engine(PlanState):
         # the best detour stations, never charged: shared instance data
         self.table = build_best_station_table(inst, self.oracle)
         self.se_memo = {}           # solve_se's route cache, emptied with memo
-        # failed full scans, one dict per operator: key id1 * stride + id2,
-        # the content ids of the target's two routes, -> a row over the
-        # anchor positions pa of the first: row[pa] the scan's dmin (nan:
-        # none recorded) and row[~pa] the arcs it read.  ids[t] is route
-        # t's content id (see _intern); its extra last entry, the partner
-        # id of t2 = -1, lies above every content id
+        # failed full scans, one dict per operator: key row_keys[t1] +
+        # ids[t2] (id1 * stride + id2, the content ids of the target's two
+        # routes) -> a row over the anchor positions pa of the first:
+        # row[pa] the scan's dmin (nan: none recorded) and row[~pa] the
+        # arcs it read.  Per route slot t, written by _intern alone: ids[t]
+        # is route t's content id, row_keys[t] is ids[t] * stride and
+        # lengths[t] is len(route t).  The extra last entry of ids, the
+        # partner id of t2 = -1, lies above every content id
         self.memo = [{} for _ in range(8)]
         self.content_ids = {}       # tuple(route) -> content id
         self.memo_cap = memo_cap(inst)
@@ -705,6 +708,8 @@ class _Engine(PlanState):
             + 2 * inst.route_slots
         self.stride = no_route + 1
         self.ids = [0] * inst.route_slots + [no_route]
+        self.row_keys = [0] * inst.route_slots
+        self.lengths = [0] * inst.route_slots
         self._reset_memo()
         self.gamma = 0.0 if toggles.gamma_zero else params.follower_threshold
         self.explore_ops = list(range(7)) if toggles.no_m8 else list(range(8))
@@ -791,15 +796,15 @@ class _Engine(PlanState):
         wall = self.wall_limited
         scan = self.kernels[op]
         memo = self.memo[op]
+        row_keys = self.row_keys
         ids = self.ids
-        stride = self.stride
         improved = False
         while True:
             r1 = self.routes[t1]
             if not r1 or (t2 >= 0 and not self.routes[t2]) or (
                     wall and budget.exceeded()):
                 return improved
-            row = memo.get(ids[t1] * stride + ids[t2])
+            row = memo.get(row_keys[t1] + ids[t2])
             phi = self.phi
             bar = phi - IMPROVE_EPS
             for pa in range(len(r1)):
@@ -836,7 +841,9 @@ class _Engine(PlanState):
         reads its two routes and the instance alone (a load is the exact
         sum of its route's cargo_units), so a scan's deltas, capacity
         tests, arcs and dmin are a function of the operator, the anchor
-        and the two content ids."""
+        and the two content ids.  row_keys[t] and lengths[t] are written
+        here too, in place, so a caller's reference to either list stays
+        current across a reset."""
         content = tuple(self.routes[t])
         cid = self.content_ids.get(content)
         if cid is None:
@@ -844,6 +851,8 @@ class _Engine(PlanState):
             self.content_ids[content] = cid
             self.memo_slots += len(content) + 1
         self.ids[t] = cid
+        self.row_keys[t] = cid * self.stride
+        self.lengths[t] = len(content)
 
     def _intern_routes(self, slots) -> None:
         """Intern the routes in slots, then clear the memo if that took it
@@ -875,12 +884,12 @@ class _Engine(PlanState):
         clearing the memo first when the row would take it past memo_cap.
         An anchor's arcs are read only once its dmin is known, and both are
         written together, so the arcs half starts as nan too."""
-        length = len(self.routes[t1])
+        length = self.lengths[t1]
         if self.memo_slots + length > self.memo_cap:
             self._reset_memo()
         self.memo_slots += length
         row = [math.nan] * (2 * length)
-        self.memo[op][self.ids[t1] * self.stride + self.ids[t2]] = row
+        self.memo[op][self.row_keys[t1] + self.ids[t2]] = row
         return row
 
     # -- neighborhood exploration ------------------------------------------
@@ -891,9 +900,13 @@ class _Engine(PlanState):
         operator's kernel over its full candidate range; True when a
         candidate was accepted.
 
-        Index draws use int(random() * n): one float per draw instead of
+        Index draws use floor(random() * n): one float per draw instead of
         the rejection sampling of randrange, still from the single seeded
-        stream in program order.
+        stream in program order.  On a finite non-negative float floor
+        returns the int that int() does, at less cost per call.  The memo
+        row of an attempt is found through the per-slot lists _intern
+        keeps (row_keys[t1] + ids[t2]), and its anchor is drawn over
+        lengths[t1].
 
         A target whose failed full scan is in the memo (from this call, an
         earlier one, a descent pass or an earlier plan) for the current
@@ -913,11 +926,10 @@ class _Engine(PlanState):
         """
         draw = self.rng.random
         ops = self.explore_ops
-        op = ops[int(draw() * len(ops))]
+        op = ops[floor(draw() * len(ops))]
         scan = self.kernels[op]
         budget = self.budget
         limit = self.arc_limit
-        routes = self.routes
         nonempty = self.nonempty
         count = len(nonempty)       # no move is applied before returning
         attempts = self.params.max_attempts
@@ -937,7 +949,9 @@ class _Engine(PlanState):
         on_accept = self.hooks.get("on_accept")
         memo = self.memo[op]
         ids = self.ids
-        stride = self.stride
+        row_keys = self.row_keys
+        lengths = self.lengths
+        others = count - 1
         phi = self.phi
         # a candidate passes iff it is below phi_vi or below phi -
         # IMPROVE_EPS, which for non-nan floats is below their maximum
@@ -948,17 +962,17 @@ class _Engine(PlanState):
             if spent >= limit:
                 break
             if inter:
-                i = int(draw() * count)
-                j = int(draw() * (count - 1))
+                i = floor(draw() * count)
+                j = floor(draw() * others)
                 if j >= i:
                     j += 1
                 t1 = nonempty[i]
                 t2 = nonempty[j]
             else:
-                t1 = nonempty[int(draw() * count)]
+                t1 = nonempty[floor(draw() * count)]
                 t2 = dest
-            pa = int(draw() * len(routes[t1]))
-            row = memo.get(ids[t1] * stride + ids[t2])
+            pa = floor(draw() * lengths[t1])
+            row = memo.get(row_keys[t1] + ids[t2])
             if row is not None and phi + row[pa] >= bar:
                 arcs = row[~pa]
                 if spent + arcs <= limit:

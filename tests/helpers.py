@@ -537,7 +537,12 @@ def explore_reference(self, phi_vi):
     """Reference exploration call: every attempt runs the operator's kernel,
     repeats included.  The oracle for _Engine.explore, which must leave the
     same plan, phi bits, arc count and generator state; call it as
-    explore_reference(engine, phi_vi) or patch it in as _Engine.explore."""
+    explore_reference(engine, phi_vi) or patch it in as _Engine.explore.
+    Its index draws stay int(random() * n) where the engine's use
+    math.floor: as the independent judge it shows that floor-based draws
+    consume the same stream and pick the same indices.  It reads routes
+    and nonempty directly, not the engine's per-slot ids, row keys or
+    anchor counts."""
     draw = self.rng.random
     ops = self.explore_ops
     op = ops[int(draw() * len(ops))]

@@ -172,7 +172,7 @@ class TestSolve:
     def test_time_stop_criterion(self, tiny_file, tmp_path):
         out = tmp_path / "runs"
         code = run_cli("solve", tiny_file, "--stop", "time",
-                       "--omega", "1e-5", "--seeds", "1", "--lh", "50",
+                       "--omega", "1e-4", "--seeds", "1", "--lh", "50",
                        "--eta-max", "10", "--out", out)
         assert code == 0
         assert (out / "tiny3_seed1.sol").exists()

@@ -134,6 +134,15 @@ def descended(plan, inst, seed):
     return engine.routes
 
 
+def assert_slots_current(engine):
+    """The per-slot state _intern keeps matches the routes: each slot's
+    content id, its memo row key and its anchor count."""
+    for t, route in enumerate(engine.routes):
+        assert engine.ids[t] == engine.content_ids[tuple(route)], t
+        assert engine.row_keys[t] == engine.ids[t] * engine.stride, t
+        assert engine.lengths[t] == len(route), t
+
+
 class TestSearchParams:
     def test_history_and_attempts_capped(self):
         SearchParams(history_length=PARAM_MAX, max_attempts=PARAM_MAX)
@@ -575,6 +584,8 @@ class TestMemoMatchesReference:
                     engine.explore(phi_vi)
                 assert self.state(*twins[0]) == self.state(*twins[1]), \
                     (cycle, call)
+                # under a tiny cap resets land mid-call, renumbering ids
+                assert_slots_current(memo_engine)
             # a last descent records the current routes, which the next
             # plan mostly lacks
             for engine, _, _ in twins:
@@ -869,14 +880,27 @@ class TestEngineInvariants:
 
         engine.kernels = tuple(checked(op, kernel)
                                for op, kernel in enumerate(engine.kernels))
+        # a kernel edits the routes and its caller then interns them, so
+        # the per-slot state is checked once _touch returns
+        touch = engine._touch
+        touches = []
+
+        def touched(t1, t2):
+            touch(t1, t2)
+            touches.append((t1, t2))
+            assert_slots_current(engine)
+
+        engine._touch = touched
         rng = random.Random(5)
         for _ in range(6):
             engine.load_plan(random_feasible_plan(rng, inst))
             check()
+            assert_slots_current(engine)
             engine.descend()
             for _ in range(400):
                 engine.explore(engine.phi * 1.03)
         assert all(applied), applied
+        assert len(touches) == sum(applied)
 
 
 class TestMemoBound:
@@ -919,6 +943,7 @@ class TestMemoBound:
             assert engine.ids[:-1] == [
                 engine.content_ids[tuple(route)] for route in engine.routes]
             assert max(engine.content_ids.values()) < engine.ids[-1]
+            assert_slots_current(engine)
         assert 0 < min(peaks) and max(peaks) <= cap, (peaks, cap)
         # the longer run passed the cap: the bound held through clears
         assert resets.count(10_000_000) > 0
