@@ -145,9 +145,14 @@ def solve_se(routes, inst: InstanceSpec, oracle: DistanceOracle,
 
     It charges the oracle's budget 3 arcs per gap (direct arc and both
     station legs), for cached routes too, and raises BudgetExhausted
-    before a gap once that budget is exceeded.
+    before a gap once that budget is exceeded.  A route's gaps are
+    charged in one step, after one check of the budget (one clock read):
+    with count c below the arc limit M, the gaps before the limit are the
+    first ceil((M - c) / 3), so the count and the gap where
+    BudgetExhausted is raised are those of checking before every gap.
     """
     budget = oracle.budget
+    limit = budget.max_arc_accesses
     if memo is None:
         memo = {}
 
@@ -159,10 +164,15 @@ def solve_se(routes, inst: InstanceSpec, oracle: DistanceOracle,
         if not route:
             slots_out.append((None,))
             continue
-        for _ in range(len(route) + 1):
-            if budget.exceeded():
+        if budget.exceeded():
+            raise BudgetExhausted
+        gaps = len(route) + 1
+        if limit is not None:
+            room = (limit - budget.arc_access_count + 2) // 3
+            if room < gaps:
+                budget.arc_access_count += 3 * room
                 raise BudgetExhausted
-            budget.arc_access_count += 3
+        budget.arc_access_count += 3 * gaps
         key = tuple(route)
         entry = memo.get(key)
         if entry is None:

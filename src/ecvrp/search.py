@@ -35,6 +35,8 @@ from bisect import insort
 from dataclasses import dataclass, field
 from math import floor
 
+import numpy as np
+
 from .charging import BudgetExhausted, build_best_station_table, solve_exhaustive, solve_se
 from .instance import DistanceOracle, EvaluationBudget, InstanceSpec
 from .solution import CompleteSolution, RoutingPlan
@@ -250,6 +252,16 @@ class PlanState:
     already failed cannot pass: each kernel tests only candidates with
     delta < dmin, and while the routes the scan read stay unchanged, a
     caller that knows dmin knows its outcome under any phi and threshold.
+
+    The kernels rely on two properties of what they are given.  matrix is
+    exactly symmetric, so d(x, a) is read as row_a[x], from the anchor's
+    own row: the engine passes oracle.matrix, and moves passes that or
+    rows of zeros.  demands and cap are non-negative integers whose sums
+    are exact (the instance's cargo_units, or zeros and an infinite cap in
+    moves), so a capacity test is one exact window on a demand or a head
+    load, and m6 and m7 stop at the first head load above their window.
+    A kernel sums each delta's terms in a fixed order, which the
+    engine's numpy blocks repeat bit for bit (_Engine._block_row).
     """
 
     def __init__(self, routes: list[list[int]], matrix, demands, cap: float,
@@ -283,39 +295,43 @@ class PlanState:
         if length < 2:
             self.dmin = math.inf
             return False
-        matrix = self.matrix
         budget = self.budget
+        spent = budget.arc_access_count
         limit = self.arc_limit
-        phi = self.phi
-        a = route[pa]
-        prev_a = route[pa - 1] if pa else 0
-        next_a = route[pa + 1] if pa + 1 < length else 0
-        if budget.arc_access_count >= limit:
+        if spent >= limit:
             return False
-        budget.arc_access_count += 3
-        dmin = math.inf
+        spent += 3
+        matrix = self.matrix
+        phi = self.phi
+        ext = [0, *route, 0]
+        a = ext[pa + 1]
+        prev_a = ext[pa]
+        next_a = ext[pa + 2]
         row_a = matrix[a]
-        removal = matrix[prev_a][next_a] - matrix[prev_a][a] - row_a[next_a]
+        removal = matrix[prev_a][next_a] - row_a[prev_a] - row_a[next_a]
+        dmin = math.inf
         stop = 2 * length
         for k in range(lo, hi if hi < stop else stop):
             gap = (k + 1) >> 1
             if gap == pa or gap == pa + 1:
                 continue
-            left = route[gap - 1] if gap else 0
-            right = route[gap] if gap < length else 0
-            if budget.arc_access_count >= limit:
+            if spent >= limit:
+                budget.arc_access_count = spent
                 return False
-            budget.arc_access_count += 3
-            delta = removal + matrix[left][a] + row_a[right] \
-                - matrix[left][right]
+            spent += 3
+            left = ext[gap]
+            right = ext[gap + 1]
+            delta = removal + row_a[left] + row_a[right] - matrix[left][right]
             if delta < dmin:
                 phi_new = phi + delta
                 if phi_new < bar:
+                    budget.arc_access_count = spent
                     del route[pa]
                     route.insert(gap - 1 if gap > pa else gap, a)
                     self.phi = phi_new
                     return True
                 dmin = delta
+        budget.arc_access_count = spent
         self.dmin = dmin
         return False
 
@@ -324,42 +340,47 @@ class PlanState:
         r1 = self.routes[t1]
         r2 = self.routes[t2]
         a = r1[pa]
-        if self.loads[t2] + self.demands[a] > self.cap:
+        demand_a = self.demands[a]
+        if self.loads[t2] + demand_a > self.cap:
             self.dmin = math.inf
             return False
-        matrix = self.matrix
         budget = self.budget
+        spent = budget.arc_access_count
         limit = self.arc_limit
-        phi = self.phi
-        length1 = len(r1)
-        length2 = len(r2)
-        prev_a = r1[pa - 1] if pa else 0
-        next_a = r1[pa + 1] if pa + 1 < length1 else 0
-        if budget.arc_access_count >= limit:
+        if spent >= limit:
             return False
-        budget.arc_access_count += 3
+        spent += 3
+        matrix = self.matrix
+        phi = self.phi
+        prev_a = r1[pa - 1] if pa else 0
+        next_a = r1[pa + 1] if pa + 1 < len(r1) else 0
         row_a = matrix[a]
-        removal = matrix[prev_a][next_a] - matrix[prev_a][a] - row_a[next_a]
+        removal = matrix[prev_a][next_a] - row_a[prev_a] - row_a[next_a]
+        ext2 = r2 + [0]
+        length2 = len(r2)
         dmin = math.inf
         for pb in range(lo, hi if hi < length2 else length2):
-            b = r2[pb]
-            right = r2[pb + 1] if pb + 1 < length2 else 0
-            if budget.arc_access_count >= limit:
+            if spent >= limit:
+                budget.arc_access_count = spent
                 return False
-            budget.arc_access_count += 3
-            delta = removal + matrix[b][a] + row_a[right] - matrix[b][right]
+            spent += 3
+            b = ext2[pb]
+            right = ext2[pb + 1]
+            delta = removal + row_a[b] + row_a[right] - matrix[b][right]
             if delta < dmin:
                 phi_new = phi + delta
                 if phi_new < bar:
+                    budget.arc_access_count = spent
                     del r1[pa]
                     r2.insert(pb + 1, a)
-                    self.loads[t1] -= self.demands[a]
-                    self.loads[t2] += self.demands[a]
+                    self.loads[t1] -= demand_a
+                    self.loads[t2] += demand_a
                     self.phi = phi_new
                     if not r1:
                         self._mark_empty(t1)
                     return True
                 dmin = delta
+        budget.arc_access_count = spent
         self.dmin = dmin
         return False
 
@@ -370,45 +391,52 @@ class PlanState:
         if length < 2:
             self.dmin = math.inf
             return False
-        matrix = self.matrix
         budget = self.budget
+        spent = budget.arc_access_count
         limit = self.arc_limit
+        matrix = self.matrix
         phi = self.phi
-        a = route[pa]
-        prev_a = route[pa - 1] if pa else 0
-        next_a = route[pa + 1] if pa + 1 < length else 0
+        ext = [0, *route, 0]
+        a = ext[pa + 1]
+        prev_a = ext[pa]
+        next_a = ext[pa + 2]
         row_a = matrix[a]
+        d_pa_a = row_a[prev_a]
+        d_a_na = row_a[next_a]
         dmin = math.inf
         for pb in range(lo, hi if hi < length else length):
             if pb == pa:
                 continue
-            b = route[pb]
-            row_b = matrix[b]
-            if budget.arc_access_count >= limit:
+            if spent >= limit:
+                budget.arc_access_count = spent
                 return False
-            lo_pos, hi_pos = (pa, pb) if pa < pb else (pb, pa)
-            if hi_pos == lo_pos + 1:
-                u, w = route[lo_pos], route[hi_pos]
-                prev_u = route[lo_pos - 1] if lo_pos else 0
-                next_w = route[hi_pos + 1] if hi_pos + 1 < length else 0
-                budget.arc_access_count += 4
-                delta = (matrix[prev_u][w] + matrix[u][next_w]
-                         - matrix[prev_u][u] - matrix[w][next_w])
+            b = ext[pb + 1]
+            prev_b = ext[pb]
+            next_b = ext[pb + 2]
+            row_b = matrix[b]
+            if pb == pa + 1:        # prev_b is a
+                spent += 4
+                delta = (row_b[prev_a] + row_a[next_b]
+                         - d_pa_a - row_b[next_b])
+            elif pb == pa - 1:      # next_b is a
+                spent += 4
+                delta = (row_a[prev_b] + row_b[next_a]
+                         - row_b[prev_b] - d_a_na)
             else:
-                prev_b = route[pb - 1] if pb else 0
-                next_b = route[pb + 1] if pb + 1 < length else 0
-                budget.arc_access_count += 8
-                delta = (matrix[prev_a][b] + row_b[next_a]
-                         + matrix[prev_b][a] + row_a[next_b]
-                         - matrix[prev_a][a] - row_a[next_a]
-                         - matrix[prev_b][b] - row_b[next_b])
+                spent += 8
+                delta = (row_b[prev_a] + row_b[next_a]
+                         + row_a[prev_b] + row_a[next_b]
+                         - d_pa_a - d_a_na
+                         - row_b[prev_b] - row_b[next_b])
             if delta < dmin:
                 phi_new = phi + delta
                 if phi_new < bar:
-                    route[pa], route[pb] = route[pb], route[pa]
+                    budget.arc_access_count = spent
+                    route[pa], route[pb] = b, a
                     self.phi = phi_new
                     return True
                 dmin = delta
+        budget.arc_access_count = spent
         self.dmin = dmin
         return False
 
@@ -416,47 +444,53 @@ class PlanState:
         """m4: swap a with customer r2[pb] of route t2."""
         r1 = self.routes[t1]
         r2 = self.routes[t2]
-        matrix = self.matrix
         budget = self.budget
+        spent = budget.arc_access_count
         limit = self.arc_limit
         demands = self.demands
         cap = self.cap
+        matrix = self.matrix
         phi = self.phi
         a = r1[pa]
         demand_a = demands[a]
         load1 = self.loads[t1]
         load2 = self.loads[t2]
-        length1 = len(r1)
+        # b fits both routes iff least <= demand_b <= most
+        least = load2 + demand_a - cap
+        most = cap - load1 + demand_a
         length2 = len(r2)
         prev_a = r1[pa - 1] if pa else 0
-        next_a = r1[pa + 1] if pa + 1 < length1 else 0
+        next_a = r1[pa + 1] if pa + 1 < len(r1) else 0
         row_a = matrix[a]
+        d_pa_a = row_a[prev_a]
+        d_a_na = row_a[next_a]
         dmin = math.inf
         for pb in range(lo, hi if hi < length2 else length2):
             b = r2[pb]
             demand_b = demands[b]
-            if load1 - demand_a + demand_b > cap or \
-                    load2 - demand_b + demand_a > cap:
+            if not least <= demand_b <= most:
                 continue
-            if budget.arc_access_count >= limit:
+            if spent >= limit:
+                budget.arc_access_count = spent
                 return False
-            budget.arc_access_count += 8
-            row_b = matrix[b]
+            spent += 8
             prev_b = r2[pb - 1] if pb else 0
             next_b = r2[pb + 1] if pb + 1 < length2 else 0
-            delta = (matrix[prev_a][b] + row_b[next_a]
-                     - matrix[prev_a][a] - row_a[next_a]
-                     + matrix[prev_b][a] + row_a[next_b]
-                     - matrix[prev_b][b] - row_b[next_b])
+            row_b = matrix[b]
+            delta = (row_b[prev_a] + row_b[next_a] - d_pa_a - d_a_na
+                     + row_a[prev_b] + row_a[next_b]
+                     - row_b[prev_b] - row_b[next_b])
             if delta < dmin:
                 phi_new = phi + delta
                 if phi_new < bar:
+                    budget.arc_access_count = spent
                     r1[pa], r2[pb] = b, a
                     self.loads[t1] = load1 - demand_a + demand_b
                     self.loads[t2] = load2 - demand_b + demand_a
                     self.phi = phi_new
                     return True
                 dmin = delta
+        budget.arc_access_count = spent
         self.dmin = dmin
         return False
 
@@ -470,35 +504,39 @@ class PlanState:
         if start >= stop:
             self.dmin = math.inf
             return False
-        matrix = self.matrix
         budget = self.budget
+        spent = budget.arc_access_count
         limit = self.arc_limit
+        if spent >= limit:
+            return False
+        spent += 1
+        matrix = self.matrix
         phi = self.phi
         a = route[pa]
         next_a = route[pa + 1]
-        if budget.arc_access_count >= limit:
-            return False
-        budget.arc_access_count += 1
         row_a = matrix[a]
         row_an = matrix[next_a]
         d_a_an = row_a[next_a]
+        ext = route + [0]
         dmin = math.inf
         for pb in range(start, stop):
-            b = route[pb]
-            next_b = route[pb + 1] if pb + 1 < length else 0
-            if budget.arc_access_count >= limit:
+            if spent >= limit:
+                budget.arc_access_count = spent
                 return False
-            budget.arc_access_count += 3
-            delta = (row_a[b] + row_an[next_b] - d_a_an
-                     - matrix[b][next_b])
+            spent += 3
+            b = ext[pb]
+            next_b = ext[pb + 1]
+            delta = row_a[b] + row_an[next_b] - d_a_an - matrix[b][next_b]
             if delta < dmin:
                 phi_new = phi + delta
                 if phi_new < bar:
+                    budget.arc_access_count = spent
                     self.routes[t1] = route[:pa + 1] \
                         + route[pa + 1:pb + 1][::-1] + route[pb + 1:]
                     self.phi = phi_new
                     return True
                 dmin = delta
+        budget.arc_access_count = spent
         self.dmin = dmin
         return False
 
@@ -507,46 +545,53 @@ class PlanState:
         each head reversed into the other route."""
         r1 = self.routes[t1]
         r2 = self.routes[t2]
-        matrix = self.matrix
         budget = self.budget
+        spent = budget.arc_access_count
         limit = self.arc_limit
         demands = self.demands
         cap = self.cap
-        phi = self.phi
         a = r1[pa]
-        length1 = len(r1)
         length2 = len(r2)
-        next_a = r1[pa + 1] if pa + 1 < length1 else 0
+        next_a = r1[pa + 1] if pa + 1 < len(r1) else 0
         head1 = 0
         for k in range(pa + 1):
             head1 += demands[r1[k]]
         tail1 = self.loads[t1] - head1
         load2 = self.loads[t2]
-        if budget.arc_access_count >= limit:
+        if spent >= limit:
             return False
-        budget.arc_access_count += 1
-        row_a = matrix[a]
-        row_an = matrix[next_a]
-        d_a_an = row_a[next_a]
+        spent += 1
+        # the cut after b fits both routes iff least <= head2 <= most, and
+        # head2 never falls as pb grows
+        least = tail1 + load2 - cap
+        most = cap - head1
         head2 = 0
         if lo:  # demand of the customers ahead of the range
             for b in r2[:lo]:
                 head2 += demands[b]
+        matrix = self.matrix
+        phi = self.phi
+        row_a = matrix[a]
+        row_an = matrix[next_a]
+        d_a_an = row_a[next_a]
         dmin = math.inf
         for pb in range(lo, hi if hi < length2 else length2):
             b = r2[pb]
             head2 += demands[b]
-            if head1 + head2 > cap or tail1 + load2 - head2 > cap:
+            if head2 < least:
                 continue
-            next_b = r2[pb + 1] if pb + 1 < length2 else 0
-            if budget.arc_access_count >= limit:
+            if head2 > most:
+                break
+            if spent >= limit:
+                budget.arc_access_count = spent
                 return False
-            budget.arc_access_count += 3
-            delta = (row_a[b] + row_an[next_b] - d_a_an
-                     - matrix[b][next_b])
+            spent += 3
+            next_b = r2[pb + 1] if pb + 1 < length2 else 0
+            delta = row_a[b] + row_an[next_b] - d_a_an - matrix[b][next_b]
             if delta < dmin:
                 phi_new = phi + delta
                 if phi_new < bar:
+                    budget.arc_access_count = spent
                     self.routes[t1] = r1[:pa + 1] + r2[:pb + 1][::-1]
                     self.routes[t2] = r1[pa + 1:][::-1] + r2[pb + 1:]
                     self.loads[t1] = head1 + head2
@@ -556,6 +601,7 @@ class PlanState:
                         self._mark_empty(t2)
                     return True
                 dmin = delta
+        budget.arc_access_count = spent
         self.dmin = dmin
         return False
 
@@ -563,12 +609,11 @@ class PlanState:
         """m7: cut after a and after r2[pb] and exchange the tails."""
         r1 = self.routes[t1]
         r2 = self.routes[t2]
-        matrix = self.matrix
         budget = self.budget
+        spent = budget.arc_access_count
         limit = self.arc_limit
         demands = self.demands
         cap = self.cap
-        phi = self.phi
         a = r1[pa]
         length1 = len(r1)
         length2 = len(r2)
@@ -578,34 +623,43 @@ class PlanState:
             head1 += demands[r1[k]]
         tail1 = self.loads[t1] - head1
         load2 = self.loads[t2]
-        a_last = pa + 1 == length1
-        if budget.arc_access_count >= limit:
+        if spent >= limit:
             return False
-        budget.arc_access_count += 1
-        row_a = matrix[a]
-        row_an = matrix[next_a]
-        d_a_an = row_a[next_a]
+        spent += 1
+        # the cut after b fits both routes iff least <= head2 <= most, and
+        # head2 never falls as pb grows
+        least = head1 + load2 - cap
+        most = cap - tail1
         head2 = 0
         if lo:  # demand of the customers ahead of the range
             for b in r2[:lo]:
                 head2 += demands[b]
+        matrix = self.matrix
+        phi = self.phi
+        row_a = matrix[a]
+        row_an = matrix[next_a]
+        d_a_an = row_a[next_a]
+        # reconnecting two final arcs changes nothing: with a last, the
+        # last b is no candidate
+        stop = length2 - 1 if pa + 1 == length1 else length2
         dmin = math.inf
-        for pb in range(lo, hi if hi < length2 else length2):
+        for pb in range(lo, hi if hi < stop else stop):
             b = r2[pb]
             head2 += demands[b]
-            if a_last and pb + 1 == length2:
-                continue  # reconnecting two final arcs changes nothing
-            if head1 + load2 - head2 > cap or head2 + tail1 > cap:
+            if head2 < least:
                 continue
-            next_b = r2[pb + 1] if pb + 1 < length2 else 0
-            if budget.arc_access_count >= limit:
+            if head2 > most:
+                break
+            if spent >= limit:
+                budget.arc_access_count = spent
                 return False
-            budget.arc_access_count += 3
-            delta = (row_a[next_b] + matrix[b][next_a] - d_a_an
-                     - matrix[b][next_b])
+            spent += 3
+            next_b = r2[pb + 1] if pb + 1 < length2 else 0
+            delta = row_a[next_b] + row_an[b] - d_a_an - matrix[b][next_b]
             if delta < dmin:
                 phi_new = phi + delta
                 if phi_new < bar:
+                    budget.arc_access_count = spent
                     self.routes[t1] = r1[:pa + 1] + r2[pb + 1:]
                     self.routes[t2] = r2[:pb + 1] + r1[pa + 1:]
                     self.loads[t1] = head1 + load2 - head2
@@ -613,6 +667,7 @@ class PlanState:
                     self.phi = phi_new
                     return True
                 dmin = delta
+        budget.arc_access_count = spent
         self.dmin = dmin
         return False
 
@@ -711,6 +766,10 @@ class _Engine(PlanState):
         self.row_keys = [0] * inst.route_slots
         self.lengths = [0] * inst.route_slots
         self._reset_memo()
+        # descent prices inter-route targets as numpy blocks only on float
+        # cargo units: past 2**53 they are ints, which int64 could overflow
+        self.block_ops = (M2, M4, M6, M7) if isinstance(self.cap, float) \
+            else ()
         self.gamma = 0.0 if toggles.gamma_zero else params.follower_threshold
         self.explore_ops = list(range(7)) if toggles.no_m8 else list(range(8))
         self.iteration = 0
@@ -790,7 +849,16 @@ class _Engine(PlanState):
 
         An anchor whose failed scan is in the memo for the routes' current
         contents, and whose dmin cannot beat the current phi, is charged
-        the recorded arcs without rerunning the kernel, as in explore."""
+        the recorded arcs without rerunning the kernel, as in explore.
+
+        A pass of m2, m4, m6 or m7 that finds no row for its target first
+        fills one with _block_row, every anchor's full scan priced at once.
+        The loop then charges each anchor that cannot pass its recorded
+        arcs, and runs the kernel at the first anchor that can, which
+        accepts and applies its own edit, or wherever a recorded charge
+        would cross arc_limit.  So the accepted candidate, the arcs charged
+        up to it, the point where a limit stops the scan and the memo rows
+        are those of running every anchor's kernel."""
         budget = self.budget
         limit = self.arc_limit
         wall = self.wall_limited
@@ -798,6 +866,7 @@ class _Engine(PlanState):
         memo = self.memo[op]
         row_keys = self.row_keys
         ids = self.ids
+        block = op in self.block_ops
         improved = False
         while True:
             r1 = self.routes[t1]
@@ -805,6 +874,8 @@ class _Engine(PlanState):
                     wall and budget.exceeded()):
                 return improved
             row = memo.get(row_keys[t1] + ids[t2])
+            if row is None and block:
+                row = self._block_row(op, t1, t2)
             phi = self.phi
             bar = phi - IMPROVE_EPS
             for pa in range(len(r1)):
@@ -827,6 +898,83 @@ class _Engine(PlanState):
                     row[~pa] = end - spent
             else:
                 return improved
+
+    def _block_row(self, op, t1, t2) -> list:
+        """The memo row of inter-route op (m2, m4, m6 or m7) on target
+        (t1, t2), every anchor's full scan priced at once, stored through
+        _new_row: row[pa] the least delta of the candidates that fit (inf:
+        none) and row[~pa] the arcs the kernel charges, its header charge
+        plus its charge per candidate times the candidates that fit.
+
+        One gather of the arcs between the two depot-padded routes and one
+        of the routes' own arcs feed every delta, summed elementwise in
+        the kernel's own term order.  numpy's float64 adds are IEEE, the
+        array is exactly symmetric and matrix is array.tolist(), so each
+        delta equals the kernel's bit for bit.  The capacity masks are the
+        kernels' windows, exact as long as the units are floats (descent
+        builds blocks only then) or their sums stay within int64."""
+        r1 = self.routes[t1]
+        r2 = self.routes[t2]
+        length1 = len(r1)
+        demands = self.demands
+        cap = self.cap
+        load1 = self.loads[t1]
+        load2 = self.loads[t2]
+        units1 = np.array([demands[c] for c in r1])
+        array = self.oracle.array
+        # the two depot-padded routes end to end, sharing the depot between
+        ext = np.array([0, *r1, 0, *r2, 0])
+        ext1 = ext[:length1 + 2]
+        ext2 = ext[length1 + 1:]
+        # cross[i, j] = d(ext1[i], ext2[j]): row pa + 1 is anchor a, row pa
+        # its predecessor, row pa + 2 its successor, and likewise for the
+        # columns of b; own1[k] = d(ext1[k], ext1[k + 1]), own2 likewise
+        cross = array[ext1[:, None], ext2]
+        own = array[ext[:-1], ext[1:]]
+        own1 = own[:length1 + 1]
+        own2 = own[length1 + 1:]
+        at_a = cross[1:-1]
+        # the capacity windows of the kernels: the units are integers, so
+        # every sum and difference below is exact
+        if op == M2:
+            removal = array[ext1[:-2], ext1[2:]] - own1[:-1] - own1[1:]
+            delta = removal[:, None] + at_a[:, 1:-1] + at_a[:, 2:] - own2[1:]
+            fits = units1 <= cap - load2
+            dmin = np.where(fits, np.minimum.reduce(delta, axis=1), math.inf)
+            arcs = np.where(fits, 3 + 3 * len(r2), 0)
+        else:
+            units2 = np.array([demands[c] for c in r2])
+            if op == M4:
+                delta = (cross[:-2, 1:-1] + cross[2:, 1:-1]
+                         - own1[:-1, None] - own1[1:, None]
+                         + at_a[:, :-2] + at_a[:, 2:] - own2[:-1] - own2[1:])
+                least = units1 + (load2 - cap)
+                most = units1 + (cap - load1)
+                tested = units2             # each b's demand
+            else:
+                head1 = np.add.accumulate(units1)
+                tested = np.add.accumulate(units2)      # each head2
+                if op == M6:
+                    delta = (at_a[:, 1:-1] + cross[2:, 2:] - own1[1:, None]
+                             - own2[1:])
+                    least = (load1 + load2 - cap) - head1
+                    most = cap - head1
+                else:
+                    delta = (at_a[:, 2:] + cross[2:, 1:-1] - own1[1:, None]
+                             - own2[1:])
+                    least = head1 + (load2 - cap)
+                    most = head1 + (cap - load1)
+            fits = (least[:, None] <= tested) & (tested <= most[:, None])
+            if op == M7:
+                fits[-1, -1] = False    # the two final arcs: no candidate
+            dmin = np.minimum.reduce(delta, axis=1, where=fits,
+                                     initial=math.inf)
+            count = np.add.reduce(fits, axis=1)
+            arcs = 8 * count if op == M4 else 1 + 3 * count
+        row = self._new_row(op, t1, t2)
+        row[:length1] = dmin.tolist()
+        row[length1:] = arcs[::-1].tolist()
+        return row
 
     # -- the memo of failed scans -------------------------------------------
 

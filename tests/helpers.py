@@ -8,6 +8,7 @@ import numpy as np
 
 from ecvrp.analysis import _partitions_upto, brute_force_optimum
 from ecvrp.charging import (
+    BudgetExhausted,
     ChargingQueryResult,
     _gap_pairs,
     _gap_singles,
@@ -211,6 +212,21 @@ def random_move(rng, routes, ops=ALL_OPERATORS):
     if not candidates:
         return None
     return op, target, a, candidates[rng.randrange(len(candidates))]
+
+
+def se_meter_reference(routes, budget):
+    """solve_se's meter as it was, one check of the budget before every
+    gap: 3 arcs per gap of each non-empty route, in plan order, raising
+    BudgetExhausted before the first gap the exceeded budget reaches.
+    The oracle for solve_se's charge of a whole route in one step, on a
+    plan whose routes all have a charging plan."""
+    for route in routes:
+        if not route:
+            continue
+        for _ in range(len(route) + 1):
+            if budget.exceeded():
+                raise BudgetExhausted
+            budget.arc_access_count += 3
 
 
 def solve_se_enumeration(routes, inst, oracle, table):

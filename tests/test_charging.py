@@ -37,6 +37,7 @@ from helpers import (
     random_feasible_plan,
     reach_tops_reference,
     route_bounds_reference,
+    se_meter_reference,
     solve_exhaustive_dfs,
     solve_se_enumeration,
     station_hops,
@@ -218,6 +219,52 @@ class TestSimpleEnumeration:
         with pytest.raises(BudgetExhausted):
             solve_se([[1, 2]], inst, oracle, table)
         assert budget.arc_access_count == 9
+
+    def test_meter_matches_per_gap_checks(self):
+        # solve_se charges each route's gaps in one step, after one check
+        # of the budget; at every arc limit across a call the count and
+        # the outcome must be those of checking before every gap
+        inst = make_instance(
+            customers=[(10, 0), (20, 0), (20, 10), (-10, 5), (-15, -5)],
+            stations=[(15, 2), (-12, 0)], battery=1000, rate=1.0, fleet=3)
+        oracle = DistanceOracle.for_instance(inst)
+        table = build_best_station_table(inst, oracle)
+        plan = [[1, 2, 3], [], [4, 5]]
+        start = 7
+        total = 3 * (4 + 3)
+
+        class Counted(EvaluationBudget):
+            reads = 0
+
+            def exceeded(self):
+                self.reads += 1
+                return super().exceeded()
+
+        def run(call, limit):
+            budget = Counted(max_arc_accesses=limit)
+            budget.arc_access_count = start
+            try:
+                call(budget)
+                raised = False
+            except BudgetExhausted:
+                raised = True
+            return raised, budget.arc_access_count, budget.reads
+
+        def se(budget):
+            oracle.budget = budget
+            assert solve_se(plan, inst, oracle, table).feasible
+
+        outcomes = set()
+        for limit in range(start - 1, start + total + 2):
+            raised, count, reads = run(se, limit)
+            expected = run(lambda b: se_meter_reference(plan, b), limit)
+            assert (raised, count) == expected[:2], limit
+            # one clock read per route reached
+            assert reads == (1 if count - start < 12 else 2), limit
+            outcomes.add((raised, count))
+        # the call stops before each of the seven gaps, or not at all
+        assert (True, start) in outcomes and (False, start + total) in outcomes
+        assert len(outcomes) == 4 + 3 + 1
 
 
 class TestExhaustive:

@@ -27,6 +27,7 @@ from ecvrp.search import (
     AblationToggles,
     IncumbentInfeasible,
     InstanceInfeasible,
+    PlanState,
     SearchParams,
     _Engine,
     run_blahc,
@@ -238,54 +239,88 @@ class TestGreedyDescent:
 
     def test_clock_read_once_per_pass(self):
         # a wall-clock descent reads the clock before each operator and at
-        # the top of each pass over a target's anchors.  Whichever read
-        # first finds the deadline passed, no kernel runs after it, the
-        # kernels run before it are those of the untimed descent, and the
-        # rescanning reference, which runs every anchor's kernel, stops at
-        # the same read in the same state
+        # the top of each pass over a target's anchors, right before the
+        # pass looks up its memo row, which marks the pass's start in the
+        # log.  Every pass start follows a read and no read falls inside a
+        # pass.  Whichever read first finds the deadline passed, no pass
+        # starts and no kernel runs after it, the passes and kernel runs
+        # before it are those of the untimed descent, and the rescanning
+        # reference, which runs every anchor's kernel, stops at the same
+        # read in the same state
         inst = e22_like(random.Random(5))
         plan = random_partition_plan(random.Random(6), inst, 4)
 
         class Deadline(EvaluationBudget):
             """Time left for the first `left` clock reads, none after."""
 
-            def __init__(self, left):
+            def __init__(self, left, log):
                 super().__init__(wall_clock_limit=3600.0)
                 self.left = left
                 self.reads = 0
+                self.log = log
 
             def exceeded(self):
                 self.reads += 1
+                self.log.append(("read", self.reads))
                 return self.reads > self.left
 
         def descend(cls, left):
-            budget = Deadline(left)
+            log = []
+            budget = Deadline(left, log)
             engine = cls(inst, SearchParams(seed=2), budget)
             engine.load_plan(plan)
-            runs = []
+
+            class Memo(dict):
+                """One operator's memo, logging each row lookup."""
+
+                def __init__(self, op):
+                    super().__init__()
+                    self.op = op
+
+                def get(self, key, default=None):
+                    log.append(("pass", self.op, budget.reads))
+                    return super().get(key, default)
 
             def logged(op, kernel):
                 def scan(state, t1, t2, pa, *args):
-                    runs.append((op, t1, t2, pa, budget.reads))
+                    log.append(("kernel", op, t1, t2, pa, budget.reads))
                     return kernel(state, t1, t2, pa, *args)
                 return scan
 
+            engine.memo = [Memo(op) for op in range(8)]
             engine.kernels = tuple(logged(op, kernel)
                                    for op, kernel in enumerate(cls.kernels))
             engine.descend()
-            return runs, (engine.routes, engine.phi.hex(),
-                          budget.arc_access_count, budget.reads)
+            return log, (engine.routes, engine.phi.hex(),
+                         budget.arc_access_count, budget.reads)
 
         untimed, (_, _, _, reads) = descend(_Engine, math.inf)
-        # one read per pass: a pass's later anchors read no clock
-        for prev, run in zip(untimed, untimed[1:]):
-            if run[:3] == prev[:3] and run[3] > prev[3]:
-                assert run[4] == prev[4], run
-        assert reads < len(untimed) // 4
+        passes = [event for event in untimed if event[0] == "pass"]
+        kernels = [event for event in untimed if event[0] == "kernel"]
+        # every read starts a pass but those before an operator, which
+        # no pass follows at once
+        tops = [event for event, after in zip(untimed, untimed[1:] + [None])
+                if event[0] == "read" and (after is None or after[0] != "pass")]
+        assert kernels and reads == len(passes) + len(tops)
+        assert len(tops) <= 7 * len(passes)
+        last = None
+        for prev, event in zip(untimed, untimed[1:]):
+            if event[0] == "pass":
+                # one read right before each pass
+                assert prev == ("read", event[2]), event
+            if event[0] != "kernel":
+                last = event
+            else:
+                # no read inside a pass: a kernel runs in the pass of its
+                # operator, at the read that started it
+                assert last[0] == "pass" and last[1] == event[1], event
+                assert last[2] == event[5], event
+        untimed_runs = [event for event in untimed if event[0] != "read"]
         for left in range(reads):
-            runs, state = descend(_Engine, left)
-            assert runs == untimed[:len(runs)], left
-            assert all(run[4] <= left for run in runs), left
+            log, state = descend(_Engine, left)
+            runs = [event for event in log if event[0] != "read"]
+            assert runs == untimed_runs[:len(runs)], left
+            assert all(run[-1] <= left for run in runs), left
             assert state == descend(ReferenceEngine, left)[1], left
 
 
@@ -645,6 +680,103 @@ class TestMemoMatchesReference:
         (ran0, _), (ran1, rescans1), (ran2, rescans2), (ran3, rescans3) = runs
         assert ran0 > 0 and ran1 == ran2 == ran3
         assert rescans3 > rescans2 > rescans1
+
+    def test_int_units_descend_by_kernels(self, monkeypatch):
+        # past 2**53 the cargo units are Python ints, whose sums here pass
+        # what int64 holds: descent builds no block and runs the kernels
+        rng = random.Random(8)
+        base = e22_like(rng)
+        inst = replace(base, cargo_capacity=2.0 ** 63, fleet_size=8,
+                       demands=tuple(
+                           rng.choice((2.0 ** 59, 2.0 ** 60, 3 * 2.0 ** 59))
+                           if node in base.customers else 0.0
+                           for node in range(len(base.demands))))
+        units, cap = inst.cargo_units
+        assert type(cap) is int and sum(units) >= 2 ** 63
+
+        def no_block(*args):
+            raise AssertionError("block built on int cargo units")
+
+        monkeypatch.setattr(_Engine, "_block_row", no_block)
+        twins = [self.twin(cls, inst, 4) for cls in (_Engine,
+                                                     ReferenceEngine)]
+        assert twins[0][0].block_ops == ()
+        for _ in range(3):
+            plan = random_partition_plan(
+                rng, inst, rng.randint(1, inst.route_slots))
+            for engine, _, _ in twins:
+                engine.load_plan(plan)
+                engine.descend()
+            assert self.state(*twins[0]) == self.state(*twins[1])
+        assert twins[0][2][0] > 0
+
+
+def with_singletons(rng, routes, slots):
+    """routes with customers taken out into one-customer routes until
+    slots routes are in use."""
+    routes = [list(r) for r in routes if r]
+    while len(routes) < slots:
+        donors = [r for r in routes if len(r) > 1]
+        if not donors:
+            break
+        donor = rng.choice(donors)
+        routes.append([donor.pop(rng.randrange(len(donor)))])
+    return routes
+
+
+class TestBlockMatchesKernels:
+    """_Engine._block_row prices every anchor of an inter-route target at
+    once: for each ordered target and anchor its dmin must equal, bit for
+    bit, and its arcs, as an int, what the scalar kernel leaves after a
+    full scan on a copy of the plan that accepts nothing and meets no arc
+    limit."""
+
+    @pytest.mark.parametrize("make", [e22_like, e22_tight, x143_like,
+                                      decimal_demands])
+    def test_rows_equal_full_scans(self, make):
+        rng = random.Random(43)
+        inst = make(rng)
+        slots = inst.route_slots
+        plans = [random_partition_plan(rng, inst, slots),
+                 with_singletons(rng, random_partition_plan(rng, inst, 2),
+                                 slots),
+                 descended(random_partition_plan(rng, inst, slots), inst, 1),
+                 with_singletons(rng, descended(random_partition_plan(
+                     rng, inst, 2), inst, 2), slots)]
+        seen = {"no room for a": 0, "final arcs": 0, "singleton": 0}
+        for plan in plans:
+            engine = engine_on(plan, inst, 0)
+            routes = engine.routes
+            used = engine.nonempty
+            seen["singleton"] += sum(len(routes[t]) == 1 for t in used)
+            for op in (M2, M4, M6, M7):
+                for t1 in used:
+                    for t2 in used:
+                        if t1 == t2:
+                            continue
+                        row = engine._block_row(op, t1, t2)
+                        for pa in range(len(routes[t1])):
+                            state = PlanState(
+                                [list(r) for r in routes], engine.matrix,
+                                engine.demands, engine.cap,
+                                EvaluationBudget(), math.inf)
+                            assert not state.kernels[op](
+                                state, t1, t2, pa, -math.inf)
+                            arcs = state.budget.arc_access_count
+                            assert row[pa].hex() == state.dmin.hex(), \
+                                (op, t1, t2, pa)
+                            assert type(row[~pa]) is int and \
+                                row[~pa] == arcs, (op, t1, t2, pa)
+                            seen["no room for a"] += op == M2 and arcs == 0
+                            # with a last, the last b would cut after both
+                            # final customers: skipped, though it fits
+                            seen["final arcs"] += (
+                                op == M7 and pa == len(routes[t1]) - 1
+                                and max(state.loads[t1],
+                                        state.loads[t2]) <= state.cap)
+        assert seen["singleton"] and seen["final arcs"], seen
+        if make in (e22_tight, decimal_demands):
+            assert seen["no room for a"], seen
 
 
 @pytest.fixture(scope="module")
