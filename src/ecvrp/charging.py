@@ -249,26 +249,41 @@ def _best_gap_subset(directs, legs_in, legs_out, lb: int, rate: float,
     minimum, each with its lexicographically first prefix.  The result is
     the minimum final detour, lexicographically first among exact ties,
     and size lb + 1 replaces size lb only with a strictly smaller detour.
+
+    A layer is grown in two passes.  Each state's labels are sorted and
+    the extension is monotone in the value, so the first pass finds each
+    next stop's least value from the first label of every state that
+    reaches it; the second builds prefix tuples only for the labels
+    within the window of that value.  The last layer builds only stops
+    from which the depot is reachable, but it keeps its window too: the
+    last stop's three additions can round two labels of one state to the
+    same final detour, and then the lexicographically first prefix, not
+    the state's first label, must win the tie.
     """
     n = len(directs)
     top = lb + 1
     if lb > n:
         return None
 
+    # the products the reach loop reads, each computed once
+    rate_in = [rate * leg for leg in legs_in]
+    rate_directs = [rate * leg for leg in directs]
     reach = []
     for q in range(-1, n):
         charge = full if q < 0 else full - rate * legs_out[q]
         nxt = []
         if charge >= 0.0:
             for p in range(q + 1, n):
-                if charge - rate * legs_in[p] >= 0.0:
+                if charge - rate_in[p] >= 0.0:
                     nxt.append(p)
-                charge -= rate * directs[p]
+                charge -= rate_directs[p]
                 if charge < 0.0:
                     break
             else:
                 nxt.append(n)
         reach.append(nxt)
+    # ends[q + 1]: the depot is reachable from stop q
+    ends = [bool(nxt) and nxt[-1] == n for nxt in reach]
 
     # Every partial detour lies within +-scale, so each remaining addition
     # moves two prefixes' values closer by at most one ulp of 2 * scale.
@@ -281,8 +296,7 @@ def _best_gap_subset(directs, legs_in, legs_out, lb: int, rate: float,
     layer = {-1: [(0.0, ())]}
     for k in range(top + 1):
         if k >= lb:
-            finals = [cands[0] for q, cands in layer.items()
-                      if reach[q + 1] and reach[q + 1][-1] == n]
+            finals = [cands[0] for q, cands in layer.items() if ends[q + 1]]
             if finals:
                 size_best = min(finals)
                 if best is None or size_best[0] < best[0]:
@@ -292,29 +306,58 @@ def _best_gap_subset(directs, legs_in, legs_out, lb: int, rate: float,
         # three additions per remaining stop, plus slack for the rounding
         # of the window test itself
         window = (3 * (top - k - 1) + 2) * ulp
-        need = lb - k - 1            # stops still needed after the next one
-        grown: dict[int, list] = {}
+        # stops still needed after the next one leave it at most pmax
+        pmax = n - 1 - max(lb - k - 1, 0)
+        last = k == top - 1          # the layer only the finals read
+        # The least value of each next stop p comes from each state's
+        # first (least) label, since v + a + b - c never falls as v grows.
+        # near[p] keeps the states whose first label came within the window
+        # of p's least so far: every state within the final window is kept
+        least: dict[int, float] = {}
+        near: dict[int, list] = {}
         for q, cands in layer.items():
+            v = cands[0][0]
             for p in reach[q + 1]:
-                if p == n or n - 1 - p < need:
-                    continue
-                a, b, c = legs_in[p], legs_out[p], directs[p]
-                bucket = grown.setdefault(p, [])
-                for v, combo in cands:
-                    # same association as solve_exhaustive, so the plans
-                    # both can return cost bit-identical detours
-                    bucket.append((v + a + b - c, combo + (p,)))
-        layer = {}
-        for p, bucket in grown.items():
-            bucket.sort()
-            limit = bucket[0][0] + window
-            kept = [bucket[0]]
-            for item in bucket:
-                if item[0] > limit:
+                if p > pmax:
                     break
-                if item[0] != kept[-1][0]:
-                    kept.append(item)
-            layer[p] = kept
+                if last and not ends[p + 1]:
+                    continue
+                # same association as solve_exhaustive, so the plans both
+                # can return cost bit-identical detours
+                value = v + legs_in[p] + legs_out[p] - directs[p]
+                low = least.get(p)
+                if low is None:
+                    least[p] = value
+                    near[p] = [(value, q)]
+                elif value <= low + window:
+                    near[p].append((value, q))
+                    if value < low:
+                        least[p] = value
+        grown = {}
+        for p, states in near.items():
+            limit = least[p] + window
+            a, b, c = legs_in[p], legs_out[p], directs[p]
+            bucket = []
+            for value, q in states:
+                if value > limit:
+                    continue
+                cands = layer[q]
+                bucket.append((value, cands[0][1] + (p,)))
+                for i in range(1, len(cands)):
+                    v, combo = cands[i]
+                    value = v + a + b - c
+                    if value > limit:
+                        break
+                    bucket.append((value, combo + (p,)))
+            if len(bucket) > 1:
+                bucket.sort()
+                kept = [bucket[0]]
+                for item in bucket:
+                    if item[0] != kept[-1][0]:
+                        kept.append(item)
+                bucket = kept
+            grown[p] = bucket
+        layer = grown
     return best
 
 

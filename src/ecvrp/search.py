@@ -224,6 +224,15 @@ def split_giant_tour(perm, inst: InstanceSpec, oracle: DistanceOracle):
 # small int keeps the range checks on the interpreter's fast integer path
 ALL = 1 << 29
 
+# the least customers route t1 must hold for a descent pass to price its
+# target as one numpy block (_Engine._block_row) rather than anchor by
+# anchor.  A block's cost is mostly fixed numpy calls: on a 2-core Xeon VM
+# (Python 3.11, numpy 2.4, best of 7, every candidate fitting) it took
+# 8-19 us at 4 to 8 customers a route, 13-32 us when it also built its
+# routes' arrays, against 2-7 us for a full pass of the kernels at 4
+# customers, 4-14 us at 6, 6-20 us at 8 and 9-30 us at 10
+BLOCK_FLOOR = 8
+
 
 class PlanState:
     """One plan under edit: routes, loads, the sorted indices of the
@@ -289,7 +298,9 @@ class PlanState:
         route[gap - 1] and route[gap] (the depot past either end).  The
         gaps beside a, pa and pa + 1, would leave the route as it is and
         are skipped: their float-noise deltas could masquerade as
-        improvements."""
+        improvements.  An interior gap is two candidates, k = 2 gap - 1 and
+        k = 2 gap, with one delta: it is computed for the first, and the
+        second, whose delta has already failed, is only charged."""
         route = self.routes[t1]
         length = len(route)
         if length < 2:
@@ -310,9 +321,10 @@ class PlanState:
         row_a = matrix[a]
         removal = matrix[prev_a][next_a] - row_a[prev_a] - row_a[next_a]
         dmin = math.inf
-        stop = 2 * length
-        for k in range(lo, hi if hi < stop else stop):
-            gap = (k + 1) >> 1
+        stop = hi if hi < 2 * length else 2 * length
+        # candidates lo..stop - 1 fall in gaps (lo + 1) >> 1 .. stop >> 1,
+        # and both of a gap's when lo < 2 gap < stop
+        for gap in range((lo + 1) >> 1, (stop >> 1) + 1 if stop > lo else 0):
             if gap == pa or gap == pa + 1:
                 continue
             if spent >= limit:
@@ -331,6 +343,11 @@ class PlanState:
                     self.phi = phi_new
                     return True
                 dmin = delta
+            if lo < gap + gap < stop:
+                if spent >= limit:
+                    budget.arc_access_count = spent
+                    return False
+                spent += 3
         budget.arc_access_count = spent
         self.dmin = dmin
         return False
@@ -752,9 +769,10 @@ class _Engine(PlanState):
         # routes) -> a row over the anchor positions pa of the first:
         # row[pa] the scan's dmin (nan: none recorded) and row[~pa] the
         # arcs it read.  Per route slot t, written by _intern alone: ids[t]
-        # is route t's content id, row_keys[t] is ids[t] * stride and
-        # lengths[t] is len(route t).  The extra last entry of ids, the
-        # partner id of t2 = -1, lies above every content id
+        # is route t's content id, row_keys[t] is ids[t] * stride,
+        # lengths[t] is len(route t), and slot_arrays[t], _slot's arrays,
+        # is dropped.  The extra last entry of ids, the partner id of
+        # t2 = -1, lies above every content id
         self.memo = [{} for _ in range(8)]
         self.content_ids = {}       # tuple(route) -> content id
         self.memo_cap = memo_cap(inst)
@@ -765,11 +783,11 @@ class _Engine(PlanState):
         self.ids = [0] * inst.route_slots + [no_route]
         self.row_keys = [0] * inst.route_slots
         self.lengths = [0] * inst.route_slots
+        self.slot_arrays = [None] * inst.route_slots
         self._reset_memo()
-        # descent prices inter-route targets as numpy blocks only on float
-        # cargo units: past 2**53 they are ints, which int64 could overflow
-        self.block_ops = (M2, M4, M6, M7) if isinstance(self.cap, float) \
-            else ()
+        # descent prices targets as numpy blocks only on float cargo units:
+        # past 2**53 they are ints, which int64 could overflow
+        self.blocks = isinstance(self.cap, float)
         self.gamma = 0.0 if toggles.gamma_zero else params.follower_threshold
         self.explore_ops = list(range(7)) if toggles.no_m8 else list(range(8))
         self.iteration = 0
@@ -851,10 +869,10 @@ class _Engine(PlanState):
         contents, and whose dmin cannot beat the current phi, is charged
         the recorded arcs without rerunning the kernel, as in explore.
 
-        A pass of m2, m4, m6 or m7 that finds no row for its target first
-        fills one with _block_row, every anchor's full scan priced at once.
-        The loop then charges each anchor that cannot pass its recorded
-        arcs, and runs the kernel at the first anchor that can, which
+        A pass that finds no row for its target first fills one with
+        _block_row, every anchor's full scan priced at once, when route t1
+        holds at least BLOCK_FLOOR customers.  The loop then charges each
+        anchor that cannot pass its recorded arcs, and runs the kernel at the first anchor that can, which
         accepts and applies its own edit, or wherever a recorded charge
         would cross arc_limit.  So the accepted candidate, the arcs charged
         up to it, the point where a limit stops the scan and the memo rows
@@ -866,7 +884,8 @@ class _Engine(PlanState):
         memo = self.memo[op]
         row_keys = self.row_keys
         ids = self.ids
-        block = op in self.block_ops
+        block = self.blocks
+        lengths = self.lengths
         improved = False
         while True:
             r1 = self.routes[t1]
@@ -874,7 +893,7 @@ class _Engine(PlanState):
                     wall and budget.exceeded()):
                 return improved
             row = memo.get(row_keys[t1] + ids[t2])
-            if row is None and block:
+            if row is None and block and lengths[t1] >= BLOCK_FLOOR:
                 row = self._block_row(op, t1, t2)
             phi = self.phi
             bar = phi - IMPROVE_EPS
@@ -900,81 +919,144 @@ class _Engine(PlanState):
                 return improved
 
     def _block_row(self, op, t1, t2) -> list:
-        """The memo row of inter-route op (m2, m4, m6 or m7) on target
-        (t1, t2), every anchor's full scan priced at once, stored through
-        _new_row: row[pa] the least delta of the candidates that fit (inf:
-        none) and row[~pa] the arcs the kernel charges, its header charge
-        plus its charge per candidate times the candidates that fit.
+        """The memo row of op on target (t1, t2), every anchor's full scan
+        priced at once, stored through _new_row: row[pa] the least delta of
+        the candidates that fit (inf: none) and row[~pa] the arcs the
+        kernel charges.  Those are its header charge plus its charge per
+        candidate times the candidates that fit: 3 + 3 per candidate k for
+        m1, whose interior gaps are two candidates each; 4 per neighbour
+        and 8 per other customer for m3; 1 + 3 per candidate for m5, m6
+        and m7 (0 with none for m5), and as in the kernels for m2 and m4.
+        A one-customer route has no m1 or m3 candidate: inf and 0.
 
-        One gather of the arcs between the two depot-padded routes and one
-        of the routes' own arcs feed every delta, summed elementwise in
-        the kernel's own term order.  numpy's float64 adds are IEEE, the
+        One gather of the arcs between the two depot-padded routes (the
+        route and itself for m1, m3 and m5) feeds every delta with the
+        routes' own and skip arcs (_slot), summed elementwise in the
+        kernel's own term order.  numpy's float64 adds are IEEE, the
         array is exactly symmetric and matrix is array.tolist(), so each
         delta equals the kernel's bit for bit.  The capacity masks are the
         kernels' windows, exact as long as the units are floats (descent
         builds blocks only then) or their sums stay within int64."""
-        r1 = self.routes[t1]
-        r2 = self.routes[t2]
-        length1 = len(r1)
-        demands = self.demands
-        cap = self.cap
-        load1 = self.loads[t1]
-        load2 = self.loads[t2]
-        units1 = np.array([demands[c] for c in r1])
+        ext1, own1, skip1, units1, head1 = self._slot(t1)
+        length1 = len(units1)
         array = self.oracle.array
-        # the two depot-padded routes end to end, sharing the depot between
-        ext = np.array([0, *r1, 0, *r2, 0])
-        ext1 = ext[:length1 + 2]
-        ext2 = ext[length1 + 1:]
-        # cross[i, j] = d(ext1[i], ext2[j]): row pa + 1 is anchor a, row pa
-        # its predecessor, row pa + 2 its successor, and likewise for the
-        # columns of b; own1[k] = d(ext1[k], ext1[k + 1]), own2 likewise
-        cross = array[ext1[:, None], ext2]
-        own = array[ext[:-1], ext[1:]]
-        own1 = own[:length1 + 1]
-        own2 = own[length1 + 1:]
-        at_a = cross[1:-1]
-        # the capacity windows of the kernels: the units are integers, so
-        # every sum and difference below is exact
-        if op == M2:
-            removal = array[ext1[:-2], ext1[2:]] - own1[:-1] - own1[1:]
-            delta = removal[:, None] + at_a[:, 1:-1] + at_a[:, 2:] - own2[1:]
-            fits = units1 <= cap - load2
-            dmin = np.where(fits, np.minimum.reduce(delta, axis=1), math.inf)
-            arcs = np.where(fits, 3 + 3 * len(r2), 0)
-        else:
-            units2 = np.array([demands[c] for c in r2])
-            if op == M4:
-                delta = (cross[:-2, 1:-1] + cross[2:, 1:-1]
-                         - own1[:-1, None] - own1[1:, None]
-                         + at_a[:, :-2] + at_a[:, 2:] - own2[:-1] - own2[1:])
-                least = units1 + (load2 - cap)
-                most = units1 + (cap - load1)
-                tested = units2             # each b's demand
+        inf = math.inf
+        if t2 < 0:
+            if length1 < 2:
+                dmin = [inf] * length1
+                arcs = [0] * length1
             else:
-                head1 = np.add.accumulate(units1)
-                tested = np.add.accumulate(units2)      # each head2
-                if op == M6:
-                    delta = (at_a[:, 1:-1] + cross[2:, 2:] - own1[1:, None]
-                             - own2[1:])
-                    least = (load1 + load2 - cap) - head1
-                    most = cap - head1
+                # cross[i, j] = d(ext1[i], ext1[j]).  A diagonal of delta is
+                # set as a slice of its flat view, stepping by the row width
+                # plus one
+                cross = array[ext1[:, None], ext1]
+                if op == M1:
+                    at_a = cross[1:-1]
+                    removal = skip1 - own1[:-1] - own1[1:]
+                    delta = removal[:, None] + at_a[:, :-1] + at_a[:, 1:] \
+                        - own1
+                    flat = delta.reshape(-1)
+                    flat[::length1 + 2] = inf       # gap pa
+                    flat[1::length1 + 2] = inf      # gap pa + 1
+                    dmin = np.minimum.reduce(delta, axis=1).tolist()
+                    end = 6 * length1 - 6
+                    arcs = [end, *[end - 3] * (length1 - 2), end]
+                elif op == M3:
+                    delta = (cross[:-2, 1:-1] + cross[2:, 1:-1]
+                             + cross[1:-1, :-2] + cross[1:-1, 2:]
+                             - own1[:-1, None] - own1[1:, None]
+                             - own1[:-1] - own1[1:])
+                    # b next to a: the swap of adjacent customers, the same
+                    # sum from either side
+                    adjacent = skip1[:-1] + skip1[1:] - own1[:-2] - own1[2:]
+                    flat = delta.reshape(-1)
+                    flat[::length1 + 1] = inf       # b is a
+                    flat[1::length1 + 1] = adjacent
+                    flat[length1::length1 + 1] = adjacent
+                    dmin = np.minimum.reduce(delta, axis=1).tolist()
+                    end = 8 * length1 - 12
+                    arcs = [end, *[end - 4] * (length1 - 2), end]
                 else:
-                    delta = (at_a[:, 2:] + cross[2:, 1:-1] - own1[1:, None]
+                    delta = (cross[1:-1, 1:-1] + cross[2:, 2:]
+                             - own1[1:, None] - own1[1:])
+                    # the candidates of pa are pb >= pa + 2: the least of
+                    # each row's suffix from column pa + 2, on the second
+                    # superdiagonal of the suffix minima
+                    suffix = np.minimum.accumulate(delta[:, ::-1], axis=1)
+                    dmin = [*np.diagonal(suffix[:, ::-1], 2).tolist(),
+                            inf, inf]
+                    arcs = [*range(3 * length1 - 5, 3, -3), 0, 0]
+        else:
+            ext2, own2, _, units2, head2 = self._slot(t2)
+            cap = self.cap
+            load1 = self.loads[t1]
+            load2 = self.loads[t2]
+            # cross[i, j] = d(ext1[i], ext2[j]): row pa + 1 is anchor a, row
+            # pa its predecessor, row pa + 2 its successor, and likewise for
+            # the columns of b
+            cross = array[ext1[:, None], ext2]
+            at_a = cross[1:-1]
+            # the capacity windows of the kernels: the units are integers,
+            # so every sum and difference below is exact
+            if op == M2:
+                removal = skip1 - own1[:-1] - own1[1:]
+                delta = removal[:, None] + at_a[:, 1:-1] + at_a[:, 2:] \
+                    - own2[1:]
+                fits = units1 <= cap - load2
+                dmin = np.where(fits, np.minimum.reduce(delta, axis=1), inf)
+                arcs = np.where(fits, 3 + 3 * len(units2), 0)
+            else:
+                if op == M4:
+                    delta = (cross[:-2, 1:-1] + cross[2:, 1:-1]
+                             - own1[:-1, None] - own1[1:, None]
+                             + at_a[:, :-2] + at_a[:, 2:] - own2[:-1]
                              - own2[1:])
-                    least = head1 + (load2 - cap)
-                    most = head1 + (cap - load1)
-            fits = (least[:, None] <= tested) & (tested <= most[:, None])
-            if op == M7:
-                fits[-1, -1] = False    # the two final arcs: no candidate
-            dmin = np.minimum.reduce(delta, axis=1, where=fits,
-                                     initial=math.inf)
-            count = np.add.reduce(fits, axis=1)
-            arcs = 8 * count if op == M4 else 1 + 3 * count
+                    least = units1 + (load2 - cap)
+                    most = units1 + (cap - load1)
+                    tested = units2             # each b's demand
+                else:
+                    tested = head2              # each head load of t2
+                    if op == M6:
+                        delta = (at_a[:, 1:-1] + cross[2:, 2:]
+                                 - own1[1:, None] - own2[1:])
+                        least = (load1 + load2 - cap) - head1
+                        most = cap - head1
+                    else:
+                        delta = (at_a[:, 2:] + cross[2:, 1:-1]
+                                 - own1[1:, None] - own2[1:])
+                        least = head1 + (load2 - cap)
+                        most = head1 + (cap - load1)
+                fits = (least[:, None] <= tested) & (tested <= most[:, None])
+                if op == M7:
+                    fits[-1, -1] = False    # the two final arcs: no candidate
+                dmin = np.minimum.reduce(delta, axis=1, where=fits,
+                                         initial=inf)
+                count = np.add.reduce(fits, axis=1)
+                arcs = 8 * count if op == M4 else 1 + 3 * count
+            dmin = dmin.tolist()
+            arcs = arcs.tolist()
         row = self._new_row(op, t1, t2)
-        row[:length1] = dmin.tolist()
-        row[length1:] = arcs[::-1].tolist()
+        row[:length1] = dmin
+        row[length1:] = arcs[::-1]
         return row
+
+    def _slot(self, t) -> tuple:
+        """The arrays blocks read of route slot t, built at the first block
+        after _intern drops them: the depot-padded route ext, its own arcs
+        own[k] = d(ext[k], ext[k + 1]), its skip arcs skip[k] = d(ext[k],
+        ext[k + 2]), and its customers' cargo units and head loads (the
+        load up to and including each customer)."""
+        arrays = self.slot_arrays[t]
+        if arrays is None:
+            route = self.routes[t]
+            ext = np.array([0, *route, 0])
+            array = self.oracle.array
+            demands = self.demands
+            units = np.array([demands[c] for c in route])
+            arrays = self.slot_arrays[t] = (
+                ext, array[ext[:-1], ext[1:]], array[ext[:-2], ext[2:]],
+                units, np.add.accumulate(units))
+        return arrays
 
     # -- the memo of failed scans -------------------------------------------
 
@@ -991,7 +1073,8 @@ class _Engine(PlanState):
         tests, arcs and dmin are a function of the operator, the anchor
         and the two content ids.  row_keys[t] and lengths[t] are written
         here too, in place, so a caller's reference to either list stays
-        current across a reset."""
+        current across a reset, and the route's block arrays (_slot) are
+        dropped."""
         content = tuple(self.routes[t])
         cid = self.content_ids.get(content)
         if cid is None:
@@ -1001,6 +1084,7 @@ class _Engine(PlanState):
         self.ids[t] = cid
         self.row_keys[t] = cid * self.stride
         self.lengths[t] = len(content)
+        self.slot_arrays[t] = None
 
     def _intern_routes(self, slots) -> None:
         """Intern the routes in slots, then clear the memo if that took it

@@ -694,6 +694,59 @@ def m1_reference(self, t1, t2, pa, bar, lo=0, hi=ALL) -> bool:
     return False
 
 
+def m1_per_candidate_reference(self, t1, t2, pa, bar, lo=0, hi=ALL) -> bool:
+    """PlanState._m1 as it was when it looped over the candidates k, one
+    delta each, so an interior gap's delta was computed for both of its
+    candidates.  The oracle for the kernel that loops over gaps and only
+    charges a gap's second candidate: both must return the same value and
+    leave the same routes, phi and dmin bits and arc count under every
+    bar, candidate range and arc limit."""
+    route = self.routes[t1]
+    length = len(route)
+    if length < 2:
+        self.dmin = math.inf
+        return False
+    budget = self.budget
+    spent = budget.arc_access_count
+    limit = self.arc_limit
+    if spent >= limit:
+        return False
+    spent += 3
+    matrix = self.matrix
+    phi = self.phi
+    ext = [0, *route, 0]
+    a = ext[pa + 1]
+    prev_a = ext[pa]
+    next_a = ext[pa + 2]
+    row_a = matrix[a]
+    removal = matrix[prev_a][next_a] - row_a[prev_a] - row_a[next_a]
+    dmin = math.inf
+    stop = 2 * length
+    for k in range(lo, hi if hi < stop else stop):
+        gap = (k + 1) >> 1
+        if gap == pa or gap == pa + 1:
+            continue
+        if spent >= limit:
+            budget.arc_access_count = spent
+            return False
+        spent += 3
+        left = ext[gap]
+        right = ext[gap + 1]
+        delta = removal + row_a[left] + row_a[right] - matrix[left][right]
+        if delta < dmin:
+            phi_new = phi + delta
+            if phi_new < bar:
+                budget.arc_access_count = spent
+                del route[pa]
+                route.insert(gap - 1 if gap > pa else gap, a)
+                self.phi = phi_new
+                return True
+            dmin = delta
+    budget.arc_access_count = spent
+    self.dmin = dmin
+    return False
+
+
 def _apply_m1_reference(self, t, pa, pb, after, phi_new):
     route = self.routes[t]
     a = route.pop(pa)

@@ -25,6 +25,7 @@ from ecvrp.solution import surrogate_cost
 from conftest import make_instance
 from helpers import (
     disc_point,
+    m1_per_candidate_reference,
     m1_reference,
     random_feasible_plan,
     random_move,
@@ -356,6 +357,39 @@ class TestM1MatchesReference:
                                 (route, pa, bar, limit)
         # single candidates and wider ranges both accept and fail
         assert min(outcomes.values()) > 100, outcomes
+
+    def test_same_outcome_as_per_candidate_kernel(self):
+        # the kernel before it priced each gap once: at every arc limit
+        # from the scan's start to past its end, over full and partial
+        # candidate ranges, including ranges that hold one copy of a gap
+        rng = random.Random(27)
+        inst = make_instance(
+            customers=[disc_point(rng, 30) for _ in range(9)],
+            stations=[(40, 40)], fleet=9, capacity=1e9)
+        matrix = DistanceOracle.for_instance(inst).matrix
+        outcomes = Counter()
+        for length in range(1, 10):
+            route = rng.sample(range(1, 10), length)
+            phi = rng.uniform(100, 300)
+            start = rng.randrange(1000)
+            bars = (-math.inf, math.inf, phi + rng.uniform(-30, 5))
+            ranges = [(0, ALL), *((lo, hi) for lo in range(2 * length + 1)
+                                  for hi in range(lo, 2 * length + 2, 3))]
+            for pa in range(length):
+                for bar in bars:
+                    for lo, hi in ranges:
+                        full = self.run(m1_per_candidate_reference, route,
+                                        matrix, pa, phi, bar, lo, hi, start,
+                                        math.inf)[-1]
+                        for limit in range(start, full + 2):
+                            args = (route, matrix, pa, phi, bar, lo, hi,
+                                    start, limit)
+                            want = self.run(m1_per_candidate_reference, *args)
+                            assert self.run(PlanState._m1, *args) == want, \
+                                (route, pa, bar, lo, hi, limit)
+                            outcomes[want[0], limit < full] += 1
+        # scans accept, fail and are cut by the limit
+        assert len(outcomes) == 4 and min(outcomes.values()) > 100, outcomes
 
 
 class TestKernelStateLifetime:

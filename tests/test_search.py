@@ -4,7 +4,9 @@ import random
 import sys
 import time
 import weakref
+from collections import Counter
 from dataclasses import replace
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -19,8 +21,12 @@ from ecvrp.moves import (
     enumerate_positions,
 )
 from ecvrp.search import (
+    BLOCK_FLOOR,
+    M1,
     M2,
+    M3,
     M4,
+    M5,
     M6,
     M7,
     PARAM_MAX,
@@ -137,11 +143,27 @@ def descended(plan, inst, seed):
 
 def assert_slots_current(engine):
     """The per-slot state _intern keeps matches the routes: each slot's
-    content id, its memo row key and its anchor count."""
+    content id, its memo row key, its anchor count and, where _slot has
+    built them since, its block arrays.  Returns how many slots held
+    arrays."""
+    matrix = engine.matrix
+    built = 0
     for t, route in enumerate(engine.routes):
         assert engine.ids[t] == engine.content_ids[tuple(route)], t
         assert engine.row_keys[t] == engine.ids[t] * engine.stride, t
         assert engine.lengths[t] == len(route), t
+        arrays = engine.slot_arrays[t]
+        if arrays is None:
+            continue
+        built += 1
+        ext, own, skip, units, heads = (x.tolist() for x in arrays)
+        padded = [0, *route, 0]
+        assert ext == padded, t
+        assert own == [matrix[u][w] for u, w in zip(padded, padded[1:])], t
+        assert skip == [matrix[u][w] for u, w in zip(padded, padded[2:])], t
+        assert units == [engine.demands[c] for c in route], t
+        assert heads == list(accumulate(units)), t
+    return built
 
 
 class TestSearchParams:
@@ -681,6 +703,31 @@ class TestMemoMatchesReference:
         assert ran0 > 0 and ran1 == ran2 == ran3
         assert rescans3 > rescans2 > rescans1
 
+    @pytest.mark.parametrize("make", [e22_like, e22_tight])
+    def test_every_operator_descends_by_blocks(self, monkeypatch, make):
+        # plans of one to three routes hold routes past BLOCK_FLOOR: their
+        # descents price targets of all seven operators as blocks and end
+        # where rescanning ends
+        blocked = Counter()
+        block_row = _Engine._block_row
+
+        def counted(engine, op, t1, t2):
+            blocked[op] += 1
+            return block_row(engine, op, t1, t2)
+
+        monkeypatch.setattr(_Engine, "_block_row", counted)
+        rng = random.Random(12)
+        inst = make(rng)
+        twins = [self.twin(cls, inst, 6) for cls in (_Engine,
+                                                     ReferenceEngine)]
+        for _ in range(4):
+            plan = random_partition_plan(rng, inst, rng.randint(1, 3))
+            for engine, _, _ in twins:
+                engine.load_plan(plan)
+                engine.descend()
+            assert self.state(*twins[0]) == self.state(*twins[1])
+        assert set(blocked) == {M1, M2, M3, M4, M5, M6, M7}, blocked
+
     def test_int_units_descend_by_kernels(self, monkeypatch):
         # past 2**53 the cargo units are Python ints, whose sums here pass
         # what int64 holds: descent builds no block and runs the kernels
@@ -700,36 +747,48 @@ class TestMemoMatchesReference:
         monkeypatch.setattr(_Engine, "_block_row", no_block)
         twins = [self.twin(cls, inst, 4) for cls in (_Engine,
                                                      ReferenceEngine)]
-        assert twins[0][0].block_ops == ()
+        engine = twins[0][0]
+        assert not engine.blocks
+        # the kernel runs on routes long enough for a block on float units
+        long_runs = Counter()
+
+        def counted(op, kernel):
+            def scan(state, t1, *args):
+                long_runs[op] += len(state.routes[t1]) >= BLOCK_FLOOR
+                return kernel(state, t1, *args)
+            return scan
+
+        engine.kernels = tuple(counted(op, kernel)
+                               for op, kernel in enumerate(engine.kernels))
         for _ in range(3):
-            plan = random_partition_plan(
-                rng, inst, rng.randint(1, inst.route_slots))
+            plan = random_partition_plan(rng, inst, rng.randint(1, 3))
             for engine, _, _ in twins:
                 engine.load_plan(plan)
                 engine.descend()
             assert self.state(*twins[0]) == self.state(*twins[1])
-        assert twins[0][2][0] > 0
+        assert all(long_runs[op] for op in range(7)), long_runs
 
 
-def with_singletons(rng, routes, slots):
-    """routes with customers taken out into one-customer routes until
+def with_short_routes(rng, routes, slots, size=1):
+    """routes with customers taken out into routes of size customers until
     slots routes are in use."""
     routes = [list(r) for r in routes if r]
     while len(routes) < slots:
-        donors = [r for r in routes if len(r) > 1]
+        donors = [r for r in routes if len(r) > size]
         if not donors:
             break
         donor = rng.choice(donors)
-        routes.append([donor.pop(rng.randrange(len(donor)))])
+        routes.append([donor.pop(rng.randrange(len(donor)))
+                       for _ in range(size)])
     return routes
 
 
 class TestBlockMatchesKernels:
-    """_Engine._block_row prices every anchor of an inter-route target at
-    once: for each ordered target and anchor its dmin must equal, bit for
-    bit, and its arcs, as an int, what the scalar kernel leaves after a
-    full scan on a copy of the plan that accepts nothing and meets no arc
-    limit."""
+    """_Engine._block_row prices every anchor of a target at once: for
+    each target (t1, t2) of an inter-route operator and each route t1 of
+    m1, m3 and m5, and each anchor, its dmin must equal, bit for bit, and
+    its arcs, as an int, what the scalar kernel leaves after a full scan
+    on a copy of the plan that accepts nothing and meets no arc limit."""
 
     @pytest.mark.parametrize("make", [e22_like, e22_tight, x143_like,
                                       decimal_demands])
@@ -738,43 +797,52 @@ class TestBlockMatchesKernels:
         inst = make(rng)
         slots = inst.route_slots
         plans = [random_partition_plan(rng, inst, slots),
-                 with_singletons(rng, random_partition_plan(rng, inst, 2),
-                                 slots),
+                 with_short_routes(rng, random_partition_plan(rng, inst, 2),
+                                   slots),
+                 with_short_routes(rng, random_partition_plan(rng, inst, 2),
+                                   slots, 2),
                  descended(random_partition_plan(rng, inst, slots), inst, 1),
-                 with_singletons(rng, descended(random_partition_plan(
+                 with_short_routes(rng, descended(random_partition_plan(
                      rng, inst, 2), inst, 2), slots)]
-        seen = {"no room for a": 0, "final arcs": 0, "singleton": 0}
+        seen = {"no room for a": 0, "final arcs": 0, "no m5 candidate": 0}
+        lengths = Counter()
         for plan in plans:
             engine = engine_on(plan, inst, 0)
             routes = engine.routes
             used = engine.nonempty
-            seen["singleton"] += sum(len(routes[t]) == 1 for t in used)
-            for op in (M2, M4, M6, M7):
-                for t1 in used:
-                    for t2 in used:
-                        if t1 == t2:
-                            continue
-                        row = engine._block_row(op, t1, t2)
-                        for pa in range(len(routes[t1])):
-                            state = PlanState(
-                                [list(r) for r in routes], engine.matrix,
-                                engine.demands, engine.cap,
-                                EvaluationBudget(), math.inf)
-                            assert not state.kernels[op](
-                                state, t1, t2, pa, -math.inf)
-                            arcs = state.budget.arc_access_count
-                            assert row[pa].hex() == state.dmin.hex(), \
-                                (op, t1, t2, pa)
-                            assert type(row[~pa]) is int and \
-                                row[~pa] == arcs, (op, t1, t2, pa)
-                            seen["no room for a"] += op == M2 and arcs == 0
-                            # with a last, the last b would cut after both
-                            # final customers: skipped, though it fits
-                            seen["final arcs"] += (
-                                op == M7 and pa == len(routes[t1]) - 1
-                                and max(state.loads[t1],
-                                        state.loads[t2]) <= state.cap)
-        assert seen["singleton"] and seen["final arcs"], seen
+            lengths.update(len(routes[t]) for t in used)
+            for op in (M1, M2, M3, M4, M5, M6, M7):
+                targets = [(t1, t2) for t1 in used for t2 in used
+                           if t1 != t2]
+                if op in (M1, M3, M5):
+                    targets = [(t1, -1) for t1 in used]
+                for t1, t2 in targets:
+                    row = engine._block_row(op, t1, t2)
+                    for pa in range(len(routes[t1])):
+                        state = PlanState(
+                            [list(r) for r in routes], engine.matrix,
+                            engine.demands, engine.cap, EvaluationBudget(),
+                            math.inf)
+                        state.dmin = math.nan
+                        assert not state.kernels[op](
+                            state, t1, t2, pa, -math.inf)
+                        arcs = state.budget.arc_access_count
+                        assert row[pa].hex() == state.dmin.hex(), \
+                            (op, t1, t2, pa)
+                        assert type(row[~pa]) is int and \
+                            row[~pa] == arcs, (op, t1, t2, pa)
+                        seen["no room for a"] += op == M2 and arcs == 0
+                        seen["no m5 candidate"] += op == M5 and arcs == 0 \
+                            and len(routes[t1]) > 2
+                        # with a last, the last b would cut after both
+                        # final customers: skipped, though it fits
+                        seen["final arcs"] += (
+                            op == M7 and pa == len(routes[t1]) - 1
+                            and max(state.loads[t1],
+                                    state.loads[t2]) <= state.cap)
+        assert lengths[1] and lengths[2] and max(lengths) >= BLOCK_FLOOR, \
+            lengths
+        assert seen["final arcs"] and seen["no m5 candidate"], seen
         if make in (e22_tight, decimal_demands):
             assert seen["no room for a"], seen
 
@@ -974,7 +1042,7 @@ class TestAblation:
 class TestEngineInvariants:
     @pytest.mark.parametrize("make", [None, decimal_demands],
                              ids=["searchable_instance", "decimal_demands"])
-    def test_state_stays_consistent_after_every_move(self, make,
+    def test_state_stays_consistent_after_every_move(self, monkeypatch, make,
                                                      searchable_instance):
         # every kernel call goes through a wrapper that, after each applied
         # move of descent or exploration, checks the engine's incremental
@@ -984,6 +1052,9 @@ class TestEngineInvariants:
         # fail check_upper_feasible
         inst = searchable_instance if make is None else make(random.Random(9))
         units, cap = inst.cargo_units
+        # every descent pass on float units prices its target as a block,
+        # so the arrays of the routes it read are checked too
+        monkeypatch.setattr(search, "BLOCK_FLOOR", 0)
         free = DistanceOracle.for_instance(inst)
         engine = _Engine(inst, small_params(3), EvaluationBudget())
         applied = [0] * 8
@@ -1013,26 +1084,37 @@ class TestEngineInvariants:
         engine.kernels = tuple(checked(op, kernel)
                                for op, kernel in enumerate(engine.kernels))
         # a kernel edits the routes and its caller then interns them, so
-        # the per-slot state is checked once _touch returns
+        # the per-slot state is checked once _touch returns; a memo reset
+        # drops every slot's arrays
         touch = engine._touch
+        reset = engine._reset_memo
         touches = []
+        built = [0]
 
         def touched(t1, t2):
             touch(t1, t2)
             touches.append((t1, t2))
-            assert_slots_current(engine)
+            built[0] += assert_slots_current(engine)
+
+        def reset_checked():
+            reset()
+            assert assert_slots_current(engine) == 0
 
         engine._touch = touched
+        engine._reset_memo = reset_checked
         rng = random.Random(5)
-        for _ in range(6):
+        for cycle in range(6):
             engine.load_plan(random_feasible_plan(rng, inst))
             check()
             assert_slots_current(engine)
             engine.descend()
             for _ in range(400):
                 engine.explore(engine.phi * 1.03)
+            if cycle == 3:
+                engine._reset_memo()
         assert all(applied), applied
         assert len(touches) == sum(applied)
+        assert built[0] > 0 or not engine.blocks
 
 
 class TestMemoBound:
