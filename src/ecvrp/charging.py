@@ -81,12 +81,14 @@ def build_best_station_table(inst: InstanceSpec,
     the instance has no station.
 
     Ties break toward the lowest station id, so results are reproducible.
-    Construction is not metered: it reads the block array[:n+1, n+1:] of
-    the oracle's array, and the table is immutable instance data shared
-    across runs, like the distances themselves.
+    Construction is not metered: it computes the node-to-station block
+    with oracle.arcs, so it never builds the oracle's array, and the table
+    is immutable instance data shared across runs, like the distances
+    themselves.
     """
     nc = 1 + inst.num_customers
-    node_to_station = oracle.array[:nc, nc:]
+    node_to_station = oracle.arcs(np.arange(nc)[:, None],
+                                  np.arange(nc, inst.pz))
     best_len = np.full((nc, nc), np.inf)
     best_sta = np.full((nc, nc), -1, dtype=np.int64)
     for s_idx in range(inst.num_stations):
@@ -468,18 +470,26 @@ def solve_exhaustive(routes, inst: InstanceSpec,
     Q / 2.  A slack of (1.25 n + 3.25) Q = (5 n + 13) Q / 4 covers all of
     it.
 
-    It charges no budget and reads oracle.array three times: the station
-    hops array[first:, first:], then two gathers over the plan's
-    depot-closed walk (depot_walk), its direct arcs and every walk node's
-    station legs, of which each route reads its own stretch.
+    It charges no budget and computes two blocks with oracle.arcs, so it
+    never builds the oracle's array: the direct arcs of the plan's
+    depot-closed walk (depot_walk), and the station legs of every walk
+    node, of which each route reads its own stretch, followed by the hops
+    between stations.
     """
-    array = oracle.array
     rate = inst.consumption_rate
     full = inst.battery_capacity
     span = full / rate
     stations = list(inst.stations)
     first = 1 + inst.num_customers       # stations are the last node ids
-    sta_sta = array[first:, first:]
+    station_ids = np.arange(first, inst.pz)
+    walk = np.array(depot_walk(routes))
+    # One block, one call: the station legs of every walk node, then the
+    # hops between stations.  Distances are exactly symmetric, so node u's
+    # row holds both the legs out of u and the legs into u: gap g leaves
+    # through row g and arrives through row g + 1.
+    legs = oracle.arcs(np.concatenate((walk, station_ids))[:, None],
+                       station_ids)
+    leg_block, sta_sta = legs[:len(walk)], legs[len(walk):]
     # the hop of every ordered pair of distinct stations a full battery
     # covers, inf for the others
     covered = full - rate * sta_sta >= 0.0
@@ -490,12 +500,7 @@ def solve_exhaustive(routes, inst: InstanceSpec,
              for wi, hop in enumerate(row) if hop < math.inf]
             for ui, row in enumerate(pair_hops.tolist())]
     hop_max = float(sta_sta.max(initial=0.0))
-    walk = np.array(depot_walk(routes))
-    direct_block = array[walk[:-1], walk[1:]]
-    # The array is exactly symmetric, so node u's row holds both the legs
-    # out of u and the legs into u: gap g leaves through row g and arrives
-    # through row g + 1.
-    leg_block = array[walk, first:]
+    direct_block = oracle.arcs(walk[:-1], walk[1:])
     direct_all, rows_all = direct_block.tolist(), leg_block.tolist()
     inc1_all, inc2_all, leg_maxes, near_all = _increments(
         leg_block, direct_block, pair_hops, rate, full)

@@ -209,6 +209,18 @@ def _load_inputs(args):
     return inst, plan, slot_lists, reported, linenos
 
 
+def _battery_failure(inst, plan, slot_lists, oracle):
+    """The verdict of the first route whose charging runs the battery
+    flat, None when every route's charging is battery-feasible."""
+    for route, slots in zip(plan, slot_lists):
+        if route:
+            verdict, _ = battery_feasible(expand_route(route, slots), inst,
+                                          oracle)
+            if not verdict:
+                return verdict
+    return None
+
+
 def cmd_validate(args) -> int:
     inst, plan, slot_lists, reported, _ = _load_inputs(args)
     oracle = DistanceOracle.for_instance(inst)
@@ -216,14 +228,11 @@ def cmd_validate(args) -> int:
     if not verdict:
         print(f"INVALID {verdict.violation}: {verdict.detail}")
         return 1
-    for route, slots in zip(plan, slot_lists):
-        if not route:
-            continue
-        battery, _ = battery_feasible(expand_route(route, slots), inst, oracle)
-        if not battery:
-            print(f"INVALID BatteryDepleted: node {battery.failed_at} "
-                  f"short by {battery.deficit:.3f}")
-            return 1
+    battery = _battery_failure(inst, plan, slot_lists, oracle)
+    if battery is not None:
+        print(f"INVALID BatteryDepleted: node {battery.failed_at} "
+              f"short by {battery.deficit:.3f}")
+        return 1
     full, _, _ = total_cost(plan, slot_lists, oracle)
     if reported is not None and abs(round(full, 2) - reported) > 0.005:
         print(f"INVALID CostMismatch: file claims {reported:.2f}, "
@@ -250,6 +259,11 @@ def cmd_refine(args) -> int:
               f"within {lb}..{lb + 1} stops")
         return 1
     solution = evaluate_solution(plan, result.plan, oracle)
+    # as in the engine's final refinement, a battery-feasible input keeps
+    # its charging unless the refined F is lower, so F never rises over it
+    if not solution.total_cost < old_total and \
+            _battery_failure(inst, plan, slot_lists, oracle) is None:
+        solution = evaluate_solution(plan, slot_lists, oracle)
     out_path = Path(args.solution if args.out is None else args.out)
     out_path.write_text(format_solution(
         solution, [f"ecvrp {__version__} refined from {args.solution}"]))

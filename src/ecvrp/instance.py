@@ -4,7 +4,8 @@ The budget counts arc reads made during search, as the paper's budget
 counts evaluations: the giant-tour split, plan loading, the move kernels
 and the SE follower charge it, reading the oracle's nested-list matrix one
 arc at a time.  Final refinement, validation and cost evaluation charge
-nothing and gather the arcs they need from its array in a few numpy calls.
+nothing and compute the arcs they need from the coordinates (arcs), in a
+few numpy calls, without building the pz x pz array.
 
 Instances follow the keyword-section text format of the IEEE WCCI-2020
 benchmark distribution.  Internally every instance is renumbered so that
@@ -187,36 +188,55 @@ class EvaluationBudget:
 class DistanceOracle:
     """Symmetric Euclidean distances with an attached budget.
 
-    array, the pz x pz float64 distances, is precomputed (precomputation is
-    not charged; metering starts with search) and exactly symmetric.  The
-    search code reads matrix[i][j], array as nested lists built on first
-    read, and charges the attached budget one access per arc read.  Code
-    outside search never builds matrix: it gathers the arcs it needs from
-    array with fancy indexes, without charging.  matrix is array.tolist(),
-    so both hold the same doubles.  An oracle built without a budget gets a
-    fresh unlimited one, so metered code never asks whether there is one.
+    The oracle keeps the x and y coordinate vectors xs and ys.  arcs(tails,
+    heads) computes the distances array[tails, heads] would hold, with
+    numpy's indexing and broadcasting: arcs(walk[:-1], walk[1:]) for the
+    arcs of a walk, arcs(rows[:, None], cols) for a block.  Code outside
+    search prices plans through it, without charging, so it never builds
+    the pz x pz array.  array, those distances as float64, and matrix, the
+    same doubles as nested lists (array.tolist()), are built on first read
+    and kept; building them is not charged either.  Search code reads
+    matrix[i][j] and charges the attached budget one access per arc read,
+    and its numpy blocks read array.  An oracle built without a budget gets
+    a fresh unlimited one, so metered code never asks whether there is one.
 
-    The array is built from the x and y coordinate vectors.  Each entry is
-    sqrt(dx*dx + dy*dy): two rounded products, one rounded sum and a
-    correctly rounded root, the same operations as
-    math.sqrt((xi-xj)*(xi-xj) + (yi-yj)*(yi-yj)), so every entry equals
-    that double bit for bit.  xi - xj is exactly -(xj - xi), so the array
-    is exactly symmetric with a zero diagonal.
+    Each distance is sqrt(dx*dx + dy*dy), dx = xi - xj: two rounded
+    products, one rounded sum and a correctly rounded root, the same
+    operations as math.sqrt((xi-xj)*(xi-xj) + (yi-yj)*(yi-yj)), so arcs,
+    array and matrix all hold that double bit for bit.  xi - xj is exactly
+    -(xj - xi), so distances are exactly symmetric with a zero diagonal.
     """
 
-    __slots__ = ("array", "budget", "_matrix")
+    __slots__ = ("xs", "ys", "budget", "_array", "_matrix")
 
     def __init__(self, coords, budget: EvaluationBudget | None = None):
-        xs, ys = np.asarray(coords, dtype=float).T
-        dx = xs[:, None] - xs
-        dy = ys[:, None] - ys
+        self.xs, self.ys = np.asarray(coords, dtype=float).T
+        self._array = None
+        self._matrix = None
+        self.budget = EvaluationBudget() if budget is None else budget
+
+    def arcs(self, tails, heads) -> np.ndarray:
+        """array[tails, heads], computed from the coordinates alone."""
+        # each index list is converted once, not once per coordinate
+        tails = np.asarray(tails, dtype=np.intp)
+        heads = np.asarray(heads, dtype=np.intp)
+        dx = self.xs[tails] - self.xs[heads]
+        dy = self.ys[tails] - self.ys[heads]
         dx *= dx
         dy *= dy
         dx += dy
-        self.array = np.sqrt(dx, out=dx)
-        self.array.flags.writeable = False    # matrix must stay its copy
-        self._matrix = None
-        self.budget = EvaluationBudget() if budget is None else budget
+        # two scalar indexes give a numpy scalar, which has no buffer to
+        # write the root into
+        return np.sqrt(dx, out=dx if dx.ndim else None)
+
+    @property
+    def array(self) -> np.ndarray:
+        """The pz x pz distances, built on first read and kept."""
+        if self._array is None:
+            nodes = np.arange(len(self.xs))
+            self._array = self.arcs(nodes[:, None], nodes)
+            self._array.flags.writeable = False    # matrix must stay its copy
+        return self._array
 
     @property
     def matrix(self) -> list:

@@ -14,8 +14,9 @@ split_expanded_route rejects station runs no slot holds (three stations
 in a row, or one station twice) and routes of stations alone.
 
 None of these functions charges the oracle's budget: they price and check
-plans outside search, where the budget does not count, and gather the arcs
-they read from oracle.array in one fancy index per call.
+plans outside search, where the budget does not count, and compute the arcs
+they read with one oracle.arcs call each, so they never build the oracle's
+pz x pz array.
 
 Feasibility checking and cost evaluation are deliberately decoupled:
 search evaluates plenty of capacity-feasible plans whose battery
@@ -144,7 +145,7 @@ def depot_walk(routes) -> list[int]:
 def surrogate_cost(routes, oracle: DistanceOracle) -> float:
     """Total routing distance ignoring charging; empty routes contribute 0."""
     walk = depot_walk(routes)
-    arcs = oracle.array[walk[:-1], walk[1:]].tolist()
+    arcs = oracle.arcs(walk[:-1], walk[1:]).tolist()
     total = 0.0
     end = 0
     for route in routes:
@@ -191,7 +192,7 @@ def battery_feasible(expanded, inst: InstanceSpec,
     negative charge.  The trace records the charge on arrival at each node
     (full at the starting depot) and is returned for diagnostics either way.
     """
-    arcs = oracle.array[expanded[:-1], expanded[1:]].tolist()
+    arcs = oracle.arcs(expanded[:-1], expanded[1:]).tolist()
     rate = inst.consumption_rate
     full = inst.battery_capacity
     charge = full
@@ -214,10 +215,10 @@ def total_cost(routes, slot_lists, oracle: DistanceOracle
     separate concern.  f is accumulated per gap so that F = phi + f holds
     exactly in floating point.
 
-    One gather reads every arc costed: the direct arcs of depot_walk(routes),
-    then the arcs of each stop path (prev, s, next) or (prev, u, w, next) in
-    gap order.  They are summed in the order and association of a
-    gap-by-gap walk.
+    One oracle.arcs call reads every arc costed: the direct arcs of
+    depot_walk(routes), then the arcs of each stop path (prev, s, next) or
+    (prev, u, w, next) in gap order.  They are summed in the order and
+    association of a gap-by-gap walk.
     """
     if len(slot_lists) != len(routes):
         raise SlotLengthMismatch(
@@ -240,7 +241,7 @@ def total_cost(routes, slot_lists, oracle: DistanceOracle
             stops = slot if isinstance(slot, tuple) else (slot,)
             tails += (walk[g], *stops)
             heads += (*stops, walk[g + 1])
-    arcs = oracle.array[tails, heads].tolist()
+    arcs = oracle.arcs(tails, heads).tolist()
     stop_arcs = iter(arcs[len(gaps):])
     phi = 0.0
     detour = 0.0

@@ -1,4 +1,5 @@
 import os
+import random
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,21 @@ def alternating_stops_instance(customers=1100):
         customers=[(100 * (1 - i % 2), 0) for i in range(n)],
         stations=[(0, 0), (100, 0)], capacity=n,
         battery=100 * (n + 1) / n, fleet=1, name="alternating-stops")
+
+
+def x1001_synth_instance():
+    """The paper's largest scale: 1,000 customers, then 20 stations,
+    uniform in [0, 1000]^2, then demands 1..99, with the depot at the
+    corner (0, 0); pz is 1021."""
+    rng = random.Random(1001)
+    customers = [(rng.uniform(0, 1000), rng.uniform(0, 1000))
+                 for _ in range(1000)]
+    stations = [(rng.uniform(0, 1000), rng.uniform(0, 1000))
+                for _ in range(20)]
+    return make_instance(customers, stations,
+                         demands=[rng.randint(1, 99) for _ in range(1000)],
+                         capacity=1200, battery=1400, rate=1.0, fleet=46,
+                         name="x1001-synth")
 
 
 def midpoint_line_instance(out=10):

@@ -660,6 +660,30 @@ class TestRefine:
             "error: MissingCustomer: customers [3] are not served\n")
         assert not (tmp_path / "r.sol").exists()
 
+    @pytest.mark.parametrize("battery, detour, written", [
+        (120, "0.00", "0,1,2,0"), (119, "0.64", "0,1,3,2,0")])
+    def test_keeps_a_feasible_charging_it_cannot_beat(self, tmp_path, capsys,
+                                                      battery, detour,
+                                                      written):
+        # the stop-free route 0,1,2,0 is 120 long, so its visit bound of 1
+        # makes the follower stop once, at F 120.64: with a battery of 120
+        # the input's own charging is feasible and cheaper, and refine
+        # keeps it; with 119 it runs flat, and the follower's plan is taken
+        inst = make_instance(customers=[(30, 0), (0, 40)],
+                             stations=[(20, 20)], capacity=2,
+                             battery=battery, rate=1.0, fleet=2, name="tiny")
+        inst_path = tmp_path / "tiny.evrp"
+        inst_path.write_text(serialize_instance(inst))
+        plan = tmp_path / "plan.sol"
+        plan.write_text("0,1,2,0\n")
+        out = tmp_path / "refined.sol"
+        assert run_cli("refine", inst_path, plan, "--out", out) == 0
+        total = f"{120 + float(detour):.2f}"
+        assert capsys.readouterr().out.splitlines()[0] == \
+            f"f 0.00 -> {detour} (F 120.00 -> {total})"
+        assert out.read_text().splitlines()[1:] == [written, f"COST {total}"]
+        assert run_cli("validate", inst_path, out) == 0
+
     def test_refined_cost_never_higher(self, tiny_file, tmp_path, capsys):
         out = tmp_path / "runs"
         run_cli("solve", tiny_file, "--seeds", "1", "--lh", "50",

@@ -16,11 +16,12 @@ from pathlib import Path
 
 import pytest
 
-from ecvrp import search, solve_exhaustive, total_cost
+from ecvrp import (
+    build_best_station_table, search, solve_exhaustive, total_cost)
 from ecvrp.cli import main
-from ecvrp.instance import DistanceOracle, serialize_instance
+from ecvrp.instance import DistanceOracle, EvaluationBudget, serialize_instance
 from ecvrp.solution import parse_solution_file, split_expanded_route
-from conftest import make_instance
+from conftest import make_instance, x1001_synth_instance
 
 # SHA-256 of (solution file, full trace) per seed
 GOLDEN = {
@@ -232,20 +233,28 @@ def test_refine_golden_uses_station_pairs(refine_runs):
     assert pairs > 0
 
 
-def test_refine_and_validate_never_build_the_matrix(tmp_path, monkeypatch):
-    # outside search, pricing, checking and the exhaustive follower gather
-    # their arcs from the oracle's array; only metered search reads matrix
-    def unbuilt(oracle):
-        raise AssertionError("DistanceOracle.matrix read outside search")
+def never_build_the_distances(monkeypatch):
+    """Make a read of the oracle's array or matrix fail the test."""
+    for name in ("array", "matrix"):
+        def unbuilt(oracle, name=name):
+            raise AssertionError(f"DistanceOracle.{name} read outside search")
+        monkeypatch.setattr(DistanceOracle, name, property(unbuilt))
 
-    monkeypatch.setattr(DistanceOracle, "matrix", property(unbuilt))
+
+def test_refine_and_validate_never_build_the_matrix(tmp_path, monkeypatch):
+    # outside search, pricing, checking, the exhaustive follower and the
+    # station table compute their arcs with oracle.arcs; only search
+    # builds the pz x pz array and its nested-list matrix
+    never_build_the_distances(monkeypatch)
     inst = write_refine_plans(tmp_path)
+    build_best_station_table(inst, DistanceOracle.for_instance(inst))
     stops = set()
     for k, want in REFINE_GOLDEN.items():
         refined = tmp_path / f"plan{k}.refined.sol"
         code = run_cli_in(tmp_path, ["refine", "golden8.evrp", f"plan{k}.sol",
                                      "--out", refined.name])
         if want is None:
+            # INFEASIBLE: its visit bound prices the route with surrogate_cost
             assert code == 1 and not refined.exists()
             continue
         assert code == 0 and digest(refined) == want
@@ -263,6 +272,38 @@ def test_refine_and_validate_never_build_the_matrix(tmp_path, monkeypatch):
             stops.update(type(slot) for slot in
                          split_expanded_route(nodes, inst)[1] if slot)
     assert stops == {int, tuple}
+
+
+def test_refine_at_paper_scale_never_builds_the_array(tmp_path, monkeypatch):
+    # at 1,000 customers the array would be 1,021^2 doubles (8.3 MB); a
+    # refine request reads about n * S arcs of it
+    inst = x1001_synth_instance()
+    routes = bench_workloads().sweep_plan(inst, 0, False)
+    (tmp_path / "x1001.evrp").write_text(serialize_instance(inst))
+    (tmp_path / "plan.sol").write_text(
+        "".join(f"0,{','.join(map(str, r))},0\n" for r in routes))
+    never_build_the_distances(monkeypatch)
+    assert run_cli_in(tmp_path, ["refine", "x1001.evrp", "plan.sol",
+                                 "--out", "refined.sol"]) == 0
+    assert run_cli_in(tmp_path, ["validate", "x1001.evrp",
+                                 "refined.sol"]) == 0
+
+
+def test_a_search_builds_the_array_once(monkeypatch):
+    # the search's matrix and numpy blocks read one array, built on the
+    # first read and kept
+    array = DistanceOracle.array
+    reads = []
+
+    def kept(oracle):
+        reads.append(array.fget(oracle))
+        return reads[-1]
+
+    monkeypatch.setattr(DistanceOracle, "array", property(kept))
+    inst = bench_workloads().x143_synth()
+    search.run_blahc(inst, search.SearchParams(seed=1),
+                     EvaluationBudget(max_arc_accesses=2_000_000))
+    assert len(reads) > 1 and all(read is reads[0] for read in reads)
 
 
 def bench_workloads():

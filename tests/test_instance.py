@@ -1,6 +1,7 @@
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -235,6 +236,67 @@ def test_distances_match_math_dist(points):
             expected = math.sqrt((xi - xj) * (xi - xj) + (yi - yj) * (yi - yj))
             assert m[i][j].hex() == expected.hex()
             assert m[i][j].hex() == m[j][i].hex()
+
+
+# within +-GUARD every coordinate difference squares and sums to a finite
+# double, as InstanceSpec's overflow guard asks of an instance's points
+GUARD = 4.7e153
+NEAR_GUARD = st.floats(1e153, GUARD).flatmap(
+    lambda v: st.sampled_from((v, -v)))
+
+
+def ulps_away(value: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+@st.composite
+def oracle_reads(draw):
+    """(points, tails, heads, rows, cols): points of any magnitude up to
+    the overflow guard, some a few ulps from the first; index lists of one
+    length, read as pairs, and two lists read as a block (rows[:, None],
+    cols)."""
+    coordinate = st.one_of(NEAR_GUARD, COORDINATE)
+    cx, cy = draw(coordinate), draw(coordinate)
+    steps = st.integers(-3, 3)
+    near = draw(st.lists(st.tuples(steps, steps), max_size=5))
+    far = draw(st.lists(st.tuples(coordinate, coordinate), max_size=4))
+    points = [(cx, cy), *((ulps_away(cx, i), ulps_away(cy, j))
+                          for i, j in near), *far]
+    node = st.integers(0, len(points) - 1)
+    tails = draw(st.lists(node, max_size=12))
+    heads = draw(st.lists(node, min_size=len(tails), max_size=len(tails)))
+    rows = np.array(draw(st.lists(node, max_size=6)), dtype=int)
+    cols = np.array(draw(st.lists(node, max_size=6)), dtype=int)
+    return points, tails, heads, rows, cols
+
+
+def hexes(values) -> list[str]:
+    return [x.hex() for x in np.ravel(values).tolist()]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(oracle_reads())
+def test_arcs_compute_the_arrays_bits(case):
+    """arcs gives the doubles array holds, and the textbook formula's,
+    for pairs, blocks and a scalar pair, read either way round."""
+    points, tails, heads, rows, cols = case
+    oracle = DistanceOracle(points)
+    pairs = oracle.arcs(tails, heads)
+    assert hexes(pairs) == hexes(oracle.array[tails, heads])
+    assert hexes(pairs) == hexes(oracle.arcs(heads, tails))
+    assert hexes(pairs) == [math.sqrt(
+        (points[i][0] - points[j][0]) * (points[i][0] - points[j][0])
+        + (points[i][1] - points[j][1]) * (points[i][1] - points[j][1])
+    ).hex() for i, j in zip(tails, heads)]
+    block = oracle.arcs(rows[:, None], cols)
+    assert block.shape == (len(rows), len(cols))
+    assert hexes(block) == hexes(oracle.array[rows[:, None], cols])
+    assert hexes(block) == hexes(oracle.arcs(cols[:, None], rows).T)
+    last = len(points) - 1
+    assert hexes(oracle.arcs(0, last)) == hexes(oracle.array[0, last]) == \
+        hexes(oracle.arcs(last, 0))
 
 
 class TestInstanceSpec:

@@ -320,7 +320,7 @@ def priced_plans(draw):
 
 
 class TestArrayPricing:
-    # the pricing functions gather their arcs from oracle.array; the
+    # the pricing functions compute their arcs with oracle.arcs; the
     # list-reading references in helpers fix every bit they return
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(priced_plans())
