@@ -33,6 +33,7 @@ import math
 import random
 from bisect import insort
 from dataclasses import dataclass, field
+from functools import partial
 from math import floor
 
 import numpy as np
@@ -241,6 +242,8 @@ class PlanState:
     It holds the eight operator kernels, the only implementation of each
     move's delta and edit; the search engine runs them over whole candidate
     ranges and moves.delta_phi / moves.apply_move over a single candidate.
+    m6 and m7, the two ways to reconnect one cut of two routes, share one
+    kernel, _cross, and so one delta and one scan.
     Kernel kernels[k](state, t1, t2, pa, bar, lo, hi) anchors customer
     a = routes[t1][pa] and tries candidates lo..hi-1 in order.  It applies
     the first whose new surrogate phi + delta is below bar, and returns
@@ -270,7 +273,9 @@ class PlanState:
     moves), so a capacity test is one exact window on a demand or a head
     load, and m6 and m7 stop at the first head load above their window.
     A kernel sums each delta's terms in a fixed order, which the
-    engine's numpy blocks repeat bit for bit (_Engine._block_row).
+    engine's numpy blocks repeat bit for bit (_Engine._block_row), and
+    the blocks' capacity masks are its windows, exact on either kind of
+    cargo unit (_Engine._slot).
     """
 
     def __init__(self, routes: list[list[int]], matrix, demands, cap: float,
@@ -557,73 +562,13 @@ class PlanState:
         self.dmin = dmin
         return False
 
-    def _m6(self, t1, t2, pa, bar, lo=0, hi=ALL) -> bool:
-        """m6: cut after a and after r2[pb], join a-b and the two tails,
-        each head reversed into the other route."""
-        r1 = self.routes[t1]
-        r2 = self.routes[t2]
-        budget = self.budget
-        spent = budget.arc_access_count
-        limit = self.arc_limit
-        demands = self.demands
-        cap = self.cap
-        a = r1[pa]
-        length2 = len(r2)
-        next_a = r1[pa + 1] if pa + 1 < len(r1) else 0
-        head1 = 0
-        for k in range(pa + 1):
-            head1 += demands[r1[k]]
-        tail1 = self.loads[t1] - head1
-        load2 = self.loads[t2]
-        if spent >= limit:
-            return False
-        spent += 1
-        # the cut after b fits both routes iff least <= head2 <= most, and
-        # head2 never falls as pb grows
-        least = tail1 + load2 - cap
-        most = cap - head1
-        head2 = 0
-        if lo:  # demand of the customers ahead of the range
-            for b in r2[:lo]:
-                head2 += demands[b]
-        matrix = self.matrix
-        phi = self.phi
-        row_a = matrix[a]
-        row_an = matrix[next_a]
-        d_a_an = row_a[next_a]
-        dmin = math.inf
-        for pb in range(lo, hi if hi < length2 else length2):
-            b = r2[pb]
-            head2 += demands[b]
-            if head2 < least:
-                continue
-            if head2 > most:
-                break
-            if spent >= limit:
-                budget.arc_access_count = spent
-                return False
-            spent += 3
-            next_b = r2[pb + 1] if pb + 1 < length2 else 0
-            delta = row_a[b] + row_an[next_b] - d_a_an - matrix[b][next_b]
-            if delta < dmin:
-                phi_new = phi + delta
-                if phi_new < bar:
-                    budget.arc_access_count = spent
-                    self.routes[t1] = r1[:pa + 1] + r2[:pb + 1][::-1]
-                    self.routes[t2] = r1[pa + 1:][::-1] + r2[pb + 1:]
-                    self.loads[t1] = head1 + head2
-                    self.loads[t2] = tail1 + load2 - head2
-                    self.phi = phi_new
-                    if not self.routes[t2]:
-                        self._mark_empty(t2)
-                    return True
-                dmin = delta
-        budget.arc_access_count = spent
-        self.dmin = dmin
-        return False
-
-    def _m7(self, t1, t2, pa, bar, lo=0, hi=ALL) -> bool:
-        """m7: cut after a and after r2[pb] and exchange the tails."""
+    def _cross(straight, self, t1, t2, pa, bar, lo=0, hi=ALL) -> bool:
+        """m6 (straight False) and m7 (straight True): cut after a and
+        after r2[pb].  m6 joins a-b and next_a-next_b, each head reversed
+        into the other route; m7 joins next_a-b and a-next_b, exchanging
+        the tails.  One delta serves both: first[b] + second[next_b], with
+        (first, second) the rows of (a, next_a) for m6 and of (next_a, a)
+        for m7."""
         r1 = self.routes[t1]
         r2 = self.routes[t2]
         budget = self.budget
@@ -644,9 +589,18 @@ class PlanState:
             return False
         spent += 1
         # the cut after b fits both routes iff least <= head2 <= most, and
-        # head2 never falls as pb grows
-        least = head1 + load2 - cap
-        most = cap - tail1
+        # head2 never falls as pb grows: route t1 keeps head1 and takes
+        # head2 (m6) or the tail of t2 (m7)
+        if straight:
+            least = head1 + load2 - cap
+            most = cap - tail1
+            # reconnecting two final arcs changes nothing: with a last,
+            # the last b is no candidate
+            stop = length2 - 1 if pa + 1 == length1 else length2
+        else:
+            least = tail1 + load2 - cap
+            most = cap - head1
+            stop = length2
         head2 = 0
         if lo:  # demand of the customers ahead of the range
             for b in r2[:lo]:
@@ -656,9 +610,7 @@ class PlanState:
         row_a = matrix[a]
         row_an = matrix[next_a]
         d_a_an = row_a[next_a]
-        # reconnecting two final arcs changes nothing: with a last, the
-        # last b is no candidate
-        stop = length2 - 1 if pa + 1 == length1 else length2
+        first, second = (row_an, row_a) if straight else (row_a, row_an)
         dmin = math.inf
         for pb in range(lo, hi if hi < stop else stop):
             b = r2[pb]
@@ -672,16 +624,24 @@ class PlanState:
                 return False
             spent += 3
             next_b = r2[pb + 1] if pb + 1 < length2 else 0
-            delta = row_a[next_b] + row_an[b] - d_a_an - matrix[b][next_b]
+            delta = first[b] + second[next_b] - d_a_an - matrix[b][next_b]
             if delta < dmin:
                 phi_new = phi + delta
                 if phi_new < bar:
                     budget.arc_access_count = spent
-                    self.routes[t1] = r1[:pa + 1] + r2[pb + 1:]
-                    self.routes[t2] = r2[:pb + 1] + r1[pa + 1:]
-                    self.loads[t1] = head1 + load2 - head2
-                    self.loads[t2] = head2 + tail1
                     self.phi = phi_new
+                    if straight:
+                        self.routes[t1] = r1[:pa + 1] + r2[pb + 1:]
+                        self.routes[t2] = r2[:pb + 1] + r1[pa + 1:]
+                        self.loads[t1] = head1 + load2 - head2
+                        self.loads[t2] = head2 + tail1
+                    else:
+                        self.routes[t1] = r1[:pa + 1] + r2[:pb + 1][::-1]
+                        self.routes[t2] = r1[pa + 1:][::-1] + r2[pb + 1:]
+                        self.loads[t1] = head1 + head2
+                        self.loads[t2] = tail1 + load2 - head2
+                        if not self.routes[t2]:
+                            self._mark_empty(t2)
                     return True
                 dmin = delta
         budget.arc_access_count = spent
@@ -723,8 +683,10 @@ class PlanState:
     # indexed by operator id; plain functions called as
     # kernels[op](state, t1, t2, pa, bar, lo, hi), since a tuple of bound
     # methods held by the state would make every state a reference cycle
-    # that lives until the next full garbage collection
-    kernels = (_m1, _m2, _m3, _m4, _m5, _m6, _m7, _m8)
+    # that lives until the next full garbage collection.  A partial adds
+    # no Python frame to m6 and m7
+    kernels = (_m1, _m2, _m3, _m4, _m5, partial(_cross, False),
+               partial(_cross, True), _m8)
 
     # -- the sorted route lists, for the kernels that empty or fill a route
 
@@ -785,9 +747,6 @@ class _Engine(PlanState):
         self.lengths = [0] * inst.route_slots
         self.slot_arrays = [None] * inst.route_slots
         self._reset_memo()
-        # descent prices targets as numpy blocks only on float cargo units:
-        # past 2**53 they are ints, which int64 could overflow
-        self.blocks = isinstance(self.cap, float)
         self.gamma = 0.0 if toggles.gamma_zero else params.follower_threshold
         self.explore_ops = list(range(7)) if toggles.no_m8 else list(range(8))
         self.iteration = 0
@@ -872,11 +831,12 @@ class _Engine(PlanState):
         A pass that finds no row for its target first fills one with
         _block_row, every anchor's full scan priced at once, when route t1
         holds at least BLOCK_FLOOR customers.  The loop then charges each
-        anchor that cannot pass its recorded arcs, and runs the kernel at the first anchor that can, which
-        accepts and applies its own edit, or wherever a recorded charge
-        would cross arc_limit.  So the accepted candidate, the arcs charged
-        up to it, the point where a limit stops the scan and the memo rows
-        are those of running every anchor's kernel."""
+        anchor that cannot pass its recorded arcs, and runs the kernel at
+        the first anchor that can, which accepts and applies its own edit,
+        or wherever a recorded charge would cross arc_limit.  So the
+        accepted candidate, the arcs charged up to it, the point where a
+        limit stops the scan and the memo rows are those of running every
+        anchor's kernel."""
         budget = self.budget
         limit = self.arc_limit
         wall = self.wall_limited
@@ -884,7 +844,6 @@ class _Engine(PlanState):
         memo = self.memo[op]
         row_keys = self.row_keys
         ids = self.ids
-        block = self.blocks
         lengths = self.lengths
         improved = False
         while True:
@@ -893,7 +852,7 @@ class _Engine(PlanState):
                     wall and budget.exceeded()):
                 return improved
             row = memo.get(row_keys[t1] + ids[t2])
-            if row is None and block and lengths[t1] >= BLOCK_FLOOR:
+            if row is None and lengths[t1] >= BLOCK_FLOOR:
                 row = self._block_row(op, t1, t2)
             phi = self.phi
             bar = phi - IMPROVE_EPS
@@ -935,8 +894,9 @@ class _Engine(PlanState):
         kernel's own term order.  numpy's float64 adds are IEEE, the
         array is exactly symmetric and matrix is array.tolist(), so each
         delta equals the kernel's bit for bit.  The capacity masks are the
-        kernels' windows, exact as long as the units are floats (descent
-        builds blocks only then) or their sums stay within int64."""
+        kernels' windows, and exact: float units are integers below 2**53,
+        and int units are Python ints in object arrays (_slot), whose
+        comparisons still return bool arrays."""
         ext1, own1, skip1, units1, head1 = self._slot(t1)
         length1 = len(units1)
         array = self.oracle.array
@@ -1022,7 +982,7 @@ class _Engine(PlanState):
                         least = (load1 + load2 - cap) - head1
                         most = cap - head1
                     else:
-                        delta = (at_a[:, 2:] + cross[2:, 1:-1]
+                        delta = (cross[2:, 1:-1] + at_a[:, 2:]
                                  - own1[1:, None] - own2[1:])
                         least = head1 + (load2 - cap)
                         most = head1 + (cap - load1)
@@ -1045,14 +1005,18 @@ class _Engine(PlanState):
         after _intern drops them: the depot-padded route ext, its own arcs
         own[k] = d(ext[k], ext[k + 1]), its skip arcs skip[k] = d(ext[k],
         ext[k + 2]), and its customers' cargo units and head loads (the
-        load up to and including each customer)."""
+        load up to and including each customer).  The units are float64
+        when cap is a float, so every sum is an exact integer below 2**53;
+        past that they are Python ints, held with dtype=object, since
+        int64 could overflow."""
         arrays = self.slot_arrays[t]
         if arrays is None:
             route = self.routes[t]
             ext = np.array([0, *route, 0])
             array = self.oracle.array
             demands = self.demands
-            units = np.array([demands[c] for c in route])
+            units = np.array([demands[c] for c in route], dtype=float
+                             if isinstance(self.cap, float) else object)
             arrays = self.slot_arrays[t] = (
                 ext, array[ext[:-1], ext[1:]], array[ext[:-2], ext[2:]],
                 units, np.add.accumulate(units))

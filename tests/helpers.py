@@ -1,6 +1,7 @@
 """Shared test utilities: random plan generators and full-recompute oracles."""
 
 import math
+from dataclasses import replace
 from itertools import combinations, permutations
 from operator import add
 
@@ -117,6 +118,23 @@ def e22_like(rng):
     stations = [disc_point(rng, 26) for _ in range(8)]
     return make_instance(customers=customers, stations=stations,
                          battery=94, rate=1.2, fleet=4)
+
+
+def e22_tight(rng):
+    """e22_like with cargo for about five customers a route: many m2 and
+    m4 targets fail their capacity test without reading an arc."""
+    return replace(e22_like(rng), cargo_capacity=5.0)
+
+
+def decimal_demands(rng):
+    """e22_like on eight vehicles with demands of 0.1, 0.2, 0.3 or 0.7
+    and cargo 1.0: a route's load depends on the order its customers came
+    in, and capacity tests turn on its last bits."""
+    inst = replace(e22_like(rng), cargo_capacity=1.0, fleet_size=8)
+    customers = inst.customers
+    return replace(inst, demands=tuple(
+        rng.choice((0.1, 0.2, 0.3, 0.7)) if node in customers else 0.0
+        for node in range(len(inst.demands))))
 
 
 def random_tiny_instance(rng):
@@ -753,6 +771,144 @@ def _apply_m1_reference(self, t, pa, pb, after, phi_new):
     pb_adj = pb - 1 if pa < pb else pb
     route.insert(pb_adj + 1 if after else pb_adj, a)
     self.phi = phi_new
+
+def m6_reference(self, t1, t2, pa, bar, lo=0, hi=ALL) -> bool:
+    """PlanState._m6 as it was before m6 and m7 shared one kernel: cut
+    after a and after r2[pb], join a-b and the two tails, each head
+    reversed into the other route.  The oracle for kernels[M6], which must
+    return the same value and leave the same routes, loads, route lists,
+    phi and dmin bits and arc count under every bar, candidate range and
+    arc limit."""
+    r1 = self.routes[t1]
+    r2 = self.routes[t2]
+    budget = self.budget
+    spent = budget.arc_access_count
+    limit = self.arc_limit
+    demands = self.demands
+    cap = self.cap
+    a = r1[pa]
+    length2 = len(r2)
+    next_a = r1[pa + 1] if pa + 1 < len(r1) else 0
+    head1 = 0
+    for k in range(pa + 1):
+        head1 += demands[r1[k]]
+    tail1 = self.loads[t1] - head1
+    load2 = self.loads[t2]
+    if spent >= limit:
+        return False
+    spent += 1
+    # the cut after b fits both routes iff least <= head2 <= most, and
+    # head2 never falls as pb grows
+    least = tail1 + load2 - cap
+    most = cap - head1
+    head2 = 0
+    if lo:  # demand of the customers ahead of the range
+        for b in r2[:lo]:
+            head2 += demands[b]
+    matrix = self.matrix
+    phi = self.phi
+    row_a = matrix[a]
+    row_an = matrix[next_a]
+    d_a_an = row_a[next_a]
+    dmin = math.inf
+    for pb in range(lo, hi if hi < length2 else length2):
+        b = r2[pb]
+        head2 += demands[b]
+        if head2 < least:
+            continue
+        if head2 > most:
+            break
+        if spent >= limit:
+            budget.arc_access_count = spent
+            return False
+        spent += 3
+        next_b = r2[pb + 1] if pb + 1 < length2 else 0
+        delta = row_a[b] + row_an[next_b] - d_a_an - matrix[b][next_b]
+        if delta < dmin:
+            phi_new = phi + delta
+            if phi_new < bar:
+                budget.arc_access_count = spent
+                self.routes[t1] = r1[:pa + 1] + r2[:pb + 1][::-1]
+                self.routes[t2] = r1[pa + 1:][::-1] + r2[pb + 1:]
+                self.loads[t1] = head1 + head2
+                self.loads[t2] = tail1 + load2 - head2
+                self.phi = phi_new
+                if not self.routes[t2]:
+                    self._mark_empty(t2)
+                return True
+            dmin = delta
+    budget.arc_access_count = spent
+    self.dmin = dmin
+    return False
+
+
+def m7_reference(self, t1, t2, pa, bar, lo=0, hi=ALL) -> bool:
+    """PlanState._m7 as it was before m6 and m7 shared one kernel: cut
+    after a and after r2[pb] and exchange the tails.  The oracle for
+    kernels[M7], as m6_reference is for kernels[M6]."""
+    r1 = self.routes[t1]
+    r2 = self.routes[t2]
+    budget = self.budget
+    spent = budget.arc_access_count
+    limit = self.arc_limit
+    demands = self.demands
+    cap = self.cap
+    a = r1[pa]
+    length1 = len(r1)
+    length2 = len(r2)
+    next_a = r1[pa + 1] if pa + 1 < length1 else 0
+    head1 = 0
+    for k in range(pa + 1):
+        head1 += demands[r1[k]]
+    tail1 = self.loads[t1] - head1
+    load2 = self.loads[t2]
+    if spent >= limit:
+        return False
+    spent += 1
+    # the cut after b fits both routes iff least <= head2 <= most, and
+    # head2 never falls as pb grows
+    least = head1 + load2 - cap
+    most = cap - tail1
+    head2 = 0
+    if lo:  # demand of the customers ahead of the range
+        for b in r2[:lo]:
+            head2 += demands[b]
+    matrix = self.matrix
+    phi = self.phi
+    row_a = matrix[a]
+    row_an = matrix[next_a]
+    d_a_an = row_a[next_a]
+    # reconnecting two final arcs changes nothing: with a last, the
+    # last b is no candidate
+    stop = length2 - 1 if pa + 1 == length1 else length2
+    dmin = math.inf
+    for pb in range(lo, hi if hi < stop else stop):
+        b = r2[pb]
+        head2 += demands[b]
+        if head2 < least:
+            continue
+        if head2 > most:
+            break
+        if spent >= limit:
+            budget.arc_access_count = spent
+            return False
+        spent += 3
+        next_b = r2[pb + 1] if pb + 1 < length2 else 0
+        delta = row_a[next_b] + row_an[b] - d_a_an - matrix[b][next_b]
+        if delta < dmin:
+            phi_new = phi + delta
+            if phi_new < bar:
+                budget.arc_access_count = spent
+                self.routes[t1] = r1[:pa + 1] + r2[pb + 1:]
+                self.routes[t2] = r2[:pb + 1] + r1[pa + 1:]
+                self.loads[t1] = head1 + load2 - head2
+                self.loads[t2] = head2 + tail1
+                self.phi = phi_new
+                return True
+            dmin = delta
+    budget.arc_access_count = spent
+    self.dmin = dmin
+    return False
 
 
 def parse_instance_reference(text: str) -> InstanceSpec:

@@ -20,13 +20,17 @@ from ecvrp.moves import (
     delta_phi,
     enumerate_positions,
 )
-from ecvrp.search import ALL, IMPROVE_EPS, PlanState
+from ecvrp.search import ALL, IMPROVE_EPS, M6, M7, PlanState
 from ecvrp.solution import surrogate_cost
 from conftest import make_instance
 from helpers import (
+    decimal_demands,
     disc_point,
+    e22_tight,
     m1_per_candidate_reference,
     m1_reference,
+    m6_reference,
+    m7_reference,
     random_feasible_plan,
     random_move,
     random_partition_plan,
@@ -390,6 +394,78 @@ class TestM1MatchesReference:
                             outcomes[want[0], limit < full] += 1
         # scans accept, fail and are cut by the limit
         assert len(outcomes) == 4 and min(outcomes.values()) > 100, outcomes
+
+
+class TestCrossMatchesReference:
+    """m6 and m7 share one kernel, _cross; m6_reference and m7_reference
+    are the two kernels it replaced.  From the same state, under every
+    bar, full and partial candidate range and arc limit from the scan's
+    start to past its end, each operator's kernel must return the same
+    value and leave the same routes, loads, route lists, phi and dmin bits
+    and arc count as its reference."""
+
+    @staticmethod
+    def run(kernel, plan, inst, matrix, t1, t2, pa, phi, bar, lo, hi, start,
+            limit):
+        state = PlanState([list(r) for r in plan], matrix,
+                          *inst.cargo_units, EvaluationBudget(), limit)
+        state.budget.arc_access_count = start
+        state.phi = phi
+        state.dmin = 0.5            # a cut scan leaves dmin as it was
+        moved = kernel(state, t1, t2, pa, bar, lo, hi)
+        return (moved, state.routes, state.loads, state.nonempty,
+                state.empties, state.phi.hex(), state.dmin.hex(),
+                state.budget.arc_access_count)
+
+    @pytest.mark.parametrize("make", [e22_tight, decimal_demands])
+    def test_same_outcome_as_separate_kernels(self, make):
+        # plans of four to seven routes, some over capacity, so that the
+        # windows bind at both ends; lo > 0 starts head2 from the demand
+        # ahead of the range
+        rng = random.Random(33)
+        inst = make(rng)
+        matrix = DistanceOracle.for_instance(inst).matrix
+        outcomes = Counter()
+        emptied = Counter()
+        for _ in range(3):
+            plan = random_partition_plan(rng, inst, rng.randint(4, 7))
+            phi = rng.uniform(200, 400)
+            used = [t for t, r in enumerate(plan) if r]
+            for t1 in used:
+                for t2 in range(len(plan)):
+                    if t2 == t1:
+                        continue
+                    length2 = len(plan[t2])
+                    ranges = [(0, ALL), *((lo, hi) for lo in range(length2)
+                                          for hi in (lo + 1, lo + 2, ALL))]
+                    for pa in range(len(plan[t1])):
+                        start = rng.randrange(1000)
+                        bars = (-math.inf, math.inf,
+                                phi + rng.uniform(-30, 5))
+                        for op, reference in ((M6, m6_reference),
+                                              (M7, m7_reference)):
+                            kernel = PlanState.kernels[op]
+                            for bar in bars:
+                                for lo, hi in ranges:
+                                    args = (plan, inst, matrix, t1, t2, pa,
+                                            phi, bar, lo, hi, start)
+                                    full = self.run(reference, *args,
+                                                    math.inf)
+                                    for limit in range(start, full[-1] + 2):
+                                        want = self.run(reference, *args,
+                                                        limit)
+                                        assert self.run(kernel, *args,
+                                                        limit) == want, \
+                                            (op, plan, t1, t2, pa, bar, lo,
+                                             hi, limit)
+                                        outcomes[op, want[0],
+                                                 limit < full[-1]] += 1
+                                    emptied[op] += \
+                                        full[0] and not full[1][t2]
+        # both kernels accept and fail, within and at the limit, and only
+        # m6 empties a route
+        assert len(outcomes) == 8 and min(outcomes.values()) > 20, outcomes
+        assert emptied[M6] and not emptied[M7], emptied
 
 
 class TestKernelStateLifetime:

@@ -43,8 +43,10 @@ from ecvrp.solution import check_upper_feasible, surrogate_cost
 from conftest import make_instance
 from helpers import (
     certified_tiny_fixture,
+    decimal_demands,
     descend_reference,
     e22_like,
+    e22_tight,
     explore_reference,
     full_surrogate,
     random_feasible_plan,
@@ -449,21 +451,15 @@ def frozen_like(rng):
                          capacity=9, fleet=2)
 
 
-def e22_tight(rng):
-    """e22_like with cargo for about five customers a route: many m2 and
-    m4 targets fail their capacity test without reading an arc."""
-    return replace(e22_like(rng), cargo_capacity=5.0)
-
-
-def decimal_demands(rng):
-    """e22_like on eight vehicles with demands of 0.1, 0.2, 0.3 or 0.7
-    and cargo 1.0: a route's load depends on the order its customers came
-    in, and capacity tests turn on its last bits."""
-    inst = replace(e22_like(rng), cargo_capacity=1.0, fleet_size=8)
-    customers = inst.customers
-    return replace(inst, demands=tuple(
-        rng.choice((0.1, 0.2, 0.3, 0.7)) if node in customers else 0.0
-        for node in range(len(inst.demands))))
+def huge_units(rng):
+    """e22_like on eight vehicles with cargo 2**63 and demands of 2**59,
+    2**60 or 3 * 2**59: the cargo units are Python ints, and a plan's
+    loads pass what int64 holds."""
+    base = e22_like(rng)
+    return replace(base, cargo_capacity=2.0 ** 63, fleet_size=8, demands=tuple(
+        rng.choice((2.0 ** 59, 2.0 ** 60, 3 * 2.0 ** 59))
+        if node in base.customers else 0.0
+        for node in range(len(base.demands))))
 
 
 class TestExploreMatchesReference:
@@ -728,45 +724,31 @@ class TestMemoMatchesReference:
             assert self.state(*twins[0]) == self.state(*twins[1])
         assert set(blocked) == {M1, M2, M3, M4, M5, M6, M7}, blocked
 
-    def test_int_units_descend_by_kernels(self, monkeypatch):
+    def test_int_units_descend_by_blocks(self, monkeypatch):
         # past 2**53 the cargo units are Python ints, whose sums here pass
-        # what int64 holds: descent builds no block and runs the kernels
+        # what int64 holds: descent prices targets of all seven operators
+        # as blocks over object arrays and ends where rescanning ends
+        blocked = Counter()
+        block_row = _Engine._block_row
+
+        def counted(engine, op, t1, t2):
+            blocked[op] += 1
+            return block_row(engine, op, t1, t2)
+
+        monkeypatch.setattr(_Engine, "_block_row", counted)
         rng = random.Random(8)
-        base = e22_like(rng)
-        inst = replace(base, cargo_capacity=2.0 ** 63, fleet_size=8,
-                       demands=tuple(
-                           rng.choice((2.0 ** 59, 2.0 ** 60, 3 * 2.0 ** 59))
-                           if node in base.customers else 0.0
-                           for node in range(len(base.demands))))
+        inst = huge_units(rng)
         units, cap = inst.cargo_units
         assert type(cap) is int and sum(units) >= 2 ** 63
-
-        def no_block(*args):
-            raise AssertionError("block built on int cargo units")
-
-        monkeypatch.setattr(_Engine, "_block_row", no_block)
         twins = [self.twin(cls, inst, 4) for cls in (_Engine,
                                                      ReferenceEngine)]
-        engine = twins[0][0]
-        assert not engine.blocks
-        # the kernel runs on routes long enough for a block on float units
-        long_runs = Counter()
-
-        def counted(op, kernel):
-            def scan(state, t1, *args):
-                long_runs[op] += len(state.routes[t1]) >= BLOCK_FLOOR
-                return kernel(state, t1, *args)
-            return scan
-
-        engine.kernels = tuple(counted(op, kernel)
-                               for op, kernel in enumerate(engine.kernels))
         for _ in range(3):
             plan = random_partition_plan(rng, inst, rng.randint(1, 3))
             for engine, _, _ in twins:
                 engine.load_plan(plan)
                 engine.descend()
             assert self.state(*twins[0]) == self.state(*twins[1])
-        assert all(long_runs[op] for op in range(7)), long_runs
+        assert set(blocked) == {M1, M2, M3, M4, M5, M6, M7}, blocked
 
 
 def with_short_routes(rng, routes, slots, size=1):
@@ -791,7 +773,7 @@ class TestBlockMatchesKernels:
     on a copy of the plan that accepts nothing and meets no arc limit."""
 
     @pytest.mark.parametrize("make", [e22_like, e22_tight, x143_like,
-                                      decimal_demands])
+                                      decimal_demands, huge_units])
     def test_rows_equal_full_scans(self, make):
         rng = random.Random(43)
         inst = make(rng)
@@ -1052,8 +1034,8 @@ class TestEngineInvariants:
         # fail check_upper_feasible
         inst = searchable_instance if make is None else make(random.Random(9))
         units, cap = inst.cargo_units
-        # every descent pass on float units prices its target as a block,
-        # so the arrays of the routes it read are checked too
+        # every descent pass prices its target as a block, so the arrays
+        # of the routes it read are checked too
         monkeypatch.setattr(search, "BLOCK_FLOOR", 0)
         free = DistanceOracle.for_instance(inst)
         engine = _Engine(inst, small_params(3), EvaluationBudget())
@@ -1114,7 +1096,7 @@ class TestEngineInvariants:
                 engine._reset_memo()
         assert all(applied), applied
         assert len(touches) == sum(applied)
-        assert built[0] > 0 or not engine.blocks
+        assert built[0] > 0
 
 
 class TestMemoBound:
