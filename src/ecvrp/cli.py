@@ -37,7 +37,6 @@ from .solution import (
     battery_feasible,
     check_upper_feasible,
     evaluate_solution,
-    expand_route,
     format_solution,
     parse_solution_file,
     split_expanded_route,
@@ -188,9 +187,10 @@ def cmd_solve(args) -> int:
 
 
 def _load_inputs(args):
-    """(instance, routes, slot lists, reported cost, line number of each
-    route) of validate's and refine's files.  Raises UnusableInput when
-    either cannot be read; an error in a route names its file line."""
+    """(instance, routes, slot lists, reported cost, (line number, expanded
+    nodes) of each route) of validate's and refine's files.  Raises
+    UnusableInput when either cannot be read; an error in a route names
+    its file line."""
     lineno = None
     try:
         inst = load_instance(args.instance)
@@ -205,30 +205,27 @@ def _load_inputs(args):
     except (ValueError, OSError) as exc:
         where = "" if lineno is None else f"line {lineno}: "
         raise UnusableInput(f"{where}{exc}") from None
-    linenos = [lineno for lineno, _ in expanded_routes]
-    return inst, plan, slot_lists, reported, linenos
+    return inst, plan, slot_lists, reported, expanded_routes
 
 
-def _battery_failure(inst, plan, slot_lists, oracle):
-    """The verdict of the first route whose charging runs the battery
-    flat, None when every route's charging is battery-feasible."""
-    for route, slots in zip(plan, slot_lists):
-        if route:
-            verdict, _ = battery_feasible(expand_route(route, slots), inst,
-                                          oracle)
-            if not verdict:
-                return verdict
+def _battery_failure(inst, expanded_routes, oracle):
+    """The verdict of the first route line whose charging runs the battery
+    flat, None when every line's charging is battery-feasible."""
+    for _, expanded in expanded_routes:
+        verdict, _ = battery_feasible(expanded, inst, oracle)
+        if not verdict:
+            return verdict
     return None
 
 
 def cmd_validate(args) -> int:
-    inst, plan, slot_lists, reported, _ = _load_inputs(args)
+    inst, plan, slot_lists, reported, expanded_routes = _load_inputs(args)
     oracle = DistanceOracle.for_instance(inst)
     verdict = check_upper_feasible(plan, inst)
     if not verdict:
         print(f"INVALID {verdict.violation}: {verdict.detail}")
         return 1
-    battery = _battery_failure(inst, plan, slot_lists, oracle)
+    battery = _battery_failure(inst, expanded_routes, oracle)
     if battery is not None:
         print(f"INVALID BatteryDepleted: node {battery.failed_at} "
               f"short by {battery.deficit:.3f}")
@@ -245,30 +242,30 @@ def cmd_validate(args) -> int:
 def cmd_refine(args) -> int:
     if args.out == "":
         raise UnusableInput("--out needs a file name")
-    inst, plan, slot_lists, _, linenos = _load_inputs(args)
+    inst, plan, slot_lists, _, expanded_routes = _load_inputs(args)
     oracle = DistanceOracle.for_instance(inst)
     verdict = check_upper_feasible(plan, inst)
     if not verdict:
         raise UnusableInput(f"{verdict.violation}: {verdict.detail}")
-    old_total, old_detour, _ = total_cost(plan, slot_lists, oracle)
+    given = evaluate_solution(plan, slot_lists, oracle)
     result = solve_exhaustive(plan, inst, oracle)
     if not result.feasible:
         v = result.failed_route
         lb = visits_lower_bound(surrogate_cost([plan[v]], oracle), inst)
-        print(f"INFEASIBLE: route on line {linenos[v]} has no charging plan "
-              f"within {lb}..{lb + 1} stops")
+        print(f"INFEASIBLE: route on line {expanded_routes[v][0]} has no "
+              f"charging plan within {lb}..{lb + 1} stops")
         return 1
     solution = evaluate_solution(plan, result.plan, oracle)
     # as in the engine's final refinement, a battery-feasible input keeps
     # its charging unless the refined F is lower, so F never rises over it
-    if not solution.total_cost < old_total and \
-            _battery_failure(inst, plan, slot_lists, oracle) is None:
-        solution = evaluate_solution(plan, slot_lists, oracle)
+    if not solution.total_cost < given.total_cost and \
+            _battery_failure(inst, expanded_routes, oracle) is None:
+        solution = given
     out_path = Path(args.solution if args.out is None else args.out)
     out_path.write_text(format_solution(
         solution, [f"ecvrp {__version__} refined from {args.solution}"]))
-    print(f"f {old_detour:.2f} -> {solution.detour_cost:.2f} "
-          f"(F {old_total:.2f} -> {solution.total_cost:.2f})")
+    print(f"f {given.detour_cost:.2f} -> {solution.detour_cost:.2f} "
+          f"(F {given.total_cost:.2f} -> {solution.total_cost:.2f})")
     print(f"wrote {out_path}")
     return 0
 

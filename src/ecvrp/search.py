@@ -225,16 +225,6 @@ def split_giant_tour(perm, inst: InstanceSpec, oracle: DistanceOracle):
 # small int keeps the range checks on the interpreter's fast integer path
 ALL = 1 << 29
 
-# the least customers route t1 must hold for a descent pass to price its
-# target as one numpy block (_Engine._block_row) rather than anchor by
-# anchor.  A block's cost is mostly fixed numpy calls: on a 2-core Xeon VM
-# (Python 3.11, numpy 2.4, best of 7, every candidate fitting) it took
-# 8-19 us at 4 to 8 customers a route, 13-32 us when it also built its
-# routes' arrays, against 2-7 us for a full pass of the kernels at 4
-# customers, 4-14 us at 6, 6-20 us at 8 and 9-30 us at 10
-BLOCK_FLOOR = 8
-
-
 class PlanState:
     """One plan under edit: routes, loads, the sorted indices of the
     non-empty and the empty routes, and the tracked surrogate phi.
@@ -829,14 +819,13 @@ class _Engine(PlanState):
         the recorded arcs without rerunning the kernel, as in explore.
 
         A pass that finds no row for its target first fills one with
-        _block_row, every anchor's full scan priced at once, when route t1
-        holds at least BLOCK_FLOOR customers.  The loop then charges each
-        anchor that cannot pass its recorded arcs, and runs the kernel at
-        the first anchor that can, which accepts and applies its own edit,
-        or wherever a recorded charge would cross arc_limit.  So the
-        accepted candidate, the arcs charged up to it, the point where a
-        limit stops the scan and the memo rows are those of running every
-        anchor's kernel."""
+        _block_row, every anchor's full scan priced at once.  The loop then
+        charges each anchor that cannot pass its recorded arcs, and runs
+        the kernel at the first anchor that can, which accepts and applies
+        its own edit, wherever a recorded charge would cross arc_limit, and
+        at an anchor that explore's row leaves unknown (nan).  So the
+        accepted candidate, the arcs charged up to it and the point where a
+        limit stops the scan are those of running every anchor's kernel."""
         budget = self.budget
         limit = self.arc_limit
         wall = self.wall_limited
@@ -844,7 +833,6 @@ class _Engine(PlanState):
         memo = self.memo[op]
         row_keys = self.row_keys
         ids = self.ids
-        lengths = self.lengths
         improved = False
         while True:
             r1 = self.routes[t1]
@@ -852,7 +840,7 @@ class _Engine(PlanState):
                     wall and budget.exceeded()):
                 return improved
             row = memo.get(row_keys[t1] + ids[t2])
-            if row is None and lengths[t1] >= BLOCK_FLOOR:
+            if row is None:
                 row = self._block_row(op, t1, t2)
             phi = self.phi
             bar = phi - IMPROVE_EPS
@@ -860,20 +848,13 @@ class _Engine(PlanState):
                 spent = budget.arc_access_count
                 if spent >= limit:
                     return improved
-                if row is not None and phi + row[pa] >= bar \
-                        and spent + row[~pa] <= limit:
+                if phi + row[pa] >= bar and spent + row[~pa] <= limit:
                     budget.arc_access_count = spent + row[~pa]
                     continue
                 if scan(self, t1, t2, pa, bar):
                     self._touch(t1, t2)
                     improved = True
                     break
-                end = budget.arc_access_count
-                if end < limit:
-                    if row is None:
-                        row = self._new_row(op, t1, t2)
-                    row[pa] = self.dmin
-                    row[~pa] = end - spent
             else:
                 return improved
 

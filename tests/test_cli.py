@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from ecvrp import cli
+from ecvrp import cli, solution
 from ecvrp.cli import main, parse_seeds, worker_count
 from ecvrp.instance import serialize_instance
 from ecvrp.search import PARAM_MAX
@@ -683,6 +683,35 @@ class TestRefine:
             f"f 0.00 -> {detour} (F 120.00 -> {total})"
         assert out.read_text().splitlines()[1:] == [written, f"COST {total}"]
         assert run_cli("validate", inst_path, out) == 0
+
+    def test_prices_a_kept_input_once(self, monkeypatch, tmp_path, capsys):
+        # a battery-feasible stop-free input is priced once, before the
+        # follower runs, and that record is both printed and written; the
+        # follower's plan is priced once more
+        inst = make_instance(customers=[(30, 0), (0, 40)],
+                             stations=[(20, 20)], capacity=2, battery=120,
+                             rate=1.0, fleet=2, name="tiny")
+        inst_path = tmp_path / "tiny.evrp"
+        inst_path.write_text(serialize_instance(inst))
+        plan = tmp_path / "plan.sol"
+        plan.write_text("0,1,2,0\n")
+        calls = []
+
+        def counted(price):
+            def run(*args):
+                calls.append(args[0])
+                return price(*args)
+            return run
+
+        monkeypatch.setattr(solution, "total_cost",
+                            counted(solution.total_cost))
+        monkeypatch.setattr(cli, "total_cost", counted(cli.total_cost))
+        out = tmp_path / "refined.sol"
+        assert run_cli("refine", inst_path, plan, "--out", out) == 0
+        assert len(calls) == 2, calls
+        assert capsys.readouterr().out.splitlines()[0] == \
+            "f 0.00 -> 0.00 (F 120.00 -> 120.00)"
+        assert out.read_text().splitlines()[1:] == ["0,1,2,0", "COST 120.00"]
 
     def test_refined_cost_never_higher(self, tiny_file, tmp_path, capsys):
         out = tmp_path / "runs"

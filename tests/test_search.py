@@ -21,7 +21,6 @@ from ecvrp.moves import (
     enumerate_positions,
 )
 from ecvrp.search import (
-    BLOCK_FLOOR,
     M1,
     M2,
     M3,
@@ -452,14 +451,16 @@ def frozen_like(rng):
 
 
 def huge_units(rng):
-    """e22_like on eight vehicles with cargo 2**63 and demands of 2**59,
-    2**60 or 3 * 2**59: the cargo units are Python ints, and a plan's
-    loads pass what int64 holds."""
+    """e22_like on eight vehicles with demands of k = 2**59 + 128 or 2 k
+    and cargo 16 k: the cargo units are Python ints, a plan's loads pass
+    what int64 holds, and a sum of three or more k need not fit a float64,
+    while a head load of 16 k meets the cargo exactly."""
     base = e22_like(rng)
-    return replace(base, cargo_capacity=2.0 ** 63, fleet_size=8, demands=tuple(
-        rng.choice((2.0 ** 59, 2.0 ** 60, 3 * 2.0 ** 59))
-        if node in base.customers else 0.0
-        for node in range(len(base.demands))))
+    k = 2 ** 59 + 128
+    return replace(base, cargo_capacity=float(16 * k), fleet_size=8,
+                   demands=tuple(rng.choice((float(k), float(2 * k)))
+                                 if node in base.customers else 0.0
+                                 for node in range(len(base.demands))))
 
 
 class TestExploreMatchesReference:
@@ -699,11 +700,12 @@ class TestMemoMatchesReference:
         assert ran0 > 0 and ran1 == ran2 == ran3
         assert rescans3 > rescans2 > rescans1
 
-    @pytest.mark.parametrize("make", [e22_like, e22_tight])
+    @pytest.mark.parametrize("make", [e22_like, e22_tight, huge_units])
     def test_every_operator_descends_by_blocks(self, monkeypatch, make):
-        # plans of one to three routes hold routes past BLOCK_FLOOR: their
-        # descents price targets of all seven operators as blocks and end
-        # where rescanning ends
+        # descents from plans of one to three routes price targets of all
+        # seven operators as blocks and end where rescanning ends; past
+        # 2**53 the cargo units are Python ints, whose sums here pass what
+        # int64 holds, priced over object arrays
         blocked = Counter()
         block_row = _Engine._block_row
 
@@ -714,6 +716,9 @@ class TestMemoMatchesReference:
         monkeypatch.setattr(_Engine, "_block_row", counted)
         rng = random.Random(12)
         inst = make(rng)
+        if make is huge_units:
+            units, cap = inst.cargo_units
+            assert type(cap) is int and sum(units) >= 2 ** 63
         twins = [self.twin(cls, inst, 6) for cls in (_Engine,
                                                      ReferenceEngine)]
         for _ in range(4):
@@ -724,31 +729,34 @@ class TestMemoMatchesReference:
             assert self.state(*twins[0]) == self.state(*twins[1])
         assert set(blocked) == {M1, M2, M3, M4, M5, M6, M7}, blocked
 
-    def test_int_units_descend_by_blocks(self, monkeypatch):
-        # past 2**53 the cargo units are Python ints, whose sums here pass
-        # what int64 holds: descent prices targets of all seven operators
-        # as blocks over object arrays and ends where rescanning ends
-        blocked = Counter()
-        block_row = _Engine._block_row
-
-        def counted(engine, op, t1, t2):
-            blocked[op] += 1
-            return block_row(engine, op, t1, t2)
-
-        monkeypatch.setattr(_Engine, "_block_row", counted)
-        rng = random.Random(8)
-        inst = huge_units(rng)
-        units, cap = inst.cargo_units
-        assert type(cap) is int and sum(units) >= 2 ** 63
-        twins = [self.twin(cls, inst, 4) for cls in (_Engine,
-                                                     ReferenceEngine)]
-        for _ in range(3):
+    @pytest.mark.parametrize("make", [e22_like, e22_tight, decimal_demands])
+    def test_descent_scans_only_to_accept_or_at_the_limit(self, make):
+        # a fresh engine's memo holds no exploration row, so every target a
+        # descent pass reads has a complete block: a kernel runs only at an
+        # anchor whose recorded dmin passes, and accepts, or where a
+        # recorded charge would cross the arc limit, and stops at it
+        rng = random.Random(17)
+        inst = make(rng)
+        runs = Counter()
+        for _ in range(4):
             plan = random_partition_plan(rng, inst, rng.randint(1, 3))
-            for engine, _, _ in twins:
-                engine.load_plan(plan)
+            for headroom in (math.inf, 40, 400, 4000):
+                engine = engine_on(plan, inst, 2)
+                limit = engine.budget.arc_access_count + headroom
+                engine.arc_limit = limit
+
+                def checked(kernel):
+                    def scan(*args):
+                        moved = kernel(*args)
+                        cut = engine.budget.arc_access_count >= limit
+                        assert moved or cut, args[1:3]
+                        runs["accepted" if moved else "cut"] += 1
+                        return moved
+                    return scan
+
+                engine.kernels = tuple(map(checked, engine.kernels))
                 engine.descend()
-            assert self.state(*twins[0]) == self.state(*twins[1])
-        assert set(blocked) == {M1, M2, M3, M4, M5, M6, M7}, blocked
+        assert runs["accepted"] and runs["cut"], runs
 
 
 def with_short_routes(rng, routes, slots, size=1):
@@ -822,7 +830,7 @@ class TestBlockMatchesKernels:
                             op == M7 and pa == len(routes[t1]) - 1
                             and max(state.loads[t1],
                                     state.loads[t2]) <= state.cap)
-        assert lengths[1] and lengths[2] and max(lengths) >= BLOCK_FLOOR, \
+        assert lengths[1] and lengths[2] and max(lengths) >= 8, \
             lengths
         assert seen["final arcs"] and seen["no m5 candidate"], seen
         if make in (e22_tight, decimal_demands):
@@ -1024,7 +1032,7 @@ class TestAblation:
 class TestEngineInvariants:
     @pytest.mark.parametrize("make", [None, decimal_demands],
                              ids=["searchable_instance", "decimal_demands"])
-    def test_state_stays_consistent_after_every_move(self, monkeypatch, make,
+    def test_state_stays_consistent_after_every_move(self, make,
                                                      searchable_instance):
         # every kernel call goes through a wrapper that, after each applied
         # move of descent or exploration, checks the engine's incremental
@@ -1034,9 +1042,6 @@ class TestEngineInvariants:
         # fail check_upper_feasible
         inst = searchable_instance if make is None else make(random.Random(9))
         units, cap = inst.cargo_units
-        # every descent pass prices its target as a block, so the arrays
-        # of the routes it read are checked too
-        monkeypatch.setattr(search, "BLOCK_FLOOR", 0)
         free = DistanceOracle.for_instance(inst)
         engine = _Engine(inst, small_params(3), EvaluationBudget())
         applied = [0] * 8
