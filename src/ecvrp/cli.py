@@ -187,10 +187,11 @@ def cmd_solve(args) -> int:
 
 
 def _load_inputs(args):
-    """(instance, routes, slot lists, reported cost, (line number, expanded
-    nodes) of each route) of validate's and refine's files.  Raises
-    UnusableInput when either cannot be read; an error in a route names
-    its file line."""
+    """(instance, routes, slot lists, reported cost, file line number of
+    each route, walk) of validate's and refine's files, where walk is the
+    expanded route lines joined at the depot, the one walk battery_feasible
+    checks.  Raises UnusableInput when either cannot be read; an error in
+    a route names its file line."""
     lineno = None
     try:
         inst = load_instance(args.instance)
@@ -198,35 +199,29 @@ def _load_inputs(args):
             Path(args.solution).read_text())
         plan = []
         slot_lists = []
+        linenos = []
+        walk = [0]
         for lineno, expanded in expanded_routes:
             route, slots = split_expanded_route(expanded, inst)
             plan.append(route)
             slot_lists.append(slots)
+            linenos.append(lineno)
+            walk += expanded[1:]
     except (ValueError, OSError) as exc:
         where = "" if lineno is None else f"line {lineno}: "
         raise UnusableInput(f"{where}{exc}") from None
-    return inst, plan, slot_lists, reported, expanded_routes
-
-
-def _battery_failure(inst, expanded_routes, oracle):
-    """The verdict of the first route line whose charging runs the battery
-    flat, None when every line's charging is battery-feasible."""
-    for _, expanded in expanded_routes:
-        verdict, _ = battery_feasible(expanded, inst, oracle)
-        if not verdict:
-            return verdict
-    return None
+    return inst, plan, slot_lists, reported, linenos, walk
 
 
 def cmd_validate(args) -> int:
-    inst, plan, slot_lists, reported, expanded_routes = _load_inputs(args)
+    inst, plan, slot_lists, reported, _, walk = _load_inputs(args)
     oracle = DistanceOracle.for_instance(inst)
     verdict = check_upper_feasible(plan, inst)
     if not verdict:
         print(f"INVALID {verdict.violation}: {verdict.detail}")
         return 1
-    battery = _battery_failure(inst, expanded_routes, oracle)
-    if battery is not None:
+    battery = battery_feasible(walk, inst, oracle)
+    if not battery:
         print(f"INVALID BatteryDepleted: node {battery.failed_at} "
               f"short by {battery.deficit:.3f}")
         return 1
@@ -242,7 +237,7 @@ def cmd_validate(args) -> int:
 def cmd_refine(args) -> int:
     if args.out == "":
         raise UnusableInput("--out needs a file name")
-    inst, plan, slot_lists, _, expanded_routes = _load_inputs(args)
+    inst, plan, slot_lists, _, linenos, walk = _load_inputs(args)
     oracle = DistanceOracle.for_instance(inst)
     verdict = check_upper_feasible(plan, inst)
     if not verdict:
@@ -252,14 +247,14 @@ def cmd_refine(args) -> int:
     if not result.feasible:
         v = result.failed_route
         lb = visits_lower_bound(surrogate_cost([plan[v]], oracle), inst)
-        print(f"INFEASIBLE: route on line {expanded_routes[v][0]} has no "
+        print(f"INFEASIBLE: route on line {linenos[v]} has no "
               f"charging plan within {lb}..{lb + 1} stops")
         return 1
     solution = evaluate_solution(plan, result.plan, oracle)
     # as in the engine's final refinement, a battery-feasible input keeps
     # its charging unless the refined F is lower, so F never rises over it
     if not solution.total_cost < given.total_cost and \
-            _battery_failure(inst, expanded_routes, oracle) is None:
+            battery_feasible(walk, inst, oracle):
         solution = given
     out_path = Path(args.solution if args.out is None else args.out)
     out_path.write_text(format_solution(

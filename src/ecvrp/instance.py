@@ -194,11 +194,12 @@ class DistanceOracle:
     arcs of a walk, arcs(rows[:, None], cols) for a block.  Code outside
     search prices plans through it, without charging, so it never builds
     the pz x pz array.  array, those distances as float64, and matrix, the
-    same doubles as nested lists (array.tolist()), are built on first read
-    and kept; building them is not charged either.  Search code reads
-    matrix[i][j] and charges the attached budget one access per arc read,
-    and its numpy blocks read array.  An oracle built without a budget gets
-    a fresh unlimited one, so metered code never asks whether there is one.
+    same doubles as nested lists (array.tolist()), are cached properties,
+    built on first read and kept; building them is not charged either.
+    Search code reads matrix[i][j] and charges the attached budget one
+    access per arc read, and its numpy blocks read array.  An oracle built
+    without a budget gets a fresh unlimited one, so metered code never asks
+    whether there is one.
 
     Each distance is sqrt(dx*dx + dy*dy), dx = xi - xj: two rounded
     products, one rounded sum and a correctly rounded root, the same
@@ -207,12 +208,8 @@ class DistanceOracle:
     -(xj - xi), so distances are exactly symmetric with a zero diagonal.
     """
 
-    __slots__ = ("xs", "ys", "budget", "_array", "_matrix")
-
     def __init__(self, coords, budget: EvaluationBudget | None = None):
         self.xs, self.ys = np.asarray(coords, dtype=float).T
-        self._array = None
-        self._matrix = None
         self.budget = EvaluationBudget() if budget is None else budget
 
     def arcs(self, tails, heads) -> np.ndarray:
@@ -229,21 +226,18 @@ class DistanceOracle:
         # write the root into
         return np.sqrt(dx, out=dx if dx.ndim else None)
 
-    @property
+    @cached_property
     def array(self) -> np.ndarray:
         """The pz x pz distances, built on first read and kept."""
-        if self._array is None:
-            nodes = np.arange(len(self.xs))
-            self._array = self.arcs(nodes[:, None], nodes)
-            self._array.flags.writeable = False    # matrix must stay its copy
-        return self._array
+        nodes = np.arange(len(self.xs))
+        array = self.arcs(nodes[:, None], nodes)
+        array.flags.writeable = False    # matrix must stay its copy
+        return array
 
-    @property
+    @cached_property
     def matrix(self) -> list:
         """array.tolist(), built on first read and kept."""
-        if self._matrix is None:
-            self._matrix = self.array.tolist()
-        return self._matrix
+        return self.array.tolist()
 
     @classmethod
     def for_instance(cls, inst: InstanceSpec,

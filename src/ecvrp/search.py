@@ -397,12 +397,10 @@ class PlanState:
         return False
 
     def _m3(self, t1, t2, pa, bar, lo=0, hi=ALL) -> bool:
-        """m3: swap a with another customer of its route."""
+        """m3: swap a with another customer of its route.  On a
+        one-customer route the only b is a itself: no arc is read."""
         route = self.routes[t1]
         length = len(route)
-        if length < 2:
-            self.dmin = math.inf
-            return False
         budget = self.budget
         spent = budget.arc_access_count
         limit = self.arc_limit
@@ -781,12 +779,16 @@ class _Engine(PlanState):
     def descend(self) -> None:
         """First-improvement descent over the seven partition-preserving
         operators, shuffled each outer pass, until no operator improves.
+        m1, m3 and m5 walk the targets (t, -1) of every route slot, the
+        others every ordered slot pair (0, 1), (0, 2), ..., (1, 0), ....
         Under a wall-clock limit the clock is read before each operator
         and at the top of each pass over a target's anchors
         (_descend_target); an arc-limited run reads no clock."""
         rng = self.rng
         ops = [M1, M2, M3, M4, M5, M6, M7]
-        fleet = len(self.routes)
+        slots = range(len(self.routes))
+        intra = [(t, -1) for t in slots]
+        inter = [(t1, t2) for t1 in slots for t2 in slots if t1 != t2]
         budget = self.budget
         limit = self.arc_limit
         wall = self.wall_limited
@@ -797,14 +799,8 @@ class _Engine(PlanState):
                 if budget.arc_access_count >= limit or (
                         wall and budget.exceeded()):
                     return
-                if op in (M1, M3, M5):
-                    for t in range(fleet):
-                        improved |= self._descend_target(op, t, -1)
-                else:
-                    for t1 in range(fleet):
-                        for t2 in range(fleet):
-                            if t1 != t2:
-                                improved |= self._descend_target(op, t1, t2)
+                for t1, t2 in intra if op in (M1, M3, M5) else inter:
+                    improved |= self._descend_target(op, t1, t2)
             if not improved or budget.arc_access_count >= limit:
                 return
 

@@ -21,7 +21,9 @@ pz x pz array.
 Feasibility checking and cost evaluation are deliberately decoupled:
 search evaluates plenty of capacity-feasible plans whose battery
 feasibility is never established.  Infeasibility is an expected outcome,
-so checks return verdict values instead of raising.
+so checks return verdict values instead of raising.  battery_feasible
+walks one expanded route, or a solution file's route lines joined at the
+depot, which recharges like a station, and returns its verdict alone.
 """
 
 from __future__ import annotations
@@ -184,27 +186,26 @@ def expand_route(route, slots) -> list[int]:
 
 
 def battery_feasible(expanded, inst: InstanceSpec,
-                     oracle: DistanceOracle) -> tuple[BatteryVerdict, list]:
-    """Simulate the state of charge along an expanded route.
+                     oracle: DistanceOracle) -> BatteryVerdict:
+    """Simulate the state of charge along an expanded walk.
 
     Charge is full on departure from the depot and every station and drops
     by h * d_ij per arc; the verdict fails at the first node reached with
-    negative charge.  The trace records the charge on arrival at each node
-    (full at the starting depot) and is returned for diagnostics either way.
+    negative charge, short by the deficit.  The depot resets the charge
+    like a station, so route lines joined at the depot (0, route, 0, route,
+    ..., 0) get the verdict of the first line that fails, walked alone.
     """
     arcs = oracle.arcs(expanded[:-1], expanded[1:]).tolist()
     rate = inst.consumption_rate
     full = inst.battery_capacity
     charge = full
-    trace = [(expanded[0], charge)]
     for node, d in zip(expanded[1:], arcs):
         charge -= rate * d
-        trace.append((node, charge))
         if charge < 0.0:
-            return BatteryVerdict(False, failed_at=node, deficit=-charge), trace
+            return BatteryVerdict(False, failed_at=node, deficit=-charge)
         if node == 0 or inst.is_station(node):
             charge = full
-    return BatteryVerdict(True), trace
+    return BatteryVerdict(True)
 
 
 def total_cost(routes, slot_lists, oracle: DistanceOracle

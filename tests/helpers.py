@@ -39,7 +39,7 @@ from ecvrp.search import (
     M8,
     InstanceInfeasible,
 )
-from ecvrp.solution import RoutingPlan
+from ecvrp.solution import RoutingPlan, battery_feasible
 
 from conftest import make_instance
 
@@ -524,22 +524,32 @@ def surrogate_cost_reference(routes, oracle):
 
 def battery_feasible_reference(expanded, inst, oracle):
     """Reference for solution.battery_feasible, reading oracle.matrix one
-    arc at a time: (ok, failed_at, deficit) and the charge trace."""
+    arc at a time: (ok, failed_at, deficit)."""
     matrix = oracle.matrix
     rate = inst.consumption_rate
     full = inst.battery_capacity
     charge = full
-    trace = [(expanded[0], charge)]
     prev = expanded[0]
     for node in expanded[1:]:
         charge -= rate * matrix[prev][node]
-        trace.append((node, charge))
         if charge < 0.0:
-            return (False, node, -charge), trace
+            return False, node, -charge
         if node == 0 or inst.is_station(node):
             charge = full
         prev = node
-    return (True, None, 0.0), trace
+    return True, None, 0.0
+
+
+def battery_failure_per_line(inst, expanded_routes, oracle):
+    """Reference for the battery check of validate and refine: the verdict
+    of the first (line number, expanded route) line whose charging runs
+    the battery flat, each line walked alone; None when every line's
+    charging is battery-feasible."""
+    for _, expanded in expanded_routes:
+        verdict = battery_feasible(expanded, inst, oracle)
+        if not verdict:
+            return verdict
+    return None
 
 
 def total_cost_reference(routes, slot_lists, oracle):

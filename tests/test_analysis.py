@@ -167,7 +167,7 @@ class TestBruteForce:
         for route, slots in zip(exact.routing.routes, exact.charging):
             if route:
                 assert battery_feasible(expand_route(route, slots), inst,
-                                        oracle)[0].ok
+                                        oracle).ok
         assert exact.total_cost == pytest.approx(
             exact.surrogate + exact.detour_cost)
 

@@ -329,7 +329,7 @@ class TestExhaustive:
         assert result.detour_cost == 0.0
         slots = result.plan[0]
         assert lb <= station_visits(slots) <= lb + 1
-        assert battery_feasible(expand_route(route, slots), inst, oracle)[0]
+        assert battery_feasible(expand_route(route, slots), inst, oracle)
 
     def test_bound_tables_of_a_long_route_stay_small(self):
         # a route of 300 customers with lb = 299: its bound tables hold
@@ -398,12 +398,12 @@ class TestFollowerProperties:
                 for route, slots in zip(plan, se.plan):
                     if route:
                         assert battery_feasible(
-                            expand_route(route, slots), inst, oracle)[0].ok
+                            expand_route(route, slots), inst, oracle).ok
             if ex.feasible:
                 for route, slots in zip(plan, ex.plan):
                     if route:
                         assert battery_feasible(
-                            expand_route(route, slots), inst, oracle)[0].ok
+                            expand_route(route, slots), inst, oracle).ok
         assert feasible_seen > 25
 
     def test_min_visit_lower_bound_holds_on_samples(self, charged_instance):

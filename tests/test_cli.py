@@ -230,6 +230,20 @@ class TestValidate:
         assert run_cli("validate", detour_file, bad) == 1
         assert "BatteryDepleted" in capsys.readouterr().out
 
+    def test_flat_second_line_names_its_node(self, tmp_path, capsys):
+        # the first line, 100 long, fits a battery of 150; the second runs
+        # 100 out to customer 2 and 60 on to customer 3, 10 short there
+        inst = make_instance(customers=[(50, 0), (0, 100), (0, 160)],
+                             stations=[(99, 99)], capacity=2, battery=150,
+                             rate=1.0, fleet=2, name="flat-second")
+        inst_path = tmp_path / "flat.evrp"
+        inst_path.write_text(serialize_instance(inst))
+        sol = tmp_path / "sol.sol"
+        sol.write_text("0,1,0\n0,2,3,0\n")
+        assert run_cli("validate", inst_path, sol) == 1
+        assert capsys.readouterr().out == \
+            "INVALID BatteryDepleted: node 3 short by 10.000\n"
+
     def test_cost_mismatch_is_invalid(self, detour_file, tmp_path, capsys):
         # depot -> station -> customer -> station -> depot, four legs of
         # sqrt(2600): F = 203.96
@@ -712,6 +726,28 @@ class TestRefine:
         assert capsys.readouterr().out.splitlines()[0] == \
             "f 0.00 -> 0.00 (F 120.00 -> 120.00)"
         assert out.read_text().splitlines()[1:] == ["0,1,2,0", "COST 120.00"]
+
+    def test_one_battery_check_per_request(self, monkeypatch, tmp_path):
+        # a kept input of three stop-free lines is checked as one walk
+        inst = make_instance(customers=[(30, 0), (0, 40), (-25, -25)],
+                             stations=[(20, 20)], battery=120, rate=1.0,
+                             fleet=3, name="three")
+        inst_path = tmp_path / "three.evrp"
+        inst_path.write_text(serialize_instance(inst))
+        plan = tmp_path / "plan.sol"
+        plan.write_text("0,1,0\n0,2,0\n0,3,0\n")
+        walks = []
+
+        def counted(walk, *args):
+            walks.append(list(walk))
+            return solution.battery_feasible(walk, *args)
+
+        monkeypatch.setattr(cli, "battery_feasible", counted)
+        out = tmp_path / "refined.sol"
+        assert run_cli("refine", inst_path, plan, "--out", out) == 0
+        assert walks == [[0, 1, 0, 2, 0, 3, 0]]
+        assert out.read_text().splitlines()[1:-1] == \
+            ["0,1,0", "0,2,0", "0,3,0"]
 
     def test_refined_cost_never_higher(self, tiny_file, tmp_path, capsys):
         out = tmp_path / "runs"

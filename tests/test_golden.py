@@ -8,6 +8,7 @@ moves them on purpose re-records them here and says which ones moved and
 why; any other change must leave them untouched.
 """
 
+import functools
 import hashlib
 import importlib.util
 import random
@@ -290,31 +291,63 @@ def test_refine_at_paper_scale_never_builds_the_array(tmp_path, monkeypatch):
 
 
 def test_a_search_builds_the_array_once(monkeypatch):
-    # the search's matrix and numpy blocks read one array, built on the
-    # first read and kept
-    array = DistanceOracle.array
-    reads = []
+    # the search's matrix and numpy blocks read one array, a cached
+    # property built on the first read and kept: its builds are counted
+    # through a cached_property of the same name around the same function
+    build = DistanceOracle.array.func
+    builds = []
 
-    def kept(oracle):
-        reads.append(array.fget(oracle))
-        return reads[-1]
+    def counted(oracle):
+        builds.append(oracle)
+        return build(oracle)
 
-    monkeypatch.setattr(DistanceOracle, "array", property(kept))
+    kept = functools.cached_property(counted)
+    kept.__set_name__(DistanceOracle, "array")
+    monkeypatch.setattr(DistanceOracle, "array", kept)
     inst = bench_workloads().x143_synth()
     search.run_blahc(inst, search.SearchParams(seed=1),
                      EvaluationBudget(max_arc_accesses=2_000_000))
-    assert len(reads) > 1 and all(read is reads[0] for read in reads)
+    assert len(builds) == 1
 
 
 def bench_workloads():
     """bench/workloads.py, loaded from its file: the benchmark's instance
     recipes, its refine plans and their stored optima."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    return bench_module("workloads")
+
+
+def bench_module(stem):
+    """bench/<stem>.py, loaded from its file as bench_<stem>."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{stem}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{stem}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module     # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+def test_the_traced_benchmark_finds_what_it_reads(tmp_path):
+    # bench/tracing.py wraps program functions by name, passes run_blahc
+    # its hooks and reads result fields; a name or field the program drops
+    # loses those metrics, and only a stderr line of the benchmark says so
+    tracer = bench_module("tracing").Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == set()
+        inst = write_refine_plans(tmp_path)
+        solution, _ = search.run_blahc(
+            inst, search.SearchParams(seed=1), EvaluationBudget(
+                max_arc_accesses=200_000), hooks=tracer.hooks())
+        assert sorted(c for r in solution.routing.routes for c in r) == \
+            list(inst.customers)
+        assert run_cli_in(tmp_path, ["refine", "golden8.evrp", "plan0.sol",
+                                     "--out", "traced.sol"]) == 0
+    finally:
+        tracer.uninstall()
+    assert {"descend", "explore", "solve_se", "solve_exhaustive",
+            "cmd_refine", "for_instance"} <= set(tracer.names)
+    assert tracer.accepts > 0 and tracer.exh_examined > 0
+    assert tracer.arcs["solve_se"] > 0 and tracer.arcs["explore"] > 0
 
 
 @pytest.fixture(scope="module")

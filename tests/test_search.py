@@ -928,7 +928,7 @@ class TestRunBlahc:
         for route, slots in zip(sol.routing.routes, sol.charging):
             if route:
                 assert battery_feasible(expand_route(route, slots), inst,
-                                        oracle)[0].ok
+                                        oracle).ok
         full, detour, phi = total_cost(sol.routing.routes,
                                        sol.charging, oracle)
         assert full == pytest.approx(sol.total_cost)

@@ -1,3 +1,4 @@
+import argparse
 import math
 import random
 
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecvrp import cli
 from ecvrp.charging import solve_exhaustive
-from ecvrp.instance import DistanceOracle
+from ecvrp.instance import DistanceOracle, serialize_instance
 from ecvrp.solution import (
     SlotLengthMismatch,
     battery_feasible,
@@ -21,6 +23,7 @@ from ecvrp.solution import (
 )
 from conftest import make_instance
 from helpers import (
+    battery_failure_per_line,
     battery_feasible_reference,
     full_surrogate,
     random_partition_plan,
@@ -173,34 +176,49 @@ class TestExpandRoute:
 
 class TestBattery:
     def test_within_range(self):
+        # the walk 0, 1, 0 uses exactly 100: a battery of 100 comes back
+        # empty, which is feasible, and one ulp less runs flat at the depot
+        for battery in (120.0, 100.0):
+            inst = make_instance(customers=[(50, 0)], stations=[(99, 99)],
+                                 battery=battery, rate=1.0)
+            oracle = DistanceOracle.for_instance(inst)
+            assert battery_feasible([0, 1, 0], inst, oracle).ok
+        short = math.nextafter(100.0, 0.0)
         inst = make_instance(customers=[(50, 0)], stations=[(99, 99)],
-                             battery=120, rate=1.0)
-        oracle = DistanceOracle.for_instance(inst)
-        verdict, trace = battery_feasible([0, 1, 0], inst, oracle)
-        assert verdict.ok
-        assert trace[-1] == (0, pytest.approx(20.0))
+                             battery=short, rate=1.0)
+        verdict = battery_feasible([0, 1, 0], inst,
+                                   DistanceOracle.for_instance(inst))
+        assert (verdict.ok, verdict.failed_at, verdict.deficit) == \
+            (False, 0, 100.0 - short)
 
     def test_depleted_on_return(self):
         inst = make_instance(customers=[(70, 0)], stations=[(99, 99)],
                              battery=120, rate=1.0)
         oracle = DistanceOracle.for_instance(inst)
-        verdict, _ = battery_feasible([0, 1, 0], inst, oracle)
+        verdict = battery_feasible([0, 1, 0], inst, oracle)
         assert not verdict.ok
         assert verdict.failed_at == 0
         assert verdict.deficit == pytest.approx(20.0)
 
-    def test_station_recharge_trace(self):
-        # station detour geometry: hop of sqrt(2600) per leg, full recharge
-        inst = make_instance(customers=[(100, 0)], stations=[(50, 10)],
-                             battery=120, rate=1.0)
-        oracle = DistanceOracle.for_instance(inst)
+    def test_station_recharge(self):
+        # station detour geometry: each leg of 0, 2, 1, 2, 0 is sqrt(2600),
+        # and a station recharges fully, so a battery need only cover two
+        # legs in a row; one ulp less runs flat at the second station, and
+        # the route without its stops runs flat at the depot
         leg = math.sqrt(2600.0)
-        verdict, trace = battery_feasible([0, 2, 1, 2, 0], inst, oracle)
-        assert verdict.ok
-        # hand simulation: full on every station departure, arrival recorded
-        charges = [charge for _, charge in trace]
-        assert charges == pytest.approx(
-            [120.0, 120.0 - leg, 120.0 - leg, 120.0 - 2 * leg, 120.0 - leg])
+        enough = 2 * leg
+        short = math.nextafter(enough, 0.0)
+
+        def walk(expanded, battery):
+            inst = make_instance(customers=[(100, 0)], stations=[(50, 10)],
+                                 battery=battery, rate=1.0)
+            verdict = battery_feasible(expanded, inst,
+                                       DistanceOracle.for_instance(inst))
+            return verdict.ok, verdict.failed_at, verdict.deficit
+
+        assert walk([0, 2, 1, 2, 0], enough) == (True, None, 0.0)
+        assert walk([0, 2, 1, 2, 0], short) == (False, 2, enough - short)
+        assert walk([0, 1, 0], enough) == (False, 0, 200.0 - enough)
 
     def test_reversal_invariance_sampled(self):
         rng = random.Random(7)
@@ -212,8 +230,8 @@ class TestBattery:
             k = rng.randrange(1, 6)
             route = rng.sample(list(inst.customers), k)
             expanded = [0] + route + [0]
-            fwd, _ = battery_feasible(expanded, inst, oracle)
-            bwd, _ = battery_feasible(expanded[::-1], inst, oracle)
+            fwd = battery_feasible(expanded, inst, oracle)
+            bwd = battery_feasible(expanded[::-1], inst, oracle)
             assert fwd.ok == bwd.ok
 
 
@@ -340,13 +358,38 @@ class TestArrayPricing:
             if not route:
                 continue
             expanded = expand_route(route, slots)
-            verdict, trace = battery_feasible(expanded, inst, oracle)
-            (ok, node, deficit), ref_trace = battery_feasible_reference(
-                expanded, inst, oracle)
+            verdict = battery_feasible(expanded, inst, oracle)
+            ok, node, deficit = battery_feasible_reference(expanded, inst,
+                                                           oracle)
             assert (verdict.ok, verdict.failed_at, verdict.deficit.hex()) \
                 == (ok, node, deficit.hex())
-            assert [(n, c.hex()) for n, c in trace] == \
-                [(n, c.hex()) for n, c in ref_trace]
+
+
+class TestJoinedWalk:
+    # validate and refine check the battery once, on the file's route lines
+    # joined at the depot; the depot recharges like a station, so the walk
+    # fails where the first failing line, walked alone, fails
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(priced_plans())
+    def test_matches_the_per_line_verdict(self, tmp_path_factory, case):
+        inst, routes, slot_lists = case
+        root = tmp_path_factory.getbasetemp() / "joined-walk"
+        root.mkdir(exist_ok=True)
+        lines = [expand_route(route, slots) if route else [0, 0]
+                 for route, slots in zip(routes, slot_lists)]
+        (root / "inst.evrp").write_text(serialize_instance(inst))
+        (root / "plan.sol").write_text(
+            "".join(",".join(map(str, line)) + "\n" for line in lines))
+        loaded, _, _, _, linenos, walk = cli._load_inputs(argparse.Namespace(
+            instance=root / "inst.evrp", solution=root / "plan.sol"))
+        oracle = DistanceOracle.for_instance(loaded)
+        verdict = battery_feasible(walk, loaded, oracle)
+        want = battery_failure_per_line(loaded, zip(linenos, lines), oracle)
+        if want is None:
+            assert verdict.ok
+        else:
+            assert (verdict.ok, verdict.failed_at, verdict.deficit.hex()) == \
+                (False, want.failed_at, want.deficit.hex())
 
 
 class TestSerialization:
