@@ -40,9 +40,11 @@ counts every arc read.  solve_exhaustive runs after search, outside that
 budget, and never charges one.
 
 Both bound the number of station visits on route v to [lb_v, lb_v + 1]
-where lb_v = floor(route_length / full_charge_range).  Plans needing more
-visits than that are reported infeasible, mirroring the model assumption
-that at most two consecutive stops ever suffice.
+where lb_v = max(0, ceil(route_length / full_charge_range) - 1), the
+fewest stops any plan can make: a charge that reaches exactly 0 is
+feasible, so a route exactly k ranges long needs k - 1.  Plans needing
+more visits than that are reported infeasible, mirroring the model
+assumption that at most two consecutive stops ever suffice.
 """
 
 from __future__ import annotations
@@ -103,10 +105,13 @@ def build_best_station_table(inst: InstanceSpec,
 def visits_lower_bound(route_cost: float, inst: InstanceSpec) -> int:
     """Minimum station visits needed by a route of surrogate cost
     route_cost: its length divided by the full-charge driving range,
-    rounded down.  A ratio that overflows is capped at 2**53, far beyond
-    any route's gaps, so such a route stays infeasible."""
+    rounded up, less one, and at least 0.  With s stops a route drives s +
+    1 legs of at most one range each, so s >= ceil(length / range) - 1,
+    and a route exactly k ranges long needs k - 1 stops.  A ratio that
+    overflows is capped at 2**53, far beyond any route's gaps, so such a
+    route stays infeasible."""
     visits = route_cost * inst.consumption_rate / inst.battery_capacity
-    return math.floor(min(visits, 2.0 ** 53))
+    return min(max(0, math.ceil(min(visits, 2.0 ** 54)) - 1), 2 ** 53)
 
 
 @dataclass(frozen=True)
@@ -252,15 +257,16 @@ def _best_gap_subset(directs, legs_in, legs_out, lb: int, rate: float,
     the minimum final detour, lexicographically first among exact ties,
     and size lb + 1 replaces size lb only with a strictly smaller detour.
 
-    A layer is grown in two passes.  Each state's labels are sorted and
-    the extension is monotone in the value, so the first pass finds each
-    next stop's least value from the first label of every state that
-    reaches it; the second builds prefix tuples only for the labels
-    within the window of that value.  The last layer builds only stops
-    from which the depot is reachable, but it keeps its window too: the
-    last stop's three additions can round two labels of one state to the
-    same final detour, and then the lexicographically first prefix, not
-    the state's first label, must win the tie.
+    A layer is grown in one pass: every label of every state goes, with
+    its value extended, into the bucket of each next stop the state
+    reaches.  Each bucket is then sorted once, and only the labels it
+    keeps build their prefix tuples.  All prefixes of one layer have the
+    same length, so sorting (value, prefix) breaks ties as sorting (value,
+    prefix + (p,)) would.  The last layer builds only stops from which the
+    depot is reachable, but it keeps its window too: the last stop's three
+    additions can round two labels of one state to the same final detour,
+    and then the lexicographically first prefix, not the state's first
+    label, must win the tie.
     """
     n = len(directs)
     top = lb + 1
@@ -311,55 +317,35 @@ def _best_gap_subset(directs, legs_in, legs_out, lb: int, rate: float,
         # stops still needed after the next one leave it at most pmax
         pmax = n - 1 - max(lb - k - 1, 0)
         last = k == top - 1          # the layer only the finals read
-        # The least value of each next stop p comes from each state's
-        # first (least) label, since v + a + b - c never falls as v grows.
-        # near[p] keeps the states whose first label came within the window
-        # of p's least so far: every state within the final window is kept
-        least: dict[int, float] = {}
-        near: dict[int, list] = {}
+        buckets: dict[int, list] = {}
         for q, cands in layer.items():
-            v = cands[0][0]
             for p in reach[q + 1]:
                 if p > pmax:
                     break
                 if last and not ends[p + 1]:
                     continue
-                # same association as solve_exhaustive, so the plans both
-                # can return cost bit-identical detours
-                value = v + legs_in[p] + legs_out[p] - directs[p]
-                low = least.get(p)
-                if low is None:
-                    least[p] = value
-                    near[p] = [(value, q)]
-                elif value <= low + window:
-                    near[p].append((value, q))
-                    if value < low:
-                        least[p] = value
-        grown = {}
-        for p, states in near.items():
-            limit = least[p] + window
-            a, b, c = legs_in[p], legs_out[p], directs[p]
-            bucket = []
-            for value, q in states:
+                bucket = buckets.get(p)
+                if bucket is None:
+                    bucket = buckets[p] = []
+                for v, combo in cands:
+                    # same association as solve_exhaustive, so the plans
+                    # both can return cost bit-identical detours
+                    bucket.append(
+                        (v + legs_in[p] + legs_out[p] - directs[p], combo))
+        # each stop keeps its distinct values within the window of its least
+        layer = {}
+        for p, bucket in buckets.items():
+            bucket.sort()
+            limit = bucket[0][0] + window
+            kept = []
+            prev = None
+            for value, combo in bucket:
                 if value > limit:
-                    continue
-                cands = layer[q]
-                bucket.append((value, cands[0][1] + (p,)))
-                for i in range(1, len(cands)):
-                    v, combo = cands[i]
-                    value = v + a + b - c
-                    if value > limit:
-                        break
-                    bucket.append((value, combo + (p,)))
-            if len(bucket) > 1:
-                bucket.sort()
-                kept = [bucket[0]]
-                for item in bucket:
-                    if item[0] != kept[-1][0]:
-                        kept.append(item)
-                bucket = kept
-            grown[p] = bucket
-        layer = grown
+                    break
+                if value != prev:
+                    kept.append((value, combo + (p,)))
+                    prev = value
+            layer[p] = kept
     return best
 
 

@@ -781,9 +781,10 @@ class _Engine(PlanState):
         operators, shuffled each outer pass, until no operator improves.
         m1, m3 and m5 walk the targets (t, -1) of every route slot, the
         others every ordered slot pair (0, 1), (0, 2), ..., (1, 0), ....
-        Under a wall-clock limit the clock is read before each operator
-        and at the top of each pass over a target's anchors
-        (_descend_target); an arc-limited run reads no clock."""
+        The budget is tested at the top of each pass over a target's
+        anchors (_descend_target) and at the end of each outer pass, the
+        clock read there only under a wall-clock limit, so a spent budget
+        ends descent without another shuffle."""
         rng = self.rng
         ops = [M1, M2, M3, M4, M5, M6, M7]
         slots = range(len(self.routes))
@@ -796,19 +797,19 @@ class _Engine(PlanState):
             improved = False
             rng.shuffle(ops)
             for op in ops:
-                if budget.arc_access_count >= limit or (
-                        wall and budget.exceeded()):
-                    return
                 for t1, t2 in intra if op in (M1, M3, M5) else inter:
                     improved |= self._descend_target(op, t1, t2)
-            if not improved or budget.arc_access_count >= limit:
+            if not improved or budget.arc_access_count >= limit or (
+                    wall and budget.exceeded()):
                 return
 
     def _descend_target(self, op, t1, t2) -> bool:
         """Rescan one target until no pair (a, b) improves it, running the
-        operator's kernel over its full candidate range for each a.  Under
-        a wall-clock limit each pass over the anchors starts with one clock
-        read, so an expired deadline ends descent within one pass.
+        operator's kernel over its full candidate range for each a.  Each
+        pass over the anchors starts with a test of the arc limit and,
+        under a wall-clock limit, one clock read, so no row is built once
+        the budget has run out, and an expired deadline ends descent
+        within one pass.
 
         An anchor whose failed scan is in the memo for the routes' current
         contents, and whose dmin cannot beat the current phi, is charged
@@ -832,8 +833,9 @@ class _Engine(PlanState):
         improved = False
         while True:
             r1 = self.routes[t1]
-            if not r1 or (t2 >= 0 and not self.routes[t2]) or (
-                    wall and budget.exceeded()):
+            if not r1 or (t2 >= 0 and not self.routes[t2]) or \
+                    budget.arc_access_count >= limit or (
+                        wall and budget.exceeded()):
                 return improved
             row = memo.get(row_keys[t1] + ids[t2])
             if row is None:
@@ -1301,8 +1303,6 @@ class _Engine(PlanState):
                         self._emit("converged", phi_best)
                     break
 
-            if budget.arc_access_count >= self.arc_limit or budget.exceeded():
-                break
             if budget.arc_access_count == explore_start:
                 # a whole cycle read no arc: every scan found an empty
                 # candidate range, so the plan has no neighbour and each

@@ -22,7 +22,8 @@ from ecvrp.charging import (
     solve_se,
     visits_lower_bound,
 )
-from ecvrp.instance import DistanceOracle, EvaluationBudget
+from ecvrp.cli import main
+from ecvrp.instance import DistanceOracle, EvaluationBudget, serialize_instance
 from ecvrp.solution import battery_feasible, expand_route, surrogate_cost
 from conftest import (
     alternating_stops_instance,
@@ -84,8 +85,13 @@ def pair_instance():
 
 
 class TestMinVisits:
-    @pytest.mark.parametrize("x,expected", [(50, 0), (100, 1), (180, 3)])
-    def test_floor_of_cost_over_range(self, x, expected):
+    # a route of length L needs at least ceil(L h / B) - 1 stops: a charge
+    # that reaches exactly 0 is feasible, so a route exactly k ranges long
+    # needs k - 1, and any longer one k
+    @pytest.mark.parametrize("x,expected", [
+        (50, 0), (59.5, 0), (60, 0), (60.5, 1), (100, 1), (120, 1),
+        (180, 2), (180.5, 3)])
+    def test_cost_over_range_rounded_up_less_one(self, x, expected):
         inst = make_instance(customers=[(x, 0)], stations=[(999, 999)],
                              battery=120, rate=1.0)
         oracle = DistanceOracle.for_instance(inst)
@@ -95,15 +101,51 @@ class TestMinVisits:
     def test_exact_multiple(self):
         inst = make_instance(customers=[(1, 0)], stations=[(9, 9)],
                              battery=120, rate=1.0)
-        assert visits_lower_bound(360.0, inst) == 3
+        assert visits_lower_bound(0.0, inst) == 0
+        assert visits_lower_bound(120.0, inst) == 0
+        assert visits_lower_bound(360.0, inst) == 2
+        # one ulp either side of the boundary
+        assert visits_lower_bound(math.nextafter(360.0, 0.0), inst) == 2
+        assert visits_lower_bound(math.nextafter(360.0, math.inf), inst) == 3
         assert visits_lower_bound(100.0, inst) == 0
         assert visits_lower_bound(200.0, inst) == 1
 
     def test_overflowing_ratio_is_capped(self):
-        # 1e300 / 1e-300 overflows to inf, which has no floor
-        inst = make_instance(customers=[(1, 0)], stations=[(9, 9)],
-                             battery=1e-300, rate=1.0)
-        assert visits_lower_bound(1e300, inst) == 2 ** 53
+        # 1e300 / 1e-300 overflows to inf, which has no ceiling; the cap is
+        # taken after subtracting one, so it is 2**53 for an overflowing
+        # ratio and for a finite one far above it alike
+        for battery in (1e-300, 1.0):
+            inst = make_instance(customers=[(1, 0)], stations=[(9, 9)],
+                                 battery=battery, rate=1.0)
+            assert visits_lower_bound(1e300, inst) == 2 ** 53
+
+    @pytest.mark.parametrize("k,customers,station", [
+        (1, [(60, 0)], (120, 0)),
+        (2, [(60, 0), (60, 80)], (60, 60)),
+        (3, [(180, 0)], (120, 0)),
+    ], ids=["one-range", "two-ranges", "three-ranges"])
+    def test_route_k_ranges_long_makes_k_less_one_stops(
+            self, tmp_path, capsys, k, customers, station):
+        # the station lies on the route wherever a full battery runs out
+        # exactly, so k - 1 stops there add no detour, and both followers
+        # and the exact oracle find that plan
+        inst = make_instance(customers=customers, stations=[station],
+                             battery=120, rate=1.0, fleet=1, name="exact")
+        route = list(inst.customers)
+        oracle = DistanceOracle.for_instance(inst)
+        assert surrogate_cost([route], oracle) == 120 * k
+        table = build_best_station_table(inst, oracle)
+        for result in (solve_se([route], inst, oracle, table),
+                       solve_exhaustive([route], inst, oracle)):
+            assert result.feasible and result.detour_cost == 0.0
+            assert station_visits(result.plan[0]) == k - 1
+        path = tmp_path / "exact.evrp"
+        path.write_text(serialize_instance(inst))
+        assert main(["oracle", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"COST {120 * k:.2f}"
+        nodes = [int(tok) for tok in lines[-2].split(",")]
+        assert sum(map(inst.is_station, nodes)) == k - 1
 
 
 class TestBestStationTable:

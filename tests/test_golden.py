@@ -21,7 +21,8 @@ from ecvrp import (
     build_best_station_table, search, solve_exhaustive, total_cost)
 from ecvrp.cli import main
 from ecvrp.instance import DistanceOracle, EvaluationBudget, serialize_instance
-from ecvrp.solution import parse_solution_file, split_expanded_route
+from ecvrp.solution import (
+    format_solution, parse_solution_file, split_expanded_route)
 from conftest import make_instance, x1001_synth_instance
 
 # SHA-256 of (solution file, full trace) per seed
@@ -46,6 +47,18 @@ GOLDEN_ETA60 = {
         "ec4ccb56570a8e81d10493b6c20ffd29902f6726bcfe71df8ee9de245b36b04d"),
 }
 
+# the same for X143-synth (bench/workloads.py) at 5M arcs, x143-charging's
+# search runs: descent's blocks and SE's route cache act on long routes,
+# and the memo resets 5 to 8 times a run
+X143_GOLDEN = {
+    1: ("33eaf59a6954acdfa55138cab052e8b324154fb358a92e875790a1760aafb14b",
+        "5a7a1978cd9c3ca385f131c9ff0a5babcb9366043a60dfc0d0e0c8070a6b4824"),
+    2: ("1eb3ea0163b2e107b9cd965db3d5090044ed1af856495f3b2bd704d4810e9133",
+        "ad12f3332283205496371357ff39317a0b28b78b7e06a83dd63ebd3ae6d305e9"),
+    3: ("dadc07c05ebae13472a4e6a3fd024a01a0711c1c598602a2fd5ef80e7bc85067",
+        "cd434ec2d7005c774da911cb33750da4131d3815306e4660dfb42904bec4e089"),
+}
+
 # SHA-256 of the refined solution file per plan, None where refine
 # finds no charging plan
 REFINE_GOLDEN = {
@@ -68,7 +81,7 @@ CATALOGUE_GOLDEN = (
 
 # SHA-256 of `ecvrp oracle` stdout per instance
 ORACLE_GOLDEN = {
-    "tiny3": "c93f02652491d91a68e889d960dcf358f844641edbec4a042459277cd02847d1",
+    "tiny3": "82de8898f039fadbe0fccbf093d08b398f8974a948ce6a36fabbd47b01b83206",
     "bare": "8b43cd36573eb29487b7cbad8cad7a143e155eb02c1469c2b2b0d048834a066e",
 }
 
@@ -161,6 +174,37 @@ def test_memo_clears_keep_golden_digests(golden_runs_clearing_memo, seed):
     assert clears > 6000
     assert solve_digests(root / "eta10", seed) == GOLDEN[seed]
     assert solve_digests(root / "eta60", seed) == GOLDEN_ETA60[seed]
+
+
+def solve_x143(seed):
+    """Digests of the solution file and full trace of an X143-synth search
+    at 5M arcs."""
+    solution, trace = search.run_blahc(
+        bench_workloads().x143_synth(), search.SearchParams(seed=seed),
+        EvaluationBudget(max_arc_accesses=5_000_000), trace_level="full")
+    return tuple(hashlib.sha256(text.encode()).hexdigest() for text in (
+        format_solution(solution, [f"x143 seed {seed}"]), trace.to_csv()))
+
+
+@pytest.mark.parametrize("seed", sorted(X143_GOLDEN))
+def test_x143_solve_outputs_match_golden_digests(seed):
+    assert solve_x143(seed) == X143_GOLDEN[seed]
+
+
+def test_x143_memo_resets_keep_golden_digests(monkeypatch):
+    # a cap of 2,000 slots resets the memo and SE's route cache about 300
+    # times in the run, with long routes in both
+    clears = []
+    reset = search._Engine._reset_memo
+
+    def counted(engine):
+        clears.append(engine.memo_slots)
+        reset(engine)
+
+    monkeypatch.setattr(search, "memo_cap", lambda inst: 2000)
+    monkeypatch.setattr(search._Engine, "_reset_memo", counted)
+    assert solve_x143(1) == X143_GOLDEN[1]
+    assert len(clears) > 200
 
 
 def write_refine_plans(root):

@@ -261,15 +261,15 @@ class TestGreedyDescent:
         assert spent[0.0] == 0
 
     def test_clock_read_once_per_pass(self):
-        # a wall-clock descent reads the clock before each operator and at
-        # the top of each pass over a target's anchors, right before the
-        # pass looks up its memo row, which marks the pass's start in the
-        # log.  Every pass start follows a read and no read falls inside a
-        # pass.  Whichever read first finds the deadline passed, no pass
-        # starts and no kernel runs after it, the passes and kernel runs
-        # before it are those of the untimed descent, and the rescanning
-        # reference, which runs every anchor's kernel, stops at the same
-        # read in the same state
+        # a wall-clock descent reads the clock at the top of each pass over
+        # a target's anchors, right before the pass looks up its memo row,
+        # which marks the pass's start in the log, and at the end of each
+        # pass over the operators.  Every pass start follows a read and no
+        # read falls inside a pass.  Whichever read first finds the
+        # deadline passed, no pass starts and no kernel runs after it, the
+        # passes and kernel runs before it are those of the untimed
+        # descent, and the rescanning reference, which runs every anchor's
+        # kernel, stops at the same read in the same state
         inst = e22_like(random.Random(5))
         plan = random_partition_plan(random.Random(6), inst, 4)
 
@@ -320,8 +320,8 @@ class TestGreedyDescent:
         untimed, (_, _, _, reads) = descend(_Engine, math.inf)
         passes = [event for event in untimed if event[0] == "pass"]
         kernels = [event for event in untimed if event[0] == "kernel"]
-        # every read starts a pass but those before an operator, which
-        # no pass follows at once
+        # every read starts a pass but those ending a pass over the
+        # operators, which no pass follows at once
         tops = [event for event, after in zip(untimed, untimed[1:] + [None])
                 if event[0] == "read" and (after is None or after[0] != "pass")]
         assert kernels and reads == len(passes) + len(tops)
@@ -734,7 +734,8 @@ class TestMemoMatchesReference:
         # a fresh engine's memo holds no exploration row, so every target a
         # descent pass reads has a complete block: a kernel runs only at an
         # anchor whose recorded dmin passes, and accepts, or where a
-        # recorded charge would cross the arc limit, and stops at it
+        # recorded charge would cross the arc limit, and stops at it; and a
+        # pass that meets a spent budget builds no block
         rng = random.Random(17)
         inst = make(rng)
         runs = Counter()
@@ -754,9 +755,18 @@ class TestMemoMatchesReference:
                         return moved
                     return scan
 
+                def unspent(block_row):
+                    # and no block is built once the budget has run out
+                    def build(*args):
+                        assert engine.budget.arc_access_count < limit, args
+                        runs["blocks"] += 1
+                        return block_row(*args)
+                    return build
+
                 engine.kernels = tuple(map(checked, engine.kernels))
+                engine._block_row = unspent(engine._block_row)
                 engine.descend()
-        assert runs["accepted"] and runs["cut"], runs
+        assert runs["accepted"] and runs["cut"] and runs["blocks"], runs
 
 
 def with_short_routes(rng, routes, slots, size=1):
